@@ -238,7 +238,6 @@ METRICS = {
     "universal.basis_F3lie.s": _field("universal.basis_F3lie", "total_s"),
     "universal.phi_N.N3_s": _field("universal.phi_N.N3", "total_s"),
     "universal.phi_N.N4_s": _field("universal.phi_N.N4", "total_s"),
-    "universal.phi_N.N5_s": _field("universal.phi_N.N5", "total_s"),
     "universal.solve_varrho.s": _field("universal.solve_varrho", "total_s"),
     "linalg.rref.calls": _field("linalg.rref", "calls"),
     "linalg.rref.self_s": _field("linalg.rref", "self_s"),
@@ -268,8 +267,7 @@ METRICS.update({"%s.self_s" % layer: _layer_self(layer) for layer in LAYERS})
 
 # the phi_N stat key depends on the call; its metrics exist once any
 # phi_N call was seen, and read 0 for degrees never solved
-_KEYED = {"universal.phi_N": ("universal.phi_N.N3", "universal.phi_N.N4",
-                              "universal.phi_N.N5")}
+_KEYED = {"universal.phi_N": ("universal.phi_N.N3", "universal.phi_N.N4")}
 
 
 def _resolve(modname, path):
@@ -363,28 +361,6 @@ class Tracer:
         post_stat = self.stat(opts["post_key"]) if "post_key" in opts else None
         fixed = None if keyfn else self.stat(key)
         span = kind == SPAN
-
-        if kind == HOT and not (keyfn or pre or post):
-            # lean path for the hottest entries: no hooks, no span
-            @functools.wraps(fn)
-            def hot(*args, **kwargs):
-                frame = [0.0]
-                stack.append(frame)
-                fixed.depth += 1
-                t0 = clock()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    dt = clock() - t0
-                    stack.pop()
-                    stack[-1][0] += dt
-                    fixed.depth -= 1
-                    fixed.calls += 1
-                    fixed.self_s += dt - frame[0]
-                    if not fixed.depth:
-                        fixed.total_s += dt
-            return hot
-
         tracer = self
 
         @functools.wraps(fn)
