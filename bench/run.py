@@ -8,10 +8,13 @@ Usage (from the repository root):
 Each workload is one `liequant` CLI command.  A run spawns workers one
 at a time, never in parallel: first a warm-up import, then jobs back
 to back until --seconds have passed, with import-only workers (setup
-time) in between.  With --trace 1 one more job runs under the tracer
-(bench/tracer.py), which gives the per-layer metrics.  Every job's
-output is checked (see the check_* functions) and compared byte for
-byte with the run's first output.
+time) in between.  The run is pinned to one CPU, which the workers
+share with the metronome (bench/reference.py); each job's and spawn's
+CPU time is reported at reference speed (see REF_UNIT_S).  With
+--trace 1 an untraced and a traced job (bench/tracer.py) follow,
+without the metronome; the traced one gives the per-layer metrics.
+Every job's output is checked (see the check_* functions) and compared
+byte for byte with the run's first output.
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics: the end-to-end metrics with --trace 0,
@@ -29,6 +32,7 @@ import os
 import platform
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -39,9 +43,16 @@ from fractions import Fraction
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
 WORKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "worker.py")
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.py")
 BUILD = os.path.join(ROOT, ".bench_build", "liequant")
 
-SETUP_SHARE = 0.1
+# import-only workers take about this share of the time spent in jobs
+SETUP_SHARE = 0.25
+# Times are reported at reference speed: a CPU time t measured while the
+# metronome's units took u each on average is reported as t * REF_UNIT_S / u.
+# REF_UNIT_S is roughly a unit's CPU time on a 2-vCPU Intel Xeon VM with
+# Python 3.11; it only sets the scale and must never change.
+REF_UNIT_S = 0.03
 JOB_TIMEOUT_S = 150
 # the scale factors a seed draws from for the diagonal basis rescaling
 SCALES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -201,7 +212,6 @@ class Job:
         env = dict(os.environ, PYTHONHASHSEED="0")
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         cmd = [sys.executable, WORKER, SRC, result_path, mode] + list(argv)
-        spawned = time.clock_gettime(time.CLOCK_MONOTONIC)
         try:
             proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
                                   timeout=JOB_TIMEOUT_S)
@@ -213,11 +223,34 @@ class Job:
                 self.result = json.load(fh)
         except (OSError, ValueError):
             self.result = {}
-        imported = self.result.get("imported")
-        self.setup_s = None if imported is None else imported - spawned
 
     def __getitem__(self, key):
         return self.result.get(key)
+
+
+class Metronome:
+    """The reference process (reference.py), on the same CPU as the workers."""
+
+    def __init__(self, workdir):
+        self.path = os.path.join(workdir, "metronome.json")
+        self.proc = subprocess.Popen([sys.executable, REFERENCE, self.path], cwd=ROOT)
+
+    def stop(self):
+        """Stop it and wait for it; return its (end time, CPU time) per unit."""
+        self.proc.terminate()
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        with open(self.path) as fh:
+            return json.load(fh)
+
+
+def at_reference_speed(cpu_s, t0, t1, units):
+    """cpu_s, measured from t0 to t1, scaled by the units that ended then."""
+    u = [c for t, c in units if t0 <= t <= t1]
+    return cpu_s * REF_UNIT_S * len(u) / sum(u) if u else None
 
 
 def _median(xs):
@@ -245,12 +278,16 @@ def _cpu_model():
 
 def run_workload(name, seed, seconds, trace):
     spec = WORKLOADS[name]
+    # this process, the workers and the metronome share one CPU
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     os.makedirs(BUILD, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="%s-%d-" % (name, seed), dir=BUILD)
     record = {"workload": name, "seed": seed, "seconds": seconds, "trace": trace,
               "nproc": os.cpu_count(), "python": platform.python_version(),
               "cpu": _cpu_model(), "loadavg_start": os.getloadavg(),
-              "execution": "one job at a time, each in a fresh single-threaded worker"}
+              "cpu_pinned": max(os.sched_getaffinity(0)),
+              "execution": "one job at a time, each in a fresh single-threaded worker, "
+                           "on one CPU shared with the metronome (reference.py)"}
     try:
         inp = None
         argv = list(spec["argv"])
@@ -262,12 +299,13 @@ def run_workload(name, seed, seconds, trace):
             record["seed_note"] = "no free input: the seed is recorded and ignored"
 
         Job(workdir, "--import-only")   # warm-up: byte-compiles the sources
-        setups = []
 
         attempted = failed = 0
         problems = []
         first = None
-        walls, rss, h3 = [], [], None
+        # (start, end, CPU seconds) of each checked job, and of each batch
+        # of spawns between jobs with the CPU seconds of every spawn
+        jobs, batches, rss, h3 = [], [], [], None
 
         def check(stdout):
             nonlocal h3
@@ -298,68 +336,74 @@ def run_workload(name, seed, seconds, trace):
                 problems.extend(p for p in bad if p not in problems)
             return not bad
 
-        start = time.perf_counter()
-        setup_spent = 0.0
-        while True:
-            job = Job(workdir, "--plain", argv)
-            setups.append(job.setup_s)
-            if account(job, False):
-                walls.append(job["wall_s"])
-                rss.append(job["maxrss_kb"] / 1024)
-            # import-only workers take about SETUP_SHARE of the run, spread
-            # over it, so setup_s sees the same machine state as wall_s
-            while setup_spent < SETUP_SHARE * (time.perf_counter() - start):
-                t = time.perf_counter()
-                setups.append(Job(workdir, "--import-only").setup_s)
-                setup_spent += time.perf_counter() - t
-            if job.rc == -1 or time.perf_counter() - start >= seconds:
-                break
+        def clock():
+            return time.clock_gettime(time.CLOCK_MONOTONIC)   # as in reference.py
+
+        start = clock()
+        metronome = Metronome(workdir)
+        try:
+            while True:
+                t0 = clock()
+                job = Job(workdir, "--plain", argv)
+                t1 = clock()
+                if account(job, False):
+                    jobs.append((t0, t1, job["cpu_s"]))
+                    rss.append(job["maxrss_kb"] / 1024)
+                batch = []
+                while len(batch) < 2 or clock() - t1 < SETUP_SHARE * (t1 - t0):
+                    batch.append(Job(workdir, "--import-only")["setup_cpu_s"])
+                batches.append((t1, clock(), batch))
+                if job.rc == -1 or clock() - start >= seconds:
+                    break
+        finally:
+            units = metronome.stop()
+        scaled = [at_reference_speed(c, t0, t1, units) for t0, t1, c in jobs]
+        setups = [at_reference_speed(c, t0, t1, units)
+                  for t0, t1, batch in batches for c in batch if c is not None]
+        scaled = [x for x in scaled if x is not None]
+        setups = [x for x in setups if x is not None]
         layer = None
         if trace:
+            # without the metronome: an untraced job, then the traced one
+            plain = Job(workdir, "--plain", argv)
             job = Job(workdir, "--trace", argv)
-            if account(job, True) and job["trace"]:
+            plain_ok = account(plain, False)
+            if account(job, True) and plain_ok and job["trace"]:
                 layer = dict(job["trace"]["metrics"])
                 layer["cli.cpu_s"] = job["cpu_s"]
-                if walls:
-                    layer["trace.overhead_ratio"] = layer["cli.main.s"] / min(walls)
+                layer["trace.overhead_ratio"] = layer["cli.main.s"] / plain["wall_s"]
                 record["trace_absent"] = job["trace"]["absent"]
                 # spans and raw stats of the traced job, kept after the run
                 record["trace_file"] = os.path.relpath(
                     os.path.join(BUILD, "trace-%s-%d.json" % (name, seed)), ROOT)
                 with open(os.path.join(ROOT, record["trace_file"]), "w") as fh:
                     json.dump(job["trace"], fh)
-        setups = [s for s in setups if s is not None]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     record.update({"loadavg_end": os.getloadavg(), "jobs": attempted,
-                   "wall_samples": len(walls), "setup_samples": len(setups)})
+                   "job_samples": len(scaled), "setup_samples": len(setups),
+                   "reference_units": len(units)})
     if h3 is not None:
         record["h3_matches_paper"] = h3
     e2e = {}
-    if walls:
-        e2e["wall_min_s"] = (min(walls), "s", "fastest of %d jobs" % len(walls))
-        e2e["setup_s"] = (min(setups), "s", "fastest of %d spawns" % len(setups))
+    if scaled and setups:
+        e2e["job_cpu_ref_s"] = (_median(scaled), "s", "median of %d jobs" % len(scaled))
+        e2e["setup_s"] = (_median(setups), "s", "median of %d spawns" % len(setups))
         e2e["peak_rss_mb"] = (_median(rss), "MB", "median of %d jobs" % len(rss))
-    return {"record": record, "e2e": e2e, "walls": walls, "setups": setups,
-            "layer": layer, "attempted": attempted, "failed": failed,
-            "problems": problems}
+    return {"record": record, "e2e": e2e, "scaled": scaled, "layer": layer,
+            "attempted": attempted, "failed": failed, "problems": problems}
 
 
 def report(res, trace):
     rec = res["record"]
     print("workload %s  seed %d  %s" % (rec["workload"], rec["seed"], rec["execution"]))
-    walls = res["walls"]
-    if walls:
-        print("  %-12s %12.6f %-3s median of %d jobs" % ("wall_s", _median(walls), "s", len(walls)))
-        hp = high_percentile(walls)
-        if hp:
-            print("  %-12s %12.6f %-3s 10 jobs beyond it" % ("wall_s p%d" % hp[0], hp[1], "s"))
-    if res["setups"]:
-        print("  %-12s %12.6f %-3s median of %d spawns"
-              % ("setup median", _median(res["setups"]), "s", len(res["setups"])))
     for metric, (value, unit, how) in res["e2e"].items():
-        print("  %-12s %12.6f %-3s %s" % (metric, value, unit, how))
+        print("  %-14s %12.6f %-3s %s" % (metric, value, unit, how))
+    hp = high_percentile(res["scaled"])
+    if hp:
+        print("  %-14s %12.6f %-3s 10 jobs beyond it"
+              % ("job_cpu_ref_s p%d" % hp[0], hp[1], "s"))
     print("  fail_ratio   %d/%d = %.4f" % (res["failed"], res["attempted"],
                                           res["failed"] / max(res["attempted"], 1)))
     if "h3_matches_paper" in rec:
@@ -389,6 +433,9 @@ def main():
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
+    # a SIGTERM unwinds like an error, so the metronome is stopped and
+    # waited for on every way out
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     if not os.path.isfile(os.path.join(SRC, "liequant", "cli.py")):
         print("bench: no liequant sources under %s; run from the repository root"
               % SRC, file=sys.stderr)

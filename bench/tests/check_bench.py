@@ -12,6 +12,7 @@ a minute); deselect it with -k 'not every_entry'.
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,18 @@ def test_per_layer_metrics_match_benchmark_json():
     declared = {m["name"] for m in spec["per_layer"]}
     assert declared == set(tracer.METRICS) | {"cli.cpu_s", "trace.overhead_ratio"}
     assert {w["name"] for w in spec["workloads"]} == set(run.WORKLOADS)
+
+
+def test_metronome_scales_to_reference_speed(workdir):
+    metronome = run.Metronome(workdir)
+    time.sleep(1)
+    units = metronome.stop()
+    assert metronome.proc.returncode == 0 and len(units) > 3
+    t0, t1 = units[0][0], units[-1][0]
+    mean = sum(c for _, c in units) / len(units)
+    # a CPU time of three units reads as three reference units
+    assert run.at_reference_speed(3 * mean, t0, t1, units) == pytest.approx(3 * run.REF_UNIT_S)
+    assert run.at_reference_speed(1.0, t1 + 1, t1 + 2, units) is None
 
 
 def test_generator_seed0_and_validity():
