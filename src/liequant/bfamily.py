@@ -12,6 +12,7 @@ the table stores only p, q >= 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -24,19 +25,18 @@ class Obstructed(ValueError):
     """Associativity system has no solution at some degree."""
 
 
+@functools.lru_cache(maxsize=None)
 def compositions(n, k):
     """All k-tuples of nonnegative integers summing to n."""
     if k == 0:
-        return [()] if n == 0 else []
-    out = []
-    for first in range(n + 1):
-        for rest in compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return out
+        return ((),) if n == 0 else ()
+    return tuple((first,) + rest for first in range(n + 1)
+                 for rest in compositions(n - first, k - 1))
 
 
+@functools.lru_cache(maxsize=None)
 def positive_compositions(n, k):
-    return [c for c in compositions(n, k) if all(x > 0 for x in c)]
+    return tuple(c for c in compositions(n, k) if all(c))
 
 
 def leftnormed_basis(n):
@@ -45,10 +45,20 @@ def leftnormed_basis(n):
 
 
 class BFamily:
+    """The entries B_pq, with the memos of everything computed from them.
+
+    The memos live and die with the family, so no family can be handed
+    another one's results.
+    """
+
     def __init__(self, lam, max_degree, table):
         self.lam = Fraction(lam) if not hasattr(lam, "coeffs") else lam
         self.max_degree = max_degree
         self.table = dict(table)
+        self._letter_evals = {}
+        self._letter_products = {}
+        self._letter_antipodes = ({}, {})     # S, S^-1
+        self.lambdas = None                   # rmatrix.LambdaTable, grown on demand
 
     def entry(self, p, q):
         """B_pq as a LiePoly in p+q generators (0..p-1 | p..p+q-1)."""
@@ -68,6 +78,37 @@ class BFamily:
         if e is None or not e:
             return carrier.zero()
         return substitute(e, list(args), carrier)
+
+    def eval_block(self, p, q, letters):
+        """Block rule of deformed_word_product on LiePoly letters: the one
+        new letter B_pq(letters)."""
+        val = self.eval(p, q, letters)
+        return ((val, 1),) if val else ()
+
+    # -- Lie letters: tuples of labels, each the left-normed monomial on them
+
+    def letter_eval(self, p, q, letters):
+        """B_pq on Lie letters, as a LiePoly; memoized."""
+        key = (p, q, letters)
+        hit = self._letter_evals.get(key)
+        if hit is None:
+            hit = self.eval(p, q, [LiePoly({x: Fraction(1)}) for x in letters])
+            self._letter_evals[key] = hit
+        return hit
+
+    def letter_mul(self, u, v):
+        """Deformed product of two words of Lie letters; memoized."""
+        hit = self._letter_products.get((u, v))
+        if hit is None:
+            hit = deformed_word_product(
+                u, v, lambda p, q, ls: self.letter_eval(p, q, ls).terms.items())
+            self._letter_products[(u, v)] = hit
+        return hit
+
+    def letter_antipode(self, w, inverse=False):
+        """S(w), or S^-1(w), on a word of Lie letters: {word: coeff}."""
+        mul = (lambda a, b: self.letter_mul(b, a)) if inverse else self.letter_mul
+        return word_antipode(w, mul, self._letter_antipodes[inverse])
 
     def dual(self):
         """The involution: reverse both argument groups in every entry."""
@@ -106,39 +147,15 @@ def assoc_residual(B, p, q, r):
         raise ValueError("p, q, r must be positive")
     if p + q + r > B.max_degree:
         raise ValueError("degree out of range")
-    xs = [LiePoly.gen(i) for i in range(p)]
-    ys = [LiePoly.gen(p + i) for i in range(q)]
-    zs = [LiePoly.gen(p + q + i) for i in range(r)]
+    xs = tuple(LiePoly.gen(i) for i in range(p))
+    ys = tuple(LiePoly.gen(p + i) for i in range(q))
+    zs = tuple(LiePoly.gen(p + q + i) for i in range(r))
     lhs = LiePoly()
-    for alpha in range(1, p + q + 1):
-        for pc in compositions(p, alpha):
-            for qc in compositions(q, alpha):
-                if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
-                    continue
-                blocks = []
-                ox = oy = 0
-                for pb, qb in zip(pc, qc):
-                    blocks.append(B.eval(pb, qb, xs[ox:ox + pb] + ys[oy:oy + qb]))
-                    ox += pb
-                    oy += qb
-                if any(not b for b in blocks):
-                    continue
-                lhs = lhs + B.eval(alpha, r, blocks + zs)
+    for c, w in deformed_word_product(xs, ys, B.eval_block):
+        lhs = lhs + c * B.eval(len(w), r, w + zs)
     rhs = LiePoly()
-    for alpha in range(1, q + r + 1):
-        for qc in compositions(q, alpha):
-            for rc in compositions(r, alpha):
-                if any(qb + rb == 0 for qb, rb in zip(qc, rc)):
-                    continue
-                blocks = []
-                oy = oz = 0
-                for qb, rb in zip(qc, rc):
-                    blocks.append(B.eval(qb, rb, ys[oy:oy + qb] + zs[oz:oz + rb]))
-                    oy += qb
-                    oz += rb
-                if any(not b for b in blocks):
-                    continue
-                rhs = rhs + B.eval(p, alpha, xs + blocks)
+    for c, w in deformed_word_product(ys, zs, B.eval_block):
+        rhs = rhs + c * B.eval(p, len(w), xs + w)
     return lhs - rhs
 
 
@@ -314,39 +331,57 @@ def gauge_mul(P, Q):
     return GaugeSeq(table, N)
 
 
-def deformed_word_product(B, u, v, carrier=FreeLieCarrier):
-    """Product of two words of carrier letters under the family B.
+def deformed_word_product(u, v, block):
+    """Product of two words under a B-family.
 
-    u, v: tuples of carrier elements.  Returns a list of (coeff, word)
-    with each word a tuple of carrier elements: the sum over pairs of
-    equal-length compositions with B-insertions as the new letters.
+    The sum over pairs of equal-length compositions of len(u) and len(v)
+    with no empty block pair; each block pair (p, q) becomes a new letter
+    given by block(p, q, letters) as (letter, coeff) pairs, where letters
+    are the block's p letters of u followed by its q letters of v.  The
+    empty word is the unit.  Returns [(coeff, word)], repeats allowed.
     """
-    n, m = len(u), len(v)
+    if not u or not v:
+        return [(1, u + v)]
     out = []
-    for k in range(1, n + m + 1):
-        for pc in compositions(n, k):
-            for qc in compositions(m, k):
+    for k in range(1, len(u) + len(v) + 1):
+        for pc in compositions(len(u), k):
+            for qc in compositions(len(v), k):
                 if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
                     continue
-                letters = []
+                words = [(1, ())]
                 ox = oy = 0
-                ok = True
                 for pb, qb in zip(pc, qc):
-                    val = B.eval(pb, qb, list(u[ox:ox + pb]) + list(v[oy:oy + qb]),
-                                 carrier)
+                    vals = block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
                     ox += pb
                     oy += qb
-                    if not val:
-                        ok = False
+                    words = [(c * cv, w + (x,)) for c, w in words for x, cv in vals]
+                    if not words:
                         break
-                    letters.append(val)
-                if ok:
-                    out.append((Fraction(1), tuple(letters)))
-    if n == 0:
-        out.append((Fraction(1), tuple(v)))
-    if m == 0:
-        out.append((Fraction(1), tuple(u)))
+                out.extend(words)
     return out
+
+
+def word_antipode(w, mul, memo):
+    """Antipode of a word for deconcatenation and the product mul.
+
+    S(w) = -sum_{i<|w|} S(w[:i]) w[i:], with mul(u, v) -> [(coeff, word)];
+    called with the opposite product it gives S^-1, the antipode of H^op.
+    Memoized per word in memo (owned by the owner of mul); returns
+    {word: coeff}, which callers must not change.
+    """
+    hit = memo.get(w)
+    if hit is None:
+        hit = {} if w else {(): 1}
+        for i in range(len(w)):
+            for head, c in word_antipode(w[:i], mul, memo).items():
+                for cw, word in mul(head, w[i:]):
+                    s = hit.get(word, 0) - c * cw
+                    if s:
+                        hit[word] = s
+                    else:
+                        hit.pop(word, None)
+        memo[w] = hit
+    return hit
 
 
 def _gauge_blocks(P, word):
@@ -390,7 +425,7 @@ def gauge_act(P, B):
             acc = LiePoly()
             for cu, wu in _gauge_blocks(Pinv, u):
                 for cv, wv in _gauge_blocks(Pinv, v):
-                    for cw, w in deformed_word_product(B, wu, wv):
+                    for cw, w in deformed_word_product(wu, wv, B.eval_block):
                         # pr of i_P on a word (L_1...L_k) is P_k(L_1,...,L_k)
                         acc = acc + (cu * cv * cw) * P.eval(len(w), list(w))
             if acc:

@@ -29,6 +29,20 @@ def _load_json(path, what):
         raise BadInput("%s (%s): %s" % (what, path, e))
 
 
+def _parse(loader, data, what):
+    """loader(data), with missing keys and wrong types as input errors."""
+    try:
+        return loader(data)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as e:
+        raise BadInput("%s: malformed (%s: %s)" % (what, type(e).__name__, e))
+
+
+def _check_degree(args):
+    if args.max_degree < 2:
+        raise BadInput("--max-degree must be at least 2")
+
+
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -53,10 +67,11 @@ def cmd_cbh(args):
 
 def cmd_bfamily(args):
     if args.action == "solve":
+        _check_degree(args)
         fam = bfamily.solve_bfamily(Fraction(args.lam), args.max_degree, args.gauge)
         _emit(args, bfamily.bfamily_to_json(fam))
         return 0
-    fam = bfamily.bfamily_from_json(_load_json(args.bfamily, "bfamily"))
+    fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
     bad = []
     for n in range(3, fam.max_degree + 1):
         for p in range(1, n - 1):
@@ -74,10 +89,16 @@ def _bialgebra_from_args(args):
         return liealg.borel2()
     if args.bialgebra == "abelian2":
         return liealg.abelian_bialgebra(2)
-    return liealg.bialgebra_from_json(_load_json(args.bialgebra, "bialgebra"))
+    d = _load_json(args.bialgebra, "bialgebra")
+    bia = _parse(liealg.bialgebra_from_json, d, "bialgebra")
+    bad = _parse(liealg.validate_bialgebra, bia, "bialgebra")
+    if bad:
+        raise BadInput("bialgebra: violates %s" % (bad,))
+    return bia
 
 
 def cmd_shuffle(args):
+    _check_degree(args)
     fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree, args.gauge)
     bia = _bialgebra_from_args(args)
     if args.action == "hopf-check":
@@ -90,7 +111,7 @@ def cmd_shuffle(args):
         v = tuple(int(x) for x in args.right.split(",") if x != "")
     except ValueError as e:
         raise BadInput("word index: %s" % e)
-    if any(i >= bia.algebra.dim for i in u + v):
+    if any(not 0 <= i < bia.algebra.dim for i in u + v):
         raise BadInput("letter index out of range")
     prod = shuffle.sh_mul(shuffle.ShElem.word(ctx, u), shuffle.ShElem.word(ctx, v))
     _emit(args, shuffle.sh_to_json(prod))
@@ -135,7 +156,7 @@ def cmd_qybe(args):
 
 
 def cmd_quantize(args):
-    fam = bfamily.bfamily_from_json(_load_json(args.bfamily, "bfamily")) \
+    fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily") \
         if args.bfamily else bfamily.solve_bfamily(Fraction(1, 2),
                                                    max(args.hbar_order + 1, 2), "paper3")
     bia = _bialgebra_from_args(args)

@@ -47,22 +47,22 @@ class Quantization:
             # the universal solution is carried one degree further
             varrho = solve_varrho(bfam, max(order + 1, 1))
         self.varrho = varrho
-        self.rho = self._rho()
+        self.rho = self._rho_at_order(order, varrho)
         self._rterms = None
         self._ell_gen = None
 
     # -- rho = sum hbar^n kappa(varrho_n)(r) ------------------------------
 
-    def _rho(self):
+    def _rho_at_order(self, order, varrho):
         D = self.double
         out = {}
-        for n, v in self.varrho.items():
-            if n > self.order:
+        for n, v in varrho.items():
+            if n > order:
                 continue
             t = instantiate(v, D.algebra, D.r)
             for (i, j), c in t.items():
-                cur = out.get((i, j), as_series(0, self.order))
-                out[(i, j)] = cur + HSeries.hpow(n, c, self.order)
+                cur = out.get((i, j), as_series(0, order))
+                out[(i, j)] = cur + HSeries.hpow(n, c, order)
         return {k: v for k, v in out.items() if v}
 
     # -- R-matrix ----------------------------------------------------------
@@ -131,16 +131,8 @@ class Quantization:
         the trivial zero case.
         """
         vr = self.varrho if varrho_subset is None else varrho_subset
-        rho = {}
         D = self.double
-        for n, v in vr.items():
-            if n > self.order:
-                continue
-            t = instantiate(v, D.algebra, D.r)
-            for (i, j), c in t.items():
-                cur = rho.get((i, j), as_series(0, self.order))
-                rho[(i, j)] = cur + HSeries.hpow(n, c, self.order)
-        res = self.qybe_residual(rho)
+        res = self.qybe_residual(self._rho_at_order(self.order, vr))
         concrete_pr = {}
         for key, c in res.terms.items():
             if all(len(w) == 1 for w in key):
@@ -164,18 +156,6 @@ class Quantization:
     def sh_ctx(self):
         return ShContext(self.double.algebra, self.bfam, self.order)
 
-    def _rho_at_order(self, order):
-        D = self.double
-        out = {}
-        for n, v in self.varrho.items():
-            if n > order:
-                continue
-            t = instantiate(v, D.algebra, D.r)
-            for (i, j), c in t.items():
-                cur = out.get((i, j), as_series(0, order))
-                out[(i, j)] = cur + HSeries.hpow(n, c, order)
-        return {k: v for k, v in out.items() if v}
-
     def ell_generator(self, i):
         """ell(e_i): contraction of the length-one second legs of R.
 
@@ -185,7 +165,7 @@ class Quantization:
         if self._ell_gen is None:
             d = self.bia.algebra.dim
             hi = self.order + 1
-            rho_hi = self._rho_at_order(hi)
+            rho_hi = self._rho_at_order(hi, self.varrho)
             gens = [{} for _ in range(d)]
             for n in range(min(hi, self.table.max_degree) + 1):
                 t = instantiate_tensor(self.table.rmatrix(n),
@@ -232,7 +212,7 @@ class Quantization:
         hi = self.order + kmax
         if self.table.max_degree < hi:
             raise ValueError("lambda table too small for a direct degree-%d pairing" % kmax)
-        rho_hi = self._rho_at_order(hi)
+        rho_hi = self._rho_at_order(hi, self.varrho)
         out = ShElem(ctx, {})
         for n in range(hi + 1):
             t = instantiate_tensor(self.table.rmatrix(n), self.double.algebra,
@@ -283,13 +263,13 @@ class Quantization:
 
     def phi(self, xelem, y):
         """phi: Sh(g) x T(g) -> T(g), adjoint to left multiplication."""
-        return self._phipsi(xelem, y, self.beta, False)
+        return self._phipsi(xelem, y, False)
 
     def psi(self, xelem, y):
         """psi: adjoint to right multiplication (gamma blocks)."""
-        return self._phipsi(xelem, y, None, True)
+        return self._phipsi(xelem, y, True)
 
-    def _phipsi(self, xelem, y, _unused, use_gamma):
+    def _phipsi(self, xelem, y, use_gamma):
         ctx = y.ctx
         alg = self.bia.algebra
         out = TensElem(ctx, {})

@@ -14,11 +14,10 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import compositions, positive_compositions, deformed_word_product
-from .freealg import FreeLieCarrier, LiePoly
+from .bfamily import positive_compositions, deformed_word_product
+from .freealg import LiePoly
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical, deconcat_leg,
-                        antipode_leg, pr_word_product, letter_poly,
-                        instantiate_tensor)
+                        pr_word_product, instantiate_tensor)
 
 
 def pair_elem(pid):
@@ -141,29 +140,21 @@ def _shift_pids(elem, offset):
     return elem.relabel({p: p + offset for p in elem.pids()})
 
 
-_TABLE_CACHE = {}
-
-
 def lambda_table(bfam, N):
-    """Shared per-family table cache (tables only ever grow)."""
-    key = id(bfam)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None or hit.max_degree < N:
-        hit = LambdaTable(bfam, N)
-        _TABLE_CACHE[key] = hit
-    return hit
+    """The family's table, rebuilt when it is short of degree N (tables
+    only ever grow)."""
+    if bfam.lambdas is None or bfam.lambdas.max_degree < N:
+        bfam.lambdas = LambdaTable(bfam, N)
+    return bfam.lambdas
 
 
 def Ln(bfam, n):
     """Degree-one part of the product (x_1)...(x_n), as a LiePoly."""
-    words = [(Fraction(1), (LiePoly.gen(0),))]
+    words = [(1, (LiePoly.gen(0),))]
     for i in range(1, n):
-        nxt = []
-        for c, w in words:
-            for c2, w2 in deformed_word_product(bfam, w, (LiePoly.gen(i),),
-                                                FreeLieCarrier):
-                nxt.append((c * c2, w2))
-        words = nxt
+        words = [(c * c2, w2) for c, w in words
+                 for c2, w2 in deformed_word_product(w, (LiePoly.gen(i),),
+                                                     bfam.eval_block)]
     out = LiePoly()
     for c, w in words:
         if len(w) == 1:
@@ -206,41 +197,10 @@ def quasitri_residual(bfam, rlist, n):
         rhs2 = rhs2 + u_mul(x, y, (sh, sh, sh))
     res2 = _all_same_canonical(lhs2 - rhs2)
 
-    lhs3 = antipode_leg(rn, 0, bfam)
-    rhs3 = antipode_inv_leg(rn, 1, bfam)
+    lhs3 = rn.map_leg(0, bfam.letter_antipode)
+    rhs3 = rn.map_leg(1, lambda w: bfam.letter_antipode(w, inverse=True))
     res3 = _all_same_canonical(lhs3 - rhs3)
     return {"delta1": res1, "delta2": res2, "antipode": res3}
-
-
-def antipode_inv_leg(x, leg, B):
-    """Inverse antipode on one leg: S^{-1}(w) = -sum (tail) S^{-1}(head)."""
-    cache = {}
-
-    def s_word(w):
-        if w in cache:
-            return cache[w]
-        if len(w) == 0:
-            r = [(Fraction(1), ())]
-        else:
-            r = []
-            for i in range(len(w)):
-                for c1, head in s_word(w[:i]):
-                    from .unitensor import _word_mul_sh
-                    for c2, prod in _word_mul_sh(B, w[i:], head):
-                        r.append((-c1 * c2, prod))
-        cache[w] = r
-        return r
-
-    out = UElem(x.legs, {})
-    for k, c in x.terms.items():
-        for cc, ww in s_word(k[leg]):
-            key = k[:leg] + (ww,) + k[leg + 1:]
-            s = out.terms.get(key, 0) + c * cc
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
-    return out
 
 
 # ---------------------------------------------------------------------------

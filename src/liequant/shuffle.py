@@ -13,12 +13,13 @@ import math
 from fractions import Fraction
 
 from .scalars import HSeries, as_series, DEFAULT_ORDER
+from .bfamily import deformed_word_product, positive_compositions, word_antipode
 from .liealg import tensor_add
 
 
 class ShContext:
-    """A Lie algebra together with a B-family; caches B evaluations and
-    word products (the same word pairs recur massively in tensor work)."""
+    """A Lie algebra together with a B-family; caches B evaluations, word
+    products and antipodes (the same words recur massively in tensor work)."""
 
     def __init__(self, alg, bfam, order=None):
         self.alg = alg
@@ -26,6 +27,7 @@ class ShContext:
         self.order = DEFAULT_ORDER if order is None else order
         self._bcache = {}
         self._mulcache = {}
+        self._antipodes = ({}, {})     # S, S^-1
 
     def b_eval(self, p, q, idx):
         """B_pq on basis elements (tuple idx, first p = first group)."""
@@ -41,9 +43,25 @@ class ShContext:
         """Cached product of two basis words: dict word -> HSeries."""
         hit = self._mulcache.get((wa, wb))
         if hit is None:
-            hit = _word_product(self, wa, wb)
+            acc = {}
+            for c, w in deformed_word_product(
+                    wa, wb, lambda p, q, idx: self.b_eval(p, q, idx).items()):
+                s = acc.get(w, 0) + c
+                if s:
+                    acc[w] = s
+                else:
+                    acc.pop(w, None)
+            hit = {w: as_series(c, self.order) for w, c in acc.items()}
             self._mulcache[(wa, wb)] = hit
         return hit
+
+    def antipode(self, w, inverse=False):
+        """S(w), or S^-1(w), on a basis word: {word: coeff}."""
+        def mul(u, v):
+            if inverse:
+                u, v = v, u
+            return [(c, x) for x, c in self.word_mul(u, v).items()]
+        return word_antipode(w, mul, self._antipodes[inverse])
 
 
 def _norm_terms(terms, order):
@@ -129,53 +147,6 @@ class ShElem:
         return " + ".join(bits) if bits else "0"
 
 
-def _insert_letters(ctx, letters, coeff, acc):
-    """Distribute a list of basis-vector letters over words."""
-    words = [((), coeff)]
-    for v in letters:
-        nxt = []
-        for w, c in words:
-            for i, ci in v.items():
-                nxt.append((w + (i,), c * ci))
-        words = nxt
-    for w, c in words:
-        s = acc.get(w, 0) + c
-        if s:
-            acc[w] = s
-        else:
-            acc.pop(w, None)
-    return acc
-
-
-def _word_product(ctx, wa, wb):
-    """Product of two basis words (uncached core of sh_mul)."""
-    out = {}
-    n, m = len(wa), len(wb)
-    if n == 0 or m == 0:
-        out[wa + wb] = as_series(1, ctx.order)
-        return out
-    for k in range(1, n + m + 1):
-        for pc in _compositions(n, k):
-            for qc in _compositions(m, k):
-                letters = []
-                ox = oy = 0
-                ok = True
-                for pb, qb in zip(pc, qc):
-                    if pb + qb == 0:
-                        ok = False
-                        break
-                    v = ctx.b_eval(pb, qb, wa[ox:ox + pb] + wb[oy:oy + qb])
-                    ox += pb
-                    oy += qb
-                    if not v:
-                        ok = False
-                        break
-                    letters.append(v)
-                if ok:
-                    _insert_letters(ctx, letters, as_series(1, ctx.order), out)
-    return out
-
-
 def sh_mul(a, b):
     """Product of the deformed shuffle algebra (sum over composition pairs)."""
     ctx = a.ctx
@@ -192,16 +163,6 @@ def sh_mul(a, b):
     return ShElem(ctx, out)
 
 
-def _compositions(n, k):
-    if k == 0:
-        return [()] if n == 0 else []
-    out = []
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return out
-
-
 def sh_comul(a):
     """Deconcatenation coproduct, as a 2-leg ShTensor."""
     out = {}
@@ -215,75 +176,16 @@ def sh_comul(a):
 
 
 def sh_antipode(a):
-    """Recursive antipode."""
-    ctx = a.ctx
-    out = ShElem(ctx, {})
-    cache = {}
-
-    def s_word(w):
-        if w in cache:
-            return cache[w]
-        if len(w) == 0:
-            r = ShElem.unit(ctx)
-        else:
-            r = ShElem(ctx, {})
-            for i in range(len(w)):
-                r = r - sh_mul(s_word(w[:i]), ShElem.word(ctx, w[i:]))
-        cache[w] = r
-        return r
-
+    """The antipode, memoized per word on the context."""
+    out = {}
     for w, c in a.terms.items():
-        out = out + c * s_word(w)
-    return out
-
-
-def sh_antipode_closed(a):
-    """Closed partition formula for the antipode."""
-    ctx = a.ctx
-    out = ShElem(ctx, {})
-    for w, c in a.terms.items():
-        n = len(w)
-        if n == 0:
-            out = out + ShElem.unit(ctx, c)
-            continue
-        acc = ShElem(ctx, {})
-        for k in range(1, n + 1):
-            for pc in _positive_compositions(n, k):
-                prod = ShElem.unit(ctx)
-                off = 0
-                for pb in pc:
-                    prod = sh_mul(prod, ShElem.word(ctx, w[off:off + pb]))
-                    off += pb
-                acc = acc + Fraction((-1) ** k) * prod
-        out = out + c * acc
-    return out
-
-
-def sh_antipode_inv(a):
-    """Inverse antipode (antipode for the co-opposite coproduct)."""
-    ctx = a.ctx
-    cache = {}
-
-    def s_word(w):
-        if w in cache:
-            return cache[w]
-        if len(w) == 0:
-            r = ShElem.unit(ctx)
-        else:
-            r = ShElem(ctx, {})
-            for i in range(len(w)):
-                r = r - sh_mul(ShElem.word(ctx, w[i:]), s_word(w[:i]))
-        cache[w] = r
-        return r
-
-    out = ShElem(ctx, {})
-    for w, c in a.terms.items():
-        out = out + c * s_word(w)
-    return out
-
-
-def _positive_compositions(n, k):
-    return [c for c in _compositions(n, k) if all(x > 0 for x in c)]
+        for x, cx in a.ctx.antipode(w).items():
+            s = out.get(x, 0) + c * cx
+            if s:
+                out[x] = s
+            else:
+                out.pop(x, None)
+    return ShElem(a.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +395,7 @@ def hopf_report(alg, bfam, deg, hord):
             rhs = sh_comul(a).mul(sh_comul(b))
             if lhs != rhs:
                 rep.add("bialgebra", (u, v))
-    # antipode axioms and closed form
+    # antipode axioms, and S^-1 inverts S
     for u in words:
         a = ShElem.word(ctx, u)
         conv = ShElem(ctx, {})
@@ -506,8 +408,8 @@ def hopf_report(alg, bfam, deg, hord):
         target = ShElem.unit(ctx, a.counit()) if u == () else ShElem(ctx, {})
         if conv != target or conv2 != target:
             rep.add("antipode", u)
-        if sh_antipode(a) != sh_antipode_closed(a):
-            rep.add("antipode-closed-form", u)
+        if sh_antipode(ShElem(ctx, ctx.antipode(u, inverse=True))) != a:
+            rep.add("antipode-inverse", u)
     return rep
 
 
@@ -825,7 +727,7 @@ def qfsh_delta(a, n):
     for w, c in a.terms.items():
         if n == 0:
             continue
-        for pc in _positive_compositions(len(w), n):
+        for pc in positive_compositions(len(w), n):
             key = []
             off = 0
             for pb in pc:

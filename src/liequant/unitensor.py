@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import LiePoly, substitute, FreeLieCarrier, expand_leftnormed
-from .bfamily import compositions
+from .freealg import LiePoly
 
 
 def a_atom(pid):
@@ -120,6 +119,19 @@ class UElem:
             out[nk] = out.get(nk, 0) + c
         return UElem(self.legs, out)
 
+    def map_leg(self, leg, fn):
+        """Apply a linear map of words, fn(word) -> {word: coeff}, to one leg."""
+        out = {}
+        for k, c in self.terms.items():
+            for w, cw in fn(k[leg]).items():
+                key = k[:leg] + (w,) + k[leg + 1:]
+                s = out.get(key, 0) + c * cw
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return UElem(self.legs, out)
+
     def pr_leg(self, leg):
         """Keep only terms whose given leg has exactly one letter."""
         return UElem(self.legs, {k: c for k, c in self.terms.items()
@@ -128,11 +140,6 @@ class UElem:
     def grade(self):
         """Total number of pairs occurring (assumes homogeneous use)."""
         return len(self.pids())
-
-
-def letter_poly(letter):
-    """The LiePoly of a letter."""
-    return LiePoly({tuple(letter): Fraction(1)})
 
 
 def normalize_letters(elem):
@@ -162,67 +169,9 @@ def from_assoc_letter(letter):
 # products
 # ---------------------------------------------------------------------------
 
-def _word_mul_conc(u, v):
-    return [(Fraction(1), u + v)]
-
-
-_BEVAL_CACHE = {}
-
-
-def b_eval_letters(B, p, q, letters):
-    """B_pq on canonical Lie-letter arguments; memoized per family."""
-    key = (id(B), p, q, letters)
-    hit = _BEVAL_CACHE.get(key)
-    if hit is None:
-        args = [letter_poly(x) for x in letters]
-        hit = B.eval(p, q, args, FreeLieCarrier)
-        _BEVAL_CACHE[key] = hit
-    return hit
-
-
-_WORDMUL_CACHE = {}
-
-
-def _word_mul_sh(B, u, v):
-    """Deformed product of two words of Lie letters: list (coeff, word)."""
-    n, m = len(u), len(v)
-    if n == 0:
-        return [(Fraction(1), v)]
-    if m == 0:
-        return [(Fraction(1), u)]
-    ck = (id(B), u, v)
-    hit = _WORDMUL_CACHE.get(ck)
-    if hit is not None:
-        return hit
-    out = []
-    for k in range(1, n + m + 1):
-        for pc in compositions(n, k):
-            for qc in compositions(m, k):
-                if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
-                    continue
-                # each block: substitute letters into B_{pb,qb}
-                pieces = [(Fraction(1), ())]
-                ox = oy = 0
-                dead = False
-                for pb, qb in zip(pc, qc):
-                    val = b_eval_letters(B, pb, qb,
-                                         u[ox:ox + pb] + v[oy:oy + qb])
-                    ox += pb
-                    oy += qb
-                    if not val:
-                        dead = True
-                        break
-                    pieces = [(c * cv, w + (mono,))
-                              for c, w in pieces
-                              for mono, cv in val.terms.items()]
-                if not dead:
-                    out.extend(pieces)
-    _WORDMUL_CACHE[ck] = out
-    return out
-
-
 def u_mul(x, y, modes):
-    """Legwise product; modes[i] is "conc" or ("sh", B)."""
+    """Legwise product; modes[i] is "conc" or ("sh", B), the deformed
+    product of the family B on words of Lie letters."""
     out = UElem(x.legs, {})
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
@@ -230,9 +179,9 @@ def u_mul(x, y, modes):
             for leg in range(x.legs):
                 mode = modes[leg]
                 if mode == "conc":
-                    prods = _word_mul_conc(k1[leg], k2[leg])
+                    prods = ((1, k1[leg] + k2[leg]),)
                 else:
-                    prods = _word_mul_sh(mode[1], k1[leg], k2[leg])
+                    prods = mode[1].letter_mul(k1[leg], k2[leg])
                 partial = [(key + (w,), c * cw)
                            for key, c in partial
                            for cw, w in prods]
@@ -251,7 +200,7 @@ def u_commutator(x, y, modes):
 
 def pr_word_product(B, u, v):
     """Degree-one part of the deformed product of two words: B_{|u|,|v|}."""
-    return b_eval_letters(B, len(u), len(v), tuple(u) + tuple(v))
+    return B.letter_eval(len(u), len(v), tuple(u) + tuple(v))
 
 
 def deconcat_leg(x, leg):
@@ -264,39 +213,6 @@ def deconcat_leg(x, leg):
             s = out.terms.get(key, 0) + c
             if s:
                 out.terms[key] = s
-    return out
-
-
-def antipode_leg(x, leg, B):
-    """Antipode on one leg (closed partition formula, deformed products)."""
-    out = UElem(x.legs, {})
-    for k, c in x.terms.items():
-        w = k[leg]
-        n = len(w)
-        if n == 0:
-            out = out + UElem.single(x.legs, k, c)
-            continue
-        total = []
-        for kk in range(1, n + 1):
-            for pc in compositions(n, kk):
-                if any(p == 0 for p in pc):
-                    continue
-                words = [(Fraction((-1) ** kk), ())]
-                off = 0
-                for pb in pc:
-                    block = w[off:off + pb]
-                    off += pb
-                    words = [(cc * cw, ww2)
-                             for cc, ww in words
-                             for cw, ww2 in _word_mul_sh(B, ww, block)]
-                total.extend(words)
-        for cc, ww in total:
-            key = k[:leg] + (ww,) + k[leg + 1:]
-            s = out.terms.get(key, 0) + c * cc
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
     return out
 
 

@@ -16,9 +16,9 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import positive_compositions
+from .bfamily import Obstructed, positive_compositions
 from .freealg import LiePoly, expand_leftnormed, substitute, FreeLieCarrier
-from .rmatrix import LambdaTable, independent_subset, _shift_pids
+from .rmatrix import NonUnique, independent_subset, lambda_table, _shift_pids
 from .unitensor import (UElem, a_atom, b_atom, canonical, u_mul,
                         pr_word_product, instantiate_tensor,
                         collapse_single_letters)
@@ -355,7 +355,7 @@ def basis_F3lie(N):
     return independent_subset(list(uniq.values()))
 
 
-def _coords(elems, images):
+def _coords(images):
     """Matrix of images over the union of their term keys."""
     keys = sorted({k for im in images for k in im.terms}, key=str)
     index = {k: i for i, k in enumerate(keys)}
@@ -379,19 +379,18 @@ def cohomology_dims(N_max):
     """
     table = {}
     fbases = {n: basis_F(n) for n in range(1, N_max + 1)}
-    d3 = {n: [delta3(e) for e in fbases[n]] for n in range(1, N_max + 1)}
+    rank3 = {}
+    for n in range(1, N_max + 1):
+        rows, _, _ = _coords([delta3(e) for e in fbases[n]])
+        rank3[n] = linalg.rank(rows, len(fbases[n]))
     for N in range(1, N_max + 1):
-        rows, _, _ = _coords(fbases[N], d3[N])
-        h2 = len(fbases[N]) - linalg.rank(rows, len(fbases[N]))
+        h2 = len(fbases[N]) - rank3[N]
         h3 = None
         if N >= 2:
             f3b = basis_F3lie(N)
-            imgs = [delta4(e) for e in f3b]
-            rows4, _, _ = _coords(f3b, imgs)
+            rows4, _, _ = _coords([delta4(e) for e in f3b])
             ker4 = len(f3b) - linalg.rank(rows4, len(f3b))
-            rows3, _, _ = _coords(fbases[N - 1], d3[N - 1])
-            rk3 = linalg.rank(rows3, len(fbases[N - 1]))
-            h3 = ker4 - rk3
+            h3 = ker4 - rank3[N - 1]
         table[N] = (h2, h3)
     return table
 
@@ -483,9 +482,8 @@ class UnivContext:
     """Caches the lambda-table R' assemblies and rho-inserted R-terms."""
 
     def __init__(self, bfam, max_degree):
-        from .rmatrix import lambda_table as _lt
         self.bfam = bfam
-        self.table = _lt(bfam, max_degree)
+        self.table = lambda_table(bfam, max_degree)
         self.max_degree = max_degree
 
     def r_terms_with_rho(self, varrho, N):
@@ -591,14 +589,6 @@ def phi_N(bfam, varrho, N, check_delta3=False):
     return phi
 
 
-class Obstructed(ValueError):
-    pass
-
-
-class NonUnique(ValueError):
-    pass
-
-
 def solve_varrho(bfam, N):
     """The unique solution (varrho_n) of the universal equations, n <= N.
 
@@ -613,7 +603,7 @@ def solve_varrho(bfam, N):
             raise Obstructed(M + 1)
         fb = basis_F(M)
         imgs = [delta3(e) for e in fb]
-        rows, keys, index = _coords(fb, imgs)
+        rows, keys, index = _coords(imgs)
         rhs = [Fraction(0)] * len(keys)
         for k, c in phi.terms.items():
             if k not in index:

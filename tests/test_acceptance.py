@@ -211,24 +211,24 @@ def test_criterion_5_cohomology(B4):
     d3 = {n: [delta3(e) for e in fbases[n]] for n in range(1, 5)}
     h2 = {}
     for n in range(1, 5):
-        rows, _, _ = _coords(fbases[n], d3[n])
+        rows, _, _ = _coords(d3[n])
         h2[n] = len(fbases[n]) - linalg.rank(rows, len(fbases[n]))
     h3 = {}
     contained = True
     for n in range(2, 5):
         f3b = basis_F3lie(n)
         imgs = [delta4(e) for e in f3b]
-        rows4, _, _ = _coords(f3b, imgs)
+        rows4, _, _ = _coords(imgs)
         ker = len(f3b) - linalg.rank(rows4, len(f3b))
-        rows3, _, _ = _coords(fbases[n - 1], d3[n - 1])
+        rows3, _, _ = _coords(d3[n - 1])
         h3[n] = ker - linalg.rank(rows3, len(fbases[n - 1]))
         # ker - rank is the dimension of ker/im only if im delta3 lies in
         # the domain of delta4 (delta4 o delta3 = 0 is test_delta4_examples).
         # basis_F3lie keys Lie-monomial letters and delta3 word letters, so
         # compare both in word form.
         words = [canonical_classes(expand_to_words(e)) for e in f3b]
-        span, _, _ = _coords(f3b, words)
-        both, _, _ = _coords(f3b, words + d3[n - 1])
+        span, _, _ = _coords(words)
+        both, _, _ = _coords(words + d3[n - 1])
         contained = contained and linalg.rank(span, len(words)) == \
             linalg.rank(both, len(words) + len(d3[n - 1]))
     detail = "computed H2 = %s, H3 = %s, delta3 images in F3lie: %s" % (

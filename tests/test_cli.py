@@ -85,3 +85,34 @@ def test_rmatrix_command():
     assert "R_2" in r.stderr
     payload = json.loads(r.stdout)
     assert payload["ok"] is True and len(payload["terms"]) == 3
+
+
+def _assert_input_error(r):
+    assert r.returncode == 2, r.stderr
+    assert "input error:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_negative_letter_index_is_input_error():
+    _assert_input_error(run_cli("shuffle", "mul", "--left=-1", "--right", "1"))
+
+
+def test_malformed_bialgebra_is_input_error(tmp_path):
+    good = {"dim": 2, "basis": ["h", "e"],
+            "bracket": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]}],
+            "cobracket": [{"i": 1, "out": [{"j": 0, "k": 1, "c": "1"},
+                                           {"j": 1, "k": 0, "c": "-1"}]}]}
+    no_bracket = {k: v for k, v in good.items() if k != "bracket"}
+    wrong_type = dict(good, bracket=[{"i": 0, "j": 1, "out": 5}])
+    not_cocycle = dict(good, cobracket=[{"i": 1, "out": [{"j": 0, "k": 1, "c": "1"}]}])
+    for n, data in enumerate((no_bracket, wrong_type, not_cocycle)):
+        f = tmp_path / ("bia%d.json" % n)
+        f.write_text(json.dumps(data))
+        _assert_input_error(run_cli("shuffle", "mul", "--bialgebra", str(f)))
+    f = tmp_path / "good.json"
+    f.write_text(json.dumps(good))
+    assert run_cli("shuffle", "mul", "--bialgebra", str(f)).returncode == 0
+
+
+def test_degree_below_two_is_input_error():
+    _assert_input_error(run_cli("bfamily", "solve", "--max-degree", "1"))
+    _assert_input_error(run_cli("shuffle", "mul", "--max-degree", "1"))

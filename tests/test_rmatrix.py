@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 
-from liequant.bfamily import BFamily, solve_bfamily
+from liequant.bfamily import BFamily, solve_bfamily, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
 from liequant.liealg import tensor_add, tensor_smul
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
@@ -10,7 +12,8 @@ from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
                               pair_elem, _all_same_canonical, kappa_ab,
                               uelem_to_json, uelem_from_json, pretty_rmatrix)
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                                instantiate_tensor, collapse_single_letters)
+                                instantiate_tensor, collapse_single_letters,
+                                pr_word_product)
 
 
 def _term(legA, legB, c):
@@ -76,6 +79,73 @@ def test_quasitri_identities_symbolic(B4):
     for n in range(0, 4):
         res = quasitri_residual(B4, rl, n)
         assert not res["delta1"] and not res["delta2"] and not res["antipode"]
+
+
+def letter_antipode_closed(x, leg, B):
+    """Closed partition formula on one leg of Lie-letter words, with the
+    products taken by u_mul (oracle for the recursion)."""
+    out = UElem.zero(x.legs)
+    for k, c in x.terms.items():
+        w = k[leg]
+        total = UElem.zero(1) if w else UElem.unit(1)
+        for n in range(1, len(w) + 1):
+            for pc in positive_compositions(len(w), n):
+                prod, off = UElem.unit(1), 0
+                for pb in pc:
+                    prod = u_mul(prod, UElem.single(1, (w[off:off + pb],)),
+                                 (("sh", B),))
+                    off += pb
+                total = total + Fraction((-1) ** n) * prod
+        for (ww,), cw in total.terms.items():
+            out = out + UElem.single(x.legs, k[:leg] + (ww,) + k[leg + 1:], c * cw)
+    return out
+
+
+def test_letter_antipode_examples(B4):
+    """The Lie-letter antipode on UElem legs: equal to the closed formula on
+    every word of up to 4 letters, and S(S^-1(a)) = a."""
+    words = [tuple((a_atom(p),) for p in perm)
+             for n in range(5) for perm in itertools.permutations(range(n))]
+    words += [((a_atom(0), a_atom(1)), (a_atom(2),)),
+              ((a_atom(1),), (a_atom(0), a_atom(2)), (a_atom(3),))]
+    S = B4.letter_antipode
+
+    def S_inv(w):
+        return B4.letter_antipode(w, inverse=True)
+
+    other = ((b_atom(9),),)
+    for w in words:
+        for leg, key in ((0, (w, other)), (1, (other, w))):
+            x = UElem.single(2, key)
+            assert x.map_leg(leg, S) == letter_antipode_closed(x, leg, B4)
+            assert x.map_leg(leg, S_inv).map_leg(leg, S) == x
+
+
+def test_no_dead_family_cache_reuse():
+    """Families built and freed in a loop each get products with their own
+    lambda: no memo outlives its family (ids of dead families are reused)."""
+    rng = random.Random(11)
+    a, b = (a_atom(0),), (a_atom(1),)
+    bracket = ((a_atom(0), a_atom(1)),)
+    x, y = UElem.single(1, ((a,),)), UElem.single(1, ((b,),))
+    specs = []
+    for _ in range(200):
+        lam = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        specs.append((lam, {(1, 1): lam * LiePoly.leftnormed((0, 1))}))
+    got = []
+    gc.freeze()     # full collections below skip the objects of other tests
+    try:
+        for lam, table in specs:
+            fam = BFamily(lam, 2, table)
+            got.append((lam, u_mul(x, y, (("sh", fam),)),
+                        pr_word_product(fam, (a,), (b,))))
+            del fam
+            gc.collect()
+    finally:
+        gc.unfreeze()
+    wrong = [lam for lam, prod, pr in got
+             if prod.terms.get((bracket,)) != lam or pr.terms.get(bracket[0]) != lam]
+    assert not wrong, "%d of 200 families got another family's lambda" % len(wrong)
 
 
 def test_quasitri_corrupted_negative_control(B4):

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 from liequant.scalars import HSeries, as_series
-from liequant.bfamily import BFamily, solve_bfamily
+from liequant.bfamily import (BFamily, solve_bfamily, deformed_word_product,
+                              positive_compositions)
 from liequant.freealg import LiePoly, substitute
 from liequant.liealg import abelian, sl2
 from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
-                              sh_antipode, sh_antipode_closed, sh_antipode_inv,
+                              sh_antipode,
                               hopf_report, shuffle0, poisson_m1, sym_word,
                               is_symmetric, LieCoalgebra, TensContext,
                               TensElem, t_comul, delta_P, pairing, qfsh_delta,
@@ -78,6 +79,44 @@ def test_comul_and_counit(B4, borel):
     assert sh_comul(ShElem.unit(ctx)).terms == {((), ()): as_series(1, 3)}
 
 
+def test_unit_law_all_letter_kinds(B4, borel):
+    """The empty word is a two-sided unit of the deformed word product, for
+    free-Lie-algebra letters, Lie letters and basis indices."""
+    x, y = LiePoly.gen(0), LiePoly.gen(1)
+    for v in ((), (x,), (x, y)):
+        assert deformed_word_product((), v, B4.eval_block) == [(1, v)]
+        assert deformed_word_product(v, (), B4.eval_block) == [(1, v)]
+    a0, a1 = ((0, 0),), ((1, 0), (2, 0))
+    for v in ((), (a0,), (a0, a1)):
+        assert B4.letter_mul((), v) == [(1, v)]
+        assert B4.letter_mul(v, ()) == [(1, v)]
+    ctx = ctx_borel(B4, borel)
+    for v in ((), (0,), (0, 1)):
+        assert ctx.word_mul((), v) == {v: as_series(1, 3)}
+        assert ctx.word_mul(v, ()) == {v: as_series(1, 3)}
+        assert sh_mul(ShElem.unit(ctx), ShElem.word(ctx, v)) == ShElem.word(ctx, v)
+
+
+def antipode_closed(a):
+    """Closed partition formula S(w) = sum (-1)^k w_1 ... w_k over the
+    splittings of w into k nonempty blocks (oracle for the recursion)."""
+    ctx = a.ctx
+    out = ShElem(ctx, {})
+    for w, c in a.terms.items():
+        if not w:
+            out = out + ShElem.unit(ctx, c)
+            continue
+        for k in range(1, len(w) + 1):
+            for pc in positive_compositions(len(w), k):
+                prod = ShElem.unit(ctx)
+                off = 0
+                for pb in pc:
+                    prod = sh_mul(prod, ShElem.word(ctx, w[off:off + pb]))
+                    off += pb
+                out = out + Fraction((-1) ** k) * c * prod
+    return out
+
+
 def test_antipode_examples(B4, borel):
     ctx = ctx_borel(B4, borel)
     assert sh_antipode(ShElem.unit(ctx)) == ShElem.unit(ctx)
@@ -86,8 +125,8 @@ def test_antipode_examples(B4, borel):
     assert s == ShElem.word(ctx, (1, 0)) + ShElem.word(ctx, (1,), Fraction(1, 2))
     for w in all_words(2, 4):
         a = ShElem.word(ctx, w)
-        assert sh_antipode(a) == sh_antipode_closed(a)
-        assert sh_antipode(sh_antipode_inv(a)) == a
+        assert sh_antipode(a) == antipode_closed(a)
+        assert sh_antipode(ShElem(ctx, ctx.antipode(w, inverse=True))) == a
 
 
 def test_hopf_report_borel2(B4, borel):
