@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .freealg import (FreeLieCarrier, LiePoly, lie_bracket, substitute, cbh,
                       lie_to_json, lie_from_json)
+from .scalars import add_term, scalar_from_json, scalar_str
 
 
 class Obstructed(ValueError):
@@ -375,11 +376,7 @@ def word_antipode(w, mul, memo):
         for i in range(len(w)):
             for head, c in word_antipode(w[:i], mul, memo).items():
                 for cw, word in mul(head, w[i:]):
-                    s = hit.get(word, 0) - c * cw
-                    if s:
-                        hit[word] = s
-                    else:
-                        hit.pop(word, None)
+                    add_term(hit, word, -c * cw)
         memo[w] = hit
     return hit
 
@@ -520,13 +517,11 @@ def cbh_check(B):
 # ---------------------------------------------------------------------------
 
 def bfamily_to_json(B):
-    from .scalars import scalar_str
     return {"lambda": scalar_str(B.lam), "max_degree": B.max_degree,
             "entries": [{"p": p, "q": q, "poly": lie_to_json(e)}
                         for (p, q), e in sorted(B.table.items())]}
 
 
 def bfamily_from_json(d):
-    from .scalars import scalar_from_json
     table = {(e["p"], e["q"]): lie_from_json(e["poly"]) for e in d["entries"]}
     return BFamily(scalar_from_json(d["lambda"]), d["max_degree"], table)

@@ -38,9 +38,14 @@ def _parse(loader, data, what):
         raise BadInput("%s: malformed (%s: %s)" % (what, type(e).__name__, e))
 
 
-def _check_degree(args):
-    if args.max_degree < 2:
-        raise BadInput("--max-degree must be at least 2")
+def _check_degree(args, least=2):
+    if args.max_degree < least:
+        raise BadInput("--max-degree must be at least %d" % least)
+
+
+def _check_hbar_order(args):
+    if args.hbar_order < 0:
+        raise BadInput("--hbar-order must be at least 0")
 
 
 def _emit(args, payload):
@@ -53,6 +58,7 @@ def _emit(args, payload):
 
 
 def cmd_cbh(args):
+    _check_degree(args, 1)
     table = freealg.cbh(args.max_degree)
     out = {"max_degree": args.max_degree,
            "entries": [{"p": p, "q": q, "poly": freealg.lie_to_json(v),
@@ -260,6 +266,7 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        _check_hbar_order(args)
         return args.fn(args)
     except BadInput as e:
         print("input error: %s" % e, file=sys.stderr)

@@ -1,15 +1,20 @@
 """Order-by-order deformation of CYBE solutions in associative algebras.
 
 Tensors over an algebra A are dicts {index tuple: Fraction} over a fixed
-basis; slots without content hold the unit.  The maps here are the
+basis; slots without content hold the unit.  They follow
+scalars.add_term (no key holds a zero coefficient) and are added and
+scaled with liealg.tensor_add/tensor_smul.  The maps here are the
 six-term bracket, the four-slot coboundary, the homotopy family, and the
 residuals of the order-N quantization equations.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 from fractions import Fraction
+
+from .liealg import tensor_add, tensor_smul
+from .scalars import add_term
 
 
 class AssocAlgebra:
@@ -35,11 +40,7 @@ class AssocAlgebra:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.mul_basis(i, j).items():
-                    s = out.get(k, 0) + a * b * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                    add_term(out, k, a * b * c)
         return out
 
     def _validate(self):
@@ -73,32 +74,11 @@ def matrix_algebra(n):
 # tensor calculus in A^(x n)
 # ---------------------------------------------------------------------------
 
-def t_add(t, u):
-    out = dict(t)
-    for k, c in u.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def t_smul(c, t):
-    if not c:
-        return {}
-    return {k: c * v for k, v in t.items()}
-
-
 def place(alg, t, spots, n):
     """Embed a tensor into n slots, units elsewhere."""
     out = {}
     unit_items = list(alg.unit.items())
     for k, c in t.items():
-        combos = [([None] * n, c)]
-        for spot, comp in zip(spots, k):
-            for idx, _ in combos:
-                idx[spot - 1] = comp
         base = [None] * n
         for spot, comp in zip(spots, k):
             base[spot - 1] = comp
@@ -108,12 +88,7 @@ def place(alg, t, spots, n):
             fill = [(idx[:s] + [i] + idx[s + 1:], cc * cu)
                     for idx, cc in fill for i, cu in unit_items]
         for idx, cc in fill:
-            key = tuple(idx)
-            s2 = out.get(key, 0) + cc
-            if s2:
-                out[key] = s2
-            else:
-                out.pop(key, None)
+            add_term(out, tuple(idx), cc)
     return out
 
 
@@ -128,23 +103,19 @@ def t_mul(alg, t, u):
                 pieces = [(key + (k,), c * cm) for key, c in pieces
                           for k, cm in m.items()]
             for key, c in pieces:
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, key, c)
     return out
 
 
 def t_comm(alg, t, u):
-    return t_add(t_mul(alg, t, u), t_smul(Fraction(-1), t_mul(alg, u, t)))
+    return tensor_add(t_mul(alg, t, u), tensor_smul(Fraction(-1), t_mul(alg, u, t)))
 
 
 def random_tensor(alg, degree, rng, span=3):
     out = {}
     for _ in range(4):
         idx = tuple(rng.randrange(alg.dim) for _ in range(degree))
-        out = t_add(out, {idx: Fraction(rng.randint(-span, span))})
+        add_term(out, idx, Fraction(rng.randint(-span, span)))
     return out
 
 
@@ -157,16 +128,16 @@ def cybe(alg, r):
     r12 = place(alg, r, (1, 2), 3)
     r13 = place(alg, r, (1, 3), 3)
     r23 = place(alg, r, (2, 3), 3)
-    return t_add(t_add(t_comm(alg, r12, r13), t_comm(alg, r12, r23)),
-                 t_comm(alg, r13, r23))
+    return tensor_add(tensor_add(t_comm(alg, r12, r13), t_comm(alg, r12, r23)),
+                      t_comm(alg, r13, r23))
 
 
 def bbrack(alg, r, R):
     """Six-term bracket [[r, R]]: the linearization of CYBE."""
     out = {}
     for (s1, s2) in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        out = t_add(out, t_comm(alg, place(alg, r, s1, 3), place(alg, R, s2, 3)))
-        out = t_add(out, t_comm(alg, place(alg, R, s1, 3), place(alg, r, s2, 3)))
+        out = tensor_add(out, t_comm(alg, place(alg, r, s1, 3), place(alg, R, s2, 3)))
+        out = tensor_add(out, t_comm(alg, place(alg, R, s1, 3), place(alg, r, s2, 3)))
     return out
 
 
@@ -189,47 +160,45 @@ def delta_p(alg, R, rho, p):
     P = lambda spots: place(alg, R, spots, 4)
     Q = lambda spots: place(alg, rho, spots, 4)
     mul = lambda *ts: _chain_mul(alg, ts)
+    add = lambda *ts: functools.reduce(tensor_add, ts)
+    neg = lambda t: tensor_smul(-1, t)
     if p == 1:
         out = {}
         for spots, sign in (((1, 2), 1), ((1, 3), 1), ((1, 4), 1)):
-            out = t_add(out, t_smul(Fraction(sign), t_comm(alg, P(spots), Q((2, 3, 4)))))
+            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((2, 3, 4)))))
         for spots, sign in (((1, 2), 1), ((2, 3), -1), ((2, 4), -1)):
-            out = t_add(out, t_smul(Fraction(sign), t_comm(alg, P(spots), Q((1, 3, 4)))))
+            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 3, 4)))))
         for spots, sign in (((1, 3), -1), ((2, 3), -1), ((3, 4), 1)):
-            out = t_add(out, t_smul(Fraction(sign), t_comm(alg, P(spots), Q((1, 2, 4)))))
+            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 2, 4)))))
         for spots, sign in (((1, 4), 1), ((2, 4), 1), ((3, 4), 1)):
-            out = t_add(out, t_smul(Fraction(sign), t_comm(alg, P(spots), Q((1, 2, 3)))))
+            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 2, 3)))))
         return out
-    if p == 2:
-        r12, r13, r14 = P((1, 2)), P((1, 3)), P((1, 4))
-        r23, r24, r34 = P((2, 3)), P((2, 4)), P((3, 4))
-        out = {}
-        out = t_add(out, mul(t_add(t_add(mul(r12, r13), mul(r12, r14)), mul(r13, r14)), Q((2, 3, 4))))
-        out = t_add(out, t_smul(-1, mul(Q((2, 3, 4)), t_add(t_add(mul(r14, r13), mul(r14, r12)), mul(r13, r12)))))
-        out = t_add(out, t_smul(-1, mul(r23, r24, Q((1, 3, 4)))))
-        out = t_add(out, t_smul(-1, mul(t_add(r23, r24), Q((1, 3, 4)), r12)))
-        out = t_add(out, mul(r12, Q((1, 3, 4)), t_add(r23, r24)))
-        out = t_add(out, mul(Q((1, 3, 4)), r24, r23))
-        out = t_add(out, t_smul(-1, mul(r23, r13, Q((1, 2, 4)))))
-        out = t_add(out, t_smul(-1, mul(t_add(r13, r23), Q((1, 2, 4)), r34)))
-        out = t_add(out, mul(r34, Q((1, 2, 4)), t_add(r13, r23)))
-        out = t_add(out, mul(Q((1, 2, 4)), r13, r23))
-        out = t_add(out, mul(t_add(t_add(mul(r34, r24), mul(r34, r14)), mul(r24, r14)), Q((1, 2, 3))))
-        out = t_add(out, t_smul(-1, mul(Q((1, 2, 3)), t_add(t_add(mul(r14, r24), mul(r14, r34)), mul(r24, r34)))))
-        return out
-    # p == 3
     r12, r13, r14 = P((1, 2)), P((1, 3)), P((1, 4))
     r23, r24, r34 = P((2, 3)), P((2, 4)), P((3, 4))
-    out = {}
-    out = t_add(out, mul(r12, r13, r14, Q((2, 3, 4))))
-    out = t_add(out, t_smul(-1, mul(Q((2, 3, 4)), r14, r13, r12)))
-    out = t_add(out, t_smul(-1, mul(r23, r24, Q((1, 3, 4)), r12)))
-    out = t_add(out, mul(r12, Q((1, 3, 4)), r24, r23))
-    out = t_add(out, t_smul(-1, mul(r23, r13, Q((1, 2, 4)), r34)))
-    out = t_add(out, mul(r34, Q((1, 2, 4)), r13, r23))
-    out = t_add(out, mul(r34, r24, r14, Q((1, 2, 3))))
-    out = t_add(out, t_smul(-1, mul(Q((1, 2, 3)), r14, r24, r34)))
-    return out
+    if p == 2:
+        return add(
+            mul(add(mul(r12, r13), mul(r12, r14), mul(r13, r14)), Q((2, 3, 4))),
+            neg(mul(Q((2, 3, 4)), add(mul(r14, r13), mul(r14, r12), mul(r13, r12)))),
+            neg(mul(r23, r24, Q((1, 3, 4)))),
+            neg(mul(add(r23, r24), Q((1, 3, 4)), r12)),
+            mul(r12, Q((1, 3, 4)), add(r23, r24)),
+            mul(Q((1, 3, 4)), r24, r23),
+            neg(mul(r23, r13, Q((1, 2, 4)))),
+            neg(mul(add(r13, r23), Q((1, 2, 4)), r34)),
+            mul(r34, Q((1, 2, 4)), add(r13, r23)),
+            mul(Q((1, 2, 4)), r13, r23),
+            mul(add(mul(r34, r24), mul(r34, r14), mul(r24, r14)), Q((1, 2, 3))),
+            neg(mul(Q((1, 2, 3)), add(mul(r14, r24), mul(r14, r34), mul(r24, r34)))))
+    # p == 3
+    return add(
+        mul(r12, r13, r14, Q((2, 3, 4))),
+        neg(mul(Q((2, 3, 4)), r14, r13, r12)),
+        neg(mul(r23, r24, Q((1, 3, 4)), r12)),
+        mul(r12, Q((1, 3, 4)), r24, r23),
+        neg(mul(r23, r13, Q((1, 2, 4)), r34)),
+        mul(r34, Q((1, 2, 4)), r13, r23),
+        mul(r34, r24, r14, Q((1, 2, 3))),
+        neg(mul(Q((1, 2, 3)), r14, r24, r34)))
 
 
 def _chain_mul(alg, ts):
@@ -244,14 +213,14 @@ def qybe_assoc_expr(alg, R):
     r12 = place(alg, R, (1, 2), 3)
     r13 = place(alg, R, (1, 3), 3)
     r23 = place(alg, R, (2, 3), 3)
-    return t_add(_chain_mul(alg, (r12, r13, r23)),
-                 t_smul(Fraction(-1), _chain_mul(alg, (r23, r13, r12))))
+    return tensor_add(_chain_mul(alg, (r12, r13, r23)),
+                      tensor_smul(Fraction(-1), _chain_mul(alg, (r23, r13, r12))))
 
 
 def aryeh_residual(alg, R, p):
     """delta_p(R, R12R13R23 - R23R13R12) + delta_{p+1}(R, CYBE(R))."""
-    return t_add(delta_p(alg, R, qybe_assoc_expr(alg, R), p),
-                 delta_p(alg, R, cybe(alg, R), p + 1))
+    return tensor_add(delta_p(alg, R, qybe_assoc_expr(alg, R), p),
+                      delta_p(alg, R, cybe(alg, R), p + 1))
 
 
 def kappa_cob(alg, r, x):
@@ -259,7 +228,7 @@ def kappa_cob(alg, r, x):
     xt = {(i,): c for i, c in x.items()}
     x1 = place(alg, xt, (1,), 2)
     x2 = place(alg, xt, (2,), 2)
-    return t_comm(alg, r, t_add(x1, x2))
+    return t_comm(alg, r, tensor_add(x1, x2))
 
 
 def recursion_residual(alg, r, rseq, N):
@@ -292,7 +261,7 @@ def recursion_residual(alg, r, rseq, N):
             t2 = _chain_mul(alg, (place(alg, R(s), (2, 3), 3),
                                   place(alg, R(q), (1, 3), 3),
                                   place(alg, R(p), (1, 2), 3)))
-            out = t_add(out, t_add(t, t_smul(Fraction(-1), t2)))
+            out = tensor_add(out, tensor_add(t, tensor_smul(Fraction(-1), t2)))
     return out
 
 
@@ -317,8 +286,8 @@ def obstruction_check(alg, r, rseq, N):
                 t2 = _chain_mul(alg, (place(alg, full[s], (2, 3), 3),
                                       place(alg, full[q], (1, 3), 3),
                                       place(alg, full[p], (1, 2), 3)))
-                rhs = t_add(rhs, t_add(t_smul(Fraction(-1), t), t2))
-        if t_add(lhs, t_smul(Fraction(-1), rhs)):
+                rhs = tensor_add(rhs, tensor_add(tensor_smul(Fraction(-1), t), t2))
+        if tensor_add(lhs, tensor_smul(Fraction(-1), rhs)):
             raise ValueError("order-%d hypothesis violated" % (i + 1))
     test = {}
     for p in range(1, N):
@@ -334,13 +303,13 @@ def obstruction_check(alg, r, rseq, N):
             t2 = _chain_mul(alg, (place(alg, full[s], (2, 3), 3),
                                   place(alg, full[q], (1, 3), 3),
                                   place(alg, full[p], (1, 2), 3)))
-            test = t_add(test, t_add(t, t_smul(Fraction(-1), t2)))
+            test = tensor_add(test, tensor_add(t, tensor_smul(Fraction(-1), t2)))
     return delta_r(alg, r, test)
 
 
 def half_r_squared(alg, r):
     """(1/2) r^2 in A x A (componentwise square)."""
-    return t_smul(Fraction(1, 2), t_mul(alg, r, r))
+    return tensor_smul(Fraction(1, 2), t_mul(alg, r, r))
 
 
 def random_r(alg, rng, span=2):

@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import HSeries, scalar_is_zero
+from .scalars import HSeries, LinComb, add_term
 
 
 def _multidegree(word):
@@ -46,17 +46,21 @@ def label_str(a):
 # associative side
 # ---------------------------------------------------------------------------
 
-class AssocPoly:
+def _word_terms(terms):
+    """Tuple word keys, zero coefficients dropped."""
+    return {tuple(w): c for w, c in (terms or {}).items() if c}
+
+
+class AssocPoly(LinComb):
     """Sparse element of a free associative algebra: dict word -> coeff."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not scalar_is_zero(c):
-                    self.terms[tuple(w)] = c
+        self.terms = _word_terms(terms)
+
+    def _like(self, terms):
+        return AssocPoly(terms)
 
     @staticmethod
     def zero():
@@ -74,31 +78,6 @@ class AssocPoly:
     def word(letters, c=Fraction(1)):
         return AssocPoly({tuple(letters): c})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        return _dict_eq(self.terms, other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        return AssocPoly(out)
-
-    def __neg__(self):
-        return AssocPoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if scalar_is_zero(c):
-            return AssocPoly()
-        return AssocPoly({w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other):
         """Concatenation product."""
         if isinstance(other, (int, Fraction, HSeries)):
@@ -106,7 +85,7 @@ class AssocPoly:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _acc(out, w1 + w2, c1 * c2)
+                add_term(out, w1 + w2, c1 * c2)
         return AssocPoly(out)
 
     def truncate_degree(self, n):
@@ -131,25 +110,6 @@ class AssocPoly:
         for w in sorted(self.terms, key=lambda w: (len(w), tuple(map(str, w)))):
             bits.append("%s*%s" % (self.terms[w], "".join(label_str(a) for a in w) or "1"))
         return " + ".join(bits)
-
-
-def _acc(d, k, c):
-    v = d.get(k)
-    if v is None:
-        if not scalar_is_zero(c):
-            d[k] = c
-    else:
-        v = v + c
-        if scalar_is_zero(v):
-            del d[k]
-        else:
-            d[k] = v
-
-
-def _dict_eq(a, b):
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
 
 
 def assoc_commutator(a, b):
@@ -222,17 +182,16 @@ class NotLieElement(ValueError):
     pass
 
 
-class LiePoly:
+class LiePoly(LinComb):
     """Canonical element of a free Lie algebra; see module docstring."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not scalar_is_zero(c):
-                    self.terms[tuple(w)] = c
+        self.terms = _word_terms(terms)
+
+    def _like(self, terms):
+        return LiePoly(terms)
 
     @staticmethod
     def zero():
@@ -246,31 +205,6 @@ class LiePoly:
     def leftnormed(letters, c=Fraction(1)):
         """c*[[x_a1,x_a2],...,x_ak]; letters must be canonical (see expand)."""
         return assoc_to_lie(c * expand_leftnormed(letters))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LiePoly):
-            return NotImplemented
-        return _dict_eq(self.terms, other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        return LiePoly(out)
-
-    def __neg__(self):
-        return LiePoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if scalar_is_zero(c):
-            return LiePoly()
-        return LiePoly({w: c * v for w, v in self.terms.items()})
 
     def labels(self):
         out = set()
@@ -345,7 +279,7 @@ def assoc_to_lie(p, check=True):
                 for w, c in list(terms.items()):
                     if _multidegree(w) == mdeg:
                         agg = agg + c * expand_leftnormed(w)
-                if not _dict_eq(agg.terms, comp.terms):
+                if agg.terms != comp.terms:
                     raise NotLieElement("not a Lie element (multilinear component)")
         else:
             rem = AssocPoly(dict(comp.terms))
@@ -457,7 +391,7 @@ def _trunc_mul(a, b, n):
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             if len(w1) + len(w2) <= n:
-                _acc(out, w1 + w2, c1 * c2)
+                add_term(out, w1 + w2, c1 * c2)
     return AssocPoly(out)
 
 

@@ -2,30 +2,27 @@
 
 Elements are sparse dicts {basis index: coefficient}; coefficients are
 Fraction or HSeries.  Tensors are dicts {multi-index tuple: coefficient}.
+Both follow scalars.add_term: no key holds a zero coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import scalar_is_zero
+from .scalars import add_term
 
 
-def vec_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) + c
-        if scalar_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
+def tensor_add(t, u):
+    out = dict(t)
+    for k, c in u.items():
+        add_term(out, k, c)
     return out
 
 
-def vec_smul(c, u):
-    if scalar_is_zero(c):
+def tensor_smul(c, t):
+    if not c:
         return {}
-    return {k: c * v for k, v in u.items()}
+    return {k: c * v for k, v in t.items()}
 
 
 class LieAlgebra:
@@ -43,9 +40,9 @@ class LieAlgebra:
             if i == j:
                 raise ValueError("diagonal bracket entry")
             if i > j:
-                i, j, v = j, i, vec_smul(Fraction(-1), v)
-            cur = self.brackets.get((i, j), {})
-            self.brackets[(i, j)] = vec_add(cur, v) if cur else dict(v)
+                i, j, v = j, i, tensor_smul(Fraction(-1), v)
+            cur = self.brackets.get((i, j))
+            self.brackets[(i, j)] = tensor_add(cur, v) if cur else dict(v)
         if check and not self.jacobi_ok():
             raise ValueError("Jacobi identity fails")
 
@@ -57,23 +54,24 @@ class LieAlgebra:
             return {}
         if i < j:
             return dict(self.brackets.get((i, j), {}))
-        return vec_smul(Fraction(-1), self.brackets.get((j, i), {}))
+        return tensor_smul(Fraction(-1), self.brackets.get((j, i), {}))
 
     def bracket(self, u, v):
         out = {}
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    out = vec_add(out, {k: a * b * c})
+                    add_term(out, k, a * b * c)
         return out
 
     def jacobi_ok(self):
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    s = self.bracket(self.basis(i), self.bracket_basis(j, k))
-                    s = vec_add(s, self.bracket(self.basis(j), self.bracket_basis(k, i)))
-                    s = vec_add(s, self.bracket(self.basis(k), self.bracket_basis(i, j)))
+                    s = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        term = self.bracket(self.basis(a), self.bracket_basis(b, c))
+                        s = tensor_add(s, term)
                     if s:
                         return False
         return True
@@ -88,11 +86,11 @@ class LieAlgebra:
 
             @staticmethod
             def add(a, b):
-                return vec_add(a, b)
+                return tensor_add(a, b)
 
             @staticmethod
             def smul(c, a):
-                return vec_smul(c, a)
+                return tensor_smul(c, a)
 
             @staticmethod
             def bracket(a, b):
@@ -119,14 +117,14 @@ class LieBialgebra:
 
     def __init__(self, algebra, cobracket):
         self.algebra = algebra
-        self.cobracket = {i: {jk: c for jk, c in t.items() if not scalar_is_zero(c)}
+        self.cobracket = {i: {jk: c for jk, c in t.items() if c}
                           for i, t in cobracket.items()}
 
     def delta(self, u):
         out = {}
         for i, a in u.items():
-            for (j, k), c in self.cobracket.get(i, {}).items():
-                out = tensor_add(out, {(j, k): a * c})
+            for jk, c in self.cobracket.get(i, {}).items():
+                add_term(out, jk, a * c)
         return out
 
 
@@ -145,28 +143,11 @@ def abelian_bialgebra(dim=2):
 # tensors over a Lie algebra
 # ---------------------------------------------------------------------------
 
-def tensor_add(t, u):
-    out = dict(t)
-    for k, c in u.items():
-        s = out.get(k, 0) + c
-        if scalar_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def tensor_smul(c, t):
-    if scalar_is_zero(c):
-        return {}
-    return {k: c * v for k, v in t.items()}
-
-
 def tensor_product(t, u):
     out = {}
     for k1, c1 in t.items():
         for k2, c2 in u.items():
-            out = tensor_add(out, {k1 + k2: c1 * c2})
+            add_term(out, k1 + k2, c1 * c2)
     return out
 
 
@@ -198,7 +179,7 @@ def placed_bracket(alg, t, spots_t, u, spots_u, degree):
                 idx[s - 1] = m
                 if any(v is None for v in idx):
                     raise ValueError("slots do not cover the target degree")
-                out = tensor_add(out, {tuple(idx): c1 * c2 * cb})
+                add_term(out, tuple(idx), c1 * c2 * cb)
     return out
 
 
@@ -263,12 +244,12 @@ def validate_bialgebra(bia):
         t3 = {}
         for (j, k), c in bia.delta(alg.basis(i)).items():
             for (a, b), c2 in bia.delta(alg.basis(j)).items():
-                t3 = tensor_add(t3, {(a, b, k): c * c2})
+                add_term(t3, (a, b, k), c * c2)
         total = {}
         for (a, b, k), c in t3.items():
-            total = tensor_add(total, {(a, b, k): c})
-            total = tensor_add(total, {(k, a, b): c})
-            total = tensor_add(total, {(b, k, a): c})
+            add_term(total, (a, b, k), c)
+            add_term(total, (k, a, b), c)
+            add_term(total, (b, k, a), c)
         if total:
             bad.append(("co-Jacobi", i))
     # cocycle: delta([x,y]) = x.delta(y) - y.delta(x) with the adjoint action
@@ -276,9 +257,9 @@ def validate_bialgebra(bia):
         out = {}
         for (j, k), c in t.items():
             for m, cb in alg.bracket_basis(i, j).items():
-                out = tensor_add(out, {(m, k): c * cb})
+                add_term(out, (m, k), c * cb)
             for m, cb in alg.bracket_basis(i, k).items():
-                out = tensor_add(out, {(j, m): c * cb})
+                add_term(out, (j, m), c * cb)
         return out
 
     for i in range(alg.dim):
@@ -341,8 +322,7 @@ def build_double(bia):
                     out[l] = c
             for l in range(d):
                 c = alg.bracket_basis(i, l).get(j, Fraction(0))
-                if c:
-                    out = vec_add(out, {d + l: -c})
+                add_term(out, d + l, -c)
             if out:
                 br[(i, d + j)] = out
     dd = LieAlgebra(2 * d, alg.basis_names + [n + "*" for n in alg.basis_names], br)
@@ -381,8 +361,7 @@ def _verify_double(dbl, bia):
             for a in range(d):
                 for b in range(d):
                     c = bia.algebra.bracket_basis(a, b).get(j, Fraction(0))
-                    if c:
-                        rhs = tensor_add(rhs, {(d + a, d + b): -c})
+                    add_term(rhs, (d + a, d + b), -c)
         if tensor_add(lhs, tensor_smul(Fraction(-1), rhs)):
             raise ValueError("delta_D(x) != [x x 1 + 1 x x, r] at basis %d" % i)
     if cybe_residual(dd, dbl.r):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import HSeries, as_series
+from .scalars import HSeries, add_term, as_series
 from .bfamily import compositions
-from .liealg import (build_double, tensor_add, tensor_smul, vec_add, vec_smul)
+from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                       LieCoalgebra, TensContext, TensElem, t_comul,
                       qfsh_member)
@@ -59,11 +59,9 @@ class Quantization:
         for n, v in varrho.items():
             if n > order:
                 continue
-            t = instantiate(v, D.algebra, D.r)
-            for (i, j), c in t.items():
-                cur = out.get((i, j), as_series(0, order))
-                out[(i, j)] = cur + HSeries.hpow(n, c, order)
-        return {k: v for k, v in out.items() if v}
+            for ij, c in instantiate(v, D.algebra, D.r).items():
+                add_term(out, ij, HSeries.hpow(n, c, order))
+        return out
 
     # -- R-matrix ----------------------------------------------------------
 
@@ -132,23 +130,14 @@ class Quantization:
         """
         vr = self.varrho if varrho_subset is None else varrho_subset
         D = self.double
-        res = self.qybe_residual(self._rho_at_order(self.order, vr))
-        concrete_pr = {}
-        for key, c in res.terms.items():
-            if all(len(w) == 1 for w in key):
-                idx = tuple(w[0] for w in key)
-                concrete_pr[idx] = concrete_pr.get(idx, as_series(0, self.order)) + c
-        concrete_pr = {k: v for k, v in concrete_pr.items() if v}
+        concrete_pr = self.qybe_residual(self._rho_at_order(self.order, vr)).pr_legs()
         universal = {}
         for d in range(1, self.order + 1):
             resd = univ_qybe_residual(self.bfam, vr, d)
             if not resd:
                 continue
-            t = instantiate(resd, D.algebra, D.r)
-            for idx, c in t.items():
-                cur = universal.get(idx, as_series(0, self.order))
-                universal[idx] = cur + HSeries.hpow(d, c, self.order)
-        universal = {k: v for k, v in universal.items() if v}
+            for idx, c in instantiate(resd, D.algebra, D.r).items():
+                add_term(universal, idx, HSeries.hpow(d, c, self.order))
         return concrete_pr == universal
 
     # -- the morphism ell --------------------------------------------------
@@ -176,15 +165,8 @@ class Quantization:
                     j = wb[0] - d
                     assert 0 <= j < d, "second leg escaped the dual part"
                     assert all(k < d for k in wa), "first leg escaped the primal part"
-                    shifted = c.shift(-1)
-                    low = HSeries(shifted.coeffs[: self.order + 1], self.order)
-                    if low:
-                        cur = gens[j].get(wa, as_series(0, self.order))
-                        s = cur + low
-                        if s:
-                            gens[j][wa] = s
-                        else:
-                            gens[j].pop(wa, None)
+                    low = c.shift(-1).coeffs[: self.order + 1]
+                    add_term(gens[j], wa, HSeries(low, self.order))
             ctx = self.sh_ctx()
             self._ell_gen = [ShElem(ctx, g) for g in gens]
         return self._ell_gen[i]
@@ -230,36 +212,22 @@ class Quantization:
 
     # -- duals of the family entries ---------------------------------------
 
-    def beta(self, p, q, xs, x):
-        """beta_pq: <B_pq(xi's | xs), x> read off in the dual basis."""
+    def dual_block(self, p, q, xs, x, xi_right=False):
+        """<B_pq(xi's | xs), x> read off in the dual basis of the xi's
+        (beta_pq), or <B_pq(xs | xi's), x> with xi_right (gamma_pq)."""
         D = self.double
         d = self.bia.algebra.dim
         out = {}
-        for idx in itertools.product(range(d), repeat=p):
-            args = [D.algebra.basis(d + i) for i in idx] + \
-                   [dict(v) for v in xs]
+        own = [dict(v) for v in xs]
+        for idx in itertools.product(range(d), repeat=q if xi_right else p):
+            xis = [D.algebra.basis(d + i) for i in idx]
+            args = own + xis if xi_right else xis + own
             val = self.bfam.eval(p, q, args, D.algebra.carrier())
             # pairing <val, e_x> picks the e^x-component of val
-            coeff = val.get(d + x)
-            if coeff is not None and not (coeff == 0):
-                cur = out.get(idx, as_series(0, self.order))
-                out[idx] = cur + coeff
-        return {k: v for k, v in out.items() if v}
-
-    def gamma(self, q, p, xs, x):
-        """gamma_qp from B_qp(xs | xi's), dual in the xi's."""
-        D = self.double
-        d = self.bia.algebra.dim
-        out = {}
-        for idx in itertools.product(range(d), repeat=p):
-            args = [dict(v) for v in xs] + \
-                   [D.algebra.basis(d + i) for i in idx]
-            val = self.bfam.eval(q, p, args, D.algebra.carrier())
-            coeff = val.get(d + x, None)
-            if coeff is not None and not (coeff == 0):
-                cur = out.get(idx, as_series(0, self.order))
-                out[idx] = cur + coeff
-        return {k: v for k, v in out.items() if v}
+            coeff = as_series(0, self.order) + val.get(d + x, 0)
+            if coeff:
+                out[idx] = coeff
+        return out
 
     def phi(self, xelem, y):
         """phi: Sh(g) x T(g) -> T(g), adjoint to left multiplication."""
@@ -269,7 +237,7 @@ class Quantization:
         """psi: adjoint to right multiplication (gamma blocks)."""
         return self._phipsi(xelem, y, True)
 
-    def _phipsi(self, xelem, y, use_gamma):
+    def _phipsi(self, xelem, y, xi_right):
         ctx = y.ctx
         alg = self.bia.algebra
         out = TensElem(ctx, {})
@@ -288,10 +256,8 @@ class Quantization:
                         for k in range(1, maxdeg - li + 1):
                             if k - 1 > ctx.order:
                                 continue
-                            if use_gamma:
-                                blk = self.gamma(li, k, xs, yi)
-                            else:
-                                blk = self.beta(k, li, xs, yi)
+                            pq = (li, k) if xi_right else (k, li)
+                            blk = self.dual_block(*pq, xs, yi, xi_right)
                             if not blk:
                                 continue
                             h = HSeries.hpow(k - 1, 1, ctx.order)
@@ -305,12 +271,7 @@ class Quantization:
                     if not ok:
                         continue
                     for w, c in pieces:
-                        cur = out.terms.get(w, as_series(0, ctx.order))
-                        s = cur + cx * cy * c
-                        if s:
-                            out.terms[w] = s
-                        else:
-                            out.terms.pop(w, None)
+                        add_term(out.terms, w, cx * cy * c)
         return out
 
     # -- relations ----------------------------------------------------------
@@ -367,14 +328,7 @@ class Quantization:
             eb = self.ell_generator(b)
             for wa, ca in ea.terms.items():
                 for wb, cb in eb.terms.items():
-                    v = (c * ca * cb).coeff(0)
-                    if v:
-                        key = (wa, wb)
-                        s = rhs.get(key, 0) + v
-                        if s:
-                            rhs[key] = s
-                        else:
-                            rhs.pop(key, None)
+                    add_term(rhs, (wa, wb), (c * ca * cb).coeff(0))
         return lhs == rhs
 
     # -- QFSH ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import linalg
 from .bfamily import positive_compositions, deformed_word_product
 from .freealg import LiePoly
+from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical, deconcat_leg,
                         pr_word_product, instantiate_tensor)
 
@@ -88,12 +89,7 @@ class LambdaTable:
                     weight = Fraction(1, la + lb - 1) * c1 * c2
                     aword = a1 + a2
                     for mono, cm in prb.terms.items():
-                        key = (aword, (tuple(mono),))
-                        s = acc.get(key, 0) + weight * cm
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
+                        add_term(acc, (aword, (tuple(mono),)), weight * cm)
         # split by composition of the first-leg letter supports
         buckets = {}
         for key, c in acc.items():

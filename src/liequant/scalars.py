@@ -190,10 +190,57 @@ def as_series(c, order=None):
     return HSeries.const(c, order)
 
 
-def scalar_is_zero(c):
-    if isinstance(c, HSeries):
-        return not c
-    return c == 0
+def add_term(d, k, c):
+    """d[k] += c in a sparse dict that never stores a zero coefficient."""
+    v = d.get(k)
+    if v is None:
+        if c:
+            d[k] = c
+    else:
+        v = v + c
+        if v:
+            d[k] = v
+        else:
+            del d[k]
+
+
+class LinComb:
+    """Finite linear combination: `terms` maps keys to nonzero scalars.
+
+    Each subclass's constructor normalizes keys and coefficients and
+    drops zero coefficients (scaling relies on that); `_like(terms)`
+    builds an element of the same kind, context and legs.  Subclasses
+    supply their own products.
+    """
+
+    __slots__ = ("terms",)
+    legs = None     # tensor leg count, for the kinds that have legs
+
+    def _like(self, terms):
+        raise NotImplementedError
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.legs == other.legs and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c):
+        return self._like({k: c * v for k, v in self.terms.items()})
 
 
 def scalar_str(c):

@@ -12,9 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import HSeries, as_series, DEFAULT_ORDER
+from .scalars import HSeries, LinComb, add_term, as_series, DEFAULT_ORDER
 from .bfamily import deformed_word_product, positive_compositions, word_antipode
-from .liealg import tensor_add
 
 
 class ShContext:
@@ -46,11 +45,7 @@ class ShContext:
             acc = {}
             for c, w in deformed_word_product(
                     wa, wb, lambda p, q, idx: self.b_eval(p, q, idx).items()):
-                s = acc.get(w, 0) + c
-                if s:
-                    acc[w] = s
-                else:
-                    acc.pop(w, None)
+                add_term(acc, w, c)
             hit = {w: as_series(c, self.order) for w, c in acc.items()}
             self._mulcache[(wa, wb)] = hit
         return hit
@@ -73,12 +68,15 @@ def _norm_terms(terms, order):
     return out
 
 
-class ShElem:
+class ShElem(LinComb):
     """Element of the deformed shuffle algebra: dict word -> HSeries."""
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
         self.terms = _norm_terms(terms or {}, ctx.order)
+
+    def _like(self, terms):
+        return ShElem(self.ctx, terms)
 
     @staticmethod
     def unit(ctx, c=1):
@@ -91,31 +89,6 @@ class ShElem:
     @staticmethod
     def letter(ctx, i, c=1):
         return ShElem(ctx, {(i,): as_series(c, ctx.order)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ShElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return ShElem(self.ctx, out)
-
-    def __neg__(self):
-        return ShElem(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        return ShElem(self.ctx, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, ShElem):
@@ -155,11 +128,7 @@ def sh_mul(a, b):
         for wb, cb in b.terms.items():
             c = ca * cb
             for w, cw in ctx.word_mul(wa, wb).items():
-                s = out.get(w, 0) + c * cw
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                add_term(out, w, c * cw)
     return ShElem(ctx, out)
 
 
@@ -168,10 +137,7 @@ def sh_comul(a):
     out = {}
     for w, c in a.terms.items():
         for i in range(len(w) + 1):
-            k = (w[:i], w[i:])
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
+            add_term(out, (w[:i], w[i:]), c)
     return ShTensor(a.ctx, 2, out)
 
 
@@ -180,11 +146,7 @@ def sh_antipode(a):
     out = {}
     for w, c in a.terms.items():
         for x, cx in a.ctx.antipode(w).items():
-            s = out.get(x, 0) + c * cx
-            if s:
-                out[x] = s
-            else:
-                out.pop(x, None)
+            add_term(out, x, c * cx)
     return ShElem(a.ctx, out)
 
 
@@ -192,7 +154,7 @@ def sh_antipode(a):
 # tensor powers of the shuffle algebra
 # ---------------------------------------------------------------------------
 
-class ShTensor:
+class ShTensor(LinComb):
     """Element of Sh(g)^(x legs): dict (word, ..., word) -> HSeries."""
 
     def __init__(self, ctx, legs, terms=None):
@@ -204,35 +166,12 @@ class ShTensor:
             if c:
                 self.terms[tuple(tuple(w) for w in k)] = c
 
+    def _like(self, terms):
+        return ShTensor(self.ctx, self.legs, terms)
+
     @staticmethod
     def unit(ctx, legs, c=1):
         return ShTensor(ctx, legs, {((),) * legs: as_series(c, ctx.order)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ShTensor) and self.legs == other.legs \
-            and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return ShTensor(self.ctx, self.legs, out)
-
-    def __neg__(self):
-        return ShTensor(self.ctx, self.legs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        return ShTensor(self.ctx, self.legs, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other):
         """Legwise product (all legs commute past each other)."""
@@ -260,11 +199,7 @@ class ShTensor:
                             nxt.append((key + (w,), c * cw))
                     combos = nxt
                 for key, c in combos:
-                    s = out.terms.get(key, 0) + c
-                    if s:
-                        out.terms[key] = s
-                    else:
-                        out.terms.pop(key, None)
+                    add_term(out.terms, key, c)
         return out
 
     def place(self, spots, legs):
@@ -283,12 +218,7 @@ class ShTensor:
         for k, c in self.terms.items():
             img = fn(ShElem.word(self.ctx, k[leg]))
             for w, cw in img.terms.items():
-                key = k[:leg] + (w,) + k[leg + 1:]
-                s = out.terms.get(key, 0) + c * cw
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
+                add_term(out.terms, k[:leg] + (w,) + k[leg + 1:], c * cw)
         return out
 
     def comul_leg(self, leg):
@@ -297,10 +227,7 @@ class ShTensor:
         for k, c in self.terms.items():
             w = k[leg]
             for i in range(len(w) + 1):
-                key = k[:leg] + (w[:i], w[i:]) + k[leg + 1:]
-                s = out.terms.get(key, 0) + c
-                if s:
-                    out.terms[key] = s
+                add_term(out.terms, k[:leg] + (w[:i], w[i:]) + k[leg + 1:], c)
         return out
 
     def pr_legs(self):
@@ -308,12 +235,7 @@ class ShTensor:
         out = {}
         for k, c in self.terms.items():
             if all(len(w) == 1 for w in k):
-                idx = tuple(w[0] for w in k)
-                s = out.get(idx, 0) + c
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
+                add_term(out, tuple(w[0] for w in k), c)
         return out
 
     def hcoeff(self, k):
@@ -423,9 +345,7 @@ def shuffle0(ctx, u, v):
 
     def rec(prefix, a, b, coeff):
         if not a and not b:
-            s = out.get(prefix, 0) + coeff
-            if s:
-                out[prefix] = s
+            add_term(out, prefix, coeff)
             return
         if a:
             rec(prefix + (a[0],), a[1:], b, coeff)
@@ -451,12 +371,7 @@ def poisson_m1(ctx, u, v):
             for wp, cp in pre.terms.items():
                 for ws, cs in suf.terms.items():
                     for m, cb in br.items():
-                        w = wp + (m,) + ws
-                        cur = out.terms.get(w, 0) + cp * cs * cb
-                        if cur:
-                            out.terms[w] = cur
-                        else:
-                            out.terms.pop(w, None)
+                        add_term(out.terms, wp + (m,) + ws, cp * cs * cb)
     return out
 
 
@@ -510,7 +425,7 @@ class LieCoalgebra:
         out = {}
         for i, a in v.items():
             for jk, c in self.delta_table.get(i, {}).items():
-                out = tensor_add(out, {jk: a * c})
+                add_term(out, jk, a * c)
         return out
 
     def iterated_delta(self, v, n):
@@ -520,7 +435,7 @@ class LieCoalgebra:
             nxt = {}
             for idx, c in cur.items():
                 for (j, k), cb in self.delta_table.get(idx[0], {}).items():
-                    nxt = tensor_add(nxt, {(j, k) + idx[1:]: c * cb})
+                    add_term(nxt, (j, k) + idx[1:], c * cb)
             cur = nxt
         return cur
 
@@ -546,16 +461,19 @@ def delta_P(coalg, P, a, order=None):
             new = [None] * n
             for i in range(n):
                 new[word[i]] = idx[i]
-            out = tensor_add(out, {tuple(new): Fraction(1, n) * c * cb})
+            add_term(out, tuple(new), Fraction(1, n) * c * cb)
     return out
 
 
-class TensElem:
+class TensElem(LinComb):
     """Element of the deformed tensor Hopf algebra of a Lie coalgebra."""
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx              # a TensContext
         self.terms = _norm_terms(terms or {}, ctx.order)
+
+    def _like(self, terms):
+        return TensElem(self.ctx, terms)
 
     @staticmethod
     def unit(ctx, c=1):
@@ -565,31 +483,6 @@ class TensElem:
     def word(ctx, letters, c=1):
         return TensElem(ctx, {tuple(letters): as_series(c, ctx.order)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TensElem(self.ctx, out)
-
-    def __neg__(self):
-        return TensElem(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        return TensElem(self.ctx, {w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other):
         """Concatenation (the algebra structure is undeformed)."""
         if not isinstance(other, TensElem):
@@ -597,12 +490,7 @@ class TensElem:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                k = w1 + w2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                add_term(out, w1 + w2, c1 * c2)
         return TensElem(self.ctx, out)
 
     def counit(self):
@@ -637,19 +525,13 @@ class TensContext:
                     continue
                 h = HSeries.hpow(p + q - 1, 1, self.order)
                 for idx, c in t.items():
-                    key = (idx[:p], idx[p:])
-                    s = out.get(key, 0) + h * c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (idx[:p], idx[p:]), h * c)
         self._gen_comul[i] = out
         return out
 
 
 def t_comul(ctx, x):
     """Coproduct of the deformed tensor algebra (algebra-map extension)."""
-    out = {((), ()): as_series(1, ctx.order)}
     result = {}
     for w, c in x.terms.items():
         cur = {((), ()): c}
@@ -658,19 +540,10 @@ def t_comul(ctx, x):
             nxt = {}
             for (u1, u2), cc in cur.items():
                 for (v1, v2), cg in gen.items():
-                    key = (u1 + v1, u2 + v2)
-                    s = nxt.get(key, 0) + cc * cg
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
+                    add_term(nxt, (u1 + v1, u2 + v2), cc * cg)
             cur = nxt
         for k, cc in cur.items():
-            s = result.get(k, 0) + cc
-            if s:
-                result[k] = s
-            else:
-                result.pop(k, None)
+            add_term(result, k, cc)
     return result
 
 
@@ -733,10 +606,7 @@ def qfsh_delta(a, n):
             for pb in pc:
                 key.append(w[off:off + pb])
                 off += pb
-            k = tuple(key)
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
+            add_term(out, tuple(key), c)
     return ShTensor(ctx, n, out)
 
 
@@ -778,9 +648,7 @@ def sym_word(ctx, letters):
     """Symmetrized tensor of the given letters."""
     out = {}
     for p in itertools.permutations(letters):
-        s = out.get(tuple(p), 0) + as_series(1, ctx.order)
-        if s:
-            out[tuple(p)] = s
+        add_term(out, p, as_series(1, ctx.order))
     return ShElem(ctx, out)
 
 

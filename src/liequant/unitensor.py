@@ -18,6 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .freealg import LiePoly
+from .scalars import LinComb, add_term
 
 
 def a_atom(pid):
@@ -28,18 +29,17 @@ def b_atom(pid):
     return (pid, 1)
 
 
-class UElem:
+class UElem(LinComb):
     """Formal sum of multi-leg word tensors over paired atoms."""
 
-    __slots__ = ("legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, legs, terms=None):
         self.legs = legs
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def _like(self, terms):
+        return UElem(self.legs, terms)
 
     @staticmethod
     def zero(legs):
@@ -52,34 +52,6 @@ class UElem:
     @staticmethod
     def single(legs, key, c=Fraction(1)):
         return UElem(legs, {key: c})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, UElem) and self.legs == other.legs \
-            and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return UElem(self.legs, out)
-
-    def __neg__(self):
-        return UElem(self.legs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if not c:
-            return UElem(self.legs, {})
-        return UElem(self.legs, {k: c * v for k, v in self.terms.items()})
 
     def pids(self):
         out = set()
@@ -94,12 +66,7 @@ class UElem:
         """Rename pids; letters are renormalized to the canonical basis."""
         out = {}
         for k, c in self.terms.items():
-            nk = _relabel_term(k, mapping)
-            s = out.get(nk, 0) + c
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
+            add_term(out, _relabel_term(k, mapping), c)
         return normalize_letters(UElem(self.legs, out))
 
     def place(self, spots, legs):
@@ -115,8 +82,7 @@ class UElem:
     def reverse_leg(self, leg):
         out = {}
         for k, c in self.terms.items():
-            nk = k[:leg] + (tuple(reversed(k[leg])),) + k[leg + 1:]
-            out[nk] = out.get(nk, 0) + c
+            add_term(out, k[:leg] + (tuple(reversed(k[leg])),) + k[leg + 1:], c)
         return UElem(self.legs, out)
 
     def map_leg(self, leg, fn):
@@ -124,12 +90,7 @@ class UElem:
         out = {}
         for k, c in self.terms.items():
             for w, cw in fn(k[leg]).items():
-                key = k[:leg] + (w,) + k[leg + 1:]
-                s = out.get(key, 0) + c * cw
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, k[:leg] + (w,) + k[leg + 1:], c * cw)
         return UElem(self.legs, out)
 
     def pr_leg(self, leg):
@@ -152,11 +113,7 @@ def normalize_letters(elem):
     out = UElem(elem.legs, {})
     for k, c in elem.terms.items():
         for key, cc in _normalize_term_letters(k):
-            s = out.terms.get(key, 0) + c * cc
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
+            add_term(out.terms, key, c * cc)
     return out
 
 
@@ -186,11 +143,7 @@ def u_mul(x, y, modes):
                            for key, c in partial
                            for cw, w in prods]
             for key, c in partial:
-                s = out.terms.get(key, 0) + c
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
+                add_term(out.terms, key, c)
     return out
 
 
@@ -209,10 +162,7 @@ def deconcat_leg(x, leg):
     for k, c in x.terms.items():
         w = k[leg]
         for i in range(len(w) + 1):
-            key = k[:leg] + (w[:i], w[i:]) + k[leg + 1:]
-            s = out.terms.get(key, 0) + c
-            if s:
-                out.terms[key] = s
+            add_term(out.terms, k[:leg] + (w[:i], w[i:]) + k[leg + 1:], c)
     return out
 
 
@@ -249,11 +199,7 @@ def canonical(elem, groups=None):
         w = Fraction(1, len(perms))
         for perm_map in perms:
             for key, cc in _normalize_term_letters(_relabel_term(term0, perm_map)):
-                s = out.terms.get(key, 0) + c * cc * w
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
+                add_term(out.terms, key, c * cc * w)
     return out
 
 
@@ -327,7 +273,6 @@ def instantiate_tensor(elem, alg, r, order=None):
     a tensor with one algebra element per letter, flattened legwise into
     a tuple-of-words tensor {(word, word, ...): coeff} over basis indices.
     """
-    from .scalars import as_series
     rterms = list(r.items())
     out = {}
     carrier = alg.carrier()
@@ -366,11 +311,7 @@ def instantiate_tensor(elem, alg, r, order=None):
                 combos = [(key + (w,), cc * cw) for key, cc in combos
                           for w, cw in words]
             for key, cc in combos:
-                s = out.get(key, 0) + cc
-                if (isinstance(s, Fraction) and s) or (not isinstance(s, Fraction) and s):
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, key, cc)
     return out
 
 
@@ -386,10 +327,5 @@ def collapse_single_letters(tensor_terms, legs):
     out = {}
     for key, c in tensor_terms.items():
         assert all(len(w) == 1 for w in key)
-        idx = tuple(w[0] for w in key)
-        s = out.get(idx, 0) + c
-        if s:
-            out[idx] = s
-        else:
-            out.pop(idx, None)
+        add_term(out, tuple(w[0] for w in key), c)
     return out

@@ -19,6 +19,7 @@ from . import linalg
 from .bfamily import Obstructed, positive_compositions
 from .freealg import LiePoly, expand_leftnormed, substitute, FreeLieCarrier
 from .rmatrix import NonUnique, independent_subset, lambda_table, _shift_pids
+from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, canonical, u_mul,
                         pr_word_product, instantiate_tensor,
                         collapse_single_letters)
@@ -46,12 +47,7 @@ def expand_to_words(elem):
             pieces = [(key + (w,), c1 * c2) for key, c1 in pieces
                       for w, c2 in opts]
         for key, cc in pieces:
-            key = tuple(tuple((a,) for a in w) for w in key)
-            s = out.terms.get(key, 0) + cc
-            if s:
-                out.terms[key] = s
-            else:
-                out.terms.pop(key, None)
+            add_term(out.terms, tuple(tuple((a,) for a in w) for w in key), cc)
     return out
 
 
@@ -76,13 +72,6 @@ def normal_order(elem):
     done = {}
     work = dict(elem.terms)
 
-    def push(key, coeff):
-        s = work.get(key, 0) + coeff
-        if s:
-            work[key] = s
-        else:
-            work.pop(key, None)
-
     while work:
         k, c = work.popitem()
         target = None
@@ -95,11 +84,7 @@ def normal_order(elem):
             if target:
                 break
         if target is None:
-            sdone = done.get(k, 0) + c
-            if sdone:
-                done[k] = sdone
-            else:
-                done.pop(k, None)
+            add_term(done, k, c)
             continue
         s, i = target
         w = k[s]
@@ -107,7 +92,7 @@ def normal_order(elem):
         ap = w[i + 1][0]
         # swap term
         w_swap = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        push(k[:s] + (w_swap,) + k[s + 1:], c)
+        add_term(work, k[:s] + (w_swap,) + k[s + 1:], c)
         # CYBE move for the commutator [b_j, a_p]
         j, p = bj[0], ap[0]
         loc_aj = _find_atom(k, (j, 0))
@@ -125,13 +110,13 @@ def normal_order(elem):
         legk = mid_b[ks]
         w1 = legk[:ki] + (((j, 0),), (ap,)) + legk[ki + 1:]
         w2 = legk[:ki] + ((ap,), ((j, 0),)) + legk[ki + 1:]
-        push(mid_b[:ks] + (w1,) + mid_b[ks + 1:], -c)
-        push(mid_b[:ks] + (w2,) + mid_b[ks + 1:], c)
+        add_term(work, mid_b[:ks] + (w1,) + mid_b[ks + 1:], -c)
+        add_term(work, mid_b[:ks] + (w2,) + mid_b[ks + 1:], c)
         legl = mid_a[ls]
         v1 = legl[:li] + ((bj,), ((p, 1),)) + legl[li + 1:]
         v2 = legl[:li] + (((p, 1),), (bj,)) + legl[li + 1:]
-        push(mid_a[:ls] + (v1,) + mid_a[ls + 1:], -c)
-        push(mid_a[:ls] + (v2,) + mid_a[ls + 1:], c)
+        add_term(work, mid_a[:ls] + (v1,) + mid_a[ls + 1:], -c)
+        add_term(work, mid_a[:ls] + (v2,) + mid_a[ls + 1:], c)
     return UElem(legs, done)
 
 
@@ -191,11 +176,7 @@ def lie_form(elem):
         if not ok:
             continue
         key = tuple((tuple(letter[0] for letter in leg),) for leg in k)
-        s = out.terms.get(key, 0) + c
-        if s:
-            out.terms[key] = s
-        else:
-            out.terms.pop(key, None)
+        add_term(out.terms, key, c)
     back = canonical_classes(expand_to_words(out))
     orig = canonical_classes(expand_to_words(elem))
     assert back == orig, "element is not a tensor of Lie polynomials"
@@ -446,11 +427,7 @@ def _substitute_pairs(elem, pair_map):
             if not ok:
                 continue
             for key, c5 in reterm:
-                s = out.terms.get(key, 0) + cc * c5
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
+                add_term(out.terms, key, cc * c5)
     return out
 
 
@@ -509,11 +486,7 @@ class UnivContext:
                         off += m
                         pair_map[pid] = rep
                     for k, c in _substitute_pairs(rn, pair_map).terms.items():
-                        s = acc.get(k, 0) + c
-                        if s:
-                            acc[k] = s
-                        else:
-                            acc.pop(k, None)
+                        add_term(acc, k, c)
             out.append(UElem(2, acc))
         return out
 
@@ -557,12 +530,8 @@ def _triple(acc, L1, L2, L3, c):
     for m1, c1 in L1.terms.items():
         for m2, c2 in L2.terms.items():
             for m3, c3 in L3.terms.items():
-                key = ((tuple(m1),), (tuple(m2),), (tuple(m3),))
-                s = acc.get(key, 0) + c * c1 * c2 * c3
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)),
+                         c * c1 * c2 * c3)
 
 
 def varrho_one():

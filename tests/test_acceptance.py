@@ -17,7 +17,7 @@ from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, expand, dynkin,
                               cbh, expand_leftnormed)
 from liequant.bfamily import (solve_bfamily, assoc_residual, cbh_check,
                               PAPER3_B21, PAPER3_B12)
-from liequant.liealg import borel2, sl2, build_double
+from liequant.liealg import borel2, sl2, build_double, tensor_add
 from liequant.shuffle import (ShContext, ShElem, sh_mul, hopf_report,
                               qfsh_delta, qfsh_member,
                               ordered_surjection_count, all_words)
@@ -33,8 +33,7 @@ from liequant.universal import (solve_varrho, phi_N, delta4, varrho_one,
 from liequant.quantize import Quantization
 from liequant import linalg
 from liequant.deform import (matrix_algebra, random_r, aryeh_residual,
-                             recursion_residual, half_r_squared, kappa_cob,
-                             t_add)
+                             recursion_residual, half_r_squared, kappa_cob)
 
 
 def report(num, ok, t0, detail=""):
@@ -298,7 +297,7 @@ def test_criterion_8_deformation():
     r = {(1, 1): Fraction(1)}
     ok = ok and recursion_residual(m2, r, [r, half_r_squared(m2, r)], 3) == {}
     x = {0: Fraction(2), 3: Fraction(-1)}
-    r2k = t_add(half_r_squared(m2, r), kappa_cob(m2, r, x))
+    r2k = tensor_add(half_r_squared(m2, r), kappa_cob(m2, r, x))
     ok = ok and recursion_residual(m2, r, [r, r2k], 3) == {}
     report(8, ok, t0, "homotopy-family identity on 20 seeded R; r^2/2 solves "
                       "the order-3 equation")

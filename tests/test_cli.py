@@ -116,3 +116,11 @@ def test_malformed_bialgebra_is_input_error(tmp_path):
 def test_degree_below_two_is_input_error():
     _assert_input_error(run_cli("bfamily", "solve", "--max-degree", "1"))
     _assert_input_error(run_cli("shuffle", "mul", "--max-degree", "1"))
+
+
+def test_out_of_range_flags_are_input_errors():
+    _assert_input_error(run_cli("quantize", "--hbar-order", "-1"))
+    _assert_input_error(run_cli("shuffle", "mul", "--left", "0,1", "--right", "1",
+                                "--hbar-order", "-2"))
+    _assert_input_error(run_cli("shuffle", "hopf-check", "--hbar-order", "-1"))
+    _assert_input_error(run_cli("cbh", "--max-degree", "0"))

@@ -7,7 +7,8 @@ from liequant.deform import (matrix_algebra, AssocAlgebra, cybe, bbrack,
                              delta_r, delta_p, aryeh_residual, kappa_cob,
                              recursion_residual, obstruction_check,
                              half_r_squared, random_r, random_tensor,
-                             t_add, t_smul, t_mul, qybe_assoc_expr)
+                             t_mul, qybe_assoc_expr)
+from liequant.liealg import tensor_add, tensor_smul
 
 M2 = matrix_algebra(2)
 R_CYBE = {(1, 1): Fraction(1)}      # e12 x e12
@@ -24,15 +25,15 @@ def test_bbrack_examples():
     assert bbrack(M2, R_CYBE, {}) == {}
     for _ in range(5):
         r = random_r(M2, rng)
-        assert bbrack(M2, r, r) == t_smul(Fraction(2), cybe(M2, r))
+        assert bbrack(M2, r, r) == tensor_smul(Fraction(2), cybe(M2, r))
     # brute-force index-placement oracle for one random pair
     r = random_r(M2, rng)
     R = random_r(M2, rng)
     from liequant.deform import place, t_comm
     brute = {}
     for s1, s2 in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        brute = t_add(brute, t_comm(M2, place(M2, r, s1, 3), place(M2, R, s2, 3)))
-        brute = t_add(brute, t_comm(M2, place(M2, R, s1, 3), place(M2, r, s2, 3)))
+        brute = tensor_add(brute, t_comm(M2, place(M2, r, s1, 3), place(M2, R, s2, 3)))
+        brute = tensor_add(brute, t_comm(M2, place(M2, R, s1, 3), place(M2, r, s2, 3)))
     assert bbrack(M2, r, R) == brute
 
 
@@ -73,12 +74,12 @@ def test_delta_p1_is_linear_term_of_delta_p3():
         r = random_r(M2, rng)
         rho = random_tensor(M2, 3, rng)
         assert delta_p(M2, one, rho, 3) == {}
-        f = {t: delta_p(M2, t_add(one, t_smul(Fraction(t), r)), rho, 3)
+        f = {t: delta_p(M2, tensor_add(one, tensor_smul(Fraction(t), r)), rho, 3)
              for t in (1, 2, 3)}
         # f(t) = a t + b t^2 + c t^3  =>  a = 3 f(1) - 3/2 f(2) + 1/3 f(3)
-        linear = t_add(t_add(t_smul(Fraction(3), f[1]),
-                             t_smul(Fraction(-3, 2), f[2])),
-                       t_smul(Fraction(1, 3), f[3]))
+        linear = tensor_add(tensor_add(tensor_smul(Fraction(3), f[1]),
+                                       tensor_smul(Fraction(-3, 2), f[2])),
+                            tensor_smul(Fraction(1, 3), f[3]))
         assert linear and linear == delta_p(M2, r, rho, 1)
 
 
@@ -94,7 +95,7 @@ def test_recursion_residual():
     rr = half_r_squared(M2, R_CYBE)
     assert recursion_residual(M2, R_CYBE, [R_CYBE, rr], 3) == {}
     x = {0: Fraction(2), 3: Fraction(-1)}
-    rr2 = t_add(rr, kappa_cob(M2, R_CYBE, x))
+    rr2 = tensor_add(rr, kappa_cob(M2, R_CYBE, x))
     assert recursion_residual(M2, R_CYBE, [R_CYBE, rr2], 3) == {}
     # empty sums at N where nothing contributes
     assert recursion_residual(M2, {}, [{}], 2) == {}
@@ -104,9 +105,9 @@ def test_obstruction_check():
     rr = half_r_squared(M2, R_CYBE)
     assert obstruction_check(M2, R_CYBE, [R_CYBE, rr], 4) == {}
     x = {0: Fraction(1)}
-    rr2 = t_add(rr, kappa_cob(M2, R_CYBE, x))
+    rr2 = tensor_add(rr, kappa_cob(M2, R_CYBE, x))
     assert obstruction_check(M2, R_CYBE, [R_CYBE, rr2], 4) == {}
     rng = random.Random(3)
-    bad = t_add(rr, random_r(M2, rng))
+    bad = tensor_add(rr, random_r(M2, rng))
     with pytest.raises(ValueError):
         obstruction_check(M2, R_CYBE, [R_CYBE, bad], 4)

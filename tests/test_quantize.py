@@ -96,11 +96,11 @@ def test_beta_gamma(Q2, B4):
     for i in range(2):
         for j in range(2):
             br = alg.bracket(alg.basis(i), alg.basis(j))
-            b11 = Q2.beta(1, 1, [alg.basis(i)], j)
+            b11 = Q2.dual_block(1, 1, [alg.basis(i)], j)
             expect = {(k,): Fraction(1, 2) * c for k, c in br.items()}
             assert {k: v for k, v in b11.items()} == \
                 {k: v for k, v in expect.items() if v}
-            g11 = Q2.gamma(1, 1, [alg.basis(i)], j)
+            g11 = Q2.dual_block(1, 1, [alg.basis(i)], j, xi_right=True)
             expect_g = {(k,): Fraction(-1, 2) * c for k, c in br.items()}
             assert g11 == {k: v for k, v in expect_g.items() if v}
 
@@ -114,7 +114,7 @@ def test_beta_vanishes_abelian(B4):
                 continue
             if p + q == 2 and False:
                 continue
-            blk = Qa.beta(p, q, [alg.basis(0)] * q, 1)
+            blk = Qa.dual_block(p, q, [alg.basis(0)] * q, 1)
             if p + q >= 2:
                 assert blk == {} or (p, q) == (1, 1) and blk == {}
 

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from liequant.scalars import HSeries, as_series, scalar_str, scalar_from_json
+from liequant.bfamily import solve_bfamily
+from liequant.freealg import AssocPoly, LiePoly
+from liequant.liealg import borel2
+from liequant.scalars import (HSeries, LinComb, add_term, as_series, scalar_str,
+                              scalar_from_json)
+from liequant.shuffle import (LieCoalgebra, ShContext, ShElem, ShTensor, TensContext,
+                              TensElem)
+from liequant.unitensor import UElem
 
 
 def test_truncation_to_min_order():
@@ -45,3 +52,86 @@ def test_json_forms():
     s = HSeries([0, 1, Fraction(1, 2)], 2)
     assert scalar_from_json(scalar_str(s)) == s
     assert scalar_from_json("3/4") == Fraction(3, 4)
+
+
+# ---------------------------------------------------------------------------
+# the shared sparse arithmetic of the six linear-combination classes
+# ---------------------------------------------------------------------------
+
+ORDER = 2
+SERIES_KINDS = ("ShElem", "TensElem", "ShTensor")
+
+
+def _contexts():
+    bia = borel2()
+    fam = solve_bfamily(Fraction(1, 2), 2)
+    return (ShContext(bia.algebra, fam, ORDER),
+            TensContext(LieCoalgebra.from_bialgebra(bia), fam, ORDER))
+
+
+def _kinds():
+    """kind -> (class, builder from a terms dict, three distinct keys)."""
+    sctx, tctx = _contexts()
+    a0, b0, b1 = ((0, 0),), ((0, 1),), ((1, 1),)     # single-atom letters
+    return {
+        "AssocPoly": (AssocPoly, AssocPoly, [(0,), (0, 1), (1, 0)]),
+        "LiePoly": (LiePoly, LiePoly, [(0,), (1,), (0, 1)]),
+        "ShElem": (ShElem, lambda t: ShElem(sctx, t), [(0,), (1,), (0, 1)]),
+        "TensElem": (TensElem, lambda t: TensElem(tctx, t), [(), (1,), (1, 0)]),
+        "ShTensor": (ShTensor, lambda t: ShTensor(sctx, 2, t),
+                     [((0,), ()), ((), (1,)), ((0,), (1,))]),
+        "UElem": (UElem, lambda t: UElem(2, t),
+                  [((a0,), ()), ((), (b0,)), ((a0,), (b0, b1))]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["AssocPoly", "LiePoly", "ShElem", "TensElem",
+                                  "ShTensor", "UElem"])
+def test_lincomb_arithmetic(kind):
+    cls, make, (k0, k1, k2) = _kinds()[kind]
+    assert issubclass(cls, LinComb)
+    assert not {"__bool__", "__add__", "__neg__", "__sub__", "__rmul__"} & set(vars(cls))
+    x = make({k0: Fraction(1, 2), k1: Fraction(-3)})
+    y = make({k1: Fraction(3), k2: Fraction(5)})
+    zero = x - x
+    assert not zero and zero.terms == {}
+    assert not 0 * x and (0 * x).terms == {}
+    assert (x + y) - y == x
+    assert x + y == make({k0: Fraction(1, 2), k2: Fraction(5)})
+    assert -x + x == zero and 2 * x == x + x and x != y
+    for z in (x + y, x - y, -x, 3 * y):
+        assert all(z.terms.values())
+    if kind in SERIES_KINDS:
+        h = HSeries.hbar(ORDER)
+        s = make({k0: 1 + h, k1: h}) + make({k0: -1 - h})
+        assert list(s.terms) == [k1] and s.terms[k1] == h
+        # a coefficient that truncates to zero drops its key as well
+        top = HSeries.hpow(ORDER, 1, ORDER)
+        assert (h * make({k0: top, k1: 1})).terms == {k1: h}
+
+
+def test_lincomb_leg_counts_differ():
+    sctx, _ = _contexts()
+    key = (((0, 0),), ((0, 1),))
+    assert UElem(2, {key: Fraction(1)}) != UElem(3, {key: Fraction(1)})
+    assert UElem.zero(2) != UElem.zero(3) and UElem.zero(2) == UElem.zero(2)
+    assert ShTensor(sctx, 2, {((0,), (1,)): 1}) != ShTensor(sctx, 3, {((0,), (1,)): 1})
+    assert ShTensor(sctx, 2, {}) != ShTensor(sctx, 3, {})
+
+
+def test_add_term_never_stores_zero():
+    h = HSeries.hbar(2)
+    d = {}
+    for k, c in (("a", 0), ("b", Fraction(0)), ("c", HSeries([0, 0], 1)),
+                 ("d", h * HSeries.hpow(2, 1, 2))):
+        add_term(d, k, c)
+    assert d == {}
+    add_term(d, "x", Fraction(1, 2))
+    add_term(d, "x", Fraction(-1, 2))
+    add_term(d, "h", h)
+    add_term(d, "h", -h)
+    assert d == {}
+    add_term(d, "y", 1)
+    add_term(d, "y", Fraction(2))
+    add_term(d, "y", 0)
+    assert d == {"y": 3}

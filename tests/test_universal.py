@@ -6,7 +6,7 @@ import pytest
 from liequant import linalg
 from liequant.bfamily import solve_bfamily
 from liequant.deform import matrix_algebra, t_mul as am_mul, place as am_place, \
-    t_add as am_add, t_smul as am_smul, cybe as am_cybe
+    cybe as am_cybe
 from liequant.liealg import (borel2, build_double, delta3_r, delta4_r,
                              tensor_add, tensor_smul, sl2, cybe_residual,
                              placed_bracket)
@@ -94,8 +94,8 @@ def test_f3_kappa_is_algebra_morphism():
                                   Fraction(1)}) for (pp, s) in letter]
                         acc = vals[0]
                         for vv in vals[1:]:
-                            acc = am_add(m2.mul(acc, vv),
-                                         am_smul(Fraction(-1), m2.mul(vv, acc)))
+                            acc = tensor_add(m2.mul(acc, vv),
+                                             tensor_smul(Fraction(-1), m2.mul(vv, acc)))
                         cur = m2.mul(cur, acc)
                         if not cur:
                             dead = True
