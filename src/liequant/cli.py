@@ -126,6 +126,7 @@ def cmd_shuffle(args):
 
 
 def cmd_rmatrix(args):
+    _check_degree(args, 0)
     fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree, 2), args.gauge)
     terms = rmatrix.rmatrix_terms(fam, args.max_degree)
     ok = True
@@ -141,6 +142,8 @@ def cmd_rmatrix(args):
 
 
 def cmd_qybe(args):
+    if args.action == "cohomology" and args.max_n < 1:
+        raise BadInput("--max-n must be at least 1")
     fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree + 1, 2), "paper3")
     if args.action == "cohomology":
         dims = universal.cohomology_dims(args.max_n)
@@ -201,6 +204,8 @@ def cmd_quantize(args):
 
 
 def cmd_cybe_props(args):
+    if args.trials < 1:
+        raise BadInput("--trials must be at least 1")
     alg = deform.matrix_algebra(2 if args.algebra == "m2" else 3)
     rng = random.Random(args.seed)
     failures = 0

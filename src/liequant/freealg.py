@@ -116,12 +116,22 @@ def assoc_commutator(a, b):
     return a * b - b * a
 
 
+def leftnormed_words(letters):
+    """Words of the left-normed bracket [[x1,x2],...,xk] as (word, sign)
+    pairs: each later letter goes right with +1 or left with -1."""
+    words = [(tuple(letters[:1]), 1)]
+    for a in letters[1:]:
+        words = ([(w + (a,), c) for w, c in words]
+                 + [((a,) + w, -c) for w, c in words])
+    return words
+
+
 def expand_leftnormed(letters):
     """AssocPoly expansion of the left-normed bracket [[x1,x2],...,xk]."""
-    out = AssocPoly.word(letters[:1])
-    for a in letters[1:]:
-        out = assoc_commutator(out, AssocPoly.gen(a))
-    return out
+    out = {}
+    for w, c in leftnormed_words(letters):
+        add_term(out, w, Fraction(c))
+    return AssocPoly(out)
 
 
 # ---------------------------------------------------------------------------

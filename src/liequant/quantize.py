@@ -109,8 +109,6 @@ class Quantization:
         out = {}
         for k in range(self.order + 1):
             full = res.hcoeff(k)
-            pr = {key: c for key, c in full.items()
-                  if all(len(w) == 1 for w in key)}
             # the pr projection of the order-k component
             prres = {}
             for key, c in res.terms.items():

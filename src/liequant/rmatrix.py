@@ -4,13 +4,13 @@ The recursion table lambda assigns to each composition (n_1..n_k) an
 element of the coinvariant space with k first-leg Lie factors and one
 last factor; assembling kappa-images of table entries with legwise
 products and reversing the second leg yields the terms R_n satisfying
-the quasitriangularity identities.  An independent degree-by-degree
-linear solver provides the oracle characterization.
+the quasitriangularity identities.  Table entries are kept as raw
+representatives; only their classes modulo relabeling of the formal
+pairs (unitensor.canonical) are meaningful.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -113,17 +113,10 @@ class LambdaTable:
             total = UElem.zero(2)
             for p in pieces:
                 total = total + p
-            groups = {}
-            off = 0
-            for i, m in enumerate(comp):
-                for p in range(off, off + m):
-                    groups[p] = i
-                off += m
-            ent = canonical(total, groups)
-            if ent:
+            if canonical(total):
                 if len(comp) == 1:
                     raise AssertionError("single-block entry should vanish")
-                self.entries[comp] = ent
+                self.entries[comp] = total
 
     def rmatrix(self, n):
         """R_n: reversal of the second leg of R'_n."""
@@ -164,11 +157,6 @@ def rmatrix_terms(bfam, N):
     return [table.rmatrix(n) for n in range(N + 1)]
 
 
-def _all_same_canonical(elem):
-    pids = elem.pids()
-    return canonical(elem, {p: 0 for p in pids})
-
-
 def quasitri_residual(bfam, rlist, n):
     """Residuals of the two coproduct identities and the antipode identity.
 
@@ -183,7 +171,7 @@ def quasitri_residual(bfam, rlist, n):
         x = rlist[k].place((1, 3), 3)
         y = _shift_pids(rlist[n - k], k).place((2, 3), 3)
         rhs1 = rhs1 + u_mul(x, y, (sh, sh, sh))
-    res1 = _all_same_canonical(lhs1 - rhs1)
+    res1 = canonical(lhs1 - rhs1)
 
     lhs2 = deconcat_leg(rn, 1)
     rhs2 = UElem.zero(3)
@@ -191,81 +179,25 @@ def quasitri_residual(bfam, rlist, n):
         x = rlist[k].place((1, 3), 3)
         y = _shift_pids(rlist[n - k], k).place((1, 2), 3)
         rhs2 = rhs2 + u_mul(x, y, (sh, sh, sh))
-    res2 = _all_same_canonical(lhs2 - rhs2)
+    res2 = canonical(lhs2 - rhs2)
 
     lhs3 = rn.map_leg(0, bfam.letter_antipode)
     rhs3 = rn.map_leg(1, lambda w: bfam.letter_antipode(w, inverse=True))
-    res3 = _all_same_canonical(lhs3 - rhs3)
+    res3 = canonical(lhs3 - rhs3)
     return {"delta1": res1, "delta2": res2, "antipode": res3}
 
 
-# ---------------------------------------------------------------------------
-# independent oracle: degree-by-degree linear solve
-# ---------------------------------------------------------------------------
-
-def _ordered_set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    rest = items[1:]
-    for k in range(0, len(rest) + 1):
-        for comb in itertools.combinations(rest, k):
-            block = [first] + list(comb)
-            remaining = [x for x in rest if x not in comb]
-            for tail in _ordered_set_partitions(remaining):
-                # insert block at every position
-                for pos in range(len(tail) + 1):
-                    yield tail[:pos] + [block] + tail[pos:]
-
-
-def _leg_structures(pids, side):
-    """All words of Lie basis letters on the given atoms."""
-    out = []
-    for parts in _ordered_set_partitions(pids):
-        options = [()]
-        for block in parts:
-            atoms = sorted((p, side) for p in block)
-            lo, rest = atoms[0], atoms[1:]
-            monos = [(lo,) + perm for perm in itertools.permutations(rest)]
-            options = [w + (m,) for w in options for m in monos]
-        out.extend(options)
-    return out
-
-
-def universal_basis_deg(n):
-    """Canonical basis of the universal 2-leg space of degree n.
-
-    Symmetrized representatives of raw generators span the space but are
-    not independent; an exact rank filter keeps a true basis.
-    """
-    pids = list(range(n))
-    seen = {}
-    for awords in _leg_structures(pids, 0):
-        for bwords in _leg_structures(pids, 1):
-            e = canonical(UElem(2, {(awords, bwords): Fraction(1)}),
-                          {p: 0 for p in pids})
-            if not e:
-                continue
-            # normalize the sign/scale so proportional duplicates collapse
-            lead = min(e.terms)
-            e = (1 / e.terms[lead]) * e
-            key = tuple(sorted(e.terms.items()))
-            if key not in seen:
-                seen[key] = e
-    return independent_subset(list(seen.values()))
-
-
-def independent_subset(elems):
-    """Greedy exact rank filter over the term-key coordinates."""
-    keys = sorted({k for e in elems for k in e.terms}, key=str)
+def independent_subset(elems, cls):
+    """Greedy exact rank filter: the elements whose classes cls(e) are
+    independent of those of the elements kept before them."""
+    classes = [cls(e) for e in elems]
+    keys = sorted({k for e in classes for k in e.terms}, key=str)
     index = {k: i for i, k in enumerate(keys)}
     rows = []
     out = []
-    for e in elems:
+    for e, ce in zip(elems, classes):
         vec = [Fraction(0)] * len(keys)
-        for k, c in e.terms.items():
+        for k, c in ce.terms.items():
             vec[index[k]] = c
         cand = rows + [vec]
         if linalg.rank(cand, len(keys)) == len(cand):
@@ -274,74 +206,8 @@ def independent_subset(elems):
     return out
 
 
-class NoSolution(ValueError):
-    pass
-
-
 class NonUnique(ValueError):
     pass
-
-
-def rmatrix_by_solving(bfam, N):
-    """Solve the coproduct identities for R_n degree by degree.
-
-    Constraints: R_0 = 1, R_1 = the elementary pair, both coproduct
-    identities, and vanishing of the (pr x pr)-part for n >= 2.  The
-    solution is asserted unique; this is the independent oracle for
-    rmatrix_terms.
-    """
-    sh = ("sh", bfam)
-    rlist = [UElem.unit(2), pair_elem(0)]
-    for n in range(2, N + 1):
-        basis = universal_basis_deg(n)
-
-        def residuals(cand):
-            rows = {}
-            full = rlist + [cand]
-            lhs1 = deconcat_leg(cand, 0)
-            rhs1 = UElem.zero(3)
-            lhs2 = deconcat_leg(cand, 1)
-            rhs2 = UElem.zero(3)
-            for k in range(0, n + 1):
-                x = full[k].place((1, 3), 3)
-                y = _shift_pids(full[n - k], k).place((2, 3), 3)
-                rhs1 = rhs1 + u_mul(x, y, (sh, sh, sh))
-                y2 = _shift_pids(full[n - k], k).place((1, 2), 3)
-                rhs2 = rhs2 + u_mul(x, y2, (sh, sh, sh))
-            r1 = _all_same_canonical(lhs1 - rhs1)
-            r2 = _all_same_canonical(lhs2 - rhs2)
-            pp = _all_same_canonical(cand.pr_leg(0).pr_leg(1))
-            for tag, r in (("d1", r1), ("d2", r2), ("pp", pp)):
-                for key, c in r.terms.items():
-                    rows[(tag, key)] = c
-            return rows
-
-        base = residuals(UElem.zero(2))
-        cols = []
-        rowkeys = set(base)
-        for e in basis:
-            r = residuals(e)
-            diff = {}
-            for key in set(r) | set(base):
-                d = r.get(key, Fraction(0)) - base.get(key, Fraction(0))
-                if d:
-                    diff[key] = d
-            cols.append(diff)
-            rowkeys.update(diff)
-        rowkeys = sorted(rowkeys)
-        A = [[col.get(rk, Fraction(0)) for col in cols] for rk in rowkeys]
-        b = [-base.get(rk, Fraction(0)) for rk in rowkeys]
-        try:
-            x, null = linalg.solve_affine(A, len(basis), b)
-        except linalg.InconsistentSystem:
-            raise NoSolution(n)
-        if null:
-            raise NonUnique(n)
-        rn = UElem.zero(2)
-        for c, e in zip(x, basis):
-            rn = rn + c * e
-        rlist.append(rn)
-    return rlist
 
 
 # ---------------------------------------------------------------------------

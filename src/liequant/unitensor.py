@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import LiePoly
+from .freealg import LiePoly, leftnormed_words
 from .scalars import LinComb, add_term
 
 
@@ -167,51 +167,44 @@ def deconcat_leg(x, leg):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms of coinvariant classes
+# classes modulo relabeling of the formal pairs
 # ---------------------------------------------------------------------------
 
-def canonical(elem, groups=None):
-    """Symmetrized representative of a coinvariant class.
-
-    groups: dict pid -> group label; pids in the same group are
-    interchangeable (simultaneous relabeling of both atoms).  Defaults to
-    grouping by the atom-slot type of each pid.  Relabeling acts linearly
-    (it mixes the Lie-letter basis), so the projection onto coinvariants
-    is the averaging idempotent over the group, applied after a canonical
-    base renumbering of the pids.  Zero classes map to the empty element;
-    the output is idempotent under re-canonicalization.
-    """
-    elem = normalize_letters(elem)
-    out = UElem(elem.legs, {})
-    for k, c in elem.terms.items():
-        if groups is None:
-            g = _type_groups(k)
-        else:
-            g = groups
-        pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
-        # canonical base relabel: pids -> 0..N-1 ordered by (group, pid)
-        base = {p: i for i, p in enumerate(sorted(pids, key=lambda p: (str(g.get(p)), p)))}
-        base_groups = {}
-        for p in pids:
-            base_groups.setdefault(str(g.get(p)), []).append(base[p])
-        term0 = _relabel_term(k, base)
-        perms = list(_group_perms(base_groups))
-        w = Fraction(1, len(perms))
-        for perm_map in perms:
-            for key, cc in _normalize_term_letters(_relabel_term(term0, perm_map)):
-                add_term(out.terms, key, c * cc * w)
+def expand_letters(k):
+    """Expand every letter of a term key into associative words in place;
+    letter boundaries are kept.  List of (key, coeff)."""
+    out = [((), 1)]
+    for leg in k:
+        options = [((), 1)]
+        for letter in leg:
+            options = [(w + (word,), c * cw)
+                       for w, c in options
+                       for word, cw in leftnormed_words(letter)]
+        out = [(key + (w,), c * cw) for key, c in out for w, cw in options]
     return out
 
 
-def _type_groups(k):
-    g = {}
-    for slot, leg in enumerate(k):
-        for letter in leg:
-            for (p, s) in letter:
-                cur = g.get(p, [None, None])
-                cur[s] = slot
-                g[p] = cur
-    return {p: tuple(v) for p, v in g.items()}
+def canonical(elem):
+    """Class coordinate of elem modulo relabeling of the formal pairs.
+
+    Each letter is expanded in place into associative words (letter
+    boundaries kept, so words of shuffle-leg letters stay distinct from
+    words of letters).  Every atom then occurs once per key, so relabeling
+    permutes keys freely and renaming pids in order of first appearance
+    picks the orbit representative.  Two elements have the same class iff
+    their coordinates are equal; zero classes map to the empty element.
+    The result's letters are associative words, not Lie monomials: it is a
+    coordinate for comparison, not a Lie-letter element to compute with.
+    """
+    out = {}
+    for k, c in elem.terms.items():
+        for key, cw in expand_letters(k):
+            names = {}
+            add_term(out, tuple(tuple(tuple((names.setdefault(p, len(names)), s)
+                                            for (p, s) in letter)
+                                      for letter in leg)
+                                for leg in key), c * cw)
+    return UElem(elem.legs, out)
 
 
 def _relabel_term(k, mapping):
@@ -220,14 +213,8 @@ def _relabel_term(k, mapping):
                  for leg in k)
 
 
-_NORM_CACHE = {}
-
-
 def _normalize_term_letters(k):
-    """Expand letters into the canonical basis; sorted list of (term, coeff)."""
-    hit = _NORM_CACHE.get(k)
-    if hit is not None:
-        return hit
+    """Expand letters into the canonical basis; list of (term, coeff)."""
     expanded = [((), Fraction(1))]
     for leg in k:
         options = [((), Fraction(1))]
@@ -242,23 +229,7 @@ def _normalize_term_letters(k):
         expanded = [(key + (tuple(w),), c * cw)
                     for key, c in expanded
                     for w, cw in options]
-    expanded.sort()
-    _NORM_CACHE[k] = expanded
     return expanded
-
-
-def _group_perms(groups):
-    """All simultaneous relabelings permuting each group's pids."""
-    labels = sorted(groups)
-    pools = []
-    for lab in labels:
-        members = sorted(groups[lab])
-        pools.append([dict(zip(members, p)) for p in itertools.permutations(members)])
-    for combo in itertools.product(*pools):
-        m = {}
-        for d in combo:
-            m.update(d)
-        yield m
 
 
 # ---------------------------------------------------------------------------

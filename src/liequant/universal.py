@@ -13,16 +13,17 @@ of the shape a...a b...b, which spans the direct sum of the F-spaces.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
 from .bfamily import Obstructed, positive_compositions
-from .freealg import LiePoly, expand_leftnormed, substitute, FreeLieCarrier
+from .freealg import LiePoly, substitute, FreeLieCarrier
 from .rmatrix import NonUnique, independent_subset, lambda_table, _shift_pids
 from .scalars import add_term
-from .unitensor import (UElem, a_atom, b_atom, canonical, u_mul,
-                        pr_word_product, instantiate_tensor,
-                        collapse_single_letters)
+from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
+                        normalize_letters, u_mul, pr_word_product,
+                        instantiate_tensor, collapse_single_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -31,24 +32,12 @@ from .unitensor import (UElem, a_atom, b_atom, canonical, u_mul,
 
 def expand_to_words(elem):
     """Expand every multi-atom letter into plain single-atom words."""
-    out = UElem(elem.legs, {})
+    out = {}
     for k, c in elem.terms.items():
-        pieces = [((), c)]
-        for leg in k:
-            opts = [((), Fraction(1))]
-            for letter in leg:
-                if len(letter) == 1:
-                    opts = [(w + letter, cc) for w, cc in opts]
-                else:
-                    exp = expand_leftnormed(tuple(letter))
-                    opts = [(w + word, cc * cw)
-                            for w, cc in opts
-                            for word, cw in exp.terms.items()]
-            pieces = [(key + (w,), c1 * c2) for key, c1 in pieces
-                      for w, c2 in opts]
-        for key, cc in pieces:
-            add_term(out.terms, tuple(tuple((a,) for a in w) for w in key), cc)
-    return out
+        for key, cw in expand_letters(k):
+            add_term(out, tuple(tuple((a,) for word in leg for a in word)
+                                for leg in key), c * cw)
+    return UElem(elem.legs, out)
 
 
 def _find_atom(k, atom):
@@ -141,8 +130,9 @@ def grading(k):
 
 
 def canonical_classes(elem):
-    """Symmetrized word-form representative, grouped by pair type."""
-    return canonical(elem, None)
+    """Class coordinate of the plain word form: slots multiply
+    associatively, so letter boundaries are dropped before comparing."""
+    return canonical(expand_to_words(elem))
 
 
 def split_by_grading(elem):
@@ -154,32 +144,22 @@ def split_by_grading(elem):
 
 
 def lie_form(elem):
-    """Read a word-form class as sums of Lie-letter tensors, with proof.
+    """Read a word-form class as a tensor of Lie letters, with proof.
 
-    Every slot word of every graded piece must assemble into a tensor of
-    Lie polynomials; the coordinates are read from the word tuples whose
-    every slot starts with its minimal atom.  The reconstruction is
-    verified by expanding back (raises AssertionError otherwise).
+    Each slot word w is read as (1/|w|) [..[w1,w2],..,wk]
+    (Dynkin-Specht-Wever), which fixes Lie polynomials and commutes with
+    relabeling, so the class of a tensor of Lie polynomials maps to a
+    tensor of Lie letters in the same class.  The classes are compared
+    (raises AssertionError otherwise).
     """
-    out = UElem(elem.legs, {})
+    out = {}
     for k, c in elem.terms.items():
-        mins = []
-        ok = True
-        for leg in k:
-            atoms = [letter[0] for letter in leg]
-            if not atoms:
-                ok = False
-                break
-            if atoms[0] != min(atoms):
-                ok = False
-                break
-        if not ok:
-            continue
-        key = tuple((tuple(letter[0] for letter in leg),) for leg in k)
-        add_term(out.terms, key, c)
-    back = canonical_classes(expand_to_words(out))
-    orig = canonical_classes(expand_to_words(elem))
-    assert back == orig, "element is not a tensor of Lie polynomials"
+        if all(k):
+            key = tuple((tuple(letter[0] for letter in leg),) for leg in k)
+            add_term(out, key, c / math.prod(len(leg) for leg in k))
+    out = normalize_letters(UElem(elem.legs, out))
+    assert canonical_classes(out) == canonical_classes(elem), \
+        "element is not a tensor of Lie polynomials"
     return out
 
 
@@ -289,51 +269,30 @@ def _lie_monomials(atoms):
 
 
 def basis_F(n):
-    """Basis of F_n: classes of P x Q, both slots on the same n pairs."""
-    a_atoms = [a_atom(i) for i in range(n)]
-    b_atoms = [b_atom(i) for i in range(n)]
-    raw = []
-    for ma in _lie_monomials(a_atoms):
-        for mb in _lie_monomials(b_atoms):
-            e = canonical_classes(UElem(2, {((ma,), (mb,)): Fraction(1)}))
-            if e:
-                lead = min(e.terms)
-                raw.append((1 / e.terms[lead]) * e)
-    uniq = {}
-    for e in raw:
-        uniq.setdefault(tuple(sorted(e.terms.items())), e)
-    return independent_subset(list(uniq.values()))
+    """Basis of F_n: generators P x Q, both slots on the same n pairs,
+    independent modulo relabeling."""
+    a_monos = _lie_monomials([a_atom(i) for i in range(n)])
+    b_monos = _lie_monomials([b_atom(i) for i in range(n)])
+    return independent_subset([UElem(2, {((ma,), (mb,)): Fraction(1)})
+                               for ma in a_monos for mb in b_monos],
+                              canonical_classes)
 
 
 def basis_F3lie(N):
     """Basis of the degree-N three-slot Lie space (aab and abb pieces)."""
-    out = []
+    gens = []
     for p in range(1, N):
-        q = N - p
-        # aab: p pairs (slot1, slot3), q pairs (slot2, slot3)
-        t13 = list(range(p))
-        t23 = list(range(p, N))
-        for m1 in _lie_monomials([a_atom(i) for i in t13]):
-            for m2 in _lie_monomials([a_atom(i) for i in t23]):
+        # aab: p pairs (slot1, slot3), N - p pairs (slot2, slot3)
+        for m1 in _lie_monomials([a_atom(i) for i in range(p)]):
+            for m2 in _lie_monomials([a_atom(i) for i in range(p, N)]):
                 for m3 in _lie_monomials([b_atom(i) for i in range(N)]):
-                    e = canonical_classes(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
-                    if e:
-                        lead = min(e.terms)
-                        out.append((1 / e.terms[lead]) * e)
-        # abb: p pairs (slot1, slot2), q pairs (slot1, slot3)
-        t12 = list(range(p))
-        t13b = list(range(p, N))
+                    gens.append(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
+        # abb: p pairs (slot1, slot2), N - p pairs (slot1, slot3)
         for m1 in _lie_monomials([a_atom(i) for i in range(N)]):
-            for m2 in _lie_monomials([b_atom(i) for i in t12]):
-                for m3 in _lie_monomials([b_atom(i) for i in t13b]):
-                    e = canonical_classes(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
-                    if e:
-                        lead = min(e.terms)
-                        out.append((1 / e.terms[lead]) * e)
-    uniq = {}
-    for e in out:
-        uniq.setdefault(tuple(sorted(e.terms.items())), e)
-    return independent_subset(list(uniq.values()))
+            for m2 in _lie_monomials([b_atom(i) for i in range(p)]):
+                for m3 in _lie_monomials([b_atom(i) for i in range(p, N)]):
+                    gens.append(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
+    return independent_subset(gens, canonical_classes)
 
 
 def _coords(images):
@@ -587,7 +546,7 @@ def solve_varrho(bfam, N):
         sol = UElem.zero(2)
         for c, e in zip(x, fb):
             sol = sol + c * e
-        varrho[M] = canonical_classes(sol)
+        varrho[M] = sol
     return varrho
 
 

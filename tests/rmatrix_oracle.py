@@ -1,0 +1,118 @@
+"""Independent oracle for the universal R-matrix terms: solve the
+coproduct identities degree by degree over a basis of the universal
+2-leg space, instead of running the lambda-table recursion."""
+
+import itertools
+from fractions import Fraction
+
+from liequant import linalg
+from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
+                              _shift_pids)
+from liequant.unitensor import UElem, canonical, deconcat_leg, u_mul
+
+
+class NoSolution(ValueError):
+    pass
+
+
+def _ordered_set_partitions(items):
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first = items[0]
+    rest = items[1:]
+    for k in range(0, len(rest) + 1):
+        for comb in itertools.combinations(rest, k):
+            block = [first] + list(comb)
+            remaining = [x for x in rest if x not in comb]
+            for tail in _ordered_set_partitions(remaining):
+                # insert block at every position
+                for pos in range(len(tail) + 1):
+                    yield tail[:pos] + [block] + tail[pos:]
+
+
+def _leg_structures(pids, side):
+    """All words of Lie basis letters on the given atoms."""
+    out = []
+    for parts in _ordered_set_partitions(pids):
+        options = [()]
+        for block in parts:
+            atoms = sorted((p, side) for p in block)
+            lo, rest = atoms[0], atoms[1:]
+            monos = [(lo,) + perm for perm in itertools.permutations(rest)]
+            options = [w + (m,) for w in options for m in monos]
+        out.extend(options)
+    return out
+
+
+def universal_basis_deg(n):
+    """Basis of the universal 2-leg space of degree n: raw generators
+    whose classes modulo relabeling are independent."""
+    pids = list(range(n))
+    return independent_subset([UElem(2, {(awords, bwords): Fraction(1)})
+                               for awords in _leg_structures(pids, 0)
+                               for bwords in _leg_structures(pids, 1)],
+                              canonical)
+
+
+def rmatrix_by_solving(bfam, N):
+    """Solve the coproduct identities for R_n degree by degree.
+
+    Constraints: R_0 = 1, R_1 = the elementary pair, both coproduct
+    identities, and vanishing of the (pr x pr)-part for n >= 2.  The
+    solution is asserted unique; this is the independent oracle for
+    rmatrix_terms.
+    """
+    sh = ("sh", bfam)
+    rlist = [UElem.unit(2), pair_elem(0)]
+    for n in range(2, N + 1):
+        basis = universal_basis_deg(n)
+
+        def residuals(cand):
+            rows = {}
+            full = rlist + [cand]
+            lhs1 = deconcat_leg(cand, 0)
+            rhs1 = UElem.zero(3)
+            lhs2 = deconcat_leg(cand, 1)
+            rhs2 = UElem.zero(3)
+            for k in range(0, n + 1):
+                x = full[k].place((1, 3), 3)
+                y = _shift_pids(full[n - k], k).place((2, 3), 3)
+                rhs1 = rhs1 + u_mul(x, y, (sh, sh, sh))
+                y2 = _shift_pids(full[n - k], k).place((1, 2), 3)
+                rhs2 = rhs2 + u_mul(x, y2, (sh, sh, sh))
+            r1 = canonical(lhs1 - rhs1)
+            r2 = canonical(lhs2 - rhs2)
+            pp = canonical(cand.pr_leg(0).pr_leg(1))
+            for tag, r in (("d1", r1), ("d2", r2), ("pp", pp)):
+                for key, c in r.terms.items():
+                    rows[(tag, key)] = c
+            return rows
+
+        base = residuals(UElem.zero(2))
+        cols = []
+        rowkeys = set(base)
+        for e in basis:
+            r = residuals(e)
+            diff = {}
+            for key in set(r) | set(base):
+                d = r.get(key, Fraction(0)) - base.get(key, Fraction(0))
+                if d:
+                    diff[key] = d
+            cols.append(diff)
+            rowkeys.update(diff)
+        rowkeys = sorted(rowkeys)
+        A = [[col.get(rk, Fraction(0)) for col in cols] for rk in rowkeys]
+        b = [-base.get(rk, Fraction(0)) for rk in rowkeys]
+        try:
+            x, null = linalg.solve_affine(A, len(basis), b)
+        except linalg.InconsistentSystem:
+            raise NoSolution(n)
+        if null:
+            raise NonUnique(n)
+        rn = UElem.zero(2)
+        for c, e in zip(x, basis):
+            rn = rn + c * e
+        rlist.append(rn)
+    return rlist

@@ -22,8 +22,7 @@ from liequant.shuffle import (ShContext, ShElem, sh_mul, hopf_report,
                               qfsh_delta, qfsh_member,
                               ordered_surjection_count, all_words)
 from liequant.rmatrix import (lambda_table, rmatrix_terms, quasitri_residual,
-                              rmatrix_by_solving, _all_same_canonical, Ln,
-                              pair_elem)
+                              Ln, pair_elem)
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor)
 from liequant.universal import (solve_varrho, phi_N, delta4, varrho_one,
@@ -34,6 +33,7 @@ from liequant.quantize import Quantization
 from liequant import linalg
 from liequant.deform import (matrix_algebra, random_r, aryeh_residual,
                              recursion_residual, half_r_squared, kappa_cob)
+from rmatrix_oracle import rmatrix_by_solving
 
 
 def report(num, ok, t0, detail=""):
@@ -182,7 +182,7 @@ def test_criterion_4_rmatrix(B4, dbl):
     printed2 = term2([[a_atom(0)], [a_atom(1)]], [[b_atom(0), b_atom(1)]],
                      Fraction(1, 2)) \
         + u_mul(one(0), one(1), (sh, "conc")).reverse_leg(1)
-    ok = ok and _all_same_canonical(printed2) == _all_same_canonical(terms[2])
+    ok = ok and canonical(printed2) == canonical(terms[2])
     T1 = u_mul(u_mul(one(0), one(1), (sh, "conc")), one(2), (sh, "conc")) \
         .reverse_leg(1)
     T2 = u_mul(term2([[a_atom(0)], [a_atom(1)]], [[b_atom(0), b_atom(1)]],
@@ -194,12 +194,12 @@ def test_criterion_4_rmatrix(B4, dbl):
     for mono, c in Ln(B4, 3).terms.items():
         T4 = T4 + term2([[a_atom(0)], [a_atom(1)], [a_atom(2)]],
                         [tuple(b_atom(i) for i in mono)], c)
-    ok = ok and _all_same_canonical(T1 + T2 + T3 + T4) == \
-        _all_same_canonical(terms[3])
+    ok = ok and canonical(T1 + T2 + T3 + T4) == \
+        canonical(terms[3])
     # independent oracle
     sols = rmatrix_by_solving(B4, 3)
     for n in (2, 3):
-        ok = ok and _all_same_canonical(sols[n]) == _all_same_canonical(terms[n])
+        ok = ok and canonical(sols[n]) == canonical(terms[n])
     report(4, ok, t0, "quasitriangularity n<=3 symbolic+instantiated, printed "
                       "R2/R3, solving oracle")
 

@@ -124,3 +124,8 @@ def test_out_of_range_flags_are_input_errors():
                                 "--hbar-order", "-2"))
     _assert_input_error(run_cli("shuffle", "hopf-check", "--hbar-order", "-1"))
     _assert_input_error(run_cli("cbh", "--max-degree", "0"))
+    _assert_input_error(run_cli("rmatrix", "--max-degree", "-1"))
+    _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "0"))
+    _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "-2"))
+    _assert_input_error(run_cli("cybe-props", "--trials", "0"))
+    _assert_input_error(run_cli("cybe-props", "--trials", "-1"))

@@ -235,12 +235,12 @@ def test_ins():
     # identity family relabels
     assert ins(lam, one, 1) == canonical_classes(lam)
     # inserting the degree-2 entry doubles the slot degree
-    rho2 = canonical_classes(UElem(2, {(((a_atom(0), a_atom(1)),),
-                                        ((b_atom(0), b_atom(1)),)): Fraction(1, 8)}))
+    rho2 = UElem(2, {(((a_atom(0), a_atom(1)),),
+                      ((b_atom(0), b_atom(1)),)): Fraction(1, 8)})
     out = ins(lam, {2: rho2}, 2)
     assert out == canonical_classes(rho2)
     # multilinearity in the entries
-    out2 = ins(lam, {2: canonical_classes(Fraction(3) * rho2)}, 2)
+    out2 = ins(lam, {2: Fraction(3) * rho2}, 2)
     assert out2 == canonical_classes(Fraction(3) * rho2)
 
 
@@ -268,14 +268,14 @@ def test_phi_is_cubic(B4):
     rho = solve_varrho(B4, 2)
     p4 = phi_N(B4, rho, 4)
     scaled = dict(rho)
-    scaled[2] = canonical_classes(Fraction(2) * rho[2])
+    scaled[2] = Fraction(2) * rho[2]
     p4s = phi_N(B4, scaled, 4)
     # decompose: p4 = A + B with A independent of rho_2 and B linear+quadratic;
     # at degree 4 the rho_2-part enters linearly and quadratically; verify
     # p4s - p4 is consistent with polynomial (non-linear) dependence
     assert canonical_classes(p4s - p4)
     third = dict(rho)
-    third[2] = canonical_classes(Fraction(3) * rho[2])
+    third[2] = Fraction(3) * rho[2]
     p4t = phi_N(B4, third, 4)
     # quadratic fit: values at t = 1, 2, 3 of a polynomial of degree <= 2
     # must satisfy p(3) - 3 p(2) + 3 p(1) - p(0) = 0 only for cubics; use
@@ -333,3 +333,78 @@ def test_cohomology_dims_H2():
     assert dims[1][0] == 1 and dims[2][0] == 0 and dims[3][0] == 0
     # H^3 vanishes in degrees 2 and 3
     assert dims[2][1] == 0 and dims[3][1] == 0
+
+
+# ---------------------------------------------------------------------------
+# the class map: first-appearance orbit representatives
+# ---------------------------------------------------------------------------
+
+def _random_element(rng, legs):
+    """A few multilinear terms on up to three pairs drawn from pids 0..9,
+    each cut into Lie letters of one to three atoms spread over the legs."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        pids = rng.sample(range(10), rng.randint(1, 3))
+        atoms = [a_atom(p) for p in pids] + [b_atom(p) for p in pids]
+        rng.shuffle(atoms)
+        key = [[] for _ in range(legs)]
+        while atoms:
+            size = rng.randint(1, min(3, len(atoms)))
+            key[rng.randrange(legs)].append(tuple(atoms[:size]))
+            atoms = atoms[size:]
+        terms[tuple(tuple(leg) for leg in key)] = Fraction(rng.randint(-3, 3),
+                                                           rng.randint(1, 4))
+    return UElem(legs, terms)
+
+
+def test_class_maps_are_relabeling_invariant():
+    rng = random.Random(20)
+    for _ in range(60):
+        e = _random_element(rng, rng.randint(1, 3))
+        pids = sorted(e.pids())
+        moved = e.relabel(dict(zip(pids, rng.sample(range(20), len(pids)))))
+        assert canonical(moved) == canonical(e)
+        assert canonical_classes(moved) == canonical_classes(e)
+        assert canonical_classes(canonical_classes(e)) == canonical_classes(e)
+
+
+def _rename_only(elem):
+    """First-appearance renaming of the keys, without expanding letters."""
+    out = UElem.zero(elem.legs)
+    for k, c in elem.terms.items():
+        names = {}
+        key = tuple(tuple(tuple((names.setdefault(p, len(names)), s)
+                                for (p, s) in letter) for letter in leg)
+                    for leg in k)
+        out = out + UElem(elem.legs, {key: c})
+    return out
+
+
+def test_single_lie_letter_has_zero_class():
+    e = UElem(1, {(((a_atom(0), a_atom(1), a_atom(2)),),): Fraction(1)})
+    assert not canonical(e) and not canonical_classes(e)
+    # relabeling mixes the Lie-letter basis: [x1,x0,x2] = -[x0,x1,x2], so
+    # renaming the letter keys alone sees neither invariance nor zero
+    swapped = e.relabel({0: 1, 1: 0})
+    assert _rename_only(e) and _rename_only(swapped) == -_rename_only(e)
+
+
+def test_letter_boundaries_separate_shuffle_leg_words():
+    a0, a1, b0, b1 = a_atom(0), a_atom(1), b_atom(0), b_atom(1)
+    bracket = UElem(2, {(((a0, a1),), ((b0,), (b1,))): Fraction(1)})
+    words = UElem(2, {(((a0,), (a1,)), ((b0,), (b1,))): Fraction(1),
+                      (((a1,), (a0,)), ((b0,), (b1,))): Fraction(-1)})
+    assert canonical(bracket) != canonical(words)
+    assert canonical_classes(bracket) == canonical_classes(words)
+
+
+def test_rho3_class_matches_printed_representative(B4):
+    a = [a_atom(i) for i in range(3)]
+    b = [b_atom(i) for i in range(3)]
+    printed = UElem(2, {
+        (((a[0], a[1], a[2]),), ((b[0], b[1], b[2]),)): Fraction(1, 54),
+        (((a[0], a[1], a[2]),), ((b[0], b[2], b[1]),)): Fraction(-1, 108),
+        (((a[0], a[2], a[1]),), ((b[0], b[1], b[2]),)): Fraction(-1, 108),
+        (((a[0], a[2], a[1]),), ((b[0], b[2], b[1]),)): Fraction(1, 54)})
+    rho = solve_varrho(B4, 3)
+    assert canonical_classes(rho[3]) == canonical_classes(printed)
