@@ -154,7 +154,14 @@ def cmd_qybe(args):
         for r in rows:
             print("%d,%s,%s" % (r["N"], r["dim_H2"], r["dim_H3"]), file=sys.stderr)
         return 0
-    sol = universal.solve_varrho(fam, args.max_degree)
+    try:
+        sol = universal.solve_varrho(fam, args.max_degree)
+    except bfamily.Obstructed as e:
+        print("qybe solve: obstructed at degree %s" % e, file=sys.stderr)
+        return 1
+    except rmatrix.NonUnique as e:
+        print("qybe solve: solution not unique at degree %s" % e, file=sys.stderr)
+        return 1
     residual = universal.univ_qybe_residual(fam, sol, args.max_degree + 1,
                                             max_table=args.max_degree + 1)
     payload = {"ok": not residual,

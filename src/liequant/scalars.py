@@ -9,15 +9,11 @@ treated as a constant series of infinite precision.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 #: default truncation order: series are kept modulo hbar^(DEFAULT_ORDER+1)
 DEFAULT_ORDER = 4
-
-
-def rat(p, q=1):
-    """Exact rational p/q."""
-    return Fraction(p, q)
 
 
 class HSeries:
@@ -37,6 +33,15 @@ class HSeries:
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
+
+    @staticmethod
+    def _of(coeffs, order):
+        """Trusted constructor: coeffs is already a tuple of order + 1
+        Fractions, so the coercion of __init__ is skipped."""
+        s = object.__new__(HSeries)
+        s.coeffs = coeffs
+        s.order = order
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -99,20 +104,22 @@ class HSeries:
         if isinstance(other, HSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return HSeries.const(other, self.order)
+            return HSeries._of((Fraction(other),) + (Fraction(0),) * self.order,
+                               self.order)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return HSeries([self.coeffs[k] + o.coeffs[k] for k in range(n + 1)], n)
+        # zip stops at the shorter tuple: the smaller order
+        return HSeries._of(tuple(map(operator.add, self.coeffs, o.coeffs)),
+                           min(self.order, o.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries([-c for c in self.coeffs], self.order)
+        return HSeries._of(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -136,7 +143,7 @@ class HSeries:
                 b = o.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return HSeries(out, n)
+        return HSeries._of(tuple(out), n)
 
     __rmul__ = __mul__
 
@@ -188,6 +195,28 @@ def as_series(c, order=None):
     if isinstance(c, HSeries):
         return c
     return HSeries.const(c, order)
+
+
+def surviving_pairs(left, right):
+    """Term pairs (k1, c1, k2, c2) of two hbar-series tables whose product
+    can be nonzero, in the order of the plain double loop.
+
+    A pair with v(c1) + v(c2) > min(c1.order, c2.order) truncates to
+    exactly zero, so products skip it.  Valuations are read once per
+    term, and the kept right-hand terms once per left-hand (valuation,
+    order) grade, so the bookkeeping is O(n + m * grades), not O(n * m).
+    """
+    rhs = [(k, c, c.valuation(), c.order) for k, c in right.items()]
+    kept = {}
+    for k1, c1 in left.items():
+        grade = (c1.valuation(), c1.order)
+        row = kept.get(grade)
+        if row is None:
+            v1, o1 = grade
+            row = kept[grade] = [(k2, c2) for k2, c2, v2, o2 in rhs
+                                 if v1 + v2 <= min(o1, o2)]
+        for k2, c2 in row:
+            yield k1, c1, k2, c2
 
 
 def add_term(d, k, c):

@@ -12,7 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import HSeries, LinComb, add_term, as_series, DEFAULT_ORDER
+from .scalars import (HSeries, LinComb, add_term, as_series, surviving_pairs,
+                      DEFAULT_ORDER)
 from .bfamily import deformed_word_product, positive_compositions, word_antipode
 
 
@@ -124,11 +125,10 @@ def sh_mul(a, b):
     """Product of the deformed shuffle algebra (sum over composition pairs)."""
     ctx = a.ctx
     out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            c = ca * cb
-            for w, cw in ctx.word_mul(wa, wb).items():
-                add_term(out, w, c * cw)
+    for wa, ca, wb, cb in surviving_pairs(a.terms, b.terms):
+        c = ca * cb
+        for w, cw in ctx.word_mul(wa, wb).items():
+            add_term(out, w, c * cw)
     return ShElem(ctx, out)
 
 
@@ -175,31 +175,18 @@ class ShTensor(LinComb):
 
     def mul(self, other):
         """Legwise product (all legs commute past each other)."""
+        word_mul = self.ctx.word_mul
         out = ShTensor(self.ctx, self.legs, {})
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                # multiply leg by leg, expanding word products
-                legs_out = [None] * self.legs
-                ok = True
-                for leg in range(self.legs):
-                    u = ShElem.word(self.ctx, k1[leg])
-                    v = ShElem.word(self.ctx, k2[leg])
-                    legs_out[leg] = sh_mul(u, v)
-                    if not legs_out[leg]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # distribute
-                combos = [((), c1 * c2)]
-                for leg in range(self.legs):
-                    nxt = []
-                    for key, c in combos:
-                        for w, cw in legs_out[leg].terms.items():
-                            nxt.append((key + (w,), c * cw))
-                    combos = nxt
-                for key, c in combos:
-                    add_term(out.terms, key, c)
+        for k1, c1, k2, c2 in surviving_pairs(self.terms, other.terms):
+            # multiply leg by leg, distributing the word products
+            combos = [((), c1 * c2)]
+            for w1, w2 in zip(k1, k2):
+                prods = word_mul(w1, w2).items()
+                combos = [(key + (w,), c * cw) for key, c in combos for w, cw in prods]
+                if not combos:
+                    break
+            for key, c in combos:
+                add_term(out.terms, key, c)
         return out
 
     def place(self, spots, legs):
@@ -211,15 +198,6 @@ class ShTensor(LinComb):
                 key[spot - 1] = w
             out[tuple(key)] = c
         return ShTensor(self.ctx, legs, out)
-
-    def apply_leg(self, leg, fn):
-        """Apply an ShElem -> ShElem map to one leg, distributing the rest."""
-        out = ShTensor(self.ctx, self.legs, {})
-        for k, c in self.terms.items():
-            img = fn(ShElem.word(self.ctx, k[leg]))
-            for w, cw in img.terms.items():
-                add_term(out.terms, k[:leg] + (w,) + k[leg + 1:], c * cw)
-        return out
 
     def comul_leg(self, leg):
         """Deconcatenate one leg, producing legs+1 legs (split in place)."""
@@ -391,21 +369,6 @@ class LieCoalgebra:
     def from_bialgebra(bia):
         return LieCoalgebra(bia.algebra.dim, bia.cobracket, bia.algebra.basis_names)
 
-    @staticmethod
-    def dual_of_algebra(alg):
-        """Coalgebra on the dual basis, dual to the bracket of alg."""
-        delta = {}
-        for k in range(alg.dim):
-            t = {}
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    c = alg.bracket_basis(i, j).get(k, Fraction(0))
-                    if c:
-                        t[(i, j)] = c
-            if t:
-                delta[k] = t
-        return LieCoalgebra(alg.dim, delta, [n + "*" for n in alg.basis_names])
-
     def dual_algebra(self):
         """Lie algebra on the dual basis, dual to this cobracket."""
         br = {}
@@ -420,13 +383,6 @@ class LieCoalgebra:
                     br[(i, j)] = out
         from .liealg import LieAlgebra
         return LieAlgebra(self.dim, [n + "^" for n in self.basis_names], br)
-
-    def delta_vec(self, v):
-        out = {}
-        for i, a in v.items():
-            for jk, c in self.delta_table.get(i, {}).items():
-                add_term(out, jk, a * c)
-        return out
 
     def iterated_delta(self, v, n):
         """Left-iterated cobracket (delta x id^(n-2)) ... delta: A -> A^(xn)."""
@@ -488,9 +444,8 @@ class TensElem(LinComb):
         if not isinstance(other, TensElem):
             return self.__rmul__(other)
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_term(out, w1 + w2, c1 * c2)
+        for w1, c1, w2, c2 in surviving_pairs(self.terms, other.terms):
+            add_term(out, w1 + w2, c1 * c2)
         return TensElem(self.ctx, out)
 
     def counit(self):

@@ -150,8 +150,10 @@ def lie_form(elem):
     (Dynkin-Specht-Wever), which fixes Lie polynomials and commutes with
     relabeling, so the class of a tensor of Lie polynomials maps to a
     tensor of Lie letters in the same class.  The classes are compared
-    (raises AssertionError otherwise).
+    (raises AssertionError otherwise).  Multi-atom Lie letters are first
+    expanded into plain words.
     """
+    elem = expand_to_words(elem)
     out = {}
     for k, c in elem.terms.items():
         if all(k):

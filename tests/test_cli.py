@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from liequant import cli, universal
+from liequant.bfamily import Obstructed
+from liequant.rmatrix import NonUnique
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -129,3 +133,15 @@ def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "-2"))
     _assert_input_error(run_cli("cybe-props", "--trials", "0"))
     _assert_input_error(run_cli("cybe-props", "--trials", "-1"))
+
+
+@pytest.mark.parametrize("exc, message", [
+    (Obstructed(5), "qybe solve: obstructed at degree 5"),
+    (NonUnique(4), "qybe solve: solution not unique at degree 4")])
+def test_qybe_solve_reports_obstruction(monkeypatch, capsys, exc, message):
+    def solve(bfam, n):
+        raise exc
+    monkeypatch.setattr(universal, "solve_varrho", solve)
+    assert cli.main(["qybe", "solve", "--max-degree", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"

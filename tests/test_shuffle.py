@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from liequant.scalars import HSeries, as_series
+from liequant.scalars import HSeries, add_term, as_series, surviving_pairs
 from liequant.bfamily import (BFamily, solve_bfamily, deformed_word_product,
                               positive_compositions)
 from liequant.freealg import LiePoly, substitute
@@ -393,3 +393,117 @@ def test_sh_json_round_trip(B4, borel):
 
 def test_hopf_report_sl2_small(B4):
     assert hopf_report(sl2(), B4, 2, 2).ok()
+
+
+# ---------------------------------------------------------------------------
+# the valuation skip of products is exact
+# ---------------------------------------------------------------------------
+
+def _series(rng, v, order):
+    """A series of valuation exactly v, random above it."""
+    cs = [Fraction(0)] * v + [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))]
+    cs += [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(order - v)]
+    return HSeries(cs, order)
+
+
+def _seeded_terms(rng, dim, legs, order, count):
+    """count distinct keys (legs=None: plain words), the n-th with a
+    coefficient of valuation n mod (order + 1)."""
+    terms = {}
+    while len(terms) < count:
+        key = tuple(tuple(rng.randrange(dim) for _ in range(rng.randint(0, 3)))
+                    for _ in range(legs or 1))
+        key = key if legs else key[0]
+        if key not in terms:
+            terms[key] = _series(rng, len(terms) % (order + 1), order)
+    return terms
+
+
+def _lower_order(rng, terms, low, count):
+    """Replace the last count coefficients by series of order low."""
+    for n, key in enumerate(list(terms)[-count:]):
+        terms[key] = _series(rng, n % (low + 1), low)
+
+
+def _naive_tensor_mul(ctx, a, b):
+    """Every term pair, leg by leg, nothing skipped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            combos = [((), c1 * c2)]
+            for w1, w2 in zip(k1, k2):
+                combos = [(key + (w,), c * cw) for key, c in combos
+                          for w, cw in ctx.word_mul(w1, w2).items()]
+            for key, c in combos:
+                add_term(out, key, c)
+    return out
+
+
+def _naive_sh_mul(ctx, a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for w, cw in ctx.word_mul(wa, wb).items():
+                add_term(out, w, ca * cb * cw)
+    return out
+
+
+def _naive_concat(a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            add_term(out, wa + wb, ca * cb)
+    return out
+
+
+def _truncated(terms, low):
+    """Coefficients (with their orders) mod hbar^(low+1), zeros dropped."""
+    out = {}
+    for k, c in terms.items():
+        t = HSeries(c.coeffs[: low + 1], min(low, c.order))
+        if t:
+            out[k] = (t.coeffs, t.order)
+    return out
+
+
+def test_valuation_skip_boundary(B4, borel):
+    ctx = ctx_borel(B4, borel, order=3)
+    h = [HSeries.hpow(v, 1, 3) for v in range(4)]
+    pairs = [(k1, k2) for k1, _, k2, _ in
+             surviving_pairs({1: h[1], 2: h[2]}, {"a": h[2], "b": h[3]})]
+    # 1 + 2 = order is kept, 1 + 3 and 2 + 2 are one past it and dropped
+    assert pairs == [(1, "a")]
+    a, b = ShElem.word(ctx, (0,), h[1]), ShElem.word(ctx, (1,), h[2])
+    assert sh_mul(a, b) == ShElem(ctx, _naive_sh_mul(ctx, a.terms, b.terms))
+    assert sh_mul(a, b).terms[(0, 1)] == h[3]
+    assert not sh_mul(a, ShElem.word(ctx, (1,), h[3]))
+    # the order comes from the series: h (order 1) times h truncates at 1
+    low = HSeries([0, 1], 1)
+    assert list(surviving_pairs({1: low}, {2: h[1]})) == []
+    assert list(surviving_pairs({1: h[1]}, {2: h[1]})) == [(1, h[1], 2, h[1])]
+
+
+def test_valuation_skip_matches_naive_products(B4, borel):
+    rng = random.Random(6)
+    order = 3
+    ctx = ctx_borel(B4, borel, order=order)
+    tctx = TensContext(LieCoalgebra.from_bialgebra(borel), B4, order)
+    for trial in range(6):
+        # the last two trials give some series an order below ctx.order
+        low = order if trial < 4 else 1
+        for legs in (2, 3):
+            a = _seeded_terms(rng, 2, legs, order, 8)
+            b = _seeded_terms(rng, 2, legs, order, 8)
+            if low < order:
+                _lower_order(rng, a, low, 4)
+            got = ShTensor(ctx, legs, a).mul(ShTensor(ctx, legs, b))
+            want = _naive_tensor_mul(ctx, a, b)
+            assert _truncated(got.terms, low) == _truncated(want, low)
+        a = _seeded_terms(rng, 2, None, order, 10)
+        b = _seeded_terms(rng, 2, None, order, 10)
+        if low < order:
+            _lower_order(rng, b, low, 4)
+        got = sh_mul(ShElem(ctx, a), ShElem(ctx, b))
+        assert _truncated(got.terms, low) == _truncated(_naive_sh_mul(ctx, a, b), low)
+        got = TensElem(tctx, a) * TensElem(tctx, b)
+        assert _truncated(got.terms, low) == _truncated(_naive_concat(a, b), low)

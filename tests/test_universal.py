@@ -408,3 +408,11 @@ def test_rho3_class_matches_printed_representative(B4):
         (((a[0], a[2], a[1]),), ((b[0], b[2], b[1]),)): Fraction(1, 54)})
     rho = solve_varrho(B4, 3)
     assert canonical_classes(rho[3]) == canonical_classes(printed)
+
+
+def test_lie_form_reads_multi_atom_letters(B4):
+    """The solved varrho_3 holds multi-atom Lie letters; lie_form must
+    read every atom of them, not only the first."""
+    rho3 = solve_varrho(B4, 3)[3]
+    assert any(len(letter) > 1 for k in rho3.terms for leg in k for letter in leg)
+    assert canonical_classes(lie_form(rho3)) == canonical_classes(rho3)
