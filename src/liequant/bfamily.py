@@ -222,12 +222,11 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
     if not slots:
         return BFamily(lam, N, table)
 
-    pins = []
+    pins = {}
     if gauge == "paper3":
         for (p, q), target in (((2, 1), PAPER3_B21), ((1, 2), PAPER3_B12)):
-            for mono in sorted(leftnormed_basis(3)):
-                pins.append((((p, q), mono),
-                             target.terms.get(mono, Fraction(0))))
+            for mono in leftnormed_basis(3):
+                pins[((p, q), mono)] = target.terms.get(mono, Fraction(0))
 
     def with_coords(vec):
         tbl = dict(table)
@@ -237,19 +236,19 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
                 tbl[pq] = cur + c * LiePoly({mono: Fraction(1)})
         return tbl
 
-    def residual_rows(vec):
+    def residual(vec):
         fam = BFamily(lam, N, with_coords(vec))
-        rows = []
+        f = {}
         for n in range(3, N + 1):
             for p in range(1, n - 1):
                 for q in range(1, n - p):
-                    res = assoc_residual(fam, p, q, n - p - q)
-                    for mono in sorted(leftnormed_basis(n)):
-                        rows.append(res.terms.get(mono, Fraction(0)))
-        coords = dict(zip(slots, vec))
-        for slot, target in pins:
-            rows.append(coords.get(slot, Fraction(0)) - target)
-        return rows
+                    r = n - p - q
+                    for mono, c in assoc_residual(fam, p, q, r).terms.items():
+                        f[(p, q, r, mono)] = c
+        for slot, c in zip(slots, vec):
+            if slot in pins:
+                add_term(f, slot, c - pins[slot])
+        return f
 
     cur = [Fraction(0)] * len(slots)
     if N >= 5:
@@ -261,23 +260,40 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
             for mono, c in e.terms.items():
                 coords[((p, q), mono)] = c
         cur = [coords.get(slot, Fraction(0)) for slot in slots]
-    for _ in range(8):
-        f = residual_rows(cur)
-        if not any(f):
-            fam = BFamily(lam, N, with_coords(cur))
-            assert all_residuals_zero(fam)
-            return fam
+    fam = BFamily(lam, N, with_coords(_newton(residual, cur, 8, N)))
+    assert all_residuals_zero(fam)
+    return fam
+
+
+def _newton(residual, cur, iterations, N):
+    """Exact Newton iteration on the coordinate list cur.
+
+    residual(x) is a sparse dict; column i of each step's system is
+    residual(x + e_i) - residual(x), and the step is the solution with
+    every free variable zero.  Returns the first x whose residual is
+    zero; raises Obstructed(N) on an inconsistent step or after
+    `iterations` steps.
+    """
+    for _ in range(iterations):
+        f = residual(cur)
+        if not f:
+            return cur
         cols = []
-        for i in range(len(slots)):
+        for i in range(len(cur)):
             bumped = list(cur)
-            bumped[i] = bumped[i] + 1
-            cols.append([a - b for a, b in zip(residual_rows(bumped), f)])
-        A = [[cols[j][i] for j in range(len(slots))] for i in range(len(f))]
+            bumped[i] += 1
+            col = residual(bumped)
+            for k, c in f.items():
+                add_term(col, k, -c)
+            cols.append(col)
         try:
-            delta, _ = linalg.solve_affine(A, len(slots), [-v for v in f])
+            step = linalg.rref(cols, len(cols)).solve(
+                {k: -c for k, c in f.items()})
         except linalg.InconsistentSystem:
             raise Obstructed(N)
-        cur = [a + d for a, d in zip(cur, delta)]
+        cur = list(cur)
+        for i, d in step.items():
+            cur[i] += d
     raise Obstructed(N)
 
 
@@ -466,31 +482,15 @@ def connecting_gauge(B_from, B_to, max_iter=8):
 
     def mismatch(vec):
         fam = gauge_act(to_gauge(vec), B_from)
-        rows = []
+        f = {}
         for m in range(3, N + 1):
             for p in range(1, m):
                 e = fam.entry(p, m - p) - B_to.entry(p, m - p)
-                for mono in sorted(leftnormed_basis(m)):
-                    rows.append(e.terms.get(mono, Fraction(0)))
-        return rows
+                for mono, c in e.terms.items():
+                    f[(p, m - p, mono)] = c
+        return f
 
-    cur = [Fraction(0)] * len(slots)
-    for _ in range(max_iter):
-        f = mismatch(cur)
-        if not any(f):
-            return to_gauge(cur)
-        cols = []
-        for i in range(len(slots)):
-            bumped = list(cur)
-            bumped[i] = bumped[i] + 1
-            cols.append([a - b for a, b in zip(mismatch(bumped), f)])
-        A = [[cols[j][i] for j in range(len(slots))] for i in range(len(f))]
-        try:
-            delta, _ = linalg.solve_affine(A, len(slots), [-v for v in f])
-        except linalg.InconsistentSystem:
-            raise Obstructed(N)
-        cur = [a + d for a, d in zip(cur, delta)]
-    raise Obstructed(N)
+    return to_gauge(_newton(mismatch, [Fraction(0)] * len(slots), max_iter, N))
 
 
 # ---------------------------------------------------------------------------

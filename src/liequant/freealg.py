@@ -88,14 +88,8 @@ class AssocPoly(LinComb):
                 add_term(out, w1 + w2, c1 * c2)
         return AssocPoly(out)
 
-    def truncate_degree(self, n):
-        return AssocPoly({w: c for w, c in self.terms.items() if len(w) <= n})
-
     def component(self, degree):
         return AssocPoly({w: c for w, c in self.terms.items() if len(w) == degree})
-
-    def multidegree_component(self, mdeg):
-        return AssocPoly({w: c for w, c in self.terms.items() if _multidegree(w) == mdeg})
 
     def coeff(self, word):
         return self.terms.get(tuple(word), Fraction(0))
@@ -221,9 +215,6 @@ class LiePoly(LinComb):
         for w in self.terms:
             out.update(w)
         return out
-
-    def is_multilinear(self):
-        return all(_is_multilinear(w) for w in self.terms)
 
     def relabel(self, mapping):
         """Apply a label substitution (must stay injective per monomial)."""
@@ -453,18 +444,6 @@ def _label_to_json(a):
     if isinstance(a, int):
         return a
     return list(a) if isinstance(a, tuple) else a
-
-
-def assoc_to_json(p):
-    return {"terms": [{"monomial": {"word": [_label_to_json(a) for a in w]},
-                       "coeff": str(c)}
-                      for w, c in sorted(p.terms.items(),
-                                         key=lambda kv: (len(kv[0]), tuple(map(str, kv[0]))))]}
-
-
-def assoc_from_json(d):
-    return AssocPoly({tuple(m["monomial"]["word"]): Fraction(m["coeff"])
-                      for m in d["terms"]})
 
 
 def lie_to_json(p):

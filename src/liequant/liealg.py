@@ -143,14 +143,6 @@ def abelian_bialgebra(dim=2):
 # tensors over a Lie algebra
 # ---------------------------------------------------------------------------
 
-def tensor_product(t, u):
-    out = {}
-    for k1, c1 in t.items():
-        for k2, c2 in u.items():
-            add_term(out, k1 + k2, c1 * c2)
-    return out
-
-
 def placed_bracket(alg, t, spots_t, u, spots_u, degree):
     """[t^(spots_t), u^(spots_u)] in A^(x degree); overlap must be one slot.
 

@@ -1,104 +1,88 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Small systems only (desk scale): plain Gaussian elimination with Fraction
-entries, no pivoting heuristics beyond "first nonzero".
+One incremental echelon answers every rank, kernel and solve question.
+Vectors are dicts {key: Fraction} with any hashable keys and no stored
+zeros (the `scalars.add_term` rule); the unknowns are the positions of
+the vectors in their sequence.  The answers are those of the dense
+reduced row echelon form of the matrix whose columns are the vectors:
+the pivot columns, its nullspace basis and the solution with every free
+variable zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def rref(rows, ncols):
-    """Reduced row echelon form.
-
-    rows: list of lists of Fraction (modified copy is returned).
-    Returns (R, pivot_cols) with R in RREF.
-    """
-    R = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(prow, len(R)):
-            if R[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        R[prow], R[piv] = R[piv], R[prow]
-        pv = R[prow][col]
-        R[prow] = [x / pv for x in R[prow]]
-        for i in range(len(R)):
-            if i != prow and R[i][col] != 0:
-                f = R[i][col]
-                R[i] = [a - f * b for a, b in zip(R[i], R[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(R):
-            break
-    return R, pivots
-
-
-def rank(rows, ncols):
-    _, pivots = rref(rows, ncols)
-    return len(pivots)
-
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix, free variables set to 1/0."""
-    R, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
-        basis.append(v)
-    return basis
+from .scalars import add_term
 
 
 class InconsistentSystem(ValueError):
     pass
 
 
-def solve_affine(rows, ncols, rhs):
-    """Solve A x = b exactly; free variables are set to zero.
+class Echelon:
+    """Vectors v_0, v_1, ... reduced in order against the pivots so far.
 
-    rows: matrix A (list of rows), rhs: list (len(rows)) of Fractions.
-    Returns (solution, nullspace_basis).  Raises InconsistentSystem when
-    no solution exists.  The solution is the RREF one with all free
-    variables zero, so it is deterministic for a fixed column order.
+    A pivot is (key, row, comb) with row[key] == 1, row zero at the keys
+    of earlier pivots, and row == sum(comb[i] * v_i).
+
+    kept: the indices j with v_j independent of v_0, ..., v_{j-1};
+    kernel: for every other j, the relation {j: 1, i: -x_i} that writes
+    v_j as sum(x_i * v_i) over kept i < j.
     """
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    R, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        raise InconsistentSystem("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i][ncols]
-    return x, nullspace(rows, ncols)
+
+    def __init__(self):
+        self.pivots = []
+        self.kept = []
+        self.kernel = []
+
+    def _reduce(self, vec):
+        """(rest, x) with vec == rest + sum(x[i] * v_i), rest zero at
+        every pivot key."""
+        rest = dict(vec)
+        x = {}
+        for key, row, comb in self.pivots:
+            f = rest.get(key)
+            if f:
+                for k, c in row.items():
+                    add_term(rest, k, -f * c)
+                for i, c in comb.items():
+                    add_term(x, i, f * c)
+        return rest, x
+
+    def add(self, vec):
+        """Append the next vector v_j."""
+        j = len(self.kept) + len(self.kernel)
+        rest, x = self._reduce(vec)
+        if not rest:
+            rel = {i: -c for i, c in x.items()}
+            rel[j] = Fraction(1)
+            self.kernel.append(rel)
+            return
+        key = next(iter(rest))
+        inv = 1 / Fraction(rest[key])
+        comb = {i: -c * inv for i, c in x.items()}
+        comb[j] = inv
+        self.pivots.append((key, {k: c * inv for k, c in rest.items()}, comb))
+        self.kept.append(j)
+
+    def solve(self, target):
+        """{i: x_i} over the kept i, increasing, with target ==
+        sum(x_i * v_i) and every free variable zero."""
+        rest, x = self._reduce(target)
+        if rest:
+            raise InconsistentSystem("inconsistent linear system")
+        return dict(sorted(x.items()))
 
 
-def solve_affine_multi(rows, ncols, rhs_columns):
-    """Like solve_affine for several right-hand sides sharing the matrix.
+def rref(vectors, n):
+    """The echelon of vectors[0], ..., vectors[n - 1]."""
+    ech = Echelon()
+    for j in range(n):
+        ech.add(vectors[j])
+    return ech
 
-    rhs_columns: list of rhs vectors.  Returns (solutions, nullspace_basis).
-    """
-    k = len(rhs_columns)
-    aug = [list(map(Fraction, r)) + [Fraction(col[i]) for col in rhs_columns]
-           for i, r in enumerate(rows)]
-    R, pivots = rref(aug, ncols + k)
-    for j in range(k):
-        if ncols + j in pivots:
-            raise InconsistentSystem("inconsistent linear system (rhs %d)" % j)
-    sols = []
-    for j in range(k):
-        x = [Fraction(0)] * ncols
-        for i, pc in enumerate(pivots):
-            if pc < ncols:
-                x[pc] = R[i][ncols + j]
-        sols.append(x)
-    return sols, nullspace(rows, ncols)
+
+def nullspace(vectors, n):
+    """The kernel relations of the first n vectors (see `Echelon`)."""
+    return rref(vectors, n).kernel

@@ -342,34 +342,21 @@ class Quantization:
             words.extend(itertools.product(range(d), repeat=n))
         tctx = self.tens_ctx()
         images = [self.ell(TensElem.word(tctx, w)) for w in words]
-        keys = sorted({(w, k) for im in images for w, c in im.terms.items()
-                       for k in range(self.order + 1) if c.coeff(k)} |
-                      {(w, k) for w, c in x.terms.items()
-                       for k in range(self.order + 1) if c.coeff(k)}, key=str)
-        index = {kk: n for n, kk in enumerate(keys)}
-        # hbar-graded unknowns: coefficients hbar^k * word for each image
+        # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []
         for im in images:
             for shift in range(self.order + 1):
-                col = [Fraction(0)] * len(keys)
-                any_entry = False
+                col = {}
                 for w, c in im.terms.items():
                     for k in range(self.order + 1 - shift):
-                        v = c.coeff(k)
-                        if v and (w, k + shift) in index:
-                            col[index[(w, k + shift)]] = v
-                            any_entry = True
-                if any_entry:
-                    cols.append(col)
-        rows = [[col[rn] for col in cols] for rn in range(len(keys))]
-        rhs = [Fraction(0)] * len(keys)
+                        add_term(col, (w, k + shift), c.coeff(k))
+                cols.append(col)
+        target = {}
         for w, c in x.terms.items():
             for k in range(self.order + 1):
-                v = c.coeff(k)
-                if v:
-                    rhs[index[(w, k)]] = v
+                add_term(target, (w, k), c.coeff(k))
         try:
-            linalg.solve_affine(rows, len(cols), rhs)
+            linalg.rref(cols, len(cols)).solve(target)
             return True
         except linalg.InconsistentSystem:
             return False

@@ -189,21 +189,9 @@ def quasitri_residual(bfam, rlist, n):
 
 def independent_subset(elems, cls):
     """Greedy exact rank filter: the elements whose classes cls(e) are
-    independent of those of the elements kept before them."""
-    classes = [cls(e) for e in elems]
-    keys = sorted({k for e in classes for k in e.terms}, key=str)
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    out = []
-    for e, ce in zip(elems, classes):
-        vec = [Fraction(0)] * len(keys)
-        for k, c in ce.terms.items():
-            vec[index[k]] = c
-        cand = rows + [vec]
-        if linalg.rank(cand, len(keys)) == len(cand):
-            rows.append(vec)
-            out.append(e)
-    return out
+    independent of those of the elements before them."""
+    classes = [cls(e).terms for e in elems]
+    return [elems[j] for j in linalg.rref(classes, len(classes)).kept]
 
 
 class NonUnique(ValueError):

@@ -98,10 +98,6 @@ class UElem(LinComb):
         return UElem(self.legs, {k: c for k, c in self.terms.items()
                                  if len(k[leg]) == 1})
 
-    def grade(self):
-        """Total number of pairs occurring (assumes homogeneous use)."""
-        return len(self.pids())
-
 
 def normalize_letters(elem):
     """Renormalize every letter to the canonical left-normed basis.
@@ -145,10 +141,6 @@ def u_mul(x, y, modes):
             for key, c in partial:
                 add_term(out.terms, key, c)
     return out
-
-
-def u_commutator(x, y, modes):
-    return u_mul(x, y, modes) - u_mul(y, x, modes)
 
 
 def pr_word_product(B, u, v):

@@ -124,23 +124,10 @@ def pid_types(k):
     return {p: tuple(v) for p, v in t.items()}
 
 
-def grading(k):
-    """Multiset of pair types as a sorted tuple."""
-    return tuple(sorted(pid_types(k).values()))
-
-
 def canonical_classes(elem):
     """Class coordinate of the plain word form: slots multiply
     associatively, so letter boundaries are dropped before comparing."""
     return canonical(expand_to_words(elem))
-
-
-def split_by_grading(elem):
-    out = {}
-    for k, c in elem.terms.items():
-        g = grading(k)
-        out.setdefault(g, UElem(elem.legs, {})).terms[k] = c
-    return out
 
 
 def lie_form(elem):
@@ -297,20 +284,6 @@ def basis_F3lie(N):
     return independent_subset(gens, canonical_classes)
 
 
-def _coords(images):
-    """Matrix of images over the union of their term keys."""
-    keys = sorted({k for im in images for k in im.terms}, key=str)
-    index = {k: i for i, k in enumerate(keys)}
-    cols = []
-    for im in images:
-        v = [Fraction(0)] * len(keys)
-        for k, c in im.terms.items():
-            v[index[k]] = c
-        cols.append(v)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(keys))]
-    return rows, keys, index
-
-
 def cohomology_dims(N_max):
     """Table {N: (dim H^2_N, dim H^3_N or None)} for N = 1..N_max.
 
@@ -320,20 +293,16 @@ def cohomology_dims(N_max):
     degree 2 delta4 is injective and delta3(F_1) = 0.
     """
     table = {}
-    fbases = {n: basis_F(n) for n in range(1, N_max + 1)}
-    rank3 = {}
-    for n in range(1, N_max + 1):
-        rows, _, _ = _coords([delta3(e) for e in fbases[n]])
-        rank3[n] = linalg.rank(rows, len(fbases[n]))
+    rank3 = 0    # rank of delta3 on F_{N-1}
     for N in range(1, N_max + 1):
-        h2 = len(fbases[N]) - rank3[N]
+        imgs = [delta3(e).terms for e in basis_F(N)]
+        ech = linalg.rref(imgs, len(imgs))
         h3 = None
         if N >= 2:
-            f3b = basis_F3lie(N)
-            rows4, _, _ = _coords([delta4(e) for e in f3b])
-            ker4 = len(f3b) - linalg.rank(rows4, len(f3b))
-            h3 = ker4 - rank3[N - 1]
-        table[N] = (h2, h3)
+            imgs = [delta4(e).terms for e in basis_F3lie(N)]
+            h3 = len(linalg.nullspace(imgs, len(imgs))) - rank3
+        table[N] = (len(ech.kernel), h3)
+        rank3 = len(ech.kept)
     return table
 
 
@@ -392,19 +361,17 @@ def _substitute_pairs(elem, pair_map):
     return out
 
 
-def ins(elem, varrho, total_degree):
-    """Insertion of a family into the pair slots of a universal class.
+def insert_pairs(elem, varrho, total_degree):
+    """Insertion of a family into the pair slots of a universal element.
 
     Replaces every formal pair of elem by entries of varrho (a dict
-    degree -> 2-slot class), summing over all ways the degrees add up to
-    total_degree.  Multilinear in the varrho entries; the identity family
-    {1: varrho_one()} acts as a relabeling.
+    degree -> 2-slot element), summing over all ways the degrees add up
+    to total_degree.  Multilinear in the varrho entries; the result is
+    a raw element, not a class.
     """
-    pids = sorted({p for k in elem.terms for leg in k for letter in leg
-                   for (p, _s) in letter})
-    n = len(pids)
+    pids = sorted(elem.pids())
     out = UElem.zero(elem.legs)
-    for degs in positive_compositions(total_degree, n):
+    for degs in positive_compositions(total_degree, len(pids)):
         if any(m not in varrho or not varrho[m] for m in degs):
             continue
         pair_map = {}
@@ -413,7 +380,13 @@ def ins(elem, varrho, total_degree):
             pair_map[pid] = _shift_pids(varrho[m], off)
             off += m
         out = out + _substitute_pairs(elem, pair_map)
-    return canonical_classes(out)
+    return out
+
+
+def ins(elem, varrho, total_degree):
+    """The class of insert_pairs(elem, varrho, total_degree); the identity
+    family {1: varrho_one()} acts as a relabeling."""
+    return canonical_classes(insert_pairs(elem, varrho, total_degree))
 
 
 class UnivContext:
@@ -433,22 +406,10 @@ class UnivContext:
         """
         out = [UElem.unit(2)]
         for d in range(1, N + 1):
-            acc = {}
+            acc = UElem.zero(2)
             for n in range(1, d + 1):
-                rn = self.table.rmatrix(n)
-                # distribute insertion degrees over the n pair slots
-                for degs in positive_compositions(d, n):
-                    if any(m not in varrho or not varrho[m] for m in degs):
-                        continue
-                    pair_map = {}
-                    off = 1000
-                    for pid, m in enumerate(degs):
-                        rep = _shift_pids(varrho[m], off)
-                        off += m
-                        pair_map[pid] = rep
-                    for k, c in _substitute_pairs(rn, pair_map).terms.items():
-                        add_term(acc, k, c)
-            out.append(UElem(2, acc))
+                acc = acc + insert_pairs(self.table.rmatrix(n), varrho, d)
+            out.append(acc)
         return out
 
 
@@ -532,22 +493,16 @@ def solve_varrho(bfam, N):
         if obstruction:
             raise Obstructed(M + 1)
         fb = basis_F(M)
-        imgs = [delta3(e) for e in fb]
-        rows, keys, index = _coords(imgs)
-        rhs = [Fraction(0)] * len(keys)
-        for k, c in phi.terms.items():
-            if k not in index:
-                raise Obstructed(M + 1)
-            rhs[index[k]] = -c
+        ech = linalg.rref([delta3(e).terms for e in fb], len(fb))
         try:
-            x, null = linalg.solve_affine(rows, len(fb), rhs)
+            x = ech.solve({k: -c for k, c in phi.terms.items()})
         except linalg.InconsistentSystem:
             raise Obstructed(M + 1)
-        if null:
+        if ech.kernel:
             raise NonUnique(M)
         sol = UElem.zero(2)
-        for c, e in zip(x, fb):
-            sol = sol + c * e
+        for i, c in x.items():
+            sol = sol + c * fb[i]
         varrho[M] = sol
     return varrho
 

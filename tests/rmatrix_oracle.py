@@ -8,6 +8,7 @@ from fractions import Fraction
 from liequant import linalg
 from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
                               _shift_pids)
+from liequant.scalars import add_term
 from liequant.unitensor import UElem, canonical, deconcat_leg, u_mul
 
 
@@ -92,27 +93,20 @@ def rmatrix_by_solving(bfam, N):
 
         base = residuals(UElem.zero(2))
         cols = []
-        rowkeys = set(base)
         for e in basis:
-            r = residuals(e)
-            diff = {}
-            for key in set(r) | set(base):
-                d = r.get(key, Fraction(0)) - base.get(key, Fraction(0))
-                if d:
-                    diff[key] = d
-            cols.append(diff)
-            rowkeys.update(diff)
-        rowkeys = sorted(rowkeys)
-        A = [[col.get(rk, Fraction(0)) for col in cols] for rk in rowkeys]
-        b = [-base.get(rk, Fraction(0)) for rk in rowkeys]
+            col = residuals(e)
+            for key, c in base.items():
+                add_term(col, key, -c)
+            cols.append(col)
+        ech = linalg.rref(cols, len(cols))
         try:
-            x, null = linalg.solve_affine(A, len(basis), b)
+            x = ech.solve({key: -c for key, c in base.items()})
         except linalg.InconsistentSystem:
             raise NoSolution(n)
-        if null:
+        if ech.kernel:
             raise NonUnique(n)
         rn = UElem.zero(2)
-        for c, e in zip(x, basis):
-            rn = rn + c * e
+        for i, c in x.items():
+            rn = rn + c * basis[i]
         rlist.append(rn)
     return rlist

@@ -72,12 +72,6 @@ def test_delta_maps_concrete_complex(dbl):
     assert comp == {}
 
 
-def _columns(tensors):
-    """Matrix whose columns are the tensors, over the union of their keys."""
-    keys = sorted({k for t in tensors for k in t})
-    return [[t.get(k, Fraction(0)) for t in tensors] for k in keys]
-
-
 def _placed_pieces(alg, r, x):
     """The twelve brackets [r^(ij), x^(klm)] of four slots sharing one slot:
     x fills the three slots other than m, and r joins m to one of them."""
@@ -105,7 +99,7 @@ def test_delta4_sign_table_is_forced_by_cybe():
         assert x
         assert delta4_r(alg, r, x) == {}
         pieces = _placed_pieces(alg, r, x)
-        null = linalg.nullspace(_columns(pieces), len(pieces))
+        null = linalg.nullspace(pieces, len(pieces))
         assert len(null) == 1
         # delta4_r is that one combination on a generic three-tensor too
         y = {}
@@ -113,8 +107,9 @@ def test_delta4_sign_table_is_forced_by_cybe():
             idx = tuple(rng.randrange(3) for _ in range(3))
             y = tensor_add(y, {idx: Fraction(rng.randint(-3, 3))})
         combo = {}
-        for c, piece in zip(null[0], _placed_pieces(alg, r, y)):
-            combo = tensor_add(combo, tensor_smul(c, piece))
+        ys = _placed_pieces(alg, r, y)
+        for i, c in null[0].items():
+            combo = tensor_add(combo, tensor_smul(c, ys[i]))
         image = delta4_r(alg, r, y)
         assert combo and image
         key = next(iter(combo))

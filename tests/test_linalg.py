@@ -1,44 +1,168 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from liequant.linalg import (rref, rank, nullspace, solve_affine,
-                             solve_affine_multi, InconsistentSystem)
+from liequant.linalg import rref, nullspace, InconsistentSystem
 
 
 def F(x):
     return Fraction(x)
 
 
+def _columns(A):
+    """The columns of a dense matrix as sparse dicts keyed by row index."""
+    return [{i: row[j] for i, row in enumerate(A) if row[j]}
+            for j in range(len(A[0]))]
+
+
 def test_rref_and_rank():
     A = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    R, piv = rref(A, 3)
-    assert piv == [0, 1]
-    assert rank(A, 3) == 2
+    ech = rref(_columns(A), 3)
+    assert ech.kept == [0, 1]
+    assert len(ech.kept) == 2
 
 
 def test_nullspace_kernel_vectors():
     A = [[F(1), F(2), F(3)], [F(0), F(1), F(1)]]
-    for v in nullspace(A, 3):
+    for v in nullspace(_columns(A), 3):
         for row in A:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(row[j] * c for j, c in v.items()) == 0
 
 
 def test_solve_affine_free_vars_zeroed():
     A = [[F(1), F(1), F(0)]]
-    x, null = solve_affine(A, 3, [F(5)])
-    assert x == [F(5), F(0), F(0)]
-    assert len(null) == 2
+    ech = rref(_columns(A), 3)
+    assert ech.solve({0: F(5)}) == {0: F(5)}
+    assert len(ech.kernel) == 2
 
 
 def test_inconsistent():
     A = [[F(1), F(0)], [F(1), F(0)]]
     with pytest.raises(InconsistentSystem):
-        solve_affine(A, 2, [F(1), F(2)])
+        rref(_columns(A), 2).solve({0: F(1), 1: F(2)})
 
 
-def test_multi_rhs():
-    A = [[F(2), F(0)], [F(0), F(4)]]
-    sols, null = solve_affine_multi(A, 2, [[F(2), F(4)], [F(0), F(8)]])
-    assert sols == [[F(1), F(1)], [F(0), F(2)]]
-    assert not null
+# -- the dense reference: plain Gaussian elimination over Fraction ----------
+
+def dense_rref(rows, ncols):
+    R = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        piv = next((i for i in range(prow, len(R)) if R[i][col] != 0), None)
+        if piv is None:
+            continue
+        R[prow], R[piv] = R[piv], R[prow]
+        pv = R[prow][col]
+        R[prow] = [x / pv for x in R[prow]]
+        for i in range(len(R)):
+            if i != prow and R[i][col] != 0:
+                f = R[i][col]
+                R[i] = [a - f * b for a, b in zip(R[i], R[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == len(R):
+            break
+    return R, pivots
+
+
+def dense_answers(vectors, target):
+    """(pivot columns, nullspace basis, free-variables-zero solution or
+    None) of the matrix whose columns are the vectors, as sparse dicts."""
+    # the row order does not change any of the three answers
+    keys = list(dict.fromkeys([k for v in vectors for k in v] + list(target)))
+    n = len(vectors)
+    rows = [[v.get(k, F(0)) for v in vectors] + [target.get(k, F(0))]
+            for k in keys]
+    R, pivots = dense_rref(rows, n + 1)
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = {fc: F(1)}
+        for i, pc in enumerate(pivots):
+            if pc < n and R[i][fc]:
+                v[pc] = -R[i][fc]
+        kernel.append(v)
+    solution = None
+    if n not in pivots:
+        solution = {pc: R[i][n] for i, pc in enumerate(pivots) if R[i][n]}
+    return [pc for pc in pivots if pc < n], kernel, solution
+
+
+def _random_system(rng):
+    """Vectors over tuple keys with dependent, duplicate and zero ones."""
+    keys = [(rng.randrange(3), "k%d" % i) for i in range(rng.randint(1, 6))]
+    vectors = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random()
+        if kind < 0.15:
+            vectors.append({})
+        elif kind < 0.3 and vectors:
+            vectors.append(dict(rng.choice(vectors)))
+        elif kind < 0.55 and vectors:
+            v = {}
+            for u in rng.sample(vectors, min(len(vectors), 2)):
+                c = F(rng.randint(-3, 3)) / rng.randint(1, 3)
+                for k, x in u.items():
+                    v[k] = v.get(k, F(0)) + c * x
+            vectors.append({k: x for k, x in v.items() if x})
+        else:
+            support = rng.sample(keys, rng.randint(1, len(keys)))
+            v = {k: F(rng.randint(-4, 4)) for k in support}
+            vectors.append({k: x for k, x in v.items() if x})
+    return keys, vectors
+
+
+def _combination(rng, vectors):
+    out = {}
+    for v in vectors:
+        c = F(rng.randint(-2, 2))
+        for k, x in v.items():
+            out[k] = out.get(k, F(0)) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _check(vectors, target):
+    ech = rref(vectors, len(vectors))
+    kept, kernel, solution = dense_answers(vectors, target)
+    assert ech.kept == kept
+    assert ech.kernel == kernel
+    assert nullspace(vectors, len(vectors)) == kernel
+    if solution is None:
+        with pytest.raises(InconsistentSystem):
+            ech.solve(target)
+    else:
+        x = ech.solve(target)
+        assert x == solution and list(x) == sorted(x)
+        assert all(x.values())
+    return solution is not None
+
+
+def test_echelon_matches_dense_rref():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        keys, vectors = _random_system(rng)
+        assert _check(vectors, _combination(rng, vectors))
+        # a key that no vector has is never in the span
+        assert not _check(vectors, {("fresh",): F(1)})
+        # a random target: consistent or not, as the dense form decides
+        target = {k: F(rng.randint(-2, 2)) for k in keys}
+        outcomes.add(_check(vectors, {k: x for k, x in target.items() if x}))
+    assert outcomes == {True, False}
+
+
+def test_echelon_edge_cases():
+    assert _check([], {})
+    assert not _check([], {"a": F(1)})
+    assert _check([{}, {}], {})
+    # duplicate vectors: the second is a kernel relation of the first
+    v = {(0, 1): F(2), (1, 0): F(-3)}
+    ech = rref([v, dict(v), {}], 3)
+    assert ech.kept == [0]
+    assert ech.kernel == [{0: F(-1), 1: F(1)}, {2: F(1)}]
+    assert ech.solve({(0, 1): F(4), (1, 0): F(-6)}) == {0: F(2)}
+    # entries given as int stay exact
+    kernel = rref([{0: 2}, {0: 1}], 2).kernel
+    assert kernel == [{0: Fraction(-1, 2), 1: F(1)}]
+    assert all(type(c) is Fraction for c in kernel[0].values())
