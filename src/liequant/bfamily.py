@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .freealg import (FreeLieCarrier, LiePoly, lie_bracket, substitute, cbh,
                       lie_to_json, lie_from_json)
-from .scalars import add_term, scalar_from_json, scalar_str
+from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 
 class Obstructed(ValueError):
@@ -152,10 +152,10 @@ def assoc_residual(B, p, q, r):
     ys = tuple(LiePoly.gen(p + i) for i in range(q))
     zs = tuple(LiePoly.gen(p + q + i) for i in range(r))
     lhs = LiePoly()
-    for c, w in deformed_word_product(xs, ys, B.eval_block):
+    for w, c in deformed_word_product(xs, ys, B.eval_block):
         lhs = lhs + c * B.eval(len(w), r, w + zs)
     rhs = LiePoly()
-    for c, w in deformed_word_product(ys, zs, B.eval_block):
+    for w, c in deformed_word_product(ys, zs, B.eval_block):
         rhs = rhs + c * B.eval(p, len(w), xs + w)
     return lhs - rhs
 
@@ -355,33 +355,27 @@ def deformed_word_product(u, v, block):
     with no empty block pair; each block pair (p, q) becomes a new letter
     given by block(p, q, letters) as (letter, coeff) pairs, where letters
     are the block's p letters of u followed by its q letters of v.  The
-    empty word is the unit.  Returns [(coeff, word)], repeats allowed.
+    empty word is the unit.  Returns [(word, coeff)], repeats allowed.
     """
     if not u or not v:
-        return [(1, u + v)]
+        return [(u + v, 1)]
     out = []
     for k in range(1, len(u) + len(v) + 1):
         for pc in compositions(len(u), k):
             for qc in compositions(len(v), k):
                 if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
                     continue
-                words = [(1, ())]
-                ox = oy = 0
-                for pb, qb in zip(pc, qc):
-                    vals = block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
-                    ox += pb
-                    oy += qb
-                    words = [(c * cv, w + (x,)) for c, w in words for x, cv in vals]
-                    if not words:
-                        break
-                out.extend(words)
+                blocks = zip(pc, qc, itertools.accumulate(pc, initial=0),
+                             itertools.accumulate(qc, initial=0))
+                out.extend(distribute(block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
+                                      for pb, qb, ox, oy in blocks))
     return out
 
 
 def word_antipode(w, mul, memo):
     """Antipode of a word for deconcatenation and the product mul.
 
-    S(w) = -sum_{i<|w|} S(w[:i]) w[i:], with mul(u, v) -> [(coeff, word)];
+    S(w) = -sum_{i<|w|} S(w[:i]) w[i:], with mul(u, v) -> [(word, coeff)];
     called with the opposite product it gives S^-1, the antipode of H^op.
     Memoized per word in memo (owned by the owner of mul); returns
     {word: coeff}, which callers must not change.
@@ -391,14 +385,14 @@ def word_antipode(w, mul, memo):
         hit = {} if w else {(): 1}
         for i in range(len(w)):
             for head, c in word_antipode(w[:i], mul, memo).items():
-                for cw, word in mul(head, w[i:]):
+                for word, cw in mul(head, w[i:]):
                     add_term(hit, word, -c * cw)
         memo[w] = hit
     return hit
 
 
 def _gauge_blocks(P, word):
-    """i_P applied to a word of carrier letters: list of (1, block-word)."""
+    """i_P applied to a word of carrier letters: list of (block-word, 1)."""
     n = len(word)
     out = []
     for k in range(1, n + 1):
@@ -414,7 +408,7 @@ def _gauge_blocks(P, word):
                     break
                 letters.append(val)
             if ok:
-                out.append((Fraction(1), tuple(letters)))
+                out.append((tuple(letters), Fraction(1)))
     return out
 
 
@@ -436,9 +430,9 @@ def gauge_act(P, B):
             gens = [LiePoly.gen(i) for i in range(n)]
             u, v = tuple(gens[:p]), tuple(gens[p:])
             acc = LiePoly()
-            for cu, wu in _gauge_blocks(Pinv, u):
-                for cv, wv in _gauge_blocks(Pinv, v):
-                    for cw, w in deformed_word_product(wu, wv, B.eval_block):
+            for wu, cu in _gauge_blocks(Pinv, u):
+                for wv, cv in _gauge_blocks(Pinv, v):
+                    for w, cw in deformed_word_product(wu, wv, B.eval_block):
                         # pr of i_P on a word (L_1...L_k) is P_k(L_1,...,L_k)
                         acc = acc + (cu * cv * cw) * P.eval(len(w), list(w))
             if acc:

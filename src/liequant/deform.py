@@ -14,7 +14,7 @@ import functools
 from fractions import Fraction
 
 from .liealg import tensor_add, tensor_smul
-from .scalars import add_term
+from .scalars import add_term, distribute
 
 
 class AssocAlgebra:
@@ -79,16 +79,11 @@ def place(alg, t, spots, n):
     out = {}
     unit_items = list(alg.unit.items())
     for k, c in t.items():
-        base = [None] * n
+        slots = [unit_items] * n
         for spot, comp in zip(spots, k):
-            base[spot - 1] = comp
-        free = [s for s in range(n) if base[s] is None]
-        fill = [(list(base), c)]
-        for s in free:
-            fill = [(idx[:s] + [i] + idx[s + 1:], cc * cu)
-                    for idx, cc in fill for i, cu in unit_items]
-        for idx, cc in fill:
-            add_term(out, tuple(idx), cc)
+            slots[spot - 1] = ((comp, 1),)
+        for idx, cc in distribute(slots, c):
+            add_term(out, idx, cc)
     return out
 
 
@@ -97,12 +92,8 @@ def t_mul(alg, t, u):
     out = {}
     for k1, c1 in t.items():
         for k2, c2 in u.items():
-            pieces = [((), c1 * c2)]
-            for i, j in zip(k1, k2):
-                m = alg.mul_basis(i, j)
-                pieces = [(key + (k,), c * cm) for key, c in pieces
-                          for k, cm in m.items()]
-            for key, c in pieces:
+            slots = (alg.mul_basis(i, j).items() for i, j in zip(k1, k2))
+            for key, c in distribute(slots, c1 * c2):
                 add_term(out, key, c)
     return out
 
@@ -208,13 +199,18 @@ def _chain_mul(alg, ts):
     return out
 
 
+def _ordered_triple(alg, a, b, c):
+    """a^12 b^13 c^23 - c^23 b^13 a^12 in A^(x3)."""
+    a12 = place(alg, a, (1, 2), 3)
+    b13 = place(alg, b, (1, 3), 3)
+    c23 = place(alg, c, (2, 3), 3)
+    return tensor_add(_chain_mul(alg, (a12, b13, c23)),
+                      tensor_smul(Fraction(-1), _chain_mul(alg, (c23, b13, a12))))
+
+
 def qybe_assoc_expr(alg, R):
     """R12 R13 R23 - R23 R13 R12."""
-    r12 = place(alg, R, (1, 2), 3)
-    r13 = place(alg, R, (1, 3), 3)
-    r23 = place(alg, R, (2, 3), 3)
-    return tensor_add(_chain_mul(alg, (r12, r13, r23)),
-                      tensor_smul(Fraction(-1), _chain_mul(alg, (r23, r13, r12))))
+    return _ordered_triple(alg, R, R, R)
 
 
 def aryeh_residual(alg, R, p):
@@ -255,13 +251,7 @@ def recursion_residual(alg, r, rseq, N):
             s = N - p - q
             if s < 0 or s > N - 2:
                 continue
-            t = _chain_mul(alg, (place(alg, R(p), (1, 2), 3),
-                                 place(alg, R(q), (1, 3), 3),
-                                 place(alg, R(s), (2, 3), 3)))
-            t2 = _chain_mul(alg, (place(alg, R(s), (2, 3), 3),
-                                  place(alg, R(q), (1, 3), 3),
-                                  place(alg, R(p), (1, 2), 3)))
-            out = tensor_add(out, tensor_add(t, tensor_smul(Fraction(-1), t2)))
+            out = tensor_add(out, _ordered_triple(alg, R(p), R(q), R(s)))
     return out
 
 
@@ -280,13 +270,8 @@ def obstruction_check(alg, r, rseq, N):
                 s = i + 1 - p - q
                 if s < 1:
                     continue
-                t = _chain_mul(alg, (place(alg, full[p], (1, 2), 3),
-                                     place(alg, full[q], (1, 3), 3),
-                                     place(alg, full[s], (2, 3), 3)))
-                t2 = _chain_mul(alg, (place(alg, full[s], (2, 3), 3),
-                                      place(alg, full[q], (1, 3), 3),
-                                      place(alg, full[p], (1, 2), 3)))
-                rhs = tensor_add(rhs, tensor_add(tensor_smul(Fraction(-1), t), t2))
+                rhs = tensor_add(rhs, tensor_smul(
+                    Fraction(-1), _ordered_triple(alg, full[p], full[q], full[s])))
         if tensor_add(lhs, tensor_smul(Fraction(-1), rhs)):
             raise ValueError("order-%d hypothesis violated" % (i + 1))
     test = {}
@@ -297,13 +282,7 @@ def obstruction_check(alg, r, rseq, N):
                 continue
             if p >= len(full) or q >= len(full) or s >= len(full):
                 continue
-            t = _chain_mul(alg, (place(alg, full[p], (1, 2), 3),
-                                 place(alg, full[q], (1, 3), 3),
-                                 place(alg, full[s], (2, 3), 3)))
-            t2 = _chain_mul(alg, (place(alg, full[s], (2, 3), 3),
-                                  place(alg, full[q], (1, 3), 3),
-                                  place(alg, full[p], (1, 2), 3)))
-            test = tensor_add(test, tensor_add(t, tensor_smul(Fraction(-1), t2)))
+            test = tensor_add(test, _ordered_triple(alg, full[p], full[q], full[s]))
     return delta_r(alg, r, test)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import HSeries, add_term, as_series
+from .scalars import HSeries, add_term, as_series, distribute
 from .bfamily import compositions
 from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
@@ -237,40 +237,31 @@ class Quantization:
 
     def _phipsi(self, xelem, y, xi_right):
         ctx = y.ctx
-        alg = self.bia.algebra
         out = TensElem(ctx, {})
-        maxdeg = self.bfam.max_degree
         for xw, cx in xelem.terms.items():
             for yw, cy in y.terms.items():
-                n, m = len(xw), len(yw)
-                for lam in compositions(n, m):
-                    pieces = [((), as_series(1, ctx.order))]
-                    off = 0
-                    ok = True
-                    for li, yi in zip(lam, yw):
-                        xs = [alg.basis(k) for k in xw[off:off + li]]
-                        off += li
-                        step = []
-                        for k in range(1, maxdeg - li + 1):
-                            if k - 1 > ctx.order:
-                                continue
-                            pq = (li, k) if xi_right else (k, li)
-                            blk = self.dual_block(*pq, xs, yi, xi_right)
-                            if not blk:
-                                continue
-                            h = HSeries.hpow(k - 1, 1, ctx.order)
-                            for idx, c in blk.items():
-                                step.append((idx, h * c))
-                        if not step:
-                            ok = False
-                            break
-                        pieces = [(w + idx, c * cs) for w, c in pieces
-                                  for idx, cs in step]
-                    if not ok:
-                        continue
-                    for w, c in pieces:
-                        add_term(out.terms, w, cx * cy * c)
+                for lam in compositions(len(xw), len(yw)):
+                    offs = itertools.accumulate(lam, initial=0)
+                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx.order)
+                             for li, yi, o in zip(lam, yw, offs))
+                    for key, c in distribute(steps, cx * cy):
+                        add_term(out.terms, sum(key, ()), c)
         return out
+
+    def _phipsi_step(self, xw, yi, xi_right, order):
+        """The (index tuple, coeff) pairs that one block of phi/psi takes
+        the letters xw and the letter yi to: the hbar^(k-1)-weighted dual
+        blocks of B_{k,|xw|} (beta), or of B_{|xw|,k} with xi_right (gamma)."""
+        xs = [self.bia.algebra.basis(i) for i in xw]
+        li = len(xw)
+        step = []
+        for k in range(1, min(self.bfam.max_degree - li, order + 1) + 1):
+            pq = (li, k) if xi_right else (k, li)
+            blk = self.dual_block(*pq, xs, yi, xi_right)
+            if blk:
+                h = HSeries.hpow(k - 1, 1, order)
+                step.extend((idx, h * c) for idx, c in blk.items())
+        return step
 
     # -- relations ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .bfamily import positive_compositions, deformed_word_product
 from .freealg import LiePoly
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical, deconcat_leg,
-                        pr_word_product, instantiate_tensor)
+                        pr_word_product)
 
 
 def pair_elem(pid):
@@ -139,13 +139,13 @@ def lambda_table(bfam, N):
 
 def Ln(bfam, n):
     """Degree-one part of the product (x_1)...(x_n), as a LiePoly."""
-    words = [(1, (LiePoly.gen(0),))]
+    words = [((LiePoly.gen(0),), 1)]
     for i in range(1, n):
-        words = [(c * c2, w2) for c, w in words
-                 for c2, w2 in deformed_word_product(w, (LiePoly.gen(i),),
+        words = [(w2, c * c2) for w, c in words
+                 for w2, c2 in deformed_word_product(w, (LiePoly.gen(i),),
                                                      bfam.eval_block)]
     out = LiePoly()
-    for c, w in words:
+    for w, c in words:
         if len(w) == 1:
             out = out + c * w[0]
     return out
@@ -165,26 +165,18 @@ def quasitri_residual(bfam, rlist, n):
     """
     sh = ("sh", bfam)
     rn = rlist[n]
-    lhs1 = deconcat_leg(rn, 0)
-    rhs1 = UElem.zero(3)
-    for k in range(0, n + 1):
-        x = rlist[k].place((1, 3), 3)
-        y = _shift_pids(rlist[n - k], k).place((2, 3), 3)
-        rhs1 = rhs1 + u_mul(x, y, (sh, sh, sh))
-    res1 = canonical(lhs1 - rhs1)
-
-    lhs2 = deconcat_leg(rn, 1)
-    rhs2 = UElem.zero(3)
-    for k in range(0, n + 1):
-        x = rlist[k].place((1, 3), 3)
-        y = _shift_pids(rlist[n - k], k).place((1, 2), 3)
-        rhs2 = rhs2 + u_mul(x, y, (sh, sh, sh))
-    res2 = canonical(lhs2 - rhs2)
-
+    out = {}
+    for name, leg, spots in (("delta1", 0, (2, 3)), ("delta2", 1, (1, 2))):
+        rhs = UElem.zero(3)
+        for k in range(0, n + 1):
+            x = rlist[k].place((1, 3), 3)
+            y = _shift_pids(rlist[n - k], k).place(spots, 3)
+            rhs = rhs + u_mul(x, y, (sh, sh, sh))
+        out[name] = canonical(deconcat_leg(rn, leg) - rhs)
     lhs3 = rn.map_leg(0, bfam.letter_antipode)
     rhs3 = rn.map_leg(1, lambda w: bfam.letter_antipode(w, inverse=True))
-    res3 = canonical(lhs3 - rhs3)
-    return {"delta1": res1, "delta2": res2, "antipode": res3}
+    out["antipode"] = canonical(lhs3 - rhs3)
+    return out
 
 
 def independent_subset(elems, cls):
@@ -199,13 +191,8 @@ class NonUnique(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# instantiation on a concrete algebra
+# serialization and display
 # ---------------------------------------------------------------------------
-
-def kappa_ab(elem, alg, r, order=None):
-    """kappa: universal 2-leg element -> ShTensor-like dict of word pairs."""
-    return instantiate_tensor(elem, alg, r, order)
-
 
 def uelem_to_json(elem):
     return {"legs": elem.legs,

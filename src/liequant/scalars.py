@@ -219,6 +219,24 @@ def surviving_pairs(left, right):
             yield k1, c1, k2, c2
 
 
+def distribute(factors, c=1):
+    """Expand c * prod_i (sum_j c_ij x_ij) into a list of (key, coeff).
+
+    Each factor is a re-iterable sequence of (x, coeff) pairs; a key is
+    the tuple (x_1j1, x_2j2, ...) of one choice per factor.  Keys come in
+    lexicographic order of the choices and coefficients multiply left to
+    right, c * c_1j1 * c_2j2 * ...; repeats are kept.  `factors` is read
+    lazily and the expansion stops at the first empty factor, so later
+    factors are never computed.  No factors give [((), c)].
+    """
+    out = [((), c)]
+    for factor in factors:
+        out = [(key + (x,), cc * cx) for key, cc in out for x, cx in factor]
+        if not out:
+            break
+    return out
+
+
 def add_term(d, k, c):
     """d[k] += c in a sparse dict that never stores a zero coefficient."""
     v = d.get(k)

@@ -12,8 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import (HSeries, LinComb, add_term, as_series, surviving_pairs,
-                      DEFAULT_ORDER)
+from .scalars import (HSeries, LinComb, add_term, as_series, distribute,
+                      surviving_pairs, DEFAULT_ORDER)
 from .bfamily import deformed_word_product, positive_compositions, word_antipode
 
 
@@ -44,7 +44,7 @@ class ShContext:
         hit = self._mulcache.get((wa, wb))
         if hit is None:
             acc = {}
-            for c, w in deformed_word_product(
+            for w, c in deformed_word_product(
                     wa, wb, lambda p, q, idx: self.b_eval(p, q, idx).items()):
                 add_term(acc, w, c)
             hit = {w: as_series(c, self.order) for w, c in acc.items()}
@@ -54,9 +54,7 @@ class ShContext:
     def antipode(self, w, inverse=False):
         """S(w), or S^-1(w), on a basis word: {word: coeff}."""
         def mul(u, v):
-            if inverse:
-                u, v = v, u
-            return [(c, x) for x, c in self.word_mul(u, v).items()]
+            return (self.word_mul(v, u) if inverse else self.word_mul(u, v)).items()
         return word_antipode(w, mul, self._antipodes[inverse])
 
 
@@ -178,14 +176,8 @@ class ShTensor(LinComb):
         word_mul = self.ctx.word_mul
         out = ShTensor(self.ctx, self.legs, {})
         for k1, c1, k2, c2 in surviving_pairs(self.terms, other.terms):
-            # multiply leg by leg, distributing the word products
-            combos = [((), c1 * c2)]
-            for w1, w2 in zip(k1, k2):
-                prods = word_mul(w1, w2).items()
-                combos = [(key + (w,), c * cw) for key, c in combos for w, cw in prods]
-                if not combos:
-                    break
-            for key, c in combos:
+            legs = (word_mul(w1, w2).items() for w1, w2 in zip(k1, k2))
+            for key, c in distribute(legs, c1 * c2):
                 add_term(out.terms, key, c)
         return out
 
@@ -489,16 +481,10 @@ def t_comul(ctx, x):
     """Coproduct of the deformed tensor algebra (algebra-map extension)."""
     result = {}
     for w, c in x.terms.items():
-        cur = {((), ()): c}
-        for i in w:
-            gen = ctx.generator_comul(i)
-            nxt = {}
-            for (u1, u2), cc in cur.items():
-                for (v1, v2), cg in gen.items():
-                    add_term(nxt, (u1 + v1, u2 + v2), cc * cg)
-            cur = nxt
-        for k, cc in cur.items():
-            add_term(result, k, cc)
+        gens = (ctx.generator_comul(i).items() for i in w)
+        for key, cc in distribute(gens, c):
+            add_term(result, (sum((v1 for v1, _ in key), ()),
+                              sum((v2 for _, v2 in key), ())), cc)
     return result
 
 

@@ -14,11 +14,10 @@ single atoms) used by the normal-ordering rewriting.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .freealg import LiePoly, leftnormed_words
-from .scalars import LinComb, add_term
+from .scalars import LinComb, add_term, distribute
 
 
 def a_atom(pid):
@@ -128,17 +127,9 @@ def u_mul(x, y, modes):
     out = UElem(x.legs, {})
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
-            partial = [((), c1 * c2)]
-            for leg in range(x.legs):
-                mode = modes[leg]
-                if mode == "conc":
-                    prods = ((1, k1[leg] + k2[leg]),)
-                else:
-                    prods = mode[1].letter_mul(k1[leg], k2[leg])
-                partial = [(key + (w,), c * cw)
-                           for key, c in partial
-                           for cw, w in prods]
-            for key, c in partial:
+            legs = (((u + v, 1),) if mode == "conc" else mode[1].letter_mul(u, v)
+                    for mode, u, v in zip(modes, k1, k2))
+            for key, c in distribute(legs, c1 * c2):
                 add_term(out.terms, key, c)
     return out
 
@@ -165,15 +156,7 @@ def deconcat_leg(x, leg):
 def expand_letters(k):
     """Expand every letter of a term key into associative words in place;
     letter boundaries are kept.  List of (key, coeff)."""
-    out = [((), 1)]
-    for leg in k:
-        options = [((), 1)]
-        for letter in leg:
-            options = [(w + (word,), c * cw)
-                       for w, c in options
-                       for word, cw in leftnormed_words(letter)]
-        out = [(key + (w,), c * cw) for key, c in out for w, cw in options]
-    return out
+    return distribute(distribute(map(leftnormed_words, leg)) for leg in k)
 
 
 def canonical(elem):
@@ -207,21 +190,15 @@ def _relabel_term(k, mapping):
 
 def _normalize_term_letters(k):
     """Expand letters into the canonical basis; list of (term, coeff)."""
-    expanded = [((), Fraction(1))]
-    for leg in k:
-        options = [((), Fraction(1))]
-        for letter in leg:
-            if len(letter) <= 1 or letter[0] == min(letter):
-                options = [(w + (tuple(letter),), c) for w, c in options]
-            else:
-                p = from_assoc_letter(letter)
-                options = [(w + (mono,), c * cm)
-                           for w, c in options
-                           for mono, cm in p.terms.items()]
-        expanded = [(key + (tuple(w),), c * cw)
-                    for key, c in expanded
-                    for w, cw in options]
-    return expanded
+    return distribute((distribute(map(_letter_basis, leg)) for leg in k),
+                      Fraction(1))
+
+
+def _letter_basis(letter):
+    """A letter as (basis monomial, coeff) pairs."""
+    if len(letter) <= 1 or letter[0] == min(letter):
+        return ((tuple(letter), 1),)
+    return from_assoc_letter(letter).terms.items()
 
 
 # ---------------------------------------------------------------------------
@@ -241,47 +218,24 @@ def instantiate_tensor(elem, alg, r, order=None):
     carrier = alg.carrier()
     for k, c in elem.terms.items():
         pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
-        for choice in itertools.product(range(len(rterms)), repeat=len(pids)):
-            coeff = c
-            amap = {}
-            bmap = {}
-            for pid, ci in zip(pids, choice):
-                (i, j), rc = rterms[ci]
-                amap[pid] = i
-                bmap[pid] = j
-                coeff = coeff * rc
+        for choice, coeff in distribute([rterms] * len(pids), c):
             if not coeff:
                 continue
-            # evaluate letters
-            legs_out = [[] for _ in range(elem.legs)]
-            for leg_i, leg in enumerate(k):
-                for letter in leg:
-                    args = []
-                    for (p, s) in letter:
-                        args.append(alg.basis(amap[p] if s == 0 else bmap[p]))
-                    if len(letter) == 1:
-                        val = args[0]
-                    else:
-                        val = _eval_leftnormed(args, carrier)
-                    legs_out[leg_i].append(val)
-            # distribute letters over basis indices
-            combos = [((), coeff)]
-            for leg_vals in legs_out:
-                words = [((), Fraction(1))]
-                for v in leg_vals:
-                    words = [(w + (i,), cw * cv) for w, cw in words
-                             for i, cv in v.items()]
-                combos = [(key + (w,), cc * cw) for key, cc in combos
-                          for w, cw in words]
-            for key, cc in combos:
+            pair = dict(zip(pids, choice))
+            legs = (distribute(_eval_letter(alg, carrier, pair, letter).items()
+                               for letter in leg) for leg in k)
+            for key, cc in distribute(legs, coeff):
                 add_term(out, key, cc)
     return out
 
 
-def _eval_leftnormed(args, carrier):
-    val = args[0]
-    for a in args[1:]:
-        val = carrier.bracket(val, a)
+def _eval_letter(alg, carrier, pair, letter):
+    """The left-normed letter with each atom (p, s) set to side s of the
+    concrete pair chosen for p: an algebra element."""
+    (p, s), rest = letter[0], letter[1:]
+    val = alg.basis(pair[p][s])
+    for (p, s) in rest:
+        val = carrier.bracket(val, alg.basis(pair[p][s]))
     return val
 
 

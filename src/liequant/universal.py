@@ -19,8 +19,9 @@ from fractions import Fraction
 from . import linalg
 from .bfamily import Obstructed, positive_compositions
 from .freealg import LiePoly, substitute, FreeLieCarrier
-from .rmatrix import NonUnique, independent_subset, lambda_table, _shift_pids
-from .scalars import add_term
+from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
+                      _shift_pids)
+from .scalars import add_term, distribute
 from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
                         normalize_letters, u_mul, pr_word_product,
                         instantiate_tensor, collapse_single_letters)
@@ -158,10 +159,7 @@ def lie_form(elem):
 
 def r_pair(pid, spots, legs):
     """r^(spots) for one formal pair: a in spots[0], b in spots[1]."""
-    key = [()] * legs
-    key[spots[0] - 1] = ((a_atom(pid),),)
-    key[spots[1] - 1] = ((b_atom(pid),),)
-    return UElem(legs, {tuple(key): Fraction(1)})
+    return pair_elem(pid).place(spots, legs)
 
 
 CONC3 = ("conc", "conc", "conc")
@@ -187,7 +185,7 @@ def delta3(x):
         re = r_pair(fresh, spots_r, legs)
         term = _comm(xe, re, CONC3)
         acc = acc + (Fraction(sign) * term)
-    return canonical_classes(normal_order(acc))
+    return canonical(normal_order(acc))
 
 
 def delta4(x):
@@ -214,13 +212,13 @@ def delta4(x):
         for spots_r, sign in rs:
             re = r_pair(fresh, spots_r, legs)
             acc = acc + Fraction(sign) * _comm(re, xe, CONC4)
-    return canonical_classes(normal_order(acc))
+    return canonical(normal_order(acc))
 
 
 def mu_lie(elem3):
     """Normal ordering of a 3-slot tensor of Lie letters; asserts that the
     output is again a tensor of Lie polynomials (middle slot pure)."""
-    res = canonical_classes(normal_order(elem3))
+    res = canonical(normal_order(elem3))
     for k in res.terms:
         mid_sides = [a[1] for letter in k[1] for a in letter]
         assert not (0 in mid_sides and 1 in mid_sides), \
@@ -233,7 +231,7 @@ def f3_mul(x, y):
     """Product of 3-slot classes: slotwise concatenation + normal order."""
     shift = max(x.pids(), default=-1) + 1
     y2 = _shift_pids(y, shift)
-    return canonical_classes(normal_order(u_mul(x, y2, CONC3)))
+    return canonical(normal_order(u_mul(x, y2, CONC3)))
 
 
 def entretien_cybe(i, j, k):
@@ -241,7 +239,7 @@ def entretien_cybe(i, j, k):
     acc = UElem.zero(4)
     for (s1, s2) in (((i, j), (i, k)), ((i, j), (j, k)), ((i, k), (j, k))):
         acc = acc + _comm(r_pair(0, s1, 4), r_pair(1, s2, 4), CONC4)
-    return canonical_classes(normal_order(acc))
+    return canonical(normal_order(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -320,45 +318,23 @@ def _substitute_pairs(elem, pair_map):
     out = UElem(elem.legs, {})
     for k, c in elem.terms.items():
         pids = sorted(pid_types(k))
-        combos = [({}, c)]
-        for pid in pids:
-            rep = pair_map[pid]
-            nxt = []
-            for amap, cc in combos:
-                for rk, rc in rep.terms.items():
-                    (aw, bw) = rk
-                    assert len(aw) == 1 and len(bw) == 1
-                    m = dict(amap)
-                    m[pid] = (aw[0], bw[0])
-                    nxt.append((m, cc * rc))
-            combos = nxt
-        for amap, cc in combos:
-            reterm = [((), Fraction(1))]
-            ok = True
-            for leg in k:
-                opts = [((), Fraction(1))]
-                for letter in leg:
-                    # substitute replacement polys into the letter monomial
-                    labels = list(letter)
-                    args = [LiePoly({tuple(amap[p][s]): Fraction(1)})
-                            for (p, s) in labels]
-                    lp = LiePoly({tuple(range(len(labels))): Fraction(1)})
-                    val = substitute(lp, args, FreeLieCarrier)
-                    if not val:
-                        ok = False
-                        break
-                    opts = [(w + (mono,), c2 * cv)
-                            for w, c2 in opts
-                            for mono, cv in val.terms.items()]
-                if not ok:
-                    break
-                reterm = [(key + (tuple(w),), c3 * c4) for key, c3 in reterm
-                          for w, c4 in opts]
-            if not ok:
-                continue
-            for key, c5 in reterm:
-                add_term(out.terms, key, cc * c5)
+        reps = (pair_map[pid].terms.items() for pid in pids)
+        for choice, cc in distribute(reps, c):
+            # each replacement is one letter per side
+            amap = {pid: (a, b) for pid, ((a,), (b,)) in zip(pids, choice)}
+            legs = (distribute(_substitute_letter(letter, amap).terms.items()
+                               for letter in leg) for leg in k)
+            for key, cr in distribute(legs, cc):
+                add_term(out.terms, key, cr)
     return out
+
+
+def _substitute_letter(letter, amap):
+    """The letter's monomial with each atom (p, s) replaced by side s of
+    the replacement amap[p], as a LiePoly (zero is possible)."""
+    args = [LiePoly({tuple(amap[p][s]): Fraction(1)}) for (p, s) in letter]
+    lp = LiePoly({tuple(range(len(letter))): Fraction(1)})
+    return substitute(lp, args, FreeLieCarrier)
 
 
 def insert_pairs(elem, varrho, total_degree):
@@ -430,35 +406,23 @@ def univ_qybe_residual(bfam, varrho, N, max_table=None):
                     for (u23, v23), c3 in t23.terms.items():
                         c = c1 * c2 * c3
                         # LHS ordering R12 R13 R23
-                        L1 = pr_word_product(bfam, u12, u13)
-                        if L1:
-                            L2 = pr_word_product(bfam, v12, u23)
-                            if L2:
-                                L3 = pr_word_product(bfam, v13, v23)
-                                if L3:
-                                    _triple(acc, L1, L2, L3, c)
+                        _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
                         # RHS ordering R23 R13 R12
-                        M1 = pr_word_product(bfam, u13, u12)
-                        if M1:
-                            M2 = pr_word_product(bfam, u23, v12)
-                            if M2:
-                                M3 = pr_word_product(bfam, v23, v13)
-                                if M3:
-                                    _triple(acc, M1, M2, M3, -c)
-    return canonical_classes(normal_order(UElem(3, acc)))
+                        _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
+    return canonical(normal_order(UElem(3, acc)))
 
 
-def _triple(acc, L1, L2, L3, c):
-    for m1, c1 in L1.terms.items():
-        for m2, c2 in L2.terms.items():
-            for m3, c3 in L3.terms.items():
-                add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)),
-                         c * c1 * c2 * c3)
+def _triple(acc, bfam, slots, c):
+    """acc += c * pr(u1 v1) x pr(u2 v2) x pr(u3 v3) for slots ((u_i, v_i));
+    a zero slot leaves the later slots' products uncomputed."""
+    prs = (pr_word_product(bfam, u, v).terms.items() for u, v in slots)
+    for (m1, m2, m3), cm in distribute(prs, c):
+        add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)), cm)
 
 
 def varrho_one():
     """The first entry: the class of x (x) x in F_1."""
-    return UElem(2, {(((a_atom(0),),), ((b_atom(0),),)): Fraction(1)})
+    return pair_elem(0)
 
 
 def phi_N(bfam, varrho, N, check_delta3=False):
@@ -520,8 +484,3 @@ def instantiate(elem, alg, r, order=None):
         elem = lie_form(elem)
     t = instantiate_tensor(elem, alg, r, order)
     return collapse_single_letters(t, elem.legs)
-
-
-def instantiate_words(elem, alg, r, order=None):
-    """kappa-tensor form for word-form classes (words per slot kept)."""
-    return instantiate_tensor(elem, alg, r, order)

@@ -8,7 +8,7 @@ from liequant.bfamily import BFamily, solve_bfamily, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
 from liequant.liealg import tensor_add, tensor_smul
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
-                              quasitri_residual, pair_elem, kappa_ab,
+                              quasitri_residual, pair_elem,
                               uelem_to_json, uelem_from_json, pretty_rmatrix)
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor, collapse_single_letters,

@@ -5,8 +5,8 @@ import pytest
 from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
 from liequant.liealg import borel2
-from liequant.scalars import (HSeries, LinComb, add_term, as_series, scalar_str,
-                              scalar_from_json)
+from liequant.scalars import (HSeries, LinComb, add_term, as_series, distribute,
+                              scalar_str, scalar_from_json)
 from liequant.shuffle import (LieCoalgebra, ShContext, ShElem, ShTensor, TensContext,
                               TensElem)
 from liequant.unitensor import UElem
@@ -135,3 +135,36 @@ def test_add_term_never_stores_zero():
     add_term(d, "y", Fraction(2))
     add_term(d, "y", 0)
     assert d == {"y": 3}
+
+
+class _Word(tuple):
+    """A noncommutative scalar: the product concatenates."""
+
+    def __mul__(self, other):
+        return _Word(tuple(self) + tuple(other))
+
+
+def test_distribute():
+    # keys in lexicographic order of the choices, for lists, tuples and dict views
+    x = [("a", 2), ("b", 3)]
+    y = {"u": 5, "v": 7}
+    assert distribute([x, y.items()], 11) == [
+        (("a", "u"), 110), (("a", "v"), 154), (("b", "u"), 165), (("b", "v"), 231)]
+    assert distribute(((("p", 1),), x)) == [(("p", "a"), 2), (("p", "b"), 3)]
+    # coefficients multiply left to right: c * c_1 * c_2
+    w = distribute([[("a", _Word("x")), ("b", _Word("y"))], [("c", _Word("z"))]],
+                   _Word("c"))
+    assert w == [(("a", "c"), ("c", "x", "z")), (("b", "c"), ("c", "y", "z"))]
+    # no factors: the scalar itself on the empty key
+    assert distribute([], Fraction(5)) == [((), Fraction(5))]
+    assert distribute(iter(())) == [((), 1)]
+    # an empty factor stops the expansion; later factors are never read
+    read = []
+
+    def factors():
+        for name, factor in (("x", x), ("empty", []), ("later", [("c", 1)])):
+            read.append(name)
+            yield factor
+
+    assert distribute(factors(), 1) == []
+    assert read == ["x", "empty"]

@@ -84,12 +84,12 @@ def test_unit_law_all_letter_kinds(B4, borel):
     free-Lie-algebra letters, Lie letters and basis indices."""
     x, y = LiePoly.gen(0), LiePoly.gen(1)
     for v in ((), (x,), (x, y)):
-        assert deformed_word_product((), v, B4.eval_block) == [(1, v)]
-        assert deformed_word_product(v, (), B4.eval_block) == [(1, v)]
+        assert deformed_word_product((), v, B4.eval_block) == [(v, 1)]
+        assert deformed_word_product(v, (), B4.eval_block) == [(v, 1)]
     a0, a1 = ((0, 0),), ((1, 0), (2, 0))
     for v in ((), (a0,), (a0, a1)):
-        assert B4.letter_mul((), v) == [(1, v)]
-        assert B4.letter_mul(v, ()) == [(1, v)]
+        assert B4.letter_mul((), v) == [(v, 1)]
+        assert B4.letter_mul(v, ()) == [(v, 1)]
     ctx = ctx_borel(B4, borel)
     for v in ((), (0,), (0, 1)):
         assert ctx.word_mul((), v) == {v: as_series(1, 3)}

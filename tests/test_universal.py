@@ -151,7 +151,6 @@ def test_mu_lie_examples(dbl):
                      ((b_atom(1),),)): Fraction(1)})
     m = mu_lie(elem)
     # kappa-instantiation oracle: both must give the same concrete tensor
-    from liequant.universal import instantiate_words
     img_m = instantiate(m, dbl.algebra, dbl.r)
     # direct: sum a_j x [b_j, a_p] x b_p over the double
     direct = {}
@@ -414,3 +413,41 @@ def test_lie_form_reads_multi_atom_letters(B4):
     rho3 = solve_varrho(B4, 3)[3]
     assert any(len(letter) > 1 for k in rho3.terms for leg in k for letter in leg)
     assert canonical_classes(lie_form(rho3)) == canonical_classes(rho3)
+
+
+def _random_paired_element(rng, legs):
+    """A few terms on up to three pairs, each pair's a-atom in an earlier
+    slot than its b-atom, every slot cut into Lie letters of one to three
+    atoms in random order: the input shape of normal_order."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        slots = [[] for _ in range(legs)]
+        for p in rng.sample(range(10), rng.randint(1, 3)):
+            sa, sb = sorted(rng.sample(range(legs), 2))
+            slots[sa].append(a_atom(p))
+            slots[sb].append(b_atom(p))
+        key = []
+        for atoms in slots:
+            rng.shuffle(atoms)
+            leg = []
+            while atoms:
+                size = rng.randint(1, min(3, len(atoms)))
+                leg.append(tuple(atoms[:size]))
+                atoms = atoms[size:]
+            key.append(tuple(leg))
+        terms[tuple(key)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+    return UElem(legs, terms)
+
+
+def test_normal_order_emits_single_atom_letters():
+    """normal_order's output holds single-atom letters only, so canonical
+    on it equals canonical_classes (whose word expansion is then the
+    identity): delta3, delta4 and the residual rely on this."""
+    rng = random.Random(8)
+    nonzero = 0
+    for _ in range(40):
+        out = normal_order(_random_paired_element(rng, rng.randint(3, 4)))
+        assert all(len(letter) == 1 for k in out.terms for leg in k for letter in leg)
+        assert canonical(out) == canonical_classes(out)
+        nonzero += bool(canonical(out))
+    assert nonzero > 20
