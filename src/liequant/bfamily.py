@@ -23,7 +23,14 @@ from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 
 class Obstructed(ValueError):
-    """Associativity system has no solution at some degree."""
+    """A degree-by-degree system has no solution; str(e) is the degree.
+    reason and witness, when given, name the failed check and one term."""
+
+    def __init__(self, degree, reason=None, witness=None):
+        super().__init__(degree)
+        self.degree = degree
+        self.reason = reason
+        self.witness = witness
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,11 @@ from .scalars import add_term
 
 
 class InconsistentSystem(ValueError):
-    pass
+    """residual: the target's nonzero part left after reduction."""
+
+    def __init__(self, residual):
+        super().__init__("inconsistent linear system")
+        self.residual = residual
 
 
 class Echelon:
@@ -71,7 +75,7 @@ class Echelon:
         sum(x_i * v_i) and every free variable zero."""
         rest, x = self._reduce(target)
         if rest:
-            raise InconsistentSystem("inconsistent linear system")
+            raise InconsistentSystem(rest)
         return dict(sorted(x.items()))
 
 

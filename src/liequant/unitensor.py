@@ -159,26 +159,29 @@ def expand_letters(k):
     return distribute(distribute(map(leftnormed_words, leg)) for leg in k)
 
 
-def canonical(elem):
-    """Class coordinate of elem modulo relabeling of the formal pairs.
+def class_key(key):
+    """Rename the pids in order of first appearance: the orbit
+    representative of a key of words with every atom once."""
+    names = {}
+    return tuple(tuple(tuple((names.setdefault(p, len(names)), s)
+                             for (p, s) in letter)
+                       for letter in leg)
+                 for leg in key)
 
-    Each letter is expanded in place into associative words (letter
-    boundaries kept, so words of shuffle-leg letters stay distinct from
-    words of letters).  Every atom then occurs once per key, so relabeling
-    permutes keys freely and renaming pids in order of first appearance
-    picks the orbit representative.  Two elements have the same class iff
+
+def canonical(elem):
+    """Class coordinate of elem modulo relabeling of the formal pairs:
+    `class_key` of every key after `expand_letters`.
+
+    Letter boundaries are kept, so words of shuffle-leg letters stay
+    distinct from words of letters.  Two elements have the same class iff
     their coordinates are equal; zero classes map to the empty element.
-    The result's letters are associative words, not Lie monomials: it is a
-    coordinate for comparison, not a Lie-letter element to compute with.
+    The result's letters are associative words, not Lie monomials.
     """
     out = {}
     for k, c in elem.terms.items():
         for key, cw in expand_letters(k):
-            names = {}
-            add_term(out, tuple(tuple(tuple((names.setdefault(p, len(names)), s)
-                                            for (p, s) in letter)
-                                      for letter in leg)
-                                for leg in key), c * cw)
+            add_term(out, class_key(key), c * cw)
     return UElem(elem.legs, out)
 
 

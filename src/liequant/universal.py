@@ -22,8 +22,8 @@ from .freealg import LiePoly, substitute, FreeLieCarrier
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _shift_pids)
 from .scalars import add_term, distribute
-from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
-                        normalize_letters, u_mul, pr_word_product,
+from .unitensor import (UElem, a_atom, b_atom, canonical, class_key,
+                        expand_letters, normalize_letters, u_mul, pr_word_product,
                         instantiate_tensor, collapse_single_letters)
 
 
@@ -50,11 +50,12 @@ def _find_atom(k, atom):
 
 
 def normal_order(elem):
-    """Rewrite so every inner slot is a-atoms then b-atoms.
+    """Rewrite so every inner slot is a-atoms then b-atoms; the class.
 
-    Input letters may be Lie monomials; the output is in plain word form.
-    The mixed commutator move is the universal three-term identity; its
-    instantiation is the CYBE for the formal pair.
+    Input letters may be Lie monomials.  The surviving keys are in plain
+    word form, so `class_key` of each is `canonical` of it: the output is
+    the class coordinate, in word form.  The mixed commutator move is the
+    universal three-term identity; its instantiation is the CYBE.
     """
     elem = expand_to_words(elem)
     legs = elem.legs
@@ -107,7 +108,10 @@ def normal_order(elem):
         v2 = legl[:li] + (((p, 1),), (bj,)) + legl[li + 1:]
         add_term(work, mid_a[:ls] + (v1,) + mid_a[ls + 1:], -c)
         add_term(work, mid_a[:ls] + (v2,) + mid_a[ls + 1:], c)
-    return UElem(legs, done)
+    out = {}
+    for k, c in done.items():
+        add_term(out, class_key(k), c)
+    return UElem(legs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ def _comm(x, y, modes):
 
 def delta3(x):
     """Coboundary F_n -> F^{Lie,(3)}_{n+1}: six commutators with r, then
-    normal ordering.  x: 2-slot element; output: canonical 3-slot form."""
+    normal ordering.  x: 2-slot element; output: a 3-slot class."""
     legs = 3
     pids = x.pids()
     fresh = max(pids, default=-1) + 1
@@ -185,7 +189,7 @@ def delta3(x):
         re = r_pair(fresh, spots_r, legs)
         term = _comm(xe, re, CONC3)
         acc = acc + (Fraction(sign) * term)
-    return canonical(normal_order(acc))
+    return normal_order(acc)
 
 
 def delta4(x):
@@ -212,34 +216,7 @@ def delta4(x):
         for spots_r, sign in rs:
             re = r_pair(fresh, spots_r, legs)
             acc = acc + Fraction(sign) * _comm(re, xe, CONC4)
-    return canonical(normal_order(acc))
-
-
-def mu_lie(elem3):
-    """Normal ordering of a 3-slot tensor of Lie letters; asserts that the
-    output is again a tensor of Lie polynomials (middle slot pure)."""
-    res = canonical(normal_order(elem3))
-    for k in res.terms:
-        mid_sides = [a[1] for letter in k[1] for a in letter]
-        assert not (0 in mid_sides and 1 in mid_sides), \
-            "mixed middle slot survived normal ordering of Lie input"
-    lie_form(res)  # raises if any slot fails to be a Lie polynomial
-    return res
-
-
-def f3_mul(x, y):
-    """Product of 3-slot classes: slotwise concatenation + normal order."""
-    shift = max(x.pids(), default=-1) + 1
-    y2 = _shift_pids(y, shift)
-    return canonical(normal_order(u_mul(x, y2, CONC3)))
-
-
-def entretien_cybe(i, j, k):
-    """[r^(ij), r^(ik)] + [r^(ij), r^(jk)] + [r^(ik), r^(jk)] in 4 slots."""
-    acc = UElem.zero(4)
-    for (s1, s2) in (((i, j), (i, k)), ((i, j), (j, k)), ((i, k), (j, k))):
-        acc = acc + _comm(r_pair(0, s1, 4), r_pair(1, s2, 4), CONC4)
-    return canonical(normal_order(acc))
+    return normal_order(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +293,30 @@ def _substitute_pairs(elem, pair_map):
     substitution happens inside letters via the free Lie algebra.
     """
     out = UElem(elem.legs, {})
+    memo = {}
     for k, c in elem.terms.items():
         pids = sorted(pid_types(k))
         reps = (pair_map[pid].terms.items() for pid in pids)
         for choice, cc in distribute(reps, c):
             # each replacement is one letter per side
             amap = {pid: (a, b) for pid, ((a,), (b,)) in zip(pids, choice)}
-            legs = (distribute(_substitute_letter(letter, amap).terms.items()
+            legs = (distribute(_substitute_letter(letter, amap, memo)
                                for letter in leg) for leg in k)
             for key, cr in distribute(legs, cc):
                 add_term(out.terms, key, cr)
     return out
 
 
-def _substitute_letter(letter, amap):
+def _substitute_letter(letter, amap, memo):
     """The letter's monomial with each atom (p, s) replaced by side s of
-    the replacement amap[p], as a LiePoly (zero is possible)."""
-    args = [LiePoly({tuple(amap[p][s]): Fraction(1)}) for (p, s) in letter]
-    lp = LiePoly({tuple(range(len(letter))): Fraction(1)})
-    return substitute(lp, args, FreeLieCarrier)
+    amap[p], as (monomial, coeff) pairs; memo is keyed on those sides."""
+    reps = tuple(amap[p][s] for (p, s) in letter)
+    out = memo.get(reps)
+    if out is None:
+        args = [LiePoly({rep: Fraction(1)}) for rep in reps]
+        lp = LiePoly({tuple(range(len(reps))): Fraction(1)})
+        out = memo[reps] = tuple(substitute(lp, args, FreeLieCarrier).terms.items())
+    return out
 
 
 def insert_pairs(elem, varrho, total_degree):
@@ -365,42 +347,37 @@ def ins(elem, varrho, total_degree):
     return canonical_classes(insert_pairs(elem, varrho, total_degree))
 
 
-class UnivContext:
-    """Caches the lambda-table R' assemblies and rho-inserted R-terms."""
+def r_terms_with_rho(table, varrho, N):
+    """Terms of R(rho) of total pair-degree d for d = 0..N.
 
-    def __init__(self, bfam, max_degree):
-        self.bfam = bfam
-        self.table = lambda_table(bfam, max_degree)
-        self.max_degree = max_degree
-
-    def r_terms_with_rho(self, varrho, N):
-        """Terms of R(rho) of total pair-degree d for d = 0..N.
-
-        varrho: dict m -> F_m element (2-slot, single Lie letters); rho is
-        the formal sum of their kappa-insertions.  Returns a list indexed
-        by degree; each entry is a UElem whose pids are fresh per degree.
-        """
-        out = [UElem.unit(2)]
-        for d in range(1, N + 1):
-            acc = UElem.zero(2)
-            for n in range(1, d + 1):
-                acc = acc + insert_pairs(self.table.rmatrix(n), varrho, d)
-            out.append(acc)
-        return out
+    table: the family's lambda table; varrho: dict m -> F_m element
+    (2-slot, single Lie letters); rho is the formal sum of their
+    kappa-insertions.  Returns a list indexed by degree; each entry is a
+    UElem whose pids are fresh per degree.
+    """
+    out = [UElem.unit(2)]
+    for d in range(1, N + 1):
+        acc = UElem.zero(2)
+        for n in range(1, d + 1):
+            acc = acc + insert_pairs(table.rmatrix(n), varrho, d)
+        out.append(acc)
+    return out
 
 
 def univ_qybe_residual(bfam, varrho, N, max_table=None):
     """Degree-N component of pr^(x3)(R12 R13 R23 - R23 R13 R12) with
     rho = sum of the varrho insertions, as a canonical 3-slot class."""
-    ctx = UnivContext(bfam, max_table or N)
-    rterms = ctx.r_terms_with_rho(varrho, N)
+    rterms = r_terms_with_rho(lambda_table(bfam, max_table or N), varrho, N)
+    # the R13 and R23 factors on pids of their own
+    rterms13 = [_shift_pids(t, 2000) for t in rterms]
+    rterms23 = [_shift_pids(t, 4000) for t in rterms]
     acc = {}
     for d12 in range(0, N + 1):
         for d13 in range(0, N + 1 - d12):
             d23 = N - d12 - d13
             t12 = rterms[d12]
-            t13 = _shift_pids(rterms[d13], 2000)
-            t23 = _shift_pids(rterms[d23], 4000)
+            t13 = rterms13[d13]
+            t23 = rterms23[d23]
             for (u12, v12), c1 in t12.terms.items():
                 for (u13, v13), c2 in t13.terms.items():
                     for (u23, v23), c3 in t23.terms.items():
@@ -409,7 +386,7 @@ def univ_qybe_residual(bfam, varrho, N, max_table=None):
                         _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
                         # RHS ordering R23 R13 R12
                         _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
-    return canonical(normal_order(UElem(3, acc)))
+    return normal_order(UElem(3, acc))
 
 
 def _triple(acc, bfam, slots, c):
@@ -448,20 +425,21 @@ def solve_varrho(bfam, N):
     """The unique solution (varrho_n) of the universal equations, n <= N.
 
     Degree by degree: checks the obstruction delta4(Phi) = 0, solves
-    delta3(x) = -Phi exactly and asserts the kernel is trivial.
+    delta3(x) = -Phi exactly and asserts the kernel is trivial.  A failed
+    check raises Obstructed(M + 1) with reason "cocycle" or "image".
     """
     varrho = {1: varrho_one()}
     for M in range(2, N + 1):
         phi = phi_N(bfam, varrho, M + 1)
         obstruction = delta4(phi)
         if obstruction:
-            raise Obstructed(M + 1)
+            raise Obstructed(M + 1, "cocycle", next(iter(obstruction.terms.items())))
         fb = basis_F(M)
         ech = linalg.rref([delta3(e).terms for e in fb], len(fb))
         try:
             x = ech.solve({k: -c for k, c in phi.terms.items()})
-        except linalg.InconsistentSystem:
-            raise Obstructed(M + 1)
+        except linalg.InconsistentSystem as e:
+            raise Obstructed(M + 1, "image", next(iter(e.residual))) from e
         if ech.kernel:
             raise NonUnique(M)
         sol = UElem.zero(2)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +12,17 @@ from liequant.deform import matrix_algebra, t_mul as am_mul, place as am_place, 
 from liequant.liealg import (borel2, build_double, delta3_r, delta4_r,
                              tensor_add, tensor_smul, sl2, cybe_residual,
                              placed_bracket)
-from liequant.universal import (normal_order, canonical_classes, mu_lie,
-                                f3_mul, entretien_cybe, delta3, delta4,
-                                basis_F, basis_F3lie, cohomology_dims,
+from liequant import universal
+from liequant.bfamily import Obstructed
+from liequant.freealg import LiePoly, substitute
+from liequant.scalars import add_term
+from liequant.universal import (normal_order, canonical_classes, delta3,
+                                delta4, basis_F, basis_F3lie, cohomology_dims,
                                 phi_N, solve_varrho, univ_qybe_residual,
                                 varrho_one, instantiate, ins, lie_form,
                                 expand_to_words, r_pair, CONC3)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
+from f3_algebra import entretien_cybe, f3_mul, mu_lie
 
 
 def _lie3(s1, s2, s3, c=1):
@@ -297,6 +303,29 @@ def test_obstruction_and_unique_solution(B4):
     assert not univ_qybe_residual(B4, rho, 4)
 
 
+def test_obstruction_names_a_failed_cocycle_check(B4, monkeypatch):
+    bad = UElem(3, {(((a_atom(0),),), ((b_atom(0),),), ()): Fraction(3)})
+    monkeypatch.setattr(universal, "delta4", lambda phi: bad)
+    with pytest.raises(Obstructed) as info:
+        solve_varrho(B4, 2)
+    e = info.value
+    assert str(e) == "3" and e.degree == 3
+    assert e.reason == "cocycle" and e.witness == next(iter(bad.terms.items()))
+
+
+def test_obstruction_names_a_phi_outside_the_image(B4, monkeypatch):
+    """A coboundary of degree 4 in place of Phi_3: delta4 kills it, but no
+    key of it is a key of delta3(F_2), so the whole of it is the residual."""
+    phi = delta3(basis_F(3)[0])
+    assert phi and not delta4(phi)
+    monkeypatch.setattr(universal, "phi_N", lambda bfam, varrho, N: phi)
+    with pytest.raises(Obstructed) as info:
+        solve_varrho(B4, 2)
+    e = info.value
+    assert str(e) == "3" and e.reason == "image"
+    assert e.witness == next(iter(phi.terms))
+
+
 def test_instantiate_examples(B4, dbl):
     rho = solve_varrho(B4, 2)
     assert instantiate(rho[1], dbl.algebra, dbl.r) == dbl.r
@@ -440,9 +469,10 @@ def _random_paired_element(rng, legs):
 
 
 def test_normal_order_emits_single_atom_letters():
-    """normal_order's output holds single-atom letters only, so canonical
-    on it equals canonical_classes (whose word expansion is then the
-    identity): delta3, delta4 and the residual rely on this."""
+    """normal_order's surviving keys hold single-atom letters only, so the
+    word expansion of canonical is the identity there and normal_order
+    takes the class by renaming alone (class_key); canonical and
+    canonical_classes then agree on its output."""
     rng = random.Random(8)
     nonzero = 0
     for _ in range(40):
@@ -451,3 +481,145 @@ def test_normal_order_emits_single_atom_letters():
         assert canonical(out) == canonical_classes(out)
         nonzero += bool(canonical(out))
     assert nonzero > 20
+
+
+def _raw_normal_order(elem):
+    """Oracle: the word-form normal order with no class map, rewriting the
+    last mixed pair b_j a_p of the last inner slot first.  Each rewrite is
+    b_j a_p = a_p b_j + [b_j, a_p], with the commutator moved onto the
+    partners: -b_j (a_j -> [a_j, a_p]) - a_p (b_p -> [b_j, b_p])."""
+    def put(k, atom, letters):
+        return tuple(tuple(x for letter in leg
+                           for x in (letters if letter == (atom,) else (letter,)))
+                     for leg in k)
+
+    out = {}
+    stack = list(expand_to_words(elem).terms.items())
+    while stack:
+        k, c = stack.pop()
+        hit = next(((s, i) for s in reversed(range(1, len(k) - 1))
+                    for i in reversed(range(len(k[s]) - 1))
+                    if k[s][i][0][1] == 1 and k[s][i + 1][0][1] == 0), None)
+        if hit is None:
+            add_term(out, k, c)
+            continue
+        s, i = hit
+        w = k[s]
+        (bj,), (ap,) = w[i], w[i + 1]
+        aj, bp = a_atom(bj[0]), b_atom(ap[0])
+        stack.append((k[:s] + (w[:i] + (w[i + 1], w[i]) + w[i + 2:],) + k[s + 1:], c))
+        only_b = k[:s] + (w[:i + 1] + w[i + 2:],) + k[s + 1:]
+        only_a = k[:s] + (w[:i] + w[i + 1:],) + k[s + 1:]
+        stack += [(put(only_b, aj, ((aj,), (ap,))), -c),
+                  (put(only_b, aj, ((ap,), (aj,))), c),
+                  (put(only_a, bp, ((bj,), (bp,))), -c),
+                  (put(only_a, bp, ((bp,), (bj,))), c)]
+    return UElem(elem.legs, out)
+
+
+def test_normal_order_returns_the_class():
+    """normal_order is the class coordinate: invariant under relabeling,
+    fixed by canonical, and canonical of the raw normal order."""
+    rng = random.Random(9)
+    nonzero = 0
+    for _ in range(40):
+        x = _random_paired_element(rng, rng.randint(3, 4))
+        out = normal_order(x)
+        assert canonical(out) == out
+        assert out == canonical(_raw_normal_order(x))
+        sigma = dict(enumerate(rng.sample(range(20), 20)))
+        assert normal_order(x.relabel(sigma)) == out
+        nonzero += bool(out)
+    assert nonzero > 20
+
+
+# ---------------------------------------------------------------------------
+# pair substitution: one free-Lie substitution per replacement tuple
+# ---------------------------------------------------------------------------
+
+def _substitute_by_letters(elem, pair_map):
+    """Reference for _substitute_pairs: every letter of every pair choice
+    substituted on its own through freealg.substitute, with no memo."""
+    out = {}
+    for k, c in elem.terms.items():
+        pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
+        for choice in itertools.product(*(pair_map[p].terms.items() for p in pids)):
+            amap = {p: (a, b) for p, (((a,), (b,)), _) in zip(pids, choice)}
+            cc = c * math.prod(cp for _, cp in choice)
+            legs = []
+            for leg in k:
+                words = [((), Fraction(1))]
+                for letter in leg:
+                    args = [LiePoly({amap[p][s]: Fraction(1)}) for (p, s) in letter]
+                    img = substitute(LiePoly({tuple(range(len(letter))): Fraction(1)}),
+                                     args)
+                    words = [(w + (m,), cw * cm) for w, cw in words
+                             for m, cm in img.terms.items()]
+                legs.append(words)
+            for combo in itertools.product(*legs):
+                add_term(out, tuple(w for w, _ in combo),
+                         cc * math.prod(cw for _, cw in combo))
+    return out
+
+
+def _replacement(rng, base):
+    """A 2-slot pair element on pids base..base+2: one or two terms, each
+    a letter of a-atoms x a letter of b-atoms on the same pids (minimal
+    atom first, the rest in random order)."""
+    def letter(side, pids):
+        rest = pids[1:]
+        rng.shuffle(rest)
+        return tuple((p, side) for p in pids[:1] + rest)
+
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        pids = sorted(rng.sample(range(base, base + 3), rng.randint(1, 3)))
+        terms[((letter(0, pids),), (letter(1, pids),))] = \
+            Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+    return UElem(2, terms)
+
+
+def _counting_substitute(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+    monkeypatch.setattr(universal, "substitute", counted)
+    return calls
+
+
+def test_substitute_pairs_shares_equal_replacement_tuples(monkeypatch):
+    """Letters of pids 0,1 and 4,5 get the same replacement tuple (A0, A1);
+    pids 2,3 get it swapped, (A1, A0) = -(A0, A1) after substitution, so a
+    key blind to the order would flip a sign."""
+    a, b = a_atom, b_atom
+    r0 = UElem(2, {(((a(100), a(101)),), ((b(100), b(101)),)): Fraction(1, 8)})
+    r1 = UElem(2, {(((a(102),),), ((b(102),),)): Fraction(1)})
+    pair_map = {0: r0, 1: r1, 2: r1, 3: r0, 4: r0, 5: r1}
+    elem = UElem(2, {(((a(0), a(1)), (a(2), a(3)), (a(4), a(5))),
+                      ((b(0), b(1)), (b(2), b(3)), (b(4), b(5)))): Fraction(3)})
+    calls = _counting_substitute(monkeypatch)
+    got = universal._substitute_pairs(elem, pair_map)
+    assert got and got.terms == _substitute_by_letters(elem, pair_map)
+    # (A0, A1), (A1, A0), (B0, B1), (B1, B0): four of six letters
+    assert len(calls) == 4
+
+
+def test_substitute_pairs_matches_letterwise_reference(monkeypatch):
+    """Seeded multi-atom letters and replacements on disjoint pids, as
+    insert_pairs makes them; letters recur across terms and choices."""
+    rng = random.Random(31)
+    calls = _counting_substitute(monkeypatch)
+    nonzero = letters = 0
+    for _ in range(30):
+        elem = _random_paired_element(rng, 2)
+        pair_map = {p: _replacement(rng, 100 + 10 * p) for p in range(10)}
+        got = universal._substitute_pairs(elem, pair_map)
+        assert got.terms == _substitute_by_letters(elem, pair_map)
+        letters += sum(math.prod(len(pair_map[p].terms) for p in {a[0] for leg in k
+                                                                  for l in leg
+                                                                  for a in l})
+                       * sum(map(len, k)) for k in elem.terms)
+        nonzero += bool(got)
+    assert nonzero > 15 and 0 < len(calls) < letters
