@@ -17,8 +17,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .freealg import (FreeLieCarrier, LiePoly, lie_bracket, substitute, cbh,
-                      lie_to_json, lie_from_json)
+from .freealg import (FreeLieCarrier, LiePoly, leftnormed_basis, lie_bracket,
+                      substitute, cbh, lie_to_json, lie_from_json)
 from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 
@@ -45,11 +45,6 @@ def compositions(n, k):
 @functools.lru_cache(maxsize=None)
 def positive_compositions(n, k):
     return tuple(c for c in compositions(n, k) if all(c))
-
-
-def leftnormed_basis(n):
-    """Left-normed basis monomials of multilinear FL_n on labels 0..n-1."""
-    return [(0,) + rest for rest in itertools.permutations(range(1, n))]
 
 
 class BFamily:
@@ -197,7 +192,7 @@ def _unknown_slots(n):
     slots = []
     for p in range(1, n):
         q = n - p
-        for mono in sorted(leftnormed_basis(n)):
+        for mono in leftnormed_basis(range(n)):
             slots.append(((p, q), mono))
     return slots
 
@@ -232,7 +227,7 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
     pins = {}
     if gauge == "paper3":
         for (p, q), target in (((2, 1), PAPER3_B21), ((1, 2), PAPER3_B12)):
-            for mono in leftnormed_basis(3):
+            for mono in leftnormed_basis(range(3)):
                 pins[((p, q), mono)] = target.terms.get(mono, Fraction(0))
 
     def with_coords(vec):
@@ -471,7 +466,7 @@ def connecting_gauge(B_from, B_to, max_iter=8):
     N = min(B_from.max_degree, B_to.max_degree)
     slots = []
     for n in range(2, N + 1):
-        for mono in sorted(leftnormed_basis(n)):
+        for mono in leftnormed_basis(range(n)):
             slots.append((n, mono))
 
     def to_gauge(vec):

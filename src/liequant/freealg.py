@@ -120,6 +120,14 @@ def leftnormed_words(letters):
     return words
 
 
+def leftnormed_basis(labels):
+    """Left-normed basis monomials of the multilinear part of the free
+    Lie algebra on the labels: the minimal label, then each order of the
+    rest, in lexicographic order ([()] for no labels)."""
+    labels = sorted(labels)
+    return [tuple(labels[:1]) + rest for rest in itertools.permutations(labels[1:])]
+
+
 def expand_leftnormed(letters):
     """AssocPoly expansion of the left-normed bracket [[x1,x2],...,xk]."""
     out = {}
@@ -143,11 +151,13 @@ def is_lyndon(w):
 def lyndon_standard_bracketing(w):
     """Nested-tuple standard bracketing of a Lyndon word.
 
-    Returns the label itself for single letters, else a pair (left, right)
-    with right the longest proper Lyndon suffix.
+    Returns the one-letter word itself for a single letter, else a pair
+    (left, right) with right the longest proper Lyndon suffix.  Leaves
+    are 1-tuples and nodes 2-tuples, so no label, a tuple label included,
+    reads as a subtree.
     """
     if len(w) == 1:
-        return w[0]
+        return tuple(w)
     for i in range(1, len(w)):
         if is_lyndon(w[i:]):
             return (lyndon_standard_bracketing(w[:i]), lyndon_standard_bracketing(w[i:]))
@@ -155,8 +165,8 @@ def lyndon_standard_bracketing(w):
 
 
 def _expand_tree(t):
-    if not isinstance(t, tuple):
-        return AssocPoly.gen(t)
+    if len(t) == 1:
+        return AssocPoly.gen(t[0])
     return assoc_commutator(_expand_tree(t[0]), _expand_tree(t[1]))
 
 
@@ -247,8 +257,8 @@ class LiePoly(LinComb):
 
 
 def _tree_str(t):
-    if not isinstance(t, tuple):
-        return label_str(t)
+    if len(t) == 1:
+        return label_str(t[0])
     return "[%s,%s]" % (_tree_str(t[0]), _tree_str(t[1]))
 
 
@@ -377,8 +387,8 @@ def substitute(p, args, carrier=FreeLieCarrier):
 
 
 def _subst_tree(t, args, carrier):
-    if not isinstance(t, tuple):
-        return args[t]
+    if len(t) == 1:
+        return args[t[0]]
     return carrier.bracket(_subst_tree(t[0], args, carrier),
                            _subst_tree(t[1], args, carrier))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import HSeries, add_term, as_series, distribute
+from .scalars import HSeries, add_term, as_series, distribute, pr_legs
 from .bfamily import compositions
 from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
@@ -109,14 +109,7 @@ class Quantization:
         out = {}
         for k in range(self.order + 1):
             full = res.hcoeff(k)
-            # the pr projection of the order-k component
-            prres = {}
-            for key, c in res.terms.items():
-                if all(len(w) == 1 for w in key):
-                    v = c.coeff(k)
-                    if v:
-                        prres[key] = v
-            out[k] = (not full, not prres)
+            out[k] = (not full, not pr_legs(full))
         return out
 
     def malta_check(self, varrho_subset=None):
@@ -128,7 +121,8 @@ class Quantization:
         """
         vr = self.varrho if varrho_subset is None else varrho_subset
         D = self.double
-        concrete_pr = self.qybe_residual(self._rho_at_order(self.order, vr)).pr_legs()
+        res = self.qybe_residual(self._rho_at_order(self.order, vr))
+        concrete_pr = pr_legs(res.terms)
         universal = {}
         for d in range(1, self.order + 1):
             resd = univ_qybe_residual(self.bfam, vr, d)
@@ -302,15 +296,8 @@ class Quantization:
 
     def semiclassical_check(self, i):
         """(1/hbar)(Delta - Delta')(ell(e_i)) == (ell x ell)(delta(e_i)) mod hbar."""
-        ctx = self.sh_ctx()
-        le = self.ell_generator(i)
-        co = sh_comul(le)
-        skew = co - ShTensor(ctx, 2, {(k[1], k[0]): c for k, c in co.terms.items()})
-        lhs = {}
-        for k, c in skew.terms.items():
-            v = c.coeff(1)
-            if v:
-                lhs[k] = v
+        co = sh_comul(self.ell_generator(i))
+        lhs = (co - co.place((2, 1), 2)).hcoeff(1)
         rhs = {}
         for (a, b), c in self.bia.delta(self.bia.algebra.basis(i)).items():
             ea = self.ell_generator(a)

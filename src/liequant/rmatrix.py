@@ -17,7 +17,7 @@ from . import linalg
 from .bfamily import positive_compositions, deformed_word_product
 from .freealg import LiePoly
 from .scalars import add_term
-from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical, deconcat_leg,
+from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                         pr_word_product)
 
 
@@ -98,10 +98,6 @@ class LambdaTable:
             comp = tuple(len(b) for b in blocks)
             # relabel pids so block i owns the contiguous range
             mapping = {}
-            off = 0
-            for b in blocks:
-                for p in b:
-                    mapping[p] = None
             pos = 0
             for b in blocks:
                 for p in b:
@@ -172,7 +168,7 @@ def quasitri_residual(bfam, rlist, n):
             x = rlist[k].place((1, 3), 3)
             y = _shift_pids(rlist[n - k], k).place(spots, 3)
             rhs = rhs + u_mul(x, y, (sh, sh, sh))
-        out[name] = canonical(deconcat_leg(rn, leg) - rhs)
+        out[name] = canonical(rn.comul_leg(leg) - rhs)
     lhs3 = rn.map_leg(0, bfam.letter_antipode)
     rhs3 = rn.map_leg(1, lambda w: bfam.letter_antipode(w, inverse=True))
     out["antipode"] = canonical(lhs3 - rhs3)

@@ -258,6 +258,10 @@ class LinComb:
     drops zero coefficients (scaling relies on that); `_like(terms)`
     builds an element of the same kind, context and legs.  Subclasses
     supply their own products.
+
+    The kinds with legs (`ShTensor`, `UElem`) key a term by one word per
+    leg and take `_like(terms, legs)` for another leg count; the leg maps
+    below are theirs.
     """
 
     __slots__ = ("terms",)
@@ -265,6 +269,41 @@ class LinComb:
 
     def _like(self, terms):
         raise NotImplementedError
+
+    def place(self, spots, legs):
+        """Spread the legs of self into the given 1-based spots of `legs`
+        legs, with the empty word (the unit) in the others."""
+        out = {}
+        for k, c in self.terms.items():
+            key = [()] * legs
+            for spot, w in zip(spots, k):
+                key[spot - 1] = w
+            out[tuple(key)] = c
+        return self._like(out, legs)
+
+    def comul_leg(self, leg):
+        """Deconcatenate one leg, producing legs+1 legs (split in place)."""
+        out = {}
+        for k, c in self.terms.items():
+            w = k[leg]
+            for i in range(len(w) + 1):
+                add_term(out, k[:leg] + (w[:i], w[i:]) + k[leg + 1:], c)
+        return self._like(out, self.legs + 1)
+
+    def reverse_leg(self, leg):
+        """Reverse the word in one leg."""
+        out = {}
+        for k, c in self.terms.items():
+            add_term(out, k[:leg] + (tuple(reversed(k[leg])),) + k[leg + 1:], c)
+        return self._like(out)
+
+    def map_leg(self, leg, fn):
+        """Apply a linear map of words, fn(word) -> {word: coeff}, to one leg."""
+        out = {}
+        for k, c in self.terms.items():
+            for w, cw in fn(k[leg]).items():
+                add_term(out, k[:leg] + (w,) + k[leg + 1:], c * cw)
+        return self._like(out)
 
     def __bool__(self):
         return bool(self.terms)
@@ -288,6 +327,16 @@ class LinComb:
 
     def __rmul__(self, c):
         return self._like({k: c * v for k, v in self.terms.items()})
+
+
+def pr_legs(terms):
+    """The degree-one projection of every leg of a tensor table: the
+    terms whose legs are all single letters, keyed by those letters."""
+    out = {}
+    for k, c in terms.items():
+        if all(len(w) == 1 for w in k):
+            add_term(out, tuple(w[0] for w in k), c)
+    return out
 
 
 def scalar_str(c):

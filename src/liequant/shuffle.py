@@ -59,11 +59,12 @@ class ShContext:
 
 
 def _norm_terms(terms, order):
+    """Tuple keys and hbar-series coefficients, zeros dropped."""
     out = {}
-    for w, c in terms.items():
+    for k, c in (terms or {}).items():
         c = as_series(c, order)
         if c:
-            out[tuple(w)] = c
+            out[tuple(k)] = c
     return out
 
 
@@ -72,7 +73,7 @@ class ShElem(LinComb):
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        self.terms = _norm_terms(terms or {}, ctx.order)
+        self.terms = _norm_terms(terms, ctx.order)
 
     def _like(self, terms):
         return ShElem(self.ctx, terms)
@@ -132,11 +133,7 @@ def sh_mul(a, b):
 
 def sh_comul(a):
     """Deconcatenation coproduct, as a 2-leg ShTensor."""
-    out = {}
-    for w, c in a.terms.items():
-        for i in range(len(w) + 1):
-            add_term(out, (w[:i], w[i:]), c)
-    return ShTensor(a.ctx, 2, out)
+    return ShTensor(a.ctx, 1, {(w,): c for w, c in a.terms.items()}).comul_leg(0)
 
 
 def sh_antipode(a):
@@ -158,14 +155,10 @@ class ShTensor(LinComb):
     def __init__(self, ctx, legs, terms=None):
         self.ctx = ctx
         self.legs = legs
-        self.terms = {}
-        for k, c in (terms or {}).items():
-            c = as_series(c, ctx.order)
-            if c:
-                self.terms[tuple(tuple(w) for w in k)] = c
+        self.terms = _norm_terms(terms, ctx.order)
 
-    def _like(self, terms):
-        return ShTensor(self.ctx, self.legs, terms)
+    def _like(self, terms, legs=None):
+        return ShTensor(self.ctx, self.legs if legs is None else legs, terms)
 
     @staticmethod
     def unit(ctx, legs, c=1):
@@ -179,33 +172,6 @@ class ShTensor(LinComb):
             legs = (word_mul(w1, w2).items() for w1, w2 in zip(k1, k2))
             for key, c in distribute(legs, c1 * c2):
                 add_term(out.terms, key, c)
-        return out
-
-    def place(self, spots, legs):
-        """Embed into more legs, with empty words elsewhere (1 in that slot)."""
-        out = {}
-        for k, c in self.terms.items():
-            key = [()] * legs
-            for spot, w in zip(spots, k):
-                key[spot - 1] = w
-            out[tuple(key)] = c
-        return ShTensor(self.ctx, legs, out)
-
-    def comul_leg(self, leg):
-        """Deconcatenate one leg, producing legs+1 legs (split in place)."""
-        out = ShTensor(self.ctx, self.legs + 1, {})
-        for k, c in self.terms.items():
-            w = k[leg]
-            for i in range(len(w) + 1):
-                add_term(out.terms, k[:leg] + (w[:i], w[i:]) + k[leg + 1:], c)
-        return out
-
-    def pr_legs(self):
-        """Apply the degree-1 projection to every leg; tensor over basis."""
-        out = {}
-        for k, c in self.terms.items():
-            if all(len(w) == 1 for w in k):
-                add_term(out, tuple(w[0] for w in k), c)
         return out
 
     def hcoeff(self, k):
@@ -418,7 +384,7 @@ class TensElem(LinComb):
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx              # a TensContext
-        self.terms = _norm_terms(terms or {}, ctx.order)
+        self.terms = _norm_terms(terms, ctx.order)
 
     def _like(self, terms):
         return TensElem(self.ctx, terms)

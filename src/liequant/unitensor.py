@@ -37,8 +37,8 @@ class UElem(LinComb):
         self.legs = legs
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
-    def _like(self, terms):
-        return UElem(self.legs, terms)
+    def _like(self, terms, legs=None):
+        return UElem(self.legs if legs is None else legs, terms)
 
     @staticmethod
     def zero(legs):
@@ -67,35 +67,6 @@ class UElem(LinComb):
         for k, c in self.terms.items():
             add_term(out, _relabel_term(k, mapping), c)
         return normalize_letters(UElem(self.legs, out))
-
-    def place(self, spots, legs):
-        """Spread the legs of self into the given 1-based spots."""
-        out = {}
-        for k, c in self.terms.items():
-            key = [()] * legs
-            for spot, leg in zip(spots, k):
-                key[spot - 1] = leg
-            out[tuple(key)] = c
-        return UElem(legs, out)
-
-    def reverse_leg(self, leg):
-        out = {}
-        for k, c in self.terms.items():
-            add_term(out, k[:leg] + (tuple(reversed(k[leg])),) + k[leg + 1:], c)
-        return UElem(self.legs, out)
-
-    def map_leg(self, leg, fn):
-        """Apply a linear map of words, fn(word) -> {word: coeff}, to one leg."""
-        out = {}
-        for k, c in self.terms.items():
-            for w, cw in fn(k[leg]).items():
-                add_term(out, k[:leg] + (w,) + k[leg + 1:], c * cw)
-        return UElem(self.legs, out)
-
-    def pr_leg(self, leg):
-        """Keep only terms whose given leg has exactly one letter."""
-        return UElem(self.legs, {k: c for k, c in self.terms.items()
-                                 if len(k[leg]) == 1})
 
 
 def normalize_letters(elem):
@@ -137,16 +108,6 @@ def u_mul(x, y, modes):
 def pr_word_product(B, u, v):
     """Degree-one part of the deformed product of two words: B_{|u|,|v|}."""
     return B.letter_eval(len(u), len(v), tuple(u) + tuple(v))
-
-
-def deconcat_leg(x, leg):
-    """Split one leg, producing legs+1 legs."""
-    out = UElem(x.legs + 1, {})
-    for k, c in x.terms.items():
-        w = k[leg]
-        for i in range(len(w) + 1):
-            add_term(out.terms, k[:leg] + (w[:i], w[i:]) + k[leg + 1:], c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +201,3 @@ def _eval_letter(alg, carrier, pair, letter):
     for (p, s) in rest:
         val = carrier.bracket(val, alg.basis(pair[p][s]))
     return val
-
-
-def collapse_single_letters(tensor_terms, legs):
-    """Tensor over words of length 1 per leg -> plain index tensor."""
-    out = {}
-    for key, c in tensor_terms.items():
-        assert all(len(w) == 1 for w in key)
-        add_term(out, tuple(w[0] for w in key), c)
-    return out

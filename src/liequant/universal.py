@@ -12,19 +12,18 @@ of the shape a...a b...b, which spans the direct sum of the F-spaces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from . import linalg
 from .bfamily import Obstructed, positive_compositions
-from .freealg import LiePoly, substitute, FreeLieCarrier
+from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _shift_pids)
-from .scalars import add_term, distribute
+from .scalars import add_term, distribute, pr_legs
 from .unitensor import (UElem, a_atom, b_atom, canonical, class_key,
                         expand_letters, normalize_letters, u_mul, pr_word_product,
-                        instantiate_tensor, collapse_single_letters)
+                        instantiate_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +222,11 @@ def delta4(x):
 # bases of the Lie coinvariant spaces
 # ---------------------------------------------------------------------------
 
-def _lie_monomials(atoms):
-    """Left-normed basis monomials of the multilinear part on the atoms."""
-    atoms = sorted(atoms)
-    if not atoms:
-        return [()]
-    lo, rest = atoms[0], atoms[1:]
-    return [(lo,) + perm for perm in itertools.permutations(rest)]
-
-
 def basis_F(n):
     """Basis of F_n: generators P x Q, both slots on the same n pairs,
     independent modulo relabeling."""
-    a_monos = _lie_monomials([a_atom(i) for i in range(n)])
-    b_monos = _lie_monomials([b_atom(i) for i in range(n)])
+    a_monos = leftnormed_basis([a_atom(i) for i in range(n)])
+    b_monos = leftnormed_basis([b_atom(i) for i in range(n)])
     return independent_subset([UElem(2, {((ma,), (mb,)): Fraction(1)})
                                for ma in a_monos for mb in b_monos],
                               canonical_classes)
@@ -247,14 +237,14 @@ def basis_F3lie(N):
     gens = []
     for p in range(1, N):
         # aab: p pairs (slot1, slot3), N - p pairs (slot2, slot3)
-        for m1 in _lie_monomials([a_atom(i) for i in range(p)]):
-            for m2 in _lie_monomials([a_atom(i) for i in range(p, N)]):
-                for m3 in _lie_monomials([b_atom(i) for i in range(N)]):
+        for m1 in leftnormed_basis([a_atom(i) for i in range(p)]):
+            for m2 in leftnormed_basis([a_atom(i) for i in range(p, N)]):
+                for m3 in leftnormed_basis([b_atom(i) for i in range(N)]):
                     gens.append(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
         # abb: p pairs (slot1, slot2), N - p pairs (slot1, slot3)
-        for m1 in _lie_monomials([a_atom(i) for i in range(N)]):
-            for m2 in _lie_monomials([b_atom(i) for i in range(p)]):
-                for m3 in _lie_monomials([b_atom(i) for i in range(p, N)]):
+        for m1 in leftnormed_basis([a_atom(i) for i in range(N)]):
+            for m2 in leftnormed_basis([b_atom(i) for i in range(p)]):
+                for m3 in leftnormed_basis([b_atom(i) for i in range(p, N)]):
                     gens.append(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
     return independent_subset(gens, canonical_classes)
 
@@ -460,5 +450,5 @@ def instantiate(elem, alg, r, order=None):
     tensor of Lie polynomials)."""
     if any(len(w) != 1 for k in elem.terms for w in k):
         elem = lie_form(elem)
-    t = instantiate_tensor(elem, alg, r, order)
-    return collapse_single_letters(t, elem.legs)
+    # one letter per leg, so every instantiated word has one index
+    return pr_legs(instantiate_tensor(elem, alg, r, order))

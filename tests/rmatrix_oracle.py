@@ -9,7 +9,7 @@ from liequant import linalg
 from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
                               _shift_pids)
 from liequant.scalars import add_term
-from liequant.unitensor import UElem, canonical, deconcat_leg, u_mul
+from liequant.unitensor import UElem, canonical, u_mul
 
 
 class NoSolution(ValueError):
@@ -47,6 +47,11 @@ def _leg_structures(pids, side):
     return out
 
 
+def _pr_leg(x, leg):
+    """Keep only the terms whose given leg has exactly one letter."""
+    return UElem(x.legs, {k: c for k, c in x.terms.items() if len(k[leg]) == 1})
+
+
 def universal_basis_deg(n):
     """Basis of the universal 2-leg space of degree n: raw generators
     whose classes modulo relabeling are independent."""
@@ -73,9 +78,9 @@ def rmatrix_by_solving(bfam, N):
         def residuals(cand):
             rows = {}
             full = rlist + [cand]
-            lhs1 = deconcat_leg(cand, 0)
+            lhs1 = cand.comul_leg(0)
             rhs1 = UElem.zero(3)
-            lhs2 = deconcat_leg(cand, 1)
+            lhs2 = cand.comul_leg(1)
             rhs2 = UElem.zero(3)
             for k in range(0, n + 1):
                 x = full[k].place((1, 3), 3)
@@ -85,7 +90,7 @@ def rmatrix_by_solving(bfam, N):
                 rhs2 = rhs2 + u_mul(x, y2, (sh, sh, sh))
             r1 = canonical(lhs1 - rhs1)
             r2 = canonical(lhs2 - rhs2)
-            pp = canonical(cand.pr_leg(0).pr_leg(1))
+            pp = canonical(_pr_leg(_pr_leg(cand, 0), 1))
             for tag, r in (("d1", r1), ("d2", r2), ("pp", pp)):
                 for key, c in r.terms.items():
                     rows[(tag, key)] = c

@@ -162,3 +162,15 @@ def test_lie_json_round_trip():
     rng = random.Random(6)
     p = rand_lie(rng, 4) + Fraction(1, 3) * LiePoly({(0, 0, 1): Fraction(1)})
     assert lie_from_json(lie_to_json(p)) == p
+
+
+def test_bracket_on_tuple_labels():
+    # tuple labels, as the universal calculus's (pid, side) atoms, with a
+    # repeated one: no label may be read as a node of the Lyndon bracketing
+    a, b = (100, 0), (101, 0)
+    got = lie_bracket(LiePoly({(a, b): 1}), LiePoly({(a,): 1}))
+    want = lie_bracket(LiePoly({(0, 1): 1}), LiePoly({(0,): 1}))
+    assert want == LiePoly({(0, 0, 1): -1})
+    assert got == want.relabel({0: a, 1: b}) == LiePoly({(a, a, b): -1})
+    assert repr(want) == "-1*[x1,[x1,x2]]"
+    assert repr(got) == "-1*[(100, 0),[(100, 0),(101, 0)]]"

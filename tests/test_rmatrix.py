@@ -10,9 +10,9 @@ from liequant.liealg import tensor_add, tensor_smul
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
                               quasitri_residual, pair_elem,
                               uelem_to_json, uelem_from_json, pretty_rmatrix)
+from liequant.scalars import pr_legs
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                                instantiate_tensor, collapse_single_letters,
-                                pr_word_product)
+                                instantiate_tensor, pr_word_product)
 from rmatrix_oracle import rmatrix_by_solving
 
 
@@ -201,8 +201,7 @@ def test_kappa_representative_invariance(B4, dbl):
     img2 = instantiate_tensor(relabeled, dbl.algebra, dbl.r)
     assert img1 == img2
     # kappa of lambda_1 is r itself
-    img = collapse_single_letters(
-        instantiate_tensor(tab.entries[(1,)], dbl.algebra, dbl.r), 2)
+    img = pr_legs(instantiate_tensor(tab.entries[(1,)], dbl.algebra, dbl.r))
     assert img == dbl.r
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
 from liequant.liealg import borel2
 from liequant.scalars import (HSeries, LinComb, add_term, as_series, distribute,
-                              scalar_str, scalar_from_json)
+                              pr_legs, scalar_str, scalar_from_json)
 from liequant.shuffle import (LieCoalgebra, ShContext, ShElem, ShTensor, TensContext,
                               TensElem)
 from liequant.unitensor import UElem
@@ -117,6 +118,36 @@ def test_lincomb_leg_counts_differ():
     assert UElem.zero(2) != UElem.zero(3) and UElem.zero(2) == UElem.zero(2)
     assert ShTensor(sctx, 2, {((0,), (1,)): 1}) != ShTensor(sctx, 3, {((0,), (1,)): 1})
     assert ShTensor(sctx, 2, {}) != ShTensor(sctx, 3, {})
+
+
+def test_leg_operations_shared():
+    """place, comul_leg and pr_legs act on the keys alone, so a UElem and
+    a ShTensor with the same keys give the same key sets."""
+    rng = random.Random(10)
+    sctx, _ = _contexts()
+    letters = [((p, s),) for p in range(3) for s in (0, 1)]
+    for _ in range(5):
+        terms = {((letters[0],), (letters[1],)): Fraction(1)}
+        for _ in range(8):
+            key = tuple(tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+                        for _ in range(2))
+            terms[key] = Fraction(rng.randint(1, 5))
+        u, s = UElem(2, terms), ShTensor(sctx, 2, terms)
+        for spots in ((1, 3), (3, 2), (2, 1)):
+            legs = max(spots)
+            assert u.place(spots, legs).legs == s.place(spots, legs).legs == legs
+            assert set(u.place(spots, legs).terms) == set(s.place(spots, legs).terms)
+        for leg in (0, 1):
+            assert set(u.comul_leg(leg).terms) == set(s.comul_leg(leg).terms)
+        assert set(pr_legs(u.terms)) == set(pr_legs(s.terms)) != set()
+        swapped = {(k[1], k[0]): c for k, c in terms.items()}
+        assert u.place((2, 1), 2) == UElem(2, swapped)
+        assert s.place((2, 1), 2) == ShTensor(sctx, 2, swapped)
+        for x in (u, s):
+            assert x.comul_leg(0).comul_leg(0) == x.comul_leg(0).comul_leg(1)
+            assert x.comul_leg(1).comul_leg(1) == x.comul_leg(1).comul_leg(2)
+            assert x.comul_leg(0).legs == 3
+            assert x.reverse_leg(1) == x.map_leg(1, lambda w: {w[::-1]: 1})
 
 
 def test_add_term_never_stores_zero():
