@@ -9,7 +9,6 @@ checks.  Everything is exact modulo hbar^(order+1).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .scalars import HSeries, add_term, as_series, distribute, pr_legs
 from .bfamily import compositions
@@ -24,7 +23,13 @@ from . import linalg
 
 
 class QYBEFail(ValueError):
-    pass
+    """The QYBE residual is nonzero; str(e) is its lowest hbar order.
+    witness is the first residual term at that order, as (key, order)."""
+
+    def __init__(self, order, witness):
+        super().__init__(order)
+        self.order = order
+        self.witness = witness
 
 
 class NotInKernel(ValueError):
@@ -97,10 +102,12 @@ class Quantization:
         rhs = r23.mul(r13).mul(r12)
         return lhs - rhs
 
-    def check_qybe(self):
-        res = self.qybe_residual()
+    def check_qybe(self, rho=None):
+        res = self.qybe_residual(rho)
         if res:
-            raise QYBEFail(min(c.valuation() for c in res.terms.values()))
+            order = min(c.valuation() for c in res.terms.values())
+            key = min(k for k, c in res.terms.items() if c.valuation() == order)
+            raise QYBEFail(order, (key, order))
         return True
 
     def equivalence_report(self, rho=None):
@@ -172,34 +179,6 @@ class Quantization:
             for i in reversed(w):
                 cur = sh_mul(cur, self.ell_generator(i))
             out = out + c * cur
-        return out
-
-    def ell_direct(self, x):
-        """ell by direct pairing against the assembled R (oracle form).
-
-        The hbar^-k pole of a degree-k contraction needs the R-terms at
-        internal order order + k; requires table.max_degree >= order + k.
-        """
-        ctx = self.sh_ctx()
-        d = self.bia.algebra.dim
-        kmax = max((len(w) for w in x.terms), default=0)
-        hi = self.order + kmax
-        if self.table.max_degree < hi:
-            raise ValueError("lambda table too small for a direct degree-%d pairing" % kmax)
-        rho_hi = self._rho_at_order(hi, self.varrho)
-        out = ShElem(ctx, {})
-        for n in range(hi + 1):
-            t = instantiate_tensor(self.table.rmatrix(n), self.double.algebra,
-                                   rho_hi, hi)
-            for w, c in x.terms.items():
-                chi = HSeries(list(c.coeffs) + [Fraction(0)] * kmax, hi)
-                for (wa, wb), cr in t.items():
-                    if len(wb) != len(w) or tuple(k - d for k in wb) != w:
-                        continue
-                    shifted = (chi * cr).shift(-len(w))
-                    low = HSeries(shifted.coeffs[: self.order + 1], self.order)
-                    if low:
-                        out = out + ShElem(ctx, {wa: low})
         return out
 
     # -- duals of the family entries ---------------------------------------

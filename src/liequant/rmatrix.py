@@ -18,7 +18,7 @@ from .bfamily import positive_compositions, deformed_word_product
 from .freealg import LiePoly
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                        pr_word_product)
+                        pr_word_product, _relabel_term)
 
 
 def pair_elem(pid):
@@ -120,9 +120,14 @@ class LambdaTable:
 
 
 def _shift_pids(elem, offset):
+    """elem with every pid raised by offset.  A constant offset keeps the
+    atom order inside each letter, so letters in the left-normed basis
+    (minimal atom first) stay in it and need no renormalizing."""
     if offset == 0:
         return elem
-    return elem.relabel({p: p + offset for p in elem.pids()})
+    mapping = {p: p + offset for p in elem.pids()}
+    return UElem(elem.legs, {_relabel_term(k, mapping): c
+                             for k, c in elem.terms.items()})
 
 
 def lambda_table(bfam, N):

@@ -21,7 +21,7 @@ from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _shift_pids)
 from .scalars import add_term, distribute, pr_legs
-from .unitensor import (UElem, a_atom, b_atom, canonical, class_key,
+from .unitensor import (UElem, a_atom, b_atom, canonical,
                         expand_letters, normalize_letters, u_mul, pr_word_product,
                         instantiate_tensor)
 
@@ -40,77 +40,77 @@ def expand_to_words(elem):
     return UElem(elem.legs, out)
 
 
-def _find_atom(k, atom):
-    for slot, leg in enumerate(k):
-        for pos, letter in enumerate(leg):
-            if letter == (atom,):
-                return slot, pos
-    return None
-
-
 def normal_order(elem):
     """Rewrite so every inner slot is a-atoms then b-atoms; the class.
 
-    Input letters may be Lie monomials.  The surviving keys are in plain
-    word form, so `class_key` of each is `canonical` of it: the output is
-    the class coordinate, in word form.  The mixed commutator move is the
-    universal three-term identity; its instantiation is the CYBE.
-    """
-    elem = expand_to_words(elem)
-    legs = elem.legs
-    middles = range(1, legs - 1)
-    done = {}
-    work = dict(elem.terms)
+    Input letters may be Lie monomials; every pair's a-atom must sit in
+    an earlier slot than its b-atom.  The output is the class coordinate
+    in word form.  The mixed commutator move is the universal three-term
+    identity; its instantiation is the CYBE.
 
+    Inside the loop a key is a tuple of slots of int atoms 2*pid + side,
+    renamed in order of first appearance, so the keys of one class meet
+    in one work item; the rewrite commutes with renaming.  Items are
+    taken in decreasing grade (Phi, inv): Phi is the sum of the a-atoms'
+    slots minus that of the b-atoms', inv the number of b-before-a pairs
+    within slots.  A swap lowers inv by one and a commutator move carries
+    a_p to an earlier slot or b_j to a later one, lowering Phi, so each
+    class is rewritten once, with its full coefficient, and a class whose
+    coefficient cancels is never expanded.
+    """
+    work = {}       # grade -> {class key: coeff}
+    done = {}
+
+    def push(k, c):
+        names = {}      # atom -> renamed atom, both sides of a pid at once
+        phi = inv = 0
+        for s, w in enumerate(k):
+            nb = 0
+            for x in w:
+                if x not in names:
+                    n = len(names) + (x & 1)
+                    names[x] = n
+                    names[x ^ 1] = n ^ 1
+                if x & 1:
+                    phi -= s
+                    nb += 1
+                else:
+                    phi += s
+                    inv += nb
+        k = tuple(tuple(map(names.__getitem__, w)) for w in k)
+        add_term(work.setdefault((phi, inv), {}), k, c)
+
+    for k, c in elem.terms.items():
+        for key, cw in expand_letters(k):
+            push(tuple(tuple(2 * p + s for word in w for (p, s) in word)
+                       for w in key), c * cw)
+    middles = range(1, elem.legs - 1)
     while work:
-        k, c = work.popitem()
-        target = None
-        for s in middles:
+        for k, c in work.pop(max(work)).items():
+            hit = next(((s, i) for s in middles for i in range(len(k[s]) - 1)
+                        if k[s][i] & 1 and not k[s][i + 1] & 1), None)
+            if hit is None:
+                add_term(done, tuple(tuple(((x >> 1, x & 1),) for x in w) for w in k), c)
+                continue
+            s, i = hit
             w = k[s]
-            for i in range(len(w) - 1):
-                if w[i][0][1] == 1 and w[i + 1][0][1] == 0:
-                    target = (s, i)
-                    break
-            if target:
-                break
-        if target is None:
-            add_term(done, k, c)
-            continue
-        s, i = target
-        w = k[s]
-        bj = w[i][0]
-        ap = w[i + 1][0]
-        # swap term
-        w_swap = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        add_term(work, k[:s] + (w_swap,) + k[s + 1:], c)
-        # CYBE move for the commutator [b_j, a_p]
-        j, p = bj[0], ap[0]
-        loc_aj = _find_atom(k, (j, 0))
-        loc_bp = _find_atom(k, (p, 1))
-        assert loc_aj is not None and loc_bp is not None, "unpaired atom"
-        ks, ki = loc_aj
-        ls, li = loc_bp
-        assert ks != s and ls != s
-        # [b_j, a_p] in an inner slot rewrites to
-        #   - (a_j -> [a_j, a_p] at its slot) x (b_j stays)
-        #   - (a_p stays) x (b_p -> [b_j, b_p] at its slot),
-        # instantiating to the CYBE for the formal pairs j, p.
-        mid_b = k[:s] + (w[:i] + ((bj,),) + w[i + 2:],) + k[s + 1:]
-        mid_a = k[:s] + (w[:i] + ((ap,),) + w[i + 2:],) + k[s + 1:]
-        legk = mid_b[ks]
-        w1 = legk[:ki] + (((j, 0),), (ap,)) + legk[ki + 1:]
-        w2 = legk[:ki] + ((ap,), ((j, 0),)) + legk[ki + 1:]
-        add_term(work, mid_b[:ks] + (w1,) + mid_b[ks + 1:], -c)
-        add_term(work, mid_b[:ks] + (w2,) + mid_b[ks + 1:], c)
-        legl = mid_a[ls]
-        v1 = legl[:li] + ((bj,), ((p, 1),)) + legl[li + 1:]
-        v2 = legl[:li] + (((p, 1),), (bj,)) + legl[li + 1:]
-        add_term(work, mid_a[:ls] + (v1,) + mid_a[ls + 1:], -c)
-        add_term(work, mid_a[:ls] + (v2,) + mid_a[ls + 1:], c)
-    out = {}
-    for k, c in done.items():
-        add_term(out, class_key(k), c)
-    return UElem(legs, out)
+            bj, ap = w[i], w[i + 1]
+            aj, bp = bj - 1, ap + 1
+            push(k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
+            # [b_j, a_p] in an inner slot rewrites to
+            #   - (a_j -> [a_j, a_p] at its slot) x (b_j stays)
+            #   - (a_p stays) x (b_p -> [b_j, b_p] at its slot),
+            # instantiating to the CYBE for the formal pairs j, p.
+            for rest, stay, pair in ((w[:i + 1] + w[i + 2:], aj, (aj, ap)),
+                                     (w[:i] + w[i + 1:], bp, (bj, bp))):
+                mid = k[:s] + (rest,) + k[s + 1:]
+                t = next(t for t, v in enumerate(mid) if stay in v)
+                assert t != s, "a pair's atoms share a slot"
+                v = mid[t]
+                pos = v.index(stay)
+                for word, sign in ((pair, -c), (pair[::-1], c)):
+                    push(mid[:t] + (v[:pos] + word + v[pos + 1:],) + mid[t + 1:], sign)
+    return UElem(elem.legs, done)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from liequant.scalars import HSeries, as_series
+from liequant.scalars import HSeries, add_term, as_series
 from liequant.bfamily import solve_bfamily
 from liequant.liealg import borel2, abelian_bialgebra
-from liequant.quantize import Quantization, NotInKernel
+from liequant.quantize import Quantization, NotInKernel, QYBEFail
 from liequant.shuffle import ShElem, TensElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
+from ell_oracle import ell_direct
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,23 @@ def test_qybe_negative_control_first_fails_at_order3(Q2):
     # the acceptance suite at order 3
     rho1 = {k: HSeries.hpow(1, c, 2) for k, c in Q2.double.r.items()}
     assert not Q2.qybe_residual(rho1)
+
+
+def test_qybe_failure_names_its_first_term(Q2):
+    """rho + hbar h x h fails the CYBE, so the QYBE fails at hbar^2;
+    QYBEFail holds that order as args[0] and names the least residual
+    key at that order."""
+    rho = dict(Q2.rho)
+    add_term(rho, (0, 0), HSeries.hpow(1, 1, 2))
+    with pytest.raises(QYBEFail) as info:
+        Q2.check_qybe(rho)
+    e = info.value
+    key, order = e.witness
+    assert e.args == (2,) and e.order == order == 2
+    res = Q2.qybe_residual(rho).terms
+    assert min(c.valuation() for c in res.values()) == 2
+    assert key == min(k for k, c in res.items() if c.valuation() == 2)
+    assert Q2.check_qybe()
 
 
 def test_equivalence_report(Q2):
@@ -80,7 +98,7 @@ def test_ell_matches_direct_pairing(B4, borel):
     tctx = Q.tens_ctx()
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
         x = TensElem.word(tctx, w)
-        assert Q.ell(x) == Q.ell_direct(x)
+        assert Q.ell(x) == ell_direct(Q, x)
 
 
 def test_ell_antihomomorphism(Q2):

@@ -9,7 +9,8 @@ from liequant.freealg import LiePoly, lie_bracket
 from liequant.liealg import tensor_add, tensor_smul
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
                               quasitri_residual, pair_elem,
-                              uelem_to_json, uelem_from_json, pretty_rmatrix)
+                              uelem_to_json, uelem_from_json, pretty_rmatrix,
+                              _shift_pids)
 from liequant.scalars import pr_legs
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor, pr_word_product)
@@ -211,3 +212,44 @@ def test_uelem_json_round_trip(B4):
     back = uelem_from_json(json.loads(json.dumps(uelem_to_json(r2))))
     assert back == r2
     assert pretty_rmatrix(tab.rmatrix(1)) == "1 (a1)(x)(b1)"
+
+
+def _random_lie_letter_element(rng, legs):
+    """Seeded terms on up to four pairs, every slot cut into Lie letters
+    of one to three atoms with the minimal atom first (the left-normed
+    basis), the rest in random order."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        slots = [[] for _ in range(legs)]
+        for p in rng.sample(range(12), rng.randint(1, 4)):
+            slots[rng.randrange(legs)].append(a_atom(p))
+            slots[rng.randrange(legs)].append(b_atom(p))
+        key = []
+        for atoms in slots:
+            rng.shuffle(atoms)
+            leg = []
+            while atoms:
+                size = rng.randint(1, min(3, len(atoms)))
+                letter = atoms[:size]
+                atoms = atoms[size:]
+                first = min(letter)
+                letter.remove(first)
+                leg.append((first,) + tuple(letter))
+            key.append(tuple(leg))
+        terms[tuple(key)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+    return UElem(legs, terms)
+
+
+def test_shift_pids_is_relabel(B4):
+    """A constant pid offset keeps every letter in the left-normed basis,
+    so the shift equals relabel, which renormalizes letters."""
+    rng = random.Random(41)
+    tab = lambda_table(B4, 3)
+    elems = [_random_lie_letter_element(rng, rng.randint(1, 3)) for _ in range(40)]
+    elems += [tab.rmatrix(n) for n in range(1, 4)]
+    multi = 0
+    for e in elems:
+        for off in (0, 1, 7, 1000):
+            assert _shift_pids(e, off) == e.relabel({p: p + off for p in e.pids()})
+        multi += any(len(letter) > 1 for k in e.terms for leg in k for letter in leg)
+    assert multi > 30

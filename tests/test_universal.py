@@ -533,6 +533,60 @@ def test_normal_order_returns_the_class():
     assert nonzero > 20
 
 
+def test_normal_order_merges_cancelling_classes():
+    """Keys of one class merge before they are rewritten: x plus a
+    relabeled -x leaves exactly the class of the third term, on 3- and
+    4-leg inputs, and a scaled relabeled copy only scales the class."""
+    rng = random.Random(12)
+    nonzero = 0
+    for _ in range(30):
+        legs = rng.randint(3, 4)
+        x = _random_paired_element(rng, legs)
+        y = _random_paired_element(rng, legs)
+        sigma = dict(enumerate(rng.sample(range(20), 20)))
+        moved = x.relabel(sigma)
+        z = x - moved + y
+        ny = normal_order(y)
+        assert normal_order(z) == canonical(_raw_normal_order(z)) == ny
+        assert not normal_order(x - moved)
+        w = x + Fraction(2) * moved
+        assert normal_order(w) == canonical(_raw_normal_order(w)) \
+            == Fraction(3) * normal_order(x)
+        nonzero += bool(ny)
+    assert nonzero > 15
+
+
+def test_delta4_kills_delta3_on_relabeled_combinations():
+    """delta4 o delta3 = 0 on seeded combinations of relabeled basis_F(2)
+    and basis_F(3) elements, and delta3 is linear on classes."""
+    rng = random.Random(13)
+    for n in (2, 3):
+        fb = basis_F(n)
+        for _ in range(3):
+            parts = [(Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)),
+                      e.relabel(dict(enumerate(rng.sample(range(12), 12)))))
+                     for e in fb]
+            x = UElem.zero(2)
+            expect = UElem.zero(3)
+            for c, e in parts:
+                x = x + c * e
+                expect = expect + c * delta3(e)
+            d3 = delta3(x)
+            assert d3 and d3 == expect
+            assert not delta4(d3)
+
+
+def test_delta4_images_match_the_oracle(monkeypatch):
+    """delta4 over basis_F3lie(4) equals delta4 with the graded, merged
+    normal order replaced by the class of the raw LIFO oracle."""
+    f3b = basis_F3lie(4)
+    got = [delta4(e) for e in f3b]
+    monkeypatch.setattr(universal, "normal_order",
+                        lambda e: canonical(_raw_normal_order(e)))
+    assert got == [delta4(e) for e in f3b]
+    assert all(got)
+
+
 # ---------------------------------------------------------------------------
 # pair substitution: one free-Lie substitution per replacement tuple
 # ---------------------------------------------------------------------------
