@@ -163,13 +163,7 @@ def assoc_residual(B, p, q, r):
 
 
 def all_residuals_zero(B):
-    for n in range(3, B.max_degree + 1):
-        for p in range(1, n - 1):
-            for q in range(1, n - p):
-                r = n - p - q
-                if assoc_residual(B, p, q, r):
-                    return False
-    return True
+    return not any(_residuals(B, n) for n in range(3, B.max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +191,69 @@ def _unknown_slots(n):
     return slots
 
 
+def _residuals(B, n):
+    """The degree-n associativity residuals of B as {(p, q, r, mono): c}."""
+    f = {}
+    for p in range(1, n - 1):
+        for q in range(1, n - p):
+            for mono, c in assoc_residual(B, p, q, n - p - q).terms.items():
+                f[(p, q, n - p - q, mono)] = c
+    return f
+
+
+def _shuffles(u, v):
+    """The words of Sh(len(u), len(v)): u and v interleaved, each in order."""
+    n = len(u) + len(v)
+    for pos in itertools.combinations(range(n), len(u)):
+        iu, iv = iter(u), iter(v)
+        yield tuple(next(iu) if i in pos else next(iv) for i in range(n))
+
+
+def _shuffle_column(slot):
+    """The column of L_n at slot ((a, b), mono), n = a + b: the degree-n
+    residuals of B_ab = mono with every other entry of degree n zero.
+
+    A degree-n entry E = B_ab meets the degree-n equations only with
+    generator letters: +E(sigma(x, y) | z) in each (p, q, b) with
+    p + q = a and -E(x | tau(y, z)) in each (a, q, r) with q + r = b,
+    summed over the shuffles sigma and tau.
+    """
+    (a, b), mono = slot
+    e = LiePoly({mono: Fraction(1)})
+    col = {}
+    for p in range(1, a):
+        for w in _shuffles(range(p), range(p, a)):
+            for m, c in e.relabel(dict(enumerate(w))).terms.items():
+                add_term(col, (p, a - p, b, m), c)
+    for q in range(1, b):
+        for w in _shuffles(range(a, a + q), range(a + q, a + b)):
+            for m, c in e.relabel(dict(zip(range(a, a + b), w))).terms.items():
+                add_term(col, (a, q, b - q, m), -c)
+    return col
+
+
+def _add_slots(table, coords):
+    """Add c * mono to entry pq of table for each ((pq, mono), c)."""
+    by_entry = {}
+    for (pq, mono), c in coords:
+        add_term(by_entry.setdefault(pq, {}), mono, c)
+    for pq, terms in by_entry.items():
+        e = table.get(pq, LiePoly()) + LiePoly(terms)
+        if e:
+            table[pq] = e
+        else:
+            table.pop(pq, None)
+
+
 def solve_bfamily(lam, N, gauge="rref-zero"):
     """Solve the associativity equations degree by degree up to N.
 
-    gauge "rref-zero": free variables of the exact linear system are set
-    to zero under the fixed ((p,q), monomial) ordering.  gauge "paper3":
-    additionally pins the degree-3 entries to the explicit normalized
-    values (requires lam = 1/2).
+    gauge "rref-zero": free variables of each degree's exact linear system
+    are set to zero under the fixed ((p,q), monomial) ordering.  gauge
+    "paper3": additionally pins the degree-3 entries to the explicit
+    normalized values (requires lam = 1/2).  When degree n has no
+    solution, raises Obstructed(n, "assoc", (key, c)): key is an equation
+    term (p, q, r, monomial) left unsatisfied and c its residual.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
@@ -212,63 +262,63 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
     if gauge == "paper3" and lam != Fraction(1, 2):
         raise ValueError("paper3 gauge requires lam = 1/2")
     lam = Fraction(lam)
-    table = {(1, 1): lam * LiePoly.leftnormed((0, 1))}
-    # all unknown coordinates for degrees 3..N at once; the system is
-    # linear through degree 4 and quadratic from degree 5 on (an unknown
-    # degree-3 entry can sit inside another unknown entry), so the solve
-    # is exact Newton iteration, which converges in one step while the
-    # system is linear
-    slots = []
-    for n in range(3, N + 1):
-        slots.extend(_unknown_slots(n))
-    if not slots:
-        return BFamily(lam, N, table)
-
+    b11 = lam * LiePoly.leftnormed((0, 1))
+    table = {(1, 1): b11}
     pins = {}
     if gauge == "paper3":
         for (p, q), target in (((2, 1), PAPER3_B21), ((1, 2), PAPER3_B12)):
             for mono in leftnormed_basis(range(3)):
                 pins[((p, q), mono)] = target.terms.get(mono, Fraction(0))
 
-    def with_coords(vec):
-        tbl = dict(table)
-        for ((pq, mono), c) in zip(slots, vec):
-            if c:
-                cur = tbl.get(pq, LiePoly())
-                tbl[pq] = cur + c * LiePoly({mono: Fraction(1)})
-        return tbl
-
-    def residual(vec):
-        fam = BFamily(lam, N, with_coords(vec))
-        f = {}
-        for n in range(3, N + 1):
-            for p in range(1, n - 1):
-                for q in range(1, n - p):
-                    r = n - p - q
-                    for mono, c in assoc_residual(fam, p, q, r).terms.items():
-                        f[(p, q, r, mono)] = c
-        for slot, c in zip(slots, vec):
+    # Degree n is one linear system.  The degree-n entries enter the
+    # degree-n equations through the shuffle operator L_n, which does not
+    # depend on B, and the constant term is the degree-n residual of the
+    # lower degrees.  In front of L_n, one column per kernel relation D
+    # of degree n-1's own columns (L_{n-1} and its pins) reopens that
+    # degree's free part: D meets the degree-n equations only through
+    # B_11, and only linearly for n >= 4, so the degree-n residual of
+    # {B_11, D} is its exact column.  The pins are extra rows, and every
+    # free variable is zero.  Through degree 4 this is the joint solve of
+    # all degrees with every free variable zero.
+    reopened = []       # degree n-1's kernel directions, as [(slot, c)]
+    for n in range(3, N + 1):
+        slots = _unknown_slots(n)
+        cols = []
+        for d in reopened:
+            alone = {(1, 1): b11}
+            _add_slots(alone, d)
+            cols.append(_residuals(BFamily(lam, n, alone), n))
+        target = {key: -c for key, c in _residuals(BFamily(lam, n, table), n).items()}
+        for slot in slots:
             if slot in pins:
-                add_term(f, slot, c - pins[slot])
-        return f
-
-    cur = [Fraction(0)] * len(slots)
-    if N >= 5:
-        # warm start from the solved lower-degree family: the system is
-        # quadratic, and Newton from zero can start in a degenerate spot
-        lower = solve_bfamily(lam, N - 1, gauge)
-        coords = {}
-        for (p, q), e in lower.table.items():
-            for mono, c in e.terms.items():
-                coords[((p, q), mono)] = c
-        cur = [coords.get(slot, Fraction(0)) for slot in slots]
-    fam = BFamily(lam, N, with_coords(_newton(residual, cur, 8, N)))
+                # the pin row first, so the echelon pivots on it and an
+                # inconsistency is left on the equations
+                cols.append({slot: Fraction(1), **_shuffle_column(slot)})
+                add_term(target, slot, pins[slot])
+            else:
+                cols.append(_shuffle_column(slot))
+        ech = linalg.rref(cols, len(cols))
+        try:
+            x = ech.solve(target)
+        except linalg.InconsistentSystem as e:
+            key, c = next(iter(e.residual.items()))
+            raise Obstructed(n, "assoc", (key, -c)) from e
+        k = len(reopened)
+        _add_slots(table, [(slot, x[i] * c) for i, d in enumerate(reopened)
+                           if i in x for slot, c in d])
+        _add_slots(table, [(slot, x[k + j]) for j, slot in enumerate(slots)
+                           if k + j in x])
+        if n < N:
+            reopened = [[(slots[j], c) for j, c in rel.items()]
+                        for rel in linalg.nullspace(cols[k:], len(slots))]
+    fam = BFamily(lam, N, table)
     assert all_residuals_zero(fam)
     return fam
 
 
 def _newton(residual, cur, iterations, N):
-    """Exact Newton iteration on the coordinate list cur.
+    """Exact Newton iteration on the coordinate list cur (only
+    `connecting_gauge` uses it).
 
     residual(x) is a sparse dict; column i of each step's system is
     residual(x + e_i) - residual(x), and the step is the solution with

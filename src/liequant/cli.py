@@ -74,7 +74,11 @@ def cmd_cbh(args):
 def cmd_bfamily(args):
     if args.action == "solve":
         _check_degree(args)
-        fam = bfamily.solve_bfamily(Fraction(args.lam), args.max_degree, args.gauge)
+        try:
+            fam = bfamily.solve_bfamily(Fraction(args.lam), args.max_degree, args.gauge)
+        except bfamily.Obstructed as e:
+            print("bfamily solve: obstructed at degree %s" % e, file=sys.stderr)
+            return 1
         _emit(args, bfamily.bfamily_to_json(fam))
         return 0
     fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")

@@ -227,9 +227,11 @@ class LiePoly(LinComb):
         return out
 
     def relabel(self, mapping):
-        """Apply a label substitution (must stay injective per monomial)."""
+        """Apply a label substitution (must stay injective per monomial).
+        The image of a Lie element is one, so it is not checked again."""
         return assoc_to_lie(AssocPoly(
-            {tuple(mapping.get(a, a) for a in w): c for w, c in self.expand().terms.items()}))
+            {tuple(mapping.get(a, a) for a in w): c for w, c in self.expand().terms.items()}),
+            check=False)
 
     def __repr__(self):
         if not self.terms:

@@ -86,7 +86,8 @@ def normal_order(elem):
                        for w in key), c * cw)
     middles = range(1, elem.legs - 1)
     while work:
-        for k, c in work.pop(max(work)).items():
+        phi, inv = max(work)
+        for k, c in work.pop((phi, inv)).items():
             hit = next(((s, i) for s in middles for i in range(len(k[s]) - 1)
                         if k[s][i] & 1 and not k[s][i + 1] & 1), None)
             if hit is None:
@@ -96,7 +97,10 @@ def normal_order(elem):
             w = k[s]
             bj, ap = w[i], w[i + 1]
             aj, bp = bj - 1, ap + 1
-            push(k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
+            # the swap moves no pid's first atom (an a-atom), so the
+            # child is already a class key, one grade lower
+            add_term(work.setdefault((phi, inv - 1), {}),
+                     k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
             # [b_j, a_p] in an inner slot rewrites to
             #   - (a_j -> [a_j, a_p] at its slot) x (b_j stays)
             #   - (a_p stays) x (b_p -> [b_j, b_p] at its slot),

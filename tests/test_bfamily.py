@@ -1,15 +1,21 @@
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from liequant import bfamily
 from liequant.bfamily import (BFamily, GaugeSeq, solve_bfamily, assoc_residual,
                               all_residuals_zero, gauge_act, gauge_mul,
                               gauge_inverse, connecting_gauge, involution,
                               scale, cbh_check, bfamily_to_json,
                               bfamily_from_json, PAPER3_B21, PAPER3_B12,
-                              Obstructed)
+                              Obstructed, _shuffle_column, _unknown_slots)
 from liequant.freealg import LiePoly
+from liequant.scalars import add_term
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def lam_half_table():
@@ -142,3 +148,74 @@ def test_serialization_round_trip(B4):
     assert back.lam == B4.lam and back.max_degree == B4.max_degree
     assert all(back.entry(p, q) == B4.entry(p, q)
                for n in range(2, 5) for p in range(1, n) for q in [n - p])
+
+
+# -- the per-degree solve against independent oracles -----------------------
+
+@pytest.mark.parametrize("n, gauge", [(4, "rref-zero"), (4, "paper3"),
+                                      (5, "paper3"), (5, "rref-zero")])
+def test_solve_matches_stored_output(n, gauge):
+    """Byte-equal to `bfamily solve` output stored from the joint Newton
+    solve of all degrees, which the per-degree solve replaced."""
+    fam = solve_bfamily(Fraction(1, 2), n, gauge)
+    text = json.dumps(bfamily_to_json(fam), indent=2, sort_keys=True) + "\n"
+    assert text.encode() == (DATA / ("bfamily_n%d_%s.json" % (n, gauge))).read_bytes()
+
+
+def degree_residuals(B, n):
+    """Every degree-n associativity residual of B, keyed (p, q, r, mono)."""
+    out = {}
+    for p in range(1, n - 1):
+        for q in range(1, n - p):
+            for mono, c in assoc_residual(B, p, q, n - p - q).terms.items():
+                out[(p, q, n - p - q, mono)] = c
+    return out
+
+
+def finite_difference(B, n, bump):
+    """degree_residuals(B + bump) - degree_residuals(B), bump {(p, q): LiePoly}."""
+    table = dict(B.table)
+    for pq, e in bump.items():
+        table[pq] = table.get(pq, LiePoly()) + e
+    col = degree_residuals(BFamily(B.lam, n, table), n)
+    for k, c in degree_residuals(BFamily(B.lam, n, B.table), n).items():
+        add_term(col, k, -c)
+    return col
+
+
+def test_shuffle_columns_are_finite_differences(B4):
+    """Every degree-4 column of L_n, and a seeded sample of degree-5 ones,
+    equals assoc_residual(B + e_slot) - assoc_residual(B)."""
+    slots5 = random.Random(12).sample(_unknown_slots(5), 12)
+    for n, slots in ((4, _unknown_slots(4)), (5, slots5)):
+        for (pq, mono) in slots:
+            col = finite_difference(B4, n, {pq: LiePoly({mono: Fraction(1)})})
+            assert col and _shuffle_column((pq, mono)) == col
+
+
+def test_previous_degree_enters_linearly_through_b11(B4):
+    """A change D of the degree-(n-1) entries moves the degree-n residuals
+    of B by the degree-n residuals of {B_11, D}: the reopened columns."""
+    rng = random.Random(5)
+    for n in (4, 5):
+        bump = {}
+        for pq, mono in _unknown_slots(n - 1):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            bump[pq] = bump.get(pq, LiePoly()) + c * LiePoly({mono: Fraction(1)})
+        alone = BFamily(B4.lam, n, {**bump, (1, 1): B4.entry(1, 1)})
+        moved = finite_difference(B4, n, bump)
+        assert moved and degree_residuals(alone, n) == moved
+
+
+def test_solve_reports_obstruction_witness(monkeypatch):
+    """Pins off the solution set leave degree 3 inconsistent; the witness
+    is one equation term of the pinned family's residual."""
+    monkeypatch.setattr(bfamily, "PAPER3_B21", 2 * PAPER3_B21)
+    with pytest.raises(Obstructed) as info:
+        solve_bfamily(Fraction(1, 2), 3, "paper3")
+    e = info.value
+    assert (e.degree, e.reason) == (3, "assoc")
+    (p, q, r, mono), c = e.witness
+    pinned = BFamily(Fraction(1, 2), 3, {**lam_half_table(), (2, 1): 2 * PAPER3_B21,
+                                         (1, 2): PAPER3_B12})
+    assert c and assoc_residual(pinned, p, q, r).terms[mono] == c

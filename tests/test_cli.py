@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liequant import cli, universal
+from liequant import bfamily, cli, universal
 from liequant.bfamily import Obstructed
 from liequant.rmatrix import NonUnique
 
@@ -145,3 +146,12 @@ def test_qybe_solve_reports_obstruction(monkeypatch, capsys, exc, message):
     assert cli.main(["qybe", "solve", "--max-degree", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"
+
+
+def test_bfamily_solve_reports_obstruction(monkeypatch, capsys):
+    def solve(lam, n, gauge):
+        raise Obstructed(4, "assoc", ((1, 1, 2, (0, 1, 2, 3)), Fraction(1)))
+    monkeypatch.setattr(bfamily, "solve_bfamily", solve)
+    assert cli.main(["bfamily", "solve", "--max-degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "bfamily solve: obstructed at degree 4\n"
