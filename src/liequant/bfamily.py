@@ -123,10 +123,6 @@ class BFamily:
         return BFamily(self.lam, self.max_degree, table)
 
 
-def involution(B):
-    return B.dual()
-
-
 def scale(r, B):
     if r == 0:
         raise ValueError("scaling by zero is not allowed")
@@ -569,5 +565,22 @@ def bfamily_to_json(B):
 
 
 def bfamily_from_json(d):
-    table = {(e["p"], e["q"]): lie_from_json(e["poly"]) for e in d["entries"]}
-    return BFamily(scalar_from_json(d["lambda"]), d["max_degree"], table)
+    """Inverse of bfamily_to_json; raises ValueError unless max_degree is
+    an integer and every entry (p, q) has p, q >= 1, p + q <= max_degree,
+    appears once and is multilinear in the generators 0..p+q-1."""
+    n = d["max_degree"]
+    if type(n) is not int:
+        raise ValueError("max_degree %r is not an integer" % (n,))
+    table = {}
+    for e in d["entries"]:
+        p, q = e["p"], e["q"]
+        if type(p) is not int or type(q) is not int or min(p, q) < 1 or p + q > n:
+            raise ValueError("entry (%r, %r) outside p, q >= 1, p + q <= %d" % (p, q, n))
+        if (p, q) in table:
+            raise ValueError("entry (%d, %d) given twice" % (p, q))
+        poly = lie_from_json(e["poly"])
+        if any(sorted(w) != list(range(p + q)) for w in poly.terms):
+            raise ValueError("entry (%d, %d) is not multilinear in %d generators"
+                             % (p, q, p + q))
+        table[(p, q)] = poly
+    return BFamily(scalar_from_json(d["lambda"]), n, table)

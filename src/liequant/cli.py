@@ -204,7 +204,7 @@ def cmd_quantize(args):
         "coproduct": {},
         "semiclassical_ok": all(Q.semiclassical_check(i) for i in range(d)),
     }
-    tctx = Q.tens_ctx()
+    tctx = Q.tens_ctx
     for i in range(d):
         dtab = shuffle.t_comul(tctx, shuffle.TensElem.word(tctx, (i,)))
         result["coproduct"][bia.algebra.basis_names[i]] = {
@@ -225,7 +225,7 @@ def cmd_cybe_props(args):
         for p in range(0, 4):
             if deform.aryeh_residual(alg, R, p):
                 failures += 1
-    r = {(1, 1): Fraction(1)} if args.algebra == "m2" else {(1, 1): Fraction(1)}
+    r = {(1, 1): Fraction(1)}
     part_ok = deform.recursion_residual(
         alg, r, [r, deform.half_r_squared(alg, r)], 3) == {}
     _emit(args, {"trials": args.trials, "aryeh_failures": failures,

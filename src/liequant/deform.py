@@ -3,9 +3,11 @@
 Tensors over an algebra A are dicts {index tuple: Fraction} over a fixed
 basis; slots without content hold the unit.  They follow
 scalars.add_term (no key holds a zero coefficient) and are added and
-scaled with liealg.tensor_add/tensor_smul.  The maps here are the
-six-term bracket, the four-slot coboundary, the homotopy family, and the
-residuals of the order-N quantization equations.
+scaled with liealg.tensor_add/tensor_smul.  The maps here are CYBE, the
+six-term bracket and the four-slot coboundary, which sum liealg's tables
+CYBE, DELTA3 and DELTA4 over the placed commutator t_comm(place, place);
+the rest of the homotopy family; and the residuals of the order-N
+quantization equations.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .liealg import tensor_add, tensor_smul
+from .liealg import CYBE, DELTA3, DELTA4, coboundary, tensor_add, tensor_smul
 from .scalars import add_term, distribute
 
 
@@ -114,27 +116,19 @@ def random_tensor(alg, degree, rng, span=3):
 # the maps of the deformation complex
 # ---------------------------------------------------------------------------
 
+def _placed_comm(alg, r, x, n):
+    """The placed bracket (s, t) -> [r^(s), x^(t)] in A^(x n)."""
+    return lambda s, t: t_comm(alg, place(alg, r, s, n), place(alg, x, t, n))
+
+
 def cybe(alg, r):
     """[r12,r13] + [r12,r23] + [r13,r23] in A^(x3)."""
-    r12 = place(alg, r, (1, 2), 3)
-    r13 = place(alg, r, (1, 3), 3)
-    r23 = place(alg, r, (2, 3), 3)
-    return tensor_add(tensor_add(t_comm(alg, r12, r13), t_comm(alg, r12, r23)),
-                      t_comm(alg, r13, r23))
+    return coboundary(CYBE, _placed_comm(alg, r, r, 3))
 
 
 def bbrack(alg, r, R):
     """Six-term bracket [[r, R]]: the linearization of CYBE."""
-    out = {}
-    for (s1, s2) in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        out = tensor_add(out, t_comm(alg, place(alg, r, s1, 3), place(alg, R, s2, 3)))
-        out = tensor_add(out, t_comm(alg, place(alg, R, s1, 3), place(alg, r, s2, 3)))
-    return out
-
-
-def delta_r(alg, r, rho):
-    """delta(r|rho): the degree-1 member of the homotopy family."""
-    return delta_p(alg, r, rho, 1)
+    return coboundary(DELTA3, _placed_comm(alg, r, R, 3))
 
 
 def delta_p(alg, R, rho, p):
@@ -142,28 +136,17 @@ def delta_p(alg, R, rho, p):
 
     delta_3 is the tetrahedron identity: the two maximal chains of braid
     moves from 12 13 14 23 24 34 to its reverse.  delta_1 is its linear
-    term (the t-linear part at R = 1 + t r): the four-slot table shared
-    with liealg.delta4_r and universal.delta4, unique up to scale, and
-    injective on the degree-2 Lie space, so H^3_2 = 0.
+    term (the t-linear part at R = 1 + t r): the table liealg.DELTA4.
     """
     if p == 0 or p >= 4:
         return {}
+    if p == 1:
+        return coboundary(DELTA4, _placed_comm(alg, R, rho, 4))
     P = lambda spots: place(alg, R, spots, 4)
     Q = lambda spots: place(alg, rho, spots, 4)
     mul = lambda *ts: _chain_mul(alg, ts)
     add = lambda *ts: functools.reduce(tensor_add, ts)
     neg = lambda t: tensor_smul(-1, t)
-    if p == 1:
-        out = {}
-        for spots, sign in (((1, 2), 1), ((1, 3), 1), ((1, 4), 1)):
-            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((2, 3, 4)))))
-        for spots, sign in (((1, 2), 1), ((2, 3), -1), ((2, 4), -1)):
-            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 3, 4)))))
-        for spots, sign in (((1, 3), -1), ((2, 3), -1), ((3, 4), 1)):
-            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 2, 4)))))
-        for spots, sign in (((1, 4), 1), ((2, 4), 1), ((3, 4), 1)):
-            out = add(out, tensor_smul(sign, t_comm(alg, P(spots), Q((1, 2, 3)))))
-        return out
     r12, r13, r14 = P((1, 2)), P((1, 3)), P((1, 4))
     r23, r24, r34 = P((2, 3)), P((2, 4)), P((3, 4))
     if p == 2:
@@ -208,23 +191,10 @@ def _ordered_triple(alg, a, b, c):
                       tensor_smul(Fraction(-1), _chain_mul(alg, (c23, b13, a12))))
 
 
-def qybe_assoc_expr(alg, R):
-    """R12 R13 R23 - R23 R13 R12."""
-    return _ordered_triple(alg, R, R, R)
-
-
 def aryeh_residual(alg, R, p):
     """delta_p(R, R12R13R23 - R23R13R12) + delta_{p+1}(R, CYBE(R))."""
-    return tensor_add(delta_p(alg, R, qybe_assoc_expr(alg, R), p),
+    return tensor_add(delta_p(alg, R, _ordered_triple(alg, R, R, R), p),
                       delta_p(alg, R, cybe(alg, R), p + 1))
-
-
-def kappa_cob(alg, r, x):
-    """kappa(x) = [r, x x 1 + 1 x x] for x in A (x: {index: coeff})."""
-    xt = {(i,): c for i, c in x.items()}
-    x1 = place(alg, xt, (1,), 2)
-    x2 = place(alg, xt, (2,), 2)
-    return t_comm(alg, r, tensor_add(x1, x2))
 
 
 def recursion_residual(alg, r, rseq, N):
@@ -253,37 +223,6 @@ def recursion_residual(alg, r, rseq, N):
                 continue
             out = tensor_add(out, _ordered_triple(alg, R(p), R(q), R(s)))
     return out
-
-
-def obstruction_check(alg, r, rseq, N):
-    """Prop-style test term: delta(r | sum_{p,q,s>0} R_p12 R_q13 R_s23 - rev).
-
-    Verifies the hypotheses (the order-i equations with positive indices,
-    i <= N-2) before computing; raises ValueError on violation.
-    """
-    full = [None] + list(rseq)
-    for i in range(1, N - 1):
-        lhs = bbrack(alg, r, full[i])
-        rhs = {}
-        for p in range(1, i + 1):
-            for q in range(1, i + 1):
-                s = i + 1 - p - q
-                if s < 1:
-                    continue
-                rhs = tensor_add(rhs, tensor_smul(
-                    Fraction(-1), _ordered_triple(alg, full[p], full[q], full[s])))
-        if tensor_add(lhs, tensor_smul(Fraction(-1), rhs)):
-            raise ValueError("order-%d hypothesis violated" % (i + 1))
-    test = {}
-    for p in range(1, N):
-        for q in range(1, N):
-            s = N - p - q
-            if s < 1:
-                continue
-            if p >= len(full) or q >= len(full) or s >= len(full):
-                continue
-            test = tensor_add(test, _ordered_triple(alg, full[p], full[q], full[s]))
-    return delta_r(alg, r, test)
 
 
 def half_r_squared(alg, r):

@@ -311,11 +311,6 @@ def lie_bracket(a, b):
     return assoc_to_lie(assoc_commutator(a.expand(), b.expand()), check=False)
 
 
-def expand(p):
-    """LiePoly -> AssocPoly (alias of the method, for module-level use)."""
-    return p.expand()
-
-
 def dynkin(p):
     """Left-normed bracketing map on a multilinear homogeneous AssocPoly.
 

@@ -175,47 +175,49 @@ def placed_bracket(alg, t, spots_t, u, spots_u, degree):
     return out
 
 
-def cybe_residual(alg, r):
-    """[r12,r13] + [r12,r23] + [r13,r23], exact."""
-    out = placed_bracket(alg, r, (1, 2), r, (1, 3), 3)
-    out = tensor_add(out, placed_bracket(alg, r, (1, 2), r, (2, 3), 3))
-    out = tensor_add(out, placed_bracket(alg, r, (1, 3), r, (2, 3), 3))
+# The Yang-Baxter coboundary tables, shared by the Lie (here), associative
+# (deform) and universal calculi.  A term (s, t, sign) stands for
+# sign * [r^(s), x^(t)]: r in the 1-based slots s, x in the slots t, the
+# two sharing one slot.
+
+# CYB(r) = [r12,r13] + [r12,r23] + [r13,r23], with x = r
+CYBE = (((1, 2), (1, 3), 1), ((1, 2), (2, 3), 1), ((1, 3), (2, 3), 1))
+
+# the polarization of CYBE: delta3(r, x) = CYB(r + x) - CYB(r) - CYB(x),
+# since [x^(s), r^(t)] = -[r^(t), x^(s)]
+DELTA3 = CYBE + tuple((t, s, -sign) for s, t, sign in CYBE)
+
+# The four-slot table: the linear term of the tetrahedron identity
+# (deform.delta_p(., ., 3)) and, up to scale, the only combination of the
+# twelve brackets [r^(ij), x^(klm)] that kills CYB(r) for every r.  For r
+# solving CYBE it is injective on the span of [r13,r23] and [r12,r13]
+# (H^3_2 = 0).
+DELTA4 = (((1, 2), (2, 3, 4), 1), ((1, 3), (2, 3, 4), 1), ((1, 4), (2, 3, 4), 1),
+          ((1, 2), (1, 3, 4), 1), ((2, 3), (1, 3, 4), -1), ((2, 4), (1, 3, 4), -1),
+          ((1, 3), (1, 2, 4), -1), ((2, 3), (1, 2, 4), -1), ((3, 4), (1, 2, 4), 1),
+          ((1, 4), (1, 2, 3), 1), ((2, 4), (1, 2, 3), 1), ((3, 4), (1, 2, 3), 1))
+
+
+def coboundary(table, bracket):
+    """sum of sign * bracket(s, t) over the terms of a table; bracket
+    returns a sparse dict, and so does this."""
+    out = {}
+    for s, t, sign in table:
+        for k, c in bracket(s, t).items():
+            add_term(out, k, sign * c)
     return out
+
+
+def cybe_residual(alg, r):
+    return coboundary(CYBE, lambda s, t: placed_bracket(alg, r, s, r, t, 3))
 
 
 def delta3_r(alg, r, x):
-    """[r12,x13]+[r12,x23]+[r13,x23]+[x12,r13]+[x12,r23]+[x13,r23]."""
-    out = {}
-    for (rs, xs) in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        out = tensor_add(out, placed_bracket(alg, r, rs, x, xs, 3))
-    for (xs, rs) in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        out = tensor_add(out, placed_bracket(alg, x, xs, r, rs, 3))
-    return out
+    return coboundary(DELTA3, lambda s, t: placed_bracket(alg, r, s, x, t, 3))
 
 
 def delta4_r(alg, r, x):
-    """The four-bracket coboundary A^(x3) -> A^(x4) attached to r.
-
-    The sign table is the linear term of the tetrahedron identity
-    (deform.delta_p(., ., 3)) and, up to scale, the only combination of
-    the twelve placed brackets [r^(ij), x^(klm)] with delta4_r(CYB(r)) = 0
-    for every r.  For r solving CYBE it is injective on the span of
-    [r13,r23] and [r12,r13] (H^3_2 = 0).
-    """
-    out = {}
-    for spots, sign in (((1, 2), 1), ((1, 3), 1), ((1, 4), 1)):
-        out = tensor_add(out, tensor_smul(Fraction(sign),
-                         placed_bracket(alg, r, spots, x, (2, 3, 4), 4)))
-    for spots, sign in (((1, 2), 1), ((2, 3), -1), ((2, 4), -1)):
-        out = tensor_add(out, tensor_smul(Fraction(sign),
-                         placed_bracket(alg, r, spots, x, (1, 3, 4), 4)))
-    for spots, sign in (((1, 3), -1), ((2, 3), -1), ((3, 4), 1)):
-        out = tensor_add(out, tensor_smul(Fraction(sign),
-                         placed_bracket(alg, r, spots, x, (1, 2, 4), 4)))
-    for spots, sign in (((1, 4), 1), ((2, 4), 1), ((3, 4), 1)):
-        out = tensor_add(out, tensor_smul(Fraction(sign),
-                         placed_bracket(alg, r, spots, x, (1, 2, 3), 4)))
-    return out
+    return coboundary(DELTA4, lambda s, t: placed_bracket(alg, r, s, x, t, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +382,24 @@ def bialgebra_to_json(bia):
 
 
 def bialgebra_from_json(d):
+    """Inverse of bialgebra_to_json; raises ValueError when a basis index
+    lies outside range(dim) or the basis does not name dim elements."""
+    dim = d["dim"]
+    if len(d["basis"]) != dim:
+        raise ValueError("basis has %d names for dim %r" % (len(d["basis"]), dim))
+
+    def idx(v):
+        if v not in range(dim):
+            raise ValueError("index %r outside range(%d)" % (v, dim))
+        return v
+
     brackets = {}
     for e in d["bracket"]:
-        brackets[(e["i"], e["j"])] = {o["k"]: Fraction(o["c"]) for o in e["out"]}
-    alg = LieAlgebra(d["dim"], d["basis"], brackets)
+        brackets[(idx(e["i"]), idx(e["j"]))] = {idx(o["k"]): Fraction(o["c"])
+                                                for o in e["out"]}
+    alg = LieAlgebra(dim, d["basis"], brackets)
     cob = {}
     for e in d.get("cobracket", []):
-        cob[e["i"]] = {(o["j"], o["k"]): Fraction(o["c"]) for o in e["out"]}
+        cob[idx(e["i"])] = {(idx(o["j"]), idx(o["k"])): Fraction(o["c"])
+                            for o in e["out"]}
     return LieBialgebra(alg, cob)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import HSeries, add_term, as_series, distribute, pr_legs
+from .scalars import HSeries, add_term, as_series, distribute
 from .bfamily import compositions
 from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
@@ -18,7 +18,7 @@ from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                       qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import instantiate_tensor
-from .universal import solve_varrho, varrho_one, instantiate, univ_qybe_residual
+from .universal import solve_varrho, instantiate
 from . import linalg
 
 
@@ -53,6 +53,9 @@ class Quantization:
             varrho = solve_varrho(bfam, max(order + 1, 1))
         self.varrho = varrho
         self.rho = self._rho_at_order(order, varrho)
+        # one context of each kind, so their product memos are shared
+        self.sh_ctx = ShContext(self.double.algebra, bfam, order)
+        self.tens_ctx = TensContext(LieCoalgebra.from_bialgebra(bia), bfam, order)
         self._rterms = None
         self._ell_gen = None
 
@@ -75,12 +78,11 @@ class Quantization:
         if rho is None and self._rterms is not None:
             return self._rterms
         use = self.rho if rho is None else rho
-        ctx = ShContext(self.double.algebra, self.bfam, self.order)
         out = []
         for n in range(self.order + 1):
             t = instantiate_tensor(self.table.rmatrix(n), self.double.algebra,
                                    use, self.order)
-            out.append(ShTensor(ctx, 2, t))
+            out.append(ShTensor(self.sh_ctx, 2, t))
         if rho is None:
             self._rterms = out
         return out
@@ -110,39 +112,7 @@ class Quantization:
             raise QYBEFail(order, (key, order))
         return True
 
-    def equivalence_report(self, rho=None):
-        """Per hbar order: (full residual vanishes, pr-residual vanishes)."""
-        res = self.qybe_residual(rho)
-        out = {}
-        for k in range(self.order + 1):
-            full = res.hcoeff(k)
-            out[k] = (not full, not pr_legs(full))
-        return out
-
-    def malta_check(self, varrho_subset=None):
-        """Instantiated universal residual == concrete pr-residual.
-
-        With varrho_subset (e.g. only the first entry) both sides are
-        nonzero and must still agree, which exercises the identity beyond
-        the trivial zero case.
-        """
-        vr = self.varrho if varrho_subset is None else varrho_subset
-        D = self.double
-        res = self.qybe_residual(self._rho_at_order(self.order, vr))
-        concrete_pr = pr_legs(res.terms)
-        universal = {}
-        for d in range(1, self.order + 1):
-            resd = univ_qybe_residual(self.bfam, vr, d)
-            if not resd:
-                continue
-            for idx, c in instantiate(resd, D.algebra, D.r).items():
-                add_term(universal, idx, HSeries.hpow(d, c, self.order))
-        return concrete_pr == universal
-
     # -- the morphism ell --------------------------------------------------
-
-    def sh_ctx(self):
-        return ShContext(self.double.algebra, self.bfam, self.order)
 
     def ell_generator(self, i):
         """ell(e_i): contraction of the length-one second legs of R.
@@ -166,16 +136,14 @@ class Quantization:
                     assert all(k < d for k in wa), "first leg escaped the primal part"
                     low = c.shift(-1).coeffs[: self.order + 1]
                     add_term(gens[j], wa, HSeries(low, self.order))
-            ctx = self.sh_ctx()
-            self._ell_gen = [ShElem(ctx, g) for g in gens]
+            self._ell_gen = [ShElem(self.sh_ctx, g) for g in gens]
         return self._ell_gen[i]
 
     def ell(self, x):
         """ell on the deformed tensor algebra: antimorphism extension."""
-        ctx = self.sh_ctx()
-        out = ShElem(ctx, {})
+        out = ShElem(self.sh_ctx, {})
         for w, c in x.terms.items():
-            cur = ShElem.unit(ctx)
+            cur = ShElem.unit(self.sh_ctx)
             for i in reversed(w):
                 cur = sh_mul(cur, self.ell_generator(i))
             out = out + c * cur
@@ -238,16 +206,12 @@ class Quantization:
 
     # -- relations ----------------------------------------------------------
 
-    def tens_ctx(self):
-        return TensContext(LieCoalgebra.from_bialgebra(self.bia), self.bfam,
-                           self.order)
-
     def relation(self, i, j):
         """The kernel element attached to x = e_i, y = e_j.
 
         sum y^(1) phi(ell(y^(2)), x) - sum psi(ell(y^(1)), x) y^(2);
         reduces mod hbar to y x x - x x y - [x,y] and lies in Ker(ell)."""
-        ctx = self.tens_ctx()
+        ctx = self.tens_ctx
         x = TensElem.word(ctx, (i,))
         out = TensElem(ctx, {})
         for (w1, w2), c in t_comul(ctx, TensElem.word(ctx, (j,))).items():
@@ -290,15 +254,13 @@ class Quantization:
 
     def image_membership(self, x, max_word_deg=None):
         """Exact linear test for x in Im(ell) at the truncated order."""
-        ctx = self.sh_ctx()
         d = self.bia.algebra.dim
         deg = max_word_deg if max_word_deg is not None else max(
             (len(w) for w in x.terms), default=0) + self.order
         words = [()]
         for n in range(1, deg + 1):
             words.extend(itertools.product(range(d), repeat=n))
-        tctx = self.tens_ctx()
-        images = [self.ell(TensElem.word(tctx, w)) for w in words]
+        images = [self.ell(TensElem.word(self.tens_ctx, w)) for w in words]
         # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []
         for im in images:

@@ -8,6 +8,9 @@ can be reordered at the cost of commutators; the mixed commutator
 [b, a] rewrites through the universal CYBE identity, moving the two
 atoms onto their partners.  Normal-ordered terms have every inner slot
 of the shape a...a b...b, which spans the direct sum of the F-spaces.
+The coboundaries delta3 and delta4 sum liealg's tables DELTA3 and
+DELTA4 over the commutators of a fresh formal pair with the placed
+argument, then normal-order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .bfamily import Obstructed, positive_compositions
 from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
+from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _shift_pids)
 from .scalars import add_term, distribute, pr_legs
@@ -169,57 +173,30 @@ def r_pair(pid, spots, legs):
     return pair_elem(pid).place(spots, legs)
 
 
-CONC3 = ("conc", "conc", "conc")
-CONC4 = ("conc", "conc", "conc", "conc")
-
-
 def _comm(x, y, modes):
     return u_mul(x, y, modes) - u_mul(y, x, modes)
 
 
+def _coboundary(table, x, legs):
+    """The class of a liealg coboundary table summed over the commutators
+    [r^(s), x^(t)] in `legs` slots, r one formal pair on a fresh pid."""
+    fresh = max(x.pids(), default=-1) + 1
+    modes = ("conc",) * legs
+    bracket = lambda s, t: _comm(r_pair(fresh, s, legs), x.place(t, legs), modes).terms
+    return normal_order(UElem(legs, coboundary(table, bracket)))
+
+
 def delta3(x):
-    """Coboundary F_n -> F^{Lie,(3)}_{n+1}: six commutators with r, then
-    normal ordering.  x: 2-slot element; output: a 3-slot class."""
-    legs = 3
-    pids = x.pids()
-    fresh = max(pids, default=-1) + 1
-    acc = UElem.zero(legs)
-    for (spots_x, spots_r, sign) in (((1, 3), (1, 2), -1), ((2, 3), (1, 2), -1),
-                                     ((2, 3), (1, 3), -1),
-                                     ((1, 2), (1, 3), 1), ((1, 2), (2, 3), 1),
-                                     ((1, 3), (2, 3), 1)):
-        xe = x.place(spots_x, legs)
-        re = r_pair(fresh, spots_r, legs)
-        term = _comm(xe, re, CONC3)
-        acc = acc + (Fraction(sign) * term)
-    return normal_order(acc)
+    """Coboundary F_n -> F^{Lie,(3)}_{n+1}: the table DELTA3, then normal
+    ordering.  x: 2-slot element; output: a 3-slot class."""
+    return _coboundary(DELTA3, x, 3)
 
 
 def delta4(x):
-    """Coboundary on 3-slot classes: commutators with r in four slots.
-
-    The sign table is the linear term of the tetrahedron identity
-    (deform.delta_p(., ., 3)) and, up to scale, the only combination of
-    the twelve placed brackets [r^(ij), x^(klm)] that kills CYB(r).  On
-    the 2-dim degree-2 Lie space, spanned by [r13,r23] and [r12,r13],
-    delta4 is injective, so H^3_2 = 0.
-    """
-    legs = 4
-    pids = x.pids()
-    fresh = max(pids, default=-1) + 1
-    groups = (
-        ((2, 3, 4), (((1, 2), 1), ((1, 3), 1), ((1, 4), 1))),
-        ((1, 3, 4), (((1, 2), 1), ((2, 3), -1), ((2, 4), -1))),
-        ((1, 2, 4), (((1, 3), -1), ((2, 3), -1), ((3, 4), 1))),
-        ((1, 2, 3), (((1, 4), 1), ((2, 4), 1), ((3, 4), 1))),
-    )
-    acc = UElem.zero(legs)
-    for spots_x, rs in groups:
-        xe = x.place(spots_x, legs)
-        for spots_r, sign in rs:
-            re = r_pair(fresh, spots_r, legs)
-            acc = acc + Fraction(sign) * _comm(re, xe, CONC4)
-    return normal_order(acc)
+    """Coboundary on 3-slot classes: the table DELTA4, then normal
+    ordering.  On the 2-dim degree-2 Lie space, spanned by [r13,r23] and
+    [r12,r13], delta4 is injective, so H^3_2 = 0."""
+    return _coboundary(DELTA4, x, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ def ell_direct(Q, x):
     The hbar^-k pole of a degree-k contraction needs the R-terms at
     internal order Q.order + k; requires Q.table.max_degree >= Q.order + k.
     """
-    ctx = Q.sh_ctx()
+    ctx = Q.sh_ctx
     d = Q.bia.algebra.dim
     kmax = max((len(w) for w in x.terms), default=0)
     hi = Q.order + kmax

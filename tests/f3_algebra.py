@@ -4,8 +4,10 @@ product of 3-slot classes and the entretien CYBE sums."""
 
 from liequant.rmatrix import _shift_pids
 from liequant.unitensor import UElem, u_mul
-from liequant.universal import (CONC3, CONC4, _comm, lie_form, normal_order,
-                                r_pair)
+from liequant.universal import _comm, lie_form, normal_order, r_pair
+
+CONC3 = ("conc",) * 3
+CONC4 = ("conc",) * 4
 
 
 def mu_lie(elem3):

@@ -109,13 +109,37 @@ def test_malformed_bialgebra_is_input_error(tmp_path):
     no_bracket = {k: v for k, v in good.items() if k != "bracket"}
     wrong_type = dict(good, bracket=[{"i": 0, "j": 1, "out": 5}])
     not_cocycle = dict(good, cobracket=[{"i": 1, "out": [{"j": 0, "k": 1, "c": "1"}]}])
-    for n, data in enumerate((no_bracket, wrong_type, not_cocycle)):
+    # passes validate_bialgebra: e_2 has no bracket and no cobracket
+    k_past_dim = {"dim": 2, "basis": ["x", "y"], "cobracket": [],
+                  "bracket": [{"i": 0, "j": 1, "out": [{"k": 2, "c": "1"}]}]}
+    short_basis = dict(good, basis=["h"])
+    cob_past_dim = dict(good, cobracket=good["cobracket"] + [{"i": 2, "out": []}])
+    for n, data in enumerate((no_bracket, wrong_type, not_cocycle, k_past_dim,
+                              short_basis, cob_past_dim)):
         f = tmp_path / ("bia%d.json" % n)
         f.write_text(json.dumps(data))
         _assert_input_error(run_cli("shuffle", "mul", "--bialgebra", str(f)))
     f = tmp_path / "good.json"
     f.write_text(json.dumps(good))
     assert run_cli("shuffle", "mul", "--bialgebra", str(f)).returncode == 0
+
+
+def test_malformed_bfamily_is_input_error(tmp_path):
+    good = bfamily.bfamily_to_json(bfamily.solve_bfamily(Fraction(1, 2), 3, "paper3"))
+    b11 = next(e for e in good["entries"] if (e["p"], e["q"]) == (1, 1))
+    gen5 = json.loads(json.dumps(b11))
+    gen5["poly"]["terms"][0]["monomial"]["letters"] = [0, 5]
+    cases = [dict(good, entries=[gen5]),
+             dict(good, max_degree="3"),
+             dict(good, entries=good["entries"] + [dict(b11, p=0, q=2)]),
+             dict(good, entries=good["entries"] + [dict(b11, p=2, q=2)]),
+             dict(good, entries=good["entries"] + [b11])]
+    for n, data in enumerate(cases):
+        f = tmp_path / ("b%d.json" % n)
+        f.write_text(json.dumps(data))
+        _assert_input_error(run_cli("bfamily", "check", "--bfamily", str(f)))
+        _assert_input_error(run_cli("quantize", "--hbar-order", "1",
+                                    "--bfamily", str(f)))
 
 
 def test_degree_below_two_is_input_error():

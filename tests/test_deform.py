@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from liequant.deform import (matrix_algebra, AssocAlgebra, cybe, bbrack,
-                             delta_r, delta_p, aryeh_residual, kappa_cob,
-                             recursion_residual, obstruction_check,
-                             half_r_squared, random_r, random_tensor,
-                             t_mul, qybe_assoc_expr)
+                             delta_p, aryeh_residual, recursion_residual,
+                             half_r_squared, random_r, random_tensor)
 from liequant.liealg import tensor_add, tensor_smul
+from deform_oracle import kappa_cob, obstruction_check
 
 M2 = matrix_algebra(2)
 R_CYBE = {(1, 1): Fraction(1)}      # e12 x e12
@@ -39,17 +38,17 @@ def test_bbrack_examples():
 
 def test_delta_r_examples():
     rng = random.Random(8)
-    assert delta_r(M2, R_CYBE, {}) == {}
+    assert delta_p(M2, R_CYBE, {}, 1) == {}
     for _ in range(5):
         R = random_r(M2, rng)
-        assert delta_r(M2, R_CYBE, bbrack(M2, R_CYBE, R)) == {}
+        assert delta_p(M2, R_CYBE, bbrack(M2, R_CYBE, R), 1) == {}
     # negative control: generic r fails the composition
     found = False
     for _ in range(6):
         r = random_r(M2, rng)
         if cybe(M2, r):
             rho = random_tensor(M2, 3, rng)
-            if delta_r(M2, r, bbrack(M2, r, rho)):
+            if delta_p(M2, r, bbrack(M2, r, rho), 1):
                 found = True
                 break
     assert found
@@ -60,7 +59,8 @@ def test_delta_p_family():
     R = random_r(M2, rng)
     rho = random_tensor(M2, 3, rng)
     assert delta_p(M2, R, rho, 0) == {}
-    assert delta_p(M2, R, rho, 1) == delta_r(M2, R, rho)
+    # delta_1 kills CYB(R) for every R, CYBE solution or not
+    assert cybe(M2, R) and delta_p(M2, R, cybe(M2, R), 1) == {}
     assert delta_p(M2, R, rho, 5) == {}
 
 

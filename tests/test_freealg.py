@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, expand, dynkin,
+from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, dynkin,
                               is_lie, substitute, cbh, assoc_to_lie,
                               expand_leftnormed, lyndon_words, expand_lyndon,
                               lie_to_json, lie_from_json, NotLieElement)
@@ -41,12 +41,12 @@ def test_bracket_antisymmetry_and_jacobi_random():
 
 def test_expand_examples():
     x1, x2, x3 = (LiePoly.gen(i) for i in range(3))
-    assert expand(lie_bracket(x1, x2)) == AssocPoly.word((0, 1)) - AssocPoly.word((1, 0))
-    assert expand(x1) == AssocPoly.gen(0)
+    assert lie_bracket(x1, x2).expand() == AssocPoly.word((0, 1)) - AssocPoly.word((1, 0))
+    assert x1.expand() == AssocPoly.gen(0)
     p = lie_bracket(x1, lie_bracket(x2, x3))
     expected = (AssocPoly.word((0, 1, 2)) - AssocPoly.word((0, 2, 1))
                 - AssocPoly.word((1, 2, 0)) + AssocPoly.word((2, 1, 0)))
-    assert expand(p) == expected
+    assert p.expand() == expected
 
 
 def test_dynkin_examples():
@@ -54,7 +54,7 @@ def test_dynkin_examples():
     p = AssocPoly.word((0, 1)) - AssocPoly.word((1, 0))
     assert dynkin(p) == Fraction(2) * LiePoly.leftnormed((0, 1))
     q = lie_bracket(LiePoly.gen(0), lie_bracket(LiePoly.gen(1), LiePoly.gen(2)))
-    assert dynkin(expand(q)) == Fraction(3) * q
+    assert dynkin(q.expand()) == Fraction(3) * q
 
 
 def test_is_lie():
@@ -62,14 +62,14 @@ def test_is_lie():
     assert is_lie(AssocPoly.word((0, 1)) - AssocPoly.word((1, 0)))
     rng = random.Random(2)
     for n in (2, 3, 4):
-        assert is_lie(expand(rand_lie(rng, n)))
+        assert is_lie(rand_lie(rng, n).expand())
 
 
 def test_reut_prop_random_to_degree_6():
     rng = random.Random(3)
     for n in range(2, 7):
         p = rand_lie(rng, n)
-        assert dynkin(expand(p)) == Fraction(n) * p
+        assert dynkin(p.expand()) == Fraction(n) * p
 
 
 def test_prereut_every_position():
@@ -78,7 +78,7 @@ def test_prereut_every_position():
     rng = random.Random(4)
     for n in (3, 4, 5):
         p = rand_lie(rng, n)
-        exp = expand(p)
+        exp = p.expand()
         for k in range(n):
             out = AssocPoly()
             for w, c in exp.terms.items():
@@ -97,9 +97,9 @@ def test_chrono_lemma():
     for n in (2, 3, 4):
         p = rand_lie(rng, n)
         fresh = LiePoly.gen(n)
-        lhs = expand(lie_bracket(p, fresh))
+        lhs = lie_bracket(p, fresh).expand()
         out = AssocPoly()
-        for w, c in expand(p).terms.items():
+        for w, c in p.expand().terms.items():
             acc = AssocPoly.gen(n)
             for a in reversed(w):
                 acc = AssocPoly.gen(a) * acc - acc * AssocPoly.gen(a)

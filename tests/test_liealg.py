@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from liequant import linalg
+from liequant.deform import bbrack, cybe, matrix_algebra, random_r
 from liequant.liealg import (LieAlgebra, LieBialgebra, validate_bialgebra,
                              build_double, cybe_residual, placed_bracket,
                              delta3_r, delta4_r, tensor_add, tensor_smul,
@@ -115,6 +116,29 @@ def test_delta4_sign_table_is_forced_by_cybe():
         key = next(iter(combo))
         assert image == tensor_smul(image.get(key, Fraction(0)) / combo[key],
                                     combo)
+
+
+def test_delta3_is_polarization_of_cybe():
+    """delta3(r, x) = CYB(r + x) - CYB(r) - CYB(x), in the Lie calculus on
+    sl2 and in the associative one on M2, with random r and x that do
+    not solve CYBE; this pins DELTA3 against CYBE."""
+    rng = random.Random(12)
+    minus = lambda t: tensor_smul(Fraction(-1), t)
+    alg = sl2()
+    for _ in range(3):
+        r, x = ({(i, j): Fraction(rng.randint(-3, 3)) for i in range(3)
+                 for j in range(3)} for _ in range(2))
+        r, x = ({k: c for k, c in t.items() if c} for t in (r, x))
+        polar = tensor_add(cybe_residual(alg, tensor_add(r, x)),
+                           minus(tensor_add(cybe_residual(alg, r),
+                                            cybe_residual(alg, x))))
+        assert polar and delta3_r(alg, r, x) == polar
+    m2 = matrix_algebra(2)
+    for _ in range(3):
+        r, x = random_r(m2, rng), random_r(m2, rng)
+        polar = tensor_add(cybe(m2, tensor_add(r, x)),
+                           minus(tensor_add(cybe(m2, r), cybe(m2, x))))
+        assert polar and bbrack(m2, r, x) == polar
 
 
 def test_bialgebra_json_round_trip(borel):

@@ -9,6 +9,7 @@ from liequant.quantize import Quantization, NotInKernel, QYBEFail
 from liequant.shuffle import ShElem, TensElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
 from ell_oracle import ell_direct
+from quantize_oracle import equivalence_report, malta_check
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ def test_qybe_failure_names_its_first_term(Q2):
 
 
 def test_equivalence_report(Q2):
-    rep = Q2.equivalence_report()
+    rep = equivalence_report(Q2)
     assert all(full == pr for (full, pr) in rep.values())
     assert all(full for (full, _) in rep.values())
     # the nonzero-residual direction of the equivalence is exercised at
@@ -71,13 +72,13 @@ def test_equivalence_report(Q2):
 
 
 def test_malta_identity(Q2):
-    assert Q2.malta_check({1: varrho_one()})
-    assert Q2.malta_check()
+    assert malta_check(Q2, {1: varrho_one()})
+    assert malta_check(Q2)
 
 
 def test_ell_examples(Q2):
-    tctx = Q2.tens_ctx()
-    ctx = Q2.sh_ctx()
+    tctx = Q2.tens_ctx
+    ctx = Q2.sh_ctx
     assert Q2.ell(TensElem.unit(tctx)) == ShElem.unit(ctx)
     for i in range(2):
         le = Q2.ell(TensElem.word(tctx, (i,)))
@@ -95,14 +96,14 @@ def test_ell_examples(Q2):
 
 def test_ell_matches_direct_pairing(B4, borel):
     Q = Quantization(B4, borel, order=2, table_degree=4)
-    tctx = Q.tens_ctx()
+    tctx = Q.tens_ctx
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
         x = TensElem.word(tctx, w)
         assert Q.ell(x) == ell_direct(Q, x)
 
 
 def test_ell_antihomomorphism(Q2):
-    tctx = Q2.tens_ctx()
+    tctx = Q2.tens_ctx
     x = TensElem.word(tctx, (0,))
     y = TensElem.word(tctx, (1, 1))
     assert Q2.ell(x * y) == sh_mul(Q2.ell(y), Q2.ell(x))
@@ -138,8 +139,8 @@ def test_beta_vanishes_abelian(B4):
 
 
 def test_phi_psi_first_order(Q2):
-    ctx = Q2.sh_ctx()
-    tctx = Q2.tens_ctx()
+    ctx = Q2.sh_ctx
+    tctx = Q2.tens_ctx
     alg = Q2.bia.algebra
     for i in range(2):
         for j in range(2):
@@ -171,7 +172,7 @@ def test_relations(Q2):
 def test_relations_abelian(B4):
     Qa = Quantization(B4, abelian_bialgebra(2), order=2)
     rels = Qa.extract_relations()
-    tctx = Qa.tens_ctx()
+    tctx = Qa.tens_ctx
     for (i, j), k in rels.items():
         assert k == TensElem.word(tctx, (j, i)) - TensElem.word(tctx, (i, j))
 
@@ -182,7 +183,7 @@ def test_semiclassical(Q2):
 
 
 def test_qfsh_membership(Q2):
-    ctx = Q2.sh_ctx()
+    ctx = Q2.sh_ctx
     le = Q2.ell_generator(1)
     assert Q2.qfsh_membership(HSeries.hpow(1, 1, 2) * le, 2)
     assert not Q2.qfsh_membership(le, 2)
@@ -192,7 +193,7 @@ def test_qfsh_membership(Q2):
 def test_image_divisibility(Q2):
     """Im(ell) cap hbar Sh = hbar Im(ell) on a spanning set: any image
     element divisible by hbar is hbar times an image element."""
-    tctx = Q2.tens_ctx()
+    tctx = Q2.tens_ctx
     # hbar * ell(x) is in the image of ell at the truncated order: solve
     x = TensElem.word(tctx, (1,))
     z = HSeries.hpow(1, 1, 2) * Q2.ell(x)

@@ -20,9 +20,9 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
                                 delta4, basis_F, basis_F3lie, cohomology_dims,
                                 phi_N, solve_varrho, univ_qybe_residual,
                                 varrho_one, instantiate, ins, lie_form,
-                                expand_to_words, r_pair, CONC3)
+                                expand_to_words, r_pair)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
-from f3_algebra import entretien_cybe, f3_mul, mu_lie
+from f3_algebra import CONC3, entretien_cybe, f3_mul, mu_lie
 
 
 def _lie3(s1, s2, s3, c=1):
@@ -182,8 +182,8 @@ def test_delta3_examples(B4, dbl):
     # delta3 of the canonical generator vanishes (H^2_1 is everything)
     assert not delta3(varrho_one())
     assert not delta3(UElem.zero(2))
-    # commuting square on F_1 and F_2 bases
-    for n in (1, 2):
+    # commuting square on the F_1, F_2 and F_3 bases
+    for n in (1, 2, 3):
         for e in basis_F(n):
             lhs = instantiate(delta3(e), dbl.algebra, dbl.r)
             rhs = delta3_r(dbl.algebra, dbl.r, instantiate(e, dbl.algebra, dbl.r))
@@ -194,7 +194,7 @@ def test_delta4_examples(dbl):
     assert not delta4(UElem.zero(3))
     for e in basis_F(2) + basis_F(3):
         assert not delta4(delta3(e))
-    for e in basis_F3lie(2):
+    for e in basis_F3lie(2) + basis_F3lie(3):
         lhs = instantiate(delta4(e), dbl.algebra, dbl.r)
         rhs = delta4_r(dbl.algebra, dbl.r, instantiate(e, dbl.algebra, dbl.r))
         assert tensor_add(lhs, tensor_smul(Fraction(-1), rhs)) == {}
