@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import freealg, bfamily, liealg, shuffle, rmatrix, universal, deform, quantize
+from .scalars import scalar_str
 
 
 class BadInput(ValueError):
@@ -176,6 +177,9 @@ def cmd_qybe(args):
 
 
 def cmd_quantize(args):
+    if args.hbar_order < 1:
+        # the semiclassical check reads the hbar^1 coefficient
+        raise BadInput("--hbar-order must be at least 1 for quantize")
     fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily") \
         if args.bfamily else bfamily.solve_bfamily(Fraction(1, 2),
                                                    max(args.hbar_order + 1, 2), "paper3")
@@ -189,16 +193,13 @@ def cmd_quantize(args):
         Q.check_qybe()
     except quantize.QYBEFail:
         ok = False
-    # relation extraction needs exact data one order beyond; report at
-    # the highest kernel-exact order available from the inputs
-    rel_order = min(args.hbar_order, max(n for n in Q.varrho) - 1)
-    Qr = quantize.Quantization(fam, bia, order=rel_order, varrho=Q.varrho)
-    rels = Qr.extract_relations()
+    # relations stop at the highest order that vr makes kernel-exact
+    rels = Q.extract_relations()
     d = bia.algebra.dim
     result = {
         "qybe_ok": ok,
         "order": args.hbar_order,
-        "relations": {"%d,%d" % k: {str(w): [str(x) for x in c.coeffs]
+        "relations": {"%d,%d" % k: {str(w): scalar_str(c)
                                     for w, c in sorted(v.terms.items())}
                       for k, v in sorted(rels.items())},
         "coproduct": {},
@@ -208,7 +209,7 @@ def cmd_quantize(args):
     for i in range(d):
         dtab = shuffle.t_comul(tctx, shuffle.TensElem.word(tctx, (i,)))
         result["coproduct"][bia.algebra.basis_names[i]] = {
-            "%s|%s" % (list(k[0]), list(k[1])): [str(x) for x in c.coeffs]
+            "%s|%s" % (list(k[0]), list(k[1])): scalar_str(c)
             for k, c in sorted(dtab.items())}
     _emit(args, result)
     return 0 if ok and result["semiclassical_ok"] else 1

@@ -3,7 +3,8 @@
 Pipeline: canonical r-matrix of the double -> rho (universal solution
 instantiated) -> R-matrix terms in the deformed shuffle algebra of the
 double -> the morphism ell, relation extraction, semiclassical and QFSH
-checks.  Everything is exact modulo hbar^(order+1).
+checks.  Everything is exact modulo hbar^(order+1); the relations modulo
+hbar^(rel_order+1), the highest order that the given varrho determines.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .bfamily import compositions
 from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                       LieCoalgebra, TensContext, TensElem, t_comul,
-                      qfsh_member)
+                      all_words, qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import instantiate_tensor
 from .universal import solve_varrho, instantiate
@@ -39,24 +40,22 @@ class NotInKernel(ValueError):
 class Quantization:
     """Carrier for the quantization data of one bialgebra at one order."""
 
-    def __init__(self, bfam, bia, order=3, varrho=None, table_degree=None):
+    def __init__(self, bfam, bia, order=3, varrho=None):
         self.bfam = bfam
         self.bia = bia
         self.order = order
         self.double = build_double(bia)
-        if table_degree is None:
-            table_degree = max(order + 1, 2)
-        self.table = lambda_table(bfam, table_degree)
+        # ell reads R, and so rho, one order beyond the truncation
+        self.table = lambda_table(bfam, order + 1)
         if varrho is None:
-            # ell needs one internal hbar order beyond the truncation, so
-            # the universal solution is carried one degree further
-            varrho = solve_varrho(bfam, max(order + 1, 1))
+            varrho = solve_varrho(bfam, order + 1)
         self.varrho = varrho
+        # the hbar^<=k parts of ell and of the relations need rho_<=k+1
+        self.rel_order = min(order, max(varrho) - 1)
         self.rho = self._rho_at_order(order, varrho)
         # one context of each kind, so their product memos are shared
         self.sh_ctx = ShContext(self.double.algebra, bfam, order)
         self.tens_ctx = TensContext(LieCoalgebra.from_bialgebra(bia), bfam, order)
-        self._rterms = None
         self._ell_gen = None
 
     # -- rho = sum hbar^n kappa(varrho_n)(r) ------------------------------
@@ -73,30 +72,20 @@ class Quantization:
 
     # -- R-matrix ----------------------------------------------------------
 
-    def r_terms(self, rho=None):
-        """[R_0..R_order] as 2-leg ShTensors over the double."""
-        if rho is None and self._rterms is not None:
-            return self._rterms
-        use = self.rho if rho is None else rho
-        out = []
-        for n in range(self.order + 1):
-            t = instantiate_tensor(self.table.rmatrix(n), self.double.algebra,
-                                   use, self.order)
-            out.append(ShTensor(self.sh_ctx, 2, t))
-        if rho is None:
-            self._rterms = out
+    def r_matrix(self, rho, order):
+        """R = sum_n R_n instantiated at rho, mod hbar^(order+1), as one
+        {(word, word): coeff} table over the double."""
+        out = {}
+        for n in range(min(order, self.table.max_degree) + 1):
+            for k, c in instantiate_tensor(self.table.rmatrix(n),
+                                           self.double.algebra, rho).items():
+                add_term(out, k, c)
         return out
-
-    def big_r(self, rho=None):
-        terms = self.r_terms(rho)
-        R = terms[0]
-        for t in terms[1:]:
-            R = R + t
-        return R
 
     def qybe_residual(self, rho=None):
         """R12 R13 R23 - R23 R13 R12 in three legs, mod hbar^(order+1)."""
-        R = self.big_r(rho)
+        R = ShTensor(self.sh_ctx, 2, self.r_matrix(
+            self.rho if rho is None else rho, self.order))
         r12 = R.place((1, 2), 3)
         r13 = R.place((1, 3), 3)
         r23 = R.place((2, 3), 3)
@@ -123,19 +112,16 @@ class Quantization:
         if self._ell_gen is None:
             d = self.bia.algebra.dim
             hi = self.order + 1
-            rho_hi = self._rho_at_order(hi, self.varrho)
             gens = [{} for _ in range(d)]
-            for n in range(min(hi, self.table.max_degree) + 1):
-                t = instantiate_tensor(self.table.rmatrix(n),
-                                       self.double.algebra, rho_hi, hi)
-                for (wa, wb), c in t.items():
-                    if len(wb) != 1:
-                        continue
-                    j = wb[0] - d
-                    assert 0 <= j < d, "second leg escaped the dual part"
-                    assert all(k < d for k in wa), "first leg escaped the primal part"
-                    low = c.shift(-1).coeffs[: self.order + 1]
-                    add_term(gens[j], wa, HSeries(low, self.order))
+            R = self.r_matrix(self._rho_at_order(hi, self.varrho), hi)
+            for (wa, wb), c in R.items():
+                if len(wb) != 1:
+                    continue
+                j = wb[0] - d
+                assert 0 <= j < d, "second leg escaped the dual part"
+                assert all(k < d for k in wa), "first leg escaped the primal part"
+                low = c.shift(-1).coeffs[: self.order + 1]
+                add_term(gens[j], wa, HSeries(low, self.order))
             self._ell_gen = [ShElem(self.sh_ctx, g) for g in gens]
         return self._ell_gen[i]
 
@@ -222,14 +208,17 @@ class Quantization:
         return out
 
     def extract_relations(self):
-        """All basis relations; asserts kernel membership mod hbar^(order+1)."""
+        """All basis relations mod hbar^(rel_order+1), the highest order
+        that rho determines; asserts kernel membership there."""
         d = self.bia.algebra.dim
         rels = {}
         for i in range(d):
             for j in range(d):
                 if i == j:
                     continue
-                k = self.relation(i, j)
+                k = TensElem(self.tens_ctx, {
+                    w: HSeries(c.coeffs, self.rel_order)
+                    for w, c in self.relation(i, j).terms.items()})
                 if self.ell(k):
                     raise NotInKernel((i, j))
                 rels[(i, j)] = k
@@ -254,13 +243,10 @@ class Quantization:
 
     def image_membership(self, x, max_word_deg=None):
         """Exact linear test for x in Im(ell) at the truncated order."""
-        d = self.bia.algebra.dim
         deg = max_word_deg if max_word_deg is not None else max(
             (len(w) for w in x.terms), default=0) + self.order
-        words = [()]
-        for n in range(1, deg + 1):
-            words.extend(itertools.product(range(d), repeat=n))
-        images = [self.ell(TensElem.word(self.tens_ctx, w)) for w in words]
+        images = [self.ell(TensElem.word(self.tens_ctx, w))
+                  for w in all_words(self.bia.algebra.dim, deg)]
         # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []
         for im in images:

@@ -354,7 +354,7 @@ class LieCoalgebra:
         return cur
 
 
-def delta_P(coalg, P, a, order=None):
+def delta_P(coalg, P, a):
     """The map attached to a multilinear Lie polynomial P of degree n.
 
     Adjoint to substitution into P on the dual algebra:
@@ -433,7 +433,7 @@ class TensContext:
                 ent = self.bfam.entry(p, q)
                 if not ent:
                     continue
-                t = delta_P(self.coalg, ent, i, self.order)
+                t = delta_P(self.coalg, ent, i)
                 if not t:
                     continue
                 h = HSeries.hpow(p + q - 1, 1, self.order)

@@ -169,7 +169,7 @@ def _letter_basis(letter):
 # instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate_tensor(elem, alg, r, order=None):
+def instantiate_tensor(elem, alg, r):
     """kappa: substitute concrete pairs for the formal pairs.
 
     r: dict {(i, j): coeff} in alg x alg.  Every leg must consist of

@@ -424,7 +424,7 @@ def solve_varrho(bfam, N):
 # instantiation
 # ---------------------------------------------------------------------------
 
-def instantiate(elem, alg, r, order=None):
+def instantiate(elem, alg, r):
     """kappa on a class of tensors of Lie polynomials: an exact tensor
     over the algebra basis (degree = number of slots).  Word-form input
     is first rewritten through lie_form (which proves the class is a
@@ -432,4 +432,4 @@ def instantiate(elem, alg, r, order=None):
     if any(len(w) != 1 for k in elem.terms for w in k):
         elem = lie_form(elem)
     # one letter per leg, so every instantiated word has one index
-    return pr_legs(instantiate_tensor(elem, alg, r, order))
+    return pr_legs(instantiate_tensor(elem, alg, r))

@@ -4,6 +4,7 @@ extension of the generators' images that `Quantization.ell` uses."""
 
 from fractions import Fraction
 
+from liequant.rmatrix import lambda_table
 from liequant.scalars import HSeries
 from liequant.shuffle import ShElem
 from liequant.unitensor import instantiate_tensor
@@ -13,18 +14,20 @@ def ell_direct(Q, x):
     """ell(x) for the Quantization Q by direct pairing against R.
 
     The hbar^-k pole of a degree-k contraction needs the R-terms at
-    internal order Q.order + k; requires Q.table.max_degree >= Q.order + k.
+    internal order Q.order + k, so this builds its own lambda table to
+    that degree; requires Q.bfam.max_degree >= Q.order + k.
     """
     ctx = Q.sh_ctx
     d = Q.bia.algebra.dim
     kmax = max((len(w) for w in x.terms), default=0)
     hi = Q.order + kmax
-    if Q.table.max_degree < hi:
-        raise ValueError("lambda table too small for a direct degree-%d pairing" % kmax)
+    if Q.bfam.max_degree < hi:
+        raise ValueError("B-family too short for a direct degree-%d pairing" % kmax)
+    table = lambda_table(Q.bfam, hi)
     rho_hi = Q._rho_at_order(hi, Q.varrho)
     out = ShElem(ctx, {})
     for n in range(hi + 1):
-        t = instantiate_tensor(Q.table.rmatrix(n), Q.double.algebra, rho_hi, hi)
+        t = instantiate_tensor(table.rmatrix(n), Q.double.algebra, rho_hi)
         for w, c in x.terms.items():
             chi = HSeries(list(c.coeffs) + [Fraction(0)] * kmax, hi)
             for (wa, wb), cr in t.items():

@@ -13,19 +13,15 @@ from fractions import Fraction
 import pytest
 
 from liequant.scalars import HSeries, as_series
-from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, dynkin,
-                              cbh, expand_leftnormed)
-from liequant.bfamily import (solve_bfamily, assoc_residual, cbh_check,
-                              PAPER3_B21, PAPER3_B12)
-from liequant.liealg import borel2, sl2, build_double, tensor_add
-from liequant.shuffle import (ShContext, ShElem, sh_mul, hopf_report,
-                              qfsh_delta, qfsh_member,
-                              ordered_surjection_count, all_words)
-from liequant.rmatrix import (lambda_table, rmatrix_terms, quasitri_residual,
-                              Ln, pair_elem)
+from liequant.freealg import AssocPoly, LiePoly, lie_bracket, dynkin, cbh
+from liequant.bfamily import assoc_residual, cbh_check, PAPER3_B21, PAPER3_B12
+from liequant.liealg import sl2, tensor_add
+from liequant.shuffle import (ShContext, ShElem, hopf_report, qfsh_delta,
+                              qfsh_member, ordered_surjection_count, all_words)
+from liequant.rmatrix import rmatrix_terms, quasitri_residual, Ln
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor)
-from liequant.universal import (solve_varrho, phi_N, delta4, varrho_one,
+from liequant.universal import (solve_varrho, phi_N, delta4,
                                 univ_qybe_residual, basis_F, basis_F3lie,
                                 delta3, canonical_classes,
                                 expand_to_words)

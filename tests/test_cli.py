@@ -11,6 +11,7 @@ from liequant.bfamily import Obstructed
 from liequant.rmatrix import NonUnique
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args):
@@ -149,6 +150,7 @@ def test_degree_below_two_is_input_error():
 
 def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("quantize", "--hbar-order", "-1"))
+    _assert_input_error(run_cli("quantize", "--hbar-order", "0"))
     _assert_input_error(run_cli("shuffle", "mul", "--left", "0,1", "--right", "1",
                                 "--hbar-order", "-2"))
     _assert_input_error(run_cli("shuffle", "hopf-check", "--hbar-order", "-1"))
@@ -158,6 +160,15 @@ def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "-2"))
     _assert_input_error(run_cli("cybe-props", "--trials", "0"))
     _assert_input_error(run_cli("cybe-props", "--trials", "-1"))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_quantize_output_is_golden(order):
+    """stdout of quantize on borel2, byte for byte; at order 3 the
+    relations stop at hbar^2, the order that rho to degree 3 supports."""
+    r = run_cli("quantize", "--bialgebra", "borel2", "--hbar-order", str(order))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.encode() == (DATA / ("quantize_borel2_h%d.json" % order)).read_bytes()
 
 
 @pytest.mark.parametrize("exc, message", [

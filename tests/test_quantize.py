@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from liequant.scalars import HSeries, add_term, as_series
-from liequant.bfamily import solve_bfamily
-from liequant.liealg import borel2, abelian_bialgebra
-from liequant.quantize import Quantization, NotInKernel, QYBEFail
+from liequant.scalars import HSeries, add_term
+from liequant.liealg import abelian_bialgebra
+from liequant.quantize import Quantization, QYBEFail
 from liequant.shuffle import ShElem, TensElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
 from ell_oracle import ell_direct
@@ -95,7 +94,7 @@ def test_ell_examples(Q2):
 
 
 def test_ell_matches_direct_pairing(B4, borel):
-    Q = Quantization(B4, borel, order=2, table_degree=4)
+    Q = Quantization(B4, borel, order=2)
     tctx = Q.tens_ctx
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
         x = TensElem.word(tctx, w)
@@ -167,6 +166,17 @@ def test_relations(Q2):
         for kk, c in br.items():
             expect[(kk,)] = expect.get((kk,), 0) - c
         assert h0 == {k2: v for k2, v in expect.items() if v}
+
+
+def test_relations_stop_at_the_order_rho_supports(B4, borel, Q2):
+    """rho to degree 3 makes ell exact only mod hbar^3, so an order-3
+    object reports its relations at rel_order 2, equal to the order-2
+    object's; checked mod hbar^4 they leave the kernel (NotInKernel)."""
+    Q3 = Quantization(B4, borel, order=3, varrho=solve_varrho(B4, 3))
+    rels = Q3.extract_relations()
+    assert rels == Q2.extract_relations()
+    assert (Q3.rel_order, Q2.rel_order) == (2, 2)
+    assert all(c.order == 2 for k in rels.values() for c in k.terms.values())
 
 
 def test_relations_abelian(B4):

@@ -4,9 +4,8 @@ import json
 import random
 from fractions import Fraction
 
-from liequant.bfamily import BFamily, solve_bfamily, positive_compositions
+from liequant.bfamily import BFamily, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
-from liequant.liealg import tensor_add, tensor_smul
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
                               quasitri_residual, pair_elem,
                               uelem_to_json, uelem_from_json, pretty_rmatrix,

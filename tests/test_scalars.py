@@ -6,7 +6,7 @@ import pytest
 from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
 from liequant.liealg import borel2
-from liequant.scalars import (HSeries, LinComb, add_term, as_series, distribute,
+from liequant.scalars import (HSeries, LinComb, add_term, distribute,
                               pr_legs, scalar_str, scalar_from_json)
 from liequant.shuffle import (LieCoalgebra, ShContext, ShElem, ShTensor, TensContext,
                               TensElem)

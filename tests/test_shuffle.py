@@ -3,8 +3,7 @@ import random
 from fractions import Fraction
 
 from liequant.scalars import HSeries, add_term, as_series, surviving_pairs
-from liequant.bfamily import (BFamily, solve_bfamily, deformed_word_product,
-                              positive_compositions)
+from liequant.bfamily import BFamily, deformed_word_product, positive_compositions
 from liequant.freealg import LiePoly, substitute
 from liequant.liealg import abelian, sl2
 from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,

@@ -6,12 +6,9 @@ from fractions import Fraction
 import pytest
 
 from liequant import linalg
-from liequant.bfamily import solve_bfamily
-from liequant.deform import matrix_algebra, t_mul as am_mul, place as am_place, \
-    cybe as am_cybe
-from liequant.liealg import (borel2, build_double, delta3_r, delta4_r,
-                             tensor_add, tensor_smul, sl2, cybe_residual,
-                             placed_bracket)
+from liequant.deform import matrix_algebra, cybe as am_cybe
+from liequant.liealg import (delta3_r, delta4_r, tensor_add, tensor_smul, sl2,
+                             cybe_residual, placed_bracket)
 from liequant import universal
 from liequant.bfamily import Obstructed
 from liequant.freealg import LiePoly, substitute
@@ -111,7 +108,6 @@ def test_f3_kappa_is_algebra_morphism():
                     legs_val.append(cur)
                 if dead:
                     continue
-                import itertools as it2
                 combos = [((), coeff)]
                 for v in legs_val:
                     combos = [(idx + (ii,), cc * cv) for idx, cc in combos
