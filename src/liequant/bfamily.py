@@ -197,7 +197,7 @@ def _residuals(B, n):
     return f
 
 
-def _shuffles(u, v):
+def shuffles(u, v):
     """The words of Sh(len(u), len(v)): u and v interleaved, each in order."""
     n = len(u) + len(v)
     for pos in itertools.combinations(range(n), len(u)):
@@ -218,11 +218,11 @@ def _shuffle_column(slot):
     e = LiePoly({mono: Fraction(1)})
     col = {}
     for p in range(1, a):
-        for w in _shuffles(range(p), range(p, a)):
+        for w in shuffles(range(p), range(p, a)):
             for m, c in e.relabel(dict(enumerate(w))).terms.items():
                 add_term(col, (p, a - p, b, m), c)
     for q in range(1, b):
-        for w in _shuffles(range(a, a + q), range(a + q, a + b)):
+        for w in shuffles(range(a, a + q), range(a + q, a + b)):
             for m, c in e.relabel(dict(zip(range(a, a + b), w))).terms.items():
                 add_term(col, (a, q, b - q, m), -c)
     return col

@@ -167,8 +167,7 @@ def cmd_qybe(args):
     except rmatrix.NonUnique as e:
         print("qybe solve: solution not unique at degree %s" % e, file=sys.stderr)
         return 1
-    residual = universal.univ_qybe_residual(fam, sol, args.max_degree + 1,
-                                            max_table=args.max_degree + 1)
+    residual = universal.univ_qybe_residual(fam, sol, args.max_degree + 1)
     payload = {"ok": not residual,
                "varrho": {str(n): rmatrix.uelem_to_json(v)
                           for n, v in sorted(sol.items())}}

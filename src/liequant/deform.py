@@ -26,13 +26,12 @@ class AssocAlgebra:
     of the identity element.
     """
 
-    def __init__(self, dim, names, mult, unit, check=True):
+    def __init__(self, dim, names, mult, unit):
         self.dim = dim
         self.names = names
         self.mult = {k: dict(v) for k, v in mult.items()}
         self.unit = dict(unit)
-        if check:
-            self._validate()
+        self._validate()
 
     def mul_basis(self, i, j):
         return self.mult.get((i, j), {})

@@ -29,10 +29,15 @@ class LieAlgebra:
     """Structure constants [e_i, e_j] = sum_k c_ij^k e_k.
 
     brackets: dict (i, j) -> {k: c} given for i < j; antisymmetry fills
-    the rest.  Jacobi is verified at construction.
+    the rest.  Jacobi is verified at construction.  The algebra is its
+    own bracket carrier (zero/add/smul/bracket on sparse dicts), so
+    freealg.substitute and BFamily.eval take it directly.
     """
 
-    def __init__(self, dim, basis_names, brackets, check=True):
+    add = staticmethod(tensor_add)
+    smul = staticmethod(tensor_smul)
+
+    def __init__(self, dim, basis_names, brackets):
         self.dim = dim
         self.basis_names = list(basis_names)
         self.brackets = {}
@@ -43,8 +48,12 @@ class LieAlgebra:
                 i, j, v = j, i, tensor_smul(Fraction(-1), v)
             cur = self.brackets.get((i, j))
             self.brackets[(i, j)] = tensor_add(cur, v) if cur else dict(v)
-        if check and not self.jacobi_ok():
+        if not self.jacobi_ok():
             raise ValueError("Jacobi identity fails")
+
+    @staticmethod
+    def zero():
+        return {}
 
     def basis(self, i):
         return {i: Fraction(1)}
@@ -75,28 +84,6 @@ class LieAlgebra:
                     if s:
                         return False
         return True
-
-    def carrier(self):
-        alg = self
-
-        class _C:
-            @staticmethod
-            def zero():
-                return {}
-
-            @staticmethod
-            def add(a, b):
-                return tensor_add(a, b)
-
-            @staticmethod
-            def smul(c, a):
-                return tensor_smul(c, a)
-
-            @staticmethod
-            def bracket(a, b):
-                return alg.bracket(a, b)
-
-        return _C
 
 
 def abelian(dim, names=None):

@@ -5,18 +5,19 @@ instantiated) -> R-matrix terms in the deformed shuffle algebra of the
 double -> the morphism ell, relation extraction, semiclassical and QFSH
 checks.  Everything is exact modulo hbar^(order+1); the relations modulo
 hbar^(rel_order+1), the highest order that the given varrho determines.
+phi/psi read the same dual blocks of B_pq on the double
+(shuffle.TensContext.dual_block) as T(g)'s coproduct.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .scalars import HSeries, add_term, as_series, distribute
+from .scalars import HSeries, add_term, distribute
 from .bfamily import compositions
 from .liealg import build_double
 from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
-                      LieCoalgebra, TensContext, TensElem, t_comul,
-                      all_words, qfsh_member)
+                      TensContext, TensElem, t_comul, all_words, qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import instantiate_tensor
 from .universal import solve_varrho, instantiate
@@ -55,7 +56,7 @@ class Quantization:
         self.rho = self._rho_at_order(order, varrho)
         # one context of each kind, so their product memos are shared
         self.sh_ctx = ShContext(self.double.algebra, bfam, order)
-        self.tens_ctx = TensContext(LieCoalgebra.from_bialgebra(bia), bfam, order)
+        self.tens_ctx = TensContext(self.double, bfam, order)
         self._ell_gen = None
 
     # -- rho = sum hbar^n kappa(varrho_n)(r) ------------------------------
@@ -135,24 +136,7 @@ class Quantization:
             out = out + c * cur
         return out
 
-    # -- duals of the family entries ---------------------------------------
-
-    def dual_block(self, p, q, xs, x, xi_right=False):
-        """<B_pq(xi's | xs), x> read off in the dual basis of the xi's
-        (beta_pq), or <B_pq(xs | xi's), x> with xi_right (gamma_pq)."""
-        D = self.double
-        d = self.bia.algebra.dim
-        out = {}
-        own = [dict(v) for v in xs]
-        for idx in itertools.product(range(d), repeat=q if xi_right else p):
-            xis = [D.algebra.basis(d + i) for i in idx]
-            args = own + xis if xi_right else xis + own
-            val = self.bfam.eval(p, q, args, D.algebra.carrier())
-            # pairing <val, e_x> picks the e^x-component of val
-            coeff = as_series(0, self.order) + val.get(d + x, 0)
-            if coeff:
-                out[idx] = coeff
-        return out
+    # -- phi/psi: the dual blocks of the family entries -------------------
 
     def phi(self, xelem, y):
         """phi: Sh(g) x T(g) -> T(g), adjoint to left multiplication."""
@@ -169,25 +153,23 @@ class Quantization:
             for yw, cy in y.terms.items():
                 for lam in compositions(len(xw), len(yw)):
                     offs = itertools.accumulate(lam, initial=0)
-                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx.order)
+                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx)
                              for li, yi, o in zip(lam, yw, offs))
                     for key, c in distribute(steps, cx * cy):
                         add_term(out.terms, sum(key, ()), c)
         return out
 
-    def _phipsi_step(self, xw, yi, xi_right, order):
+    def _phipsi_step(self, xw, yi, xi_right, ctx):
         """The (index tuple, coeff) pairs that one block of phi/psi takes
         the letters xw and the letter yi to: the hbar^(k-1)-weighted dual
         blocks of B_{k,|xw|} (beta), or of B_{|xw|,k} with xi_right (gamma)."""
-        xs = [self.bia.algebra.basis(i) for i in xw]
         li = len(xw)
         step = []
-        for k in range(1, min(self.bfam.max_degree - li, order + 1) + 1):
-            pq = (li, k) if xi_right else (k, li)
-            blk = self.dual_block(*pq, xs, yi, xi_right)
-            if blk:
-                h = HSeries.hpow(k - 1, 1, order)
-                step.extend((idx, h * c) for idx, c in blk.items())
+        for k in range(1, min(self.bfam.max_degree - li, ctx.order + 1) + 1):
+            blk = (ctx.dual_block(li, k, yi, left=xw) if xi_right
+                   else ctx.dual_block(k, li, yi, right=xw))
+            h = HSeries.hpow(k - 1, 1, ctx.order)
+            step.extend((idx, h * c) for idx, c in blk.items())
         return step
 
     # -- relations ----------------------------------------------------------

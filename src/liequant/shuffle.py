@@ -2,19 +2,23 @@
 
 ShElem: word-indexed elements of the deformed shuffle algebra of g, with
 truncated hbar-series coefficients.  TensElem: elements of the deformed
-tensor Hopf algebra of a Lie coalgebra (undeformed concatenation product,
-deformed coproduct).  ShTensor: small tensor powers of ShElem legs.
+tensor Hopf algebra T(g) of a Lie bialgebra g (undeformed concatenation
+product, deformed coproduct).  T(g)'s coproduct is B_pq read on the double
+D = g + g*: TensContext.dual_block evaluates B_pq on dual-basis letters
+and pairs the value with e_x, and the same blocks serve quantize's phi/psi.
+ShTensor: small tensor powers of ShElem legs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from collections import Counter
 
 from .scalars import (HSeries, LinComb, add_term, as_series, distribute,
-                      surviving_pairs, DEFAULT_ORDER)
-from .bfamily import deformed_word_product, positive_compositions, word_antipode
+                      scalar_from_json, scalar_str, surviving_pairs, DEFAULT_ORDER)
+from .bfamily import (deformed_word_product, positive_compositions, shuffles,
+                      word_antipode)
 
 
 class ShContext:
@@ -35,7 +39,7 @@ class ShContext:
         hit = self._bcache.get(key)
         if hit is None:
             args = [self.alg.basis(i) for i in idx]
-            hit = self.bfam.eval(p, q, args, self.alg.carrier())
+            hit = self.bfam.eval(p, q, args, self.alg)
             self._bcache[key] = hit
         return hit
 
@@ -277,19 +281,7 @@ def hopf_report(alg, bfam, deg, hord):
 
 def shuffle0(ctx, u, v):
     """Plain shuffle product of two words (no deformation)."""
-    out = {}
-
-    def rec(prefix, a, b, coeff):
-        if not a and not b:
-            add_term(out, prefix, coeff)
-            return
-        if a:
-            rec(prefix + (a[0],), a[1:], b, coeff)
-        if b:
-            rec(prefix + (b[0],), a, b[1:], coeff)
-
-    rec((), tuple(u), tuple(v), as_series(1, ctx.order))
-    return ShElem(ctx, out)
+    return ShElem(ctx, Counter(shuffles(u, v)))
 
 
 def poisson_m1(ctx, u, v):
@@ -312,75 +304,11 @@ def poisson_m1(ctx, u, v):
 
 
 # ---------------------------------------------------------------------------
-# Lie coalgebras, delta^(P), and the deformed tensor algebra
+# the deformed tensor algebra T(g)
 # ---------------------------------------------------------------------------
 
-class LieCoalgebra:
-    """delta(e_i) = sum c_i^{jk} e_j x e_k, exact co-Jacobi assumed."""
-
-    def __init__(self, dim, delta, basis_names=None):
-        self.dim = dim
-        self.delta_table = {i: dict(t) for i, t in delta.items()}
-        self.basis_names = basis_names or ["a%d" % i for i in range(dim)]
-
-    @staticmethod
-    def from_bialgebra(bia):
-        return LieCoalgebra(bia.algebra.dim, bia.cobracket, bia.algebra.basis_names)
-
-    def dual_algebra(self):
-        """Lie algebra on the dual basis, dual to this cobracket."""
-        br = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                out = {}
-                for k in range(self.dim):
-                    c = self.delta_table.get(k, {}).get((i, j), Fraction(0))
-                    if c:
-                        out[k] = c
-                if out:
-                    br[(i, j)] = out
-        from .liealg import LieAlgebra
-        return LieAlgebra(self.dim, [n + "^" for n in self.basis_names], br)
-
-    def iterated_delta(self, v, n):
-        """Left-iterated cobracket (delta x id^(n-2)) ... delta: A -> A^(xn)."""
-        cur = {(i,): c for i, c in v.items()}
-        for _ in range(n - 1):
-            nxt = {}
-            for idx, c in cur.items():
-                for (j, k), cb in self.delta_table.get(idx[0], {}).items():
-                    add_term(nxt, (j, k) + idx[1:], c * cb)
-            cur = nxt
-        return cur
-
-
-def delta_P(coalg, P, a):
-    """The map attached to a multilinear Lie polynomial P of degree n.
-
-    Adjoint to substitution into P on the dual algebra:
-    <delta_P(a), b_1 x...x b_n> = <a, P(b_1,...,b_n)>.
-    Computed as (1/n) sum_sigma P_sigma sigma.(iterated cobracket), where
-    P_sigma are the word coefficients of P and sigma permutes slots.
-    """
-    exp = P.expand()
-    if not exp:
-        return {}
-    n = len(next(iter(exp.terms)))
-    out = {}
-    av = a if isinstance(a, dict) else {a: Fraction(1)}
-    base = coalg.iterated_delta(av, n)
-    for word, c in exp.terms.items():
-        # word (w_1..w_n) encodes sigma(i) = w_i + 1; slot sigma(i) <- factor i
-        for idx, cb in base.items():
-            new = [None] * n
-            for i in range(n):
-                new[word[i]] = idx[i]
-            add_term(out, tuple(new), Fraction(1, n) * c * cb)
-    return out
-
-
 class TensElem(LinComb):
-    """Element of the deformed tensor Hopf algebra of a Lie coalgebra."""
+    """Element of the deformed tensor Hopf algebra T(g)."""
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx              # a TensContext
@@ -411,36 +339,45 @@ class TensElem(LinComb):
 
 
 class TensContext:
-    """Lie coalgebra + B-family, with the generator coproduct cached."""
+    """T(g) of a Lie bialgebra g, read on its double D = g + g*, with a
+    B-family; the generator coproduct is cached."""
 
-    def __init__(self, coalg, bfam, order=None):
-        self.coalg = coalg
+    def __init__(self, double, bfam, order=None):
+        self.double = double
         self.bfam = bfam
         self.order = DEFAULT_ORDER if order is None else order
         self._gen_comul = {}
 
-    def generator_comul(self, i):
-        """Delta(a) = sum_{p,q} hbar^(p+q-1) mu_pq(delta^(B_pq)(a))."""
-        hit = self._gen_comul.get(i)
-        if hit is not None:
-            return hit
+    def dual_block(self, p, q, x, left=(), right=()):
+        """{idx: <B_pq(left, e^idx..., right), e_x>} over the dual-basis
+        letters e^idx between the g-letters left and right (tuples of
+        basis indices): the e^x coordinate of B_pq evaluated on the double."""
+        alg = self.double.algebra
+        d = self.double.base.algebra.dim
         out = {}
-        maxn = self.bfam.max_degree
-        for p in range(0, maxn + 1):
-            for q in range(0, maxn + 1 - p):
-                if p + q == 0:
-                    continue
-                ent = self.bfam.entry(p, q)
-                if not ent:
-                    continue
-                t = delta_P(self.coalg, ent, i)
-                if not t:
-                    continue
-                h = HSeries.hpow(p + q - 1, 1, self.order)
-                for idx, c in t.items():
-                    add_term(out, (idx[:p], idx[p:]), h * c)
-        self._gen_comul[i] = out
+        for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
+            letters = left + tuple(d + i for i in idx) + right
+            c = self.bfam.eval(p, q, [alg.basis(i) for i in letters], alg).get(d + x)
+            if c:
+                out[idx] = c
         return out
+
+    def generator_comul(self, i):
+        """Delta(e_i) = sum_{p,q} hbar^(p+q-1) <B_pq(e^idx), e_i>
+        e_idx[:p] x e_idx[p:], summed over the dual blocks of e_i."""
+        hit = self._gen_comul.get(i)
+        if hit is None:
+            hit = {}
+            maxn = self.bfam.max_degree
+            for p in range(maxn + 1):
+                for q in range(maxn + 1 - p):
+                    if p + q == 0:
+                        continue
+                    h = HSeries.hpow(p + q - 1, 1, self.order)
+                    for idx, c in self.dual_block(p, q, i).items():
+                        add_term(hit, (idx[:p], idx[p:]), h * c)
+            self._gen_comul[i] = hit
+        return hit
 
 
 def t_comul(ctx, x):
@@ -541,13 +478,12 @@ def qfsh_member(a):
 # ---------------------------------------------------------------------------
 
 def sh_to_json(a):
-    return {"terms": [{"word": list(w), "coeff": [str(x) for x in c.coeffs]}
+    return {"terms": [{"word": list(w), "coeff": scalar_str(c)}
                       for w, c in sorted(a.terms.items())]}
 
 
 def sh_from_json(ctx, d):
-    return ShElem(ctx, {tuple(t["word"]): HSeries([Fraction(x) for x in t["coeff"]],
-                                                  ctx.order)
+    return ShElem(ctx, {tuple(t["word"]): scalar_from_json(t["coeff"], ctx.order)
                         for t in d["terms"]})
 
 

@@ -179,25 +179,24 @@ def instantiate_tensor(elem, alg, r):
     """
     rterms = list(r.items())
     out = {}
-    carrier = alg.carrier()
     for k, c in elem.terms.items():
         pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
         for choice, coeff in distribute([rterms] * len(pids), c):
             if not coeff:
                 continue
             pair = dict(zip(pids, choice))
-            legs = (distribute(_eval_letter(alg, carrier, pair, letter).items()
+            legs = (distribute(_eval_letter(alg, pair, letter).items()
                                for letter in leg) for leg in k)
             for key, cc in distribute(legs, coeff):
                 add_term(out, key, cc)
     return out
 
 
-def _eval_letter(alg, carrier, pair, letter):
+def _eval_letter(alg, pair, letter):
     """The left-normed letter with each atom (p, s) set to side s of the
     concrete pair chosen for p: an algebra element."""
     (p, s), rest = letter[0], letter[1:]
     val = alg.basis(pair[p][s])
     for (p, s) in rest:
-        val = carrier.bracket(val, alg.basis(pair[p][s]))
+        val = alg.bracket(val, alg.basis(pair[p][s]))
     return val

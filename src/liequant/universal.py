@@ -335,10 +335,10 @@ def r_terms_with_rho(table, varrho, N):
     return out
 
 
-def univ_qybe_residual(bfam, varrho, N, max_table=None):
+def univ_qybe_residual(bfam, varrho, N):
     """Degree-N component of pr^(x3)(R12 R13 R23 - R23 R13 R12) with
     rho = sum of the varrho insertions, as a canonical 3-slot class."""
-    rterms = r_terms_with_rho(lambda_table(bfam, max_table or N), varrho, N)
+    rterms = r_terms_with_rho(lambda_table(bfam, N), varrho, N)
     # the R13 and R23 factors on pids of their own
     rterms13 = [_shift_pids(t, 2000) for t in rterms]
     rterms23 = [_shift_pids(t, 4000) for t in rterms]

@@ -162,13 +162,19 @@ def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("cybe-props", "--trials", "-1"))
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_quantize_output_is_golden(order):
-    """stdout of quantize on borel2, byte for byte; at order 3 the
-    relations stop at hbar^2, the order that rho to degree 3 supports."""
-    r = run_cli("quantize", "--bialgebra", "borel2", "--hbar-order", str(order))
+@pytest.mark.parametrize("bialgebra, order, golden", [
+    pytest.param("borel2", 2, "quantize_borel2_h2.json", id="2"),
+    pytest.param("borel2", 3, "quantize_borel2_h3.json", id="3"),
+    pytest.param(str(DATA / "borel2_scaled.json"), 2, "quantize_borel2_scaled_h2.json",
+                 id="scaled-2")])
+def test_quantize_output_is_golden(bialgebra, order, golden):
+    """stdout of quantize, byte for byte.  At order 3 the relations stop
+    at hbar^2, the order that rho to degree 3 supports.  borel2_scaled is
+    borel2 in the basis (2h, -e/2), so its structure constants are 2 and
+    1/2 rather than 1."""
+    r = run_cli("quantize", "--bialgebra", bialgebra, "--hbar-order", str(order))
     assert r.returncode == 0 and r.stderr == ""
-    assert r.stdout.encode() == (DATA / ("quantize_borel2_h%d.json" % order)).read_bytes()
+    assert r.stdout.encode() == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -5,11 +5,10 @@ import pytest
 
 from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
-from liequant.liealg import borel2
+from liequant.liealg import borel2, build_double
 from liequant.scalars import (HSeries, LinComb, add_term, distribute,
                               pr_legs, scalar_str, scalar_from_json)
-from liequant.shuffle import (LieCoalgebra, ShContext, ShElem, ShTensor, TensContext,
-                              TensElem)
+from liequant.shuffle import ShContext, ShElem, ShTensor, TensContext, TensElem
 from liequant.unitensor import UElem
 
 
@@ -67,7 +66,7 @@ def _contexts():
     bia = borel2()
     fam = solve_bfamily(Fraction(1, 2), 2)
     return (ShContext(bia.algebra, fam, ORDER),
-            TensContext(LieCoalgebra.from_bialgebra(bia), fam, ORDER))
+            TensContext(build_double(bia), fam, ORDER))
 
 
 def _kinds():

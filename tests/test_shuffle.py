@@ -1,16 +1,16 @@
-import itertools
 import random
 from fractions import Fraction
 
 from liequant.scalars import HSeries, add_term, as_series, surviving_pairs
 from liequant.bfamily import BFamily, deformed_word_product, positive_compositions
-from liequant.freealg import LiePoly, substitute
-from liequant.liealg import abelian, sl2
+from liequant.freealg import LiePoly
+from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, build_double,
+                             sl2)
 from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                               sh_antipode,
                               hopf_report, shuffle0, poisson_m1, sym_word,
-                              is_symmetric, LieCoalgebra, TensContext,
-                              TensElem, t_comul, delta_P, pairing, qfsh_delta,
+                              is_symmetric, TensContext,
+                              TensElem, t_comul, pairing, qfsh_delta,
                               qfsh_member, ordered_surjection_count,
                               all_words, sh_to_json, sh_from_json)
 
@@ -230,39 +230,61 @@ def test_homotopy_formula(B4, borel):
             assert total == {(u, v): Fraction(1)}
 
 
-def test_delta_P(B4, borel):
-    co = LieCoalgebra.from_bialgebra(borel)
+def _delta_P(cobracket, P, a):
+    """Oracle for the dual block of a multilinear Lie polynomial P of
+    degree n: <delta_P(e_a), e^b_1 x...x e^b_n> = <e_a, P(e^b_1,...,e^b_n)>,
+    computed on the coalgebra side as (1/n) sum_sigma P_sigma
+    sigma.(left-iterated cobracket of e_a), where P_sigma are the word
+    coefficients of P and sigma permutes slots."""
+    exp = P.expand()
+    if not exp:
+        return {}
+    n = len(next(iter(exp.terms)))
+    base = {(a,): Fraction(1)}
+    for _ in range(n - 1):
+        nxt = {}
+        for idx, c in base.items():
+            for (j, k), cb in cobracket.get(idx[0], {}).items():
+                add_term(nxt, (j, k) + idx[1:], c * cb)
+        base = nxt
+    out = {}
+    for word, c in exp.terms.items():
+        # word (w_1..w_n) encodes sigma(i) = w_i + 1; slot sigma(i) <- factor i
+        for idx, cb in base.items():
+            new = [None] * n
+            for i in range(n):
+                new[word[i]] = idx[i]
+            add_term(out, tuple(new), Fraction(1, n) * c * cb)
+    return out
+
+
+def test_delta_P(B4, borel, dbl):
+    """TensContext.dual_block, read on the double, against the
+    iterated-cobracket oracle on every entry of B4."""
+    tctx = TensContext(dbl, B4, 3)
     # P = x1: identity
-    t = delta_P(co, LiePoly.gen(0), 1)
-    assert t == {(1,): Fraction(1)}
-    # P = [x1,x2]: the cobracket itself
-    t2 = delta_P(co, LiePoly.leftnormed((0, 1)), 1)
-    assert t2 == {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
-    # zero coalgebra in higher degree
-    co0 = LieCoalgebra(2, {})
-    assert delta_P(co0, LiePoly.leftnormed((0, 1)), 0) == {}
-    # adjointness against substitution on the dual algebra
-    dual = co.dual_algebra()
+    assert _delta_P(borel.cobracket, LiePoly.gen(0), 1) == {(1,): Fraction(1)}
+    assert tctx.dual_block(1, 0, 1) == tctx.dual_block(0, 1, 1) == {(1,): Fraction(1)}
+    # P = [x1,x2]: the cobracket itself; B_11 = 1/2 [x1,x2]
+    cob = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+    assert _delta_P(borel.cobracket, LiePoly.leftnormed((0, 1)), 1) == cob
+    assert tctx.dual_block(1, 1, 1) == {k: Fraction(1, 2) * c for k, c in cob.items()}
+    # zero cobracket in higher degree
+    assert _delta_P({}, LiePoly.leftnormed((0, 1)), 0) == {}
+    tctx0 = TensContext(build_double(abelian_bialgebra(2)), B4, 3)
+    assert tctx0.dual_block(1, 1, 0) == {}
+    # every entry of B4, degree 4 included
+    assert max(p + q for p, q in B4.table) == 4
     for (p, q), ent in B4.table.items():
-        if p + q > 3:
-            continue
-        n = p + q
         for a in range(2):
-            t = delta_P(co, ent, a)
-            for bs in itertools.product(range(2), repeat=n):
-                lhs = t.get(tuple(bs), Fraction(0))
-                val = substitute(ent, [dual.basis(b) for b in bs],
-                                 dual.carrier()).get(a, Fraction(0))
-                assert lhs == val
+            assert tctx.dual_block(p, q, a) == _delta_P(borel.cobracket, ent, a)
 
 
-def test_t_comul(B4, borel):
-    co0 = LieCoalgebra(2, {})
-    tctx0 = TensContext(co0, B4, 3)
+def test_t_comul(B4, dbl):
+    tctx0 = TensContext(build_double(abelian_bialgebra(2)), B4, 3)
     d = t_comul(tctx0, TensElem.word(tctx0, (0,)))
     assert d == {((), (0,)): as_series(1, 3), ((0,), ()): as_series(1, 3)}
-    co = LieCoalgebra.from_bialgebra(borel)
-    tctx = TensContext(co, B4, 3)
+    tctx = TensContext(dbl, B4, 3)
     d2 = t_comul(tctx, TensElem.word(tctx, (1,)))
     assert d2[((0,), (1,))].coeff(1) == Fraction(1, 2)
     assert d2[((1,), (0,))].coeff(1) == Fraction(-1, 2)
@@ -290,13 +312,18 @@ def test_t_comul(B4, borel):
             {k: v for k, v in d2m.items() if v}
 
 
-def test_pairing(B4, borel):
+def test_pairing(B4, borel, dbl):
     """The Hopf pairing between the dual shuffle algebra and the deformed
     tensor algebra of borel2."""
-    dual_alg = LieCoalgebra.from_bialgebra(borel).dual_algebra()
+    # g*: [e^i, e^j] = sum_k c_k^{ij} e^k, dual to delta(e_k) = sum c_k^{ij} e_i x e_j
+    br = {}
+    for k, t in borel.cobracket.items():
+        for (i, j), c in t.items():
+            if i < j:
+                add_term(br.setdefault((i, j), {}), k, c)
+    dual_alg = LieAlgebra(2, ["h^", "e^"], br)
     ctx = ShContext(dual_alg, B4, 3)
-    co = LieCoalgebra.from_bialgebra(borel)
-    tctx = TensContext(co, B4, 3)
+    tctx = TensContext(dbl, B4, 3)
     # <(e^), e> = hbar^-1
     p = pairing(ShElem.letter(ctx, 1), TensElem.word(tctx, (1,)))
     assert p.pole == 1 and p.series == 1
@@ -482,11 +509,11 @@ def test_valuation_skip_boundary(B4, borel):
     assert list(surviving_pairs({1: h[1]}, {2: h[1]})) == [(1, h[1], 2, h[1])]
 
 
-def test_valuation_skip_matches_naive_products(B4, borel):
+def test_valuation_skip_matches_naive_products(B4, borel, dbl):
     rng = random.Random(6)
     order = 3
     ctx = ctx_borel(B4, borel, order=order)
-    tctx = TensContext(LieCoalgebra.from_bialgebra(borel), B4, order)
+    tctx = TensContext(dbl, B4, order)
     for trial in range(6):
         # the last two trials give some series an order below ctx.order
         low = order if trial < 4 else 1
