@@ -47,6 +47,16 @@ def positive_compositions(n, k):
     return tuple(c for c in compositions(n, k) if all(c))
 
 
+def order_type(words):
+    """(atoms, shape) of a tuple of words of labels: atoms the sorted
+    distinct labels, shape the words with each label replaced by its rank
+    among them, so words[i][j] == atoms[shape[i][j]].  Two tuples have
+    one shape iff an order-preserving relabeling carries one to the other."""
+    atoms = sorted({a for w in words for a in w})
+    rank = {a: i for i, a in enumerate(atoms)}
+    return atoms, tuple(tuple(rank[a] for a in w) for w in words)
+
+
 class BFamily:
     """The entries B_pq, with the memos of everything computed from them.
 
@@ -91,13 +101,20 @@ class BFamily:
     # -- Lie letters: tuples of labels, each the left-normed monomial on them
 
     def letter_eval(self, p, q, letters):
-        """B_pq on Lie letters, as a LiePoly; memoized."""
-        key = (p, q, letters)
+        """B_pq on Lie letters, as a LiePoly.
+
+        Memoized on (p, q) and the letters' order type (`order_type`):
+        the free-Lie code only compares labels, so B_pq commutes with any
+        order-preserving relabeling of the atoms, and letters of one
+        order type share one evaluation, relabeled back here.
+        """
+        atoms, shape = order_type(letters)
+        key = (p, q, shape)
         hit = self._letter_evals.get(key)
         if hit is None:
-            hit = self.eval(p, q, [LiePoly({x: Fraction(1)}) for x in letters])
+            hit = self.eval(p, q, [LiePoly({x: Fraction(1)}) for x in shape])
             self._letter_evals[key] = hit
-        return hit
+        return LiePoly({tuple(atoms[i] for i in w): c for w, c in hit.terms.items()})
 
     def letter_mul(self, u, v):
         """Deformed product of two words of Lie letters; memoized."""

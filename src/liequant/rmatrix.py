@@ -32,11 +32,22 @@ class LambdaTable:
     def __init__(self, bfam, max_degree):
         self.bfam = bfam
         self.bdual = bfam.dual()
-        self.max_degree = max_degree
+        self.max_degree = 1
         self.entries = {(1,): pair_elem(0)}
         self._rprime = {0: UElem.unit(2), 1: pair_elem(0)}
-        for n in range(2, max_degree + 1):
+        self.grow(max_degree)
+
+    def grow(self, N):
+        """Build the degrees max_degree+1..N in place.  A degree's entries
+        depend only on lower degrees, so the entries already built stay
+        as they are; an R'_j memoized past the old degree lacks the new
+        entries and is dropped."""
+        if N <= self.max_degree:
+            return
+        self._rprime = {j: r for j, r in self._rprime.items() if j <= self.max_degree}
+        for n in range(self.max_degree + 1, N + 1):
             self._build_degree(n)
+        self.max_degree = N
 
     # -- assembly of R'_j from the table --------------------------------
 
@@ -131,10 +142,12 @@ def _shift_pids(elem, offset):
 
 
 def lambda_table(bfam, N):
-    """The family's table, rebuilt when it is short of degree N (tables
-    only ever grow)."""
-    if bfam.lambdas is None or bfam.lambdas.max_degree < N:
+    """The family's table, grown in place to degree N: only the missing
+    degrees are built, and entries are only added, so a table a caller
+    already holds stays valid and equals a fresh LambdaTable(bfam, N)."""
+    if bfam.lambdas is None:
         bfam.lambdas = LambdaTable(bfam, N)
+    bfam.lambdas.grow(N)
     return bfam.lambdas
 
 

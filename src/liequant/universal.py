@@ -15,11 +15,12 @@ argument, then normal-order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import Obstructed, positive_compositions
+from .bfamily import Obstructed, order_type, positive_compositions
 from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
@@ -61,9 +62,14 @@ def normal_order(elem):
     a_p to an earlier slot or b_j to a later one, lowering Phi, so each
     class is rewritten once, with its full coefficient, and a class whose
     coefficient cancels is never expanded.
+
+    The rewrite only adds and negates coefficients, and letter expansion
+    signs are +-1, so it runs on ints: the input scaled once by D, the
+    lcm of its denominators, and the output divided by D.
     """
-    work = {}       # grade -> {class key: coeff}
+    work = {}       # grade -> {class key: int coeff, scaled by D}
     done = {}
+    D = math.lcm(*(c.denominator for c in elem.terms.values()))
 
     def push(k, c):
         names = {}      # atom -> renamed atom, both sides of a pid at once
@@ -85,6 +91,7 @@ def normal_order(elem):
         add_term(work.setdefault((phi, inv), {}), k, c)
 
     for k, c in elem.terms.items():
+        c = c.numerator * (D // c.denominator)
         for key, cw in expand_letters(k):
             push(tuple(tuple(2 * p + s for word in w for (p, s) in word)
                        for w in key), c * cw)
@@ -118,7 +125,7 @@ def normal_order(elem):
                 pos = v.index(stay)
                 for word, sign in ((pair, -c), (pair[::-1], c)):
                     push(mid[:t] + (v[:pos] + word + v[pos + 1:],) + mid[t + 1:], sign)
-    return UElem(elem.legs, done)
+    return UElem(elem.legs, {k: Fraction(c, D) for k, c in done.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +287,16 @@ def _substitute_pairs(elem, pair_map):
 
 def _substitute_letter(letter, amap, memo):
     """The letter's monomial with each atom (p, s) replaced by side s of
-    amap[p], as (monomial, coeff) pairs; memo is keyed on those sides."""
-    reps = tuple(amap[p][s] for (p, s) in letter)
-    out = memo.get(reps)
+    amap[p], as (monomial, coeff) pairs.  The substitution only compares
+    atoms, so memo is keyed on the order type of those sides
+    (`order_type`) and its entry relabeled back."""
+    atoms, shape = order_type(tuple(amap[p][s] for (p, s) in letter))
+    out = memo.get(shape)
     if out is None:
-        args = [LiePoly({rep: Fraction(1)}) for rep in reps]
-        lp = LiePoly({tuple(range(len(reps))): Fraction(1)})
-        out = memo[reps] = tuple(substitute(lp, args, FreeLieCarrier).terms.items())
-    return out
+        args = [LiePoly({rep: Fraction(1)}) for rep in shape]
+        lp = LiePoly({tuple(range(len(shape))): Fraction(1)})
+        out = memo[shape] = tuple(substitute(lp, args, FreeLieCarrier).terms.items())
+    return tuple((tuple(atoms[i] for i in m), c) for m, c in out)
 
 
 def insert_pairs(elem, varrho, total_degree):
@@ -296,9 +305,15 @@ def insert_pairs(elem, varrho, total_degree):
     Replaces every formal pair of elem by entries of varrho (a dict
     degree -> 2-slot element), summing over all ways the degrees add up
     to total_degree.  Multilinear in the varrho entries; the result is
-    a raw element, not a class.
+    a raw element, not a class.  The k-th pair gets pids from 1000 on,
+    after those of the pairs before it.  When every pair gets degree 1
+    and varrho_1 is varrho_one(), that substitution is the relabeling
+    of the k-th pid to 1000 + k, which keeps the atom order, and is
+    done as one.
     """
     pids = sorted(elem.pids())
+    if total_degree == len(pids) and varrho.get(1) == varrho_one():
+        return elem.relabel({p: 1000 + k for k, p in enumerate(pids)})
     out = UElem.zero(elem.legs)
     for degs in positive_compositions(total_degree, len(pids)):
         if any(m not in varrho or not varrho[m] for m in degs):
@@ -326,38 +341,63 @@ def r_terms_with_rho(table, varrho, N):
     kappa-insertions.  Returns a list indexed by degree; each entry is a
     UElem whose pids are fresh per degree.
     """
-    out = [UElem.unit(2)]
+    rs = [table.rmatrix(n) for n in range(N + 1)]
+    out = [rs[0]]
     for d in range(1, N + 1):
         acc = UElem.zero(2)
         for n in range(1, d + 1):
-            acc = acc + insert_pairs(table.rmatrix(n), varrho, d)
+            acc = acc + insert_pairs(rs[n], varrho, d)
         out.append(acc)
     return out
 
 
 def univ_qybe_residual(bfam, varrho, N):
     """Degree-N component of pr^(x3)(R12 R13 R23 - R23 R13 R12) with
-    rho = sum of the varrho insertions, as a canonical 3-slot class."""
+    rho = sum of the varrho insertions, as a canonical 3-slot class.
+
+    Each slot of pr^(x3) is pr(u v) = B_{|u|,|v|}(u, v), zero by
+    definition when (|u|, |v|) is not `_live`.  The R-terms of each
+    degree are grouped by (|u|, |v|), and a triple of groups is visited
+    only when all three slots of the LHS ordering are live; the RHS
+    ordering's slots are the same pairs swapped, so it is live with it.
+    Entries missing from a family that is too short are no such zero and
+    are evaluated.
+    """
     rterms = r_terms_with_rho(lambda_table(bfam, N), varrho, N)
     # the R13 and R23 factors on pids of their own
-    rterms13 = [_shift_pids(t, 2000) for t in rterms]
-    rterms23 = [_shift_pids(t, 4000) for t in rterms]
+    g12 = [_by_lengths(t) for t in rterms]
+    g13 = [_by_lengths(_shift_pids(t, 2000)) for t in rterms]
+    g23 = [_by_lengths(_shift_pids(t, 4000)) for t in rterms]
     acc = {}
     for d12 in range(0, N + 1):
         for d13 in range(0, N + 1 - d12):
-            d23 = N - d12 - d13
-            t12 = rterms[d12]
-            t13 = rterms13[d13]
-            t23 = rterms23[d23]
-            for (u12, v12), c1 in t12.terms.items():
-                for (u13, v13), c2 in t13.terms.items():
-                    for (u23, v23), c3 in t23.terms.items():
-                        c = c1 * c2 * c3
-                        # LHS ordering R12 R13 R23
-                        _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
-                        # RHS ordering R23 R13 R12
-                        _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
+            groups = itertools.product(g12[d12].items(), g13[d13].items(),
+                                       g23[N - d12 - d13].items())
+            for ((a12, b12), t12), ((a13, b13), t13), ((a23, b23), t23) in groups:
+                if not (_live(a12, a13) and _live(b12, a23) and _live(b13, b23)):
+                    continue
+                for (u12, v12, c1), (u13, v13, c2), (u23, v23, c3) in \
+                        itertools.product(t12, t13, t23):
+                    c = c1 * c2 * c3
+                    # LHS ordering R12 R13 R23
+                    _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
+                    # RHS ordering R23 R13 R12
+                    _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
     return normal_order(UElem(3, acc))
+
+
+def _live(p, q):
+    """False when B_pq is zero by definition: B_00 = 0, and B_p0 = B_0p = 0
+    for p != 1."""
+    return bool(p and q) or p + q == 1
+
+
+def _by_lengths(elem):
+    """The terms of a 2-slot element as {(|u|, |v|): [(u, v, coeff)]}."""
+    groups = {}
+    for (u, v), c in elem.terms.items():
+        groups.setdefault((len(u), len(v)), []).append((u, v, c))
+    return groups
 
 
 def _triple(acc, bfam, slots, c):

@@ -219,3 +219,49 @@ def test_solve_reports_obstruction_witness(monkeypatch):
     pinned = BFamily(Fraction(1, 2), 3, {**lam_half_table(), (2, 1): 2 * PAPER3_B21,
                                          (1, 2): PAPER3_B12})
     assert c and assoc_residual(pinned, p, q, r).terms[mono] == c
+
+
+def _random_letters(rng, n, pids):
+    """n Lie letters on distinct atoms (pid, side) of the pids, the atoms
+    spread over the letters in random order, each letter minimal atom first."""
+    atoms = rng.sample([(p, s) for p in pids for s in (0, 1)], n + rng.randint(0, 2))
+    cuts = [0] + sorted(rng.sample(range(1, len(atoms)), n - 1)) + [len(atoms)]
+    letters = [atoms[i:j] for i, j in zip(cuts, cuts[1:])]
+    return tuple(tuple(sorted(l)[:1] + [a for a in l if a != min(l)]) for l in letters)
+
+
+def test_letter_eval_memo_on_order_type(B4):
+    """letter_eval is memoized on the letters' order type: letters shifted
+    by a pid offset (the R13/R23 copies) and letters on pids spread
+    monotonically between others (fresh pids per degree) reuse the first
+    evaluation and equal eval on a fresh family, which has no memo.  The
+    negative control: the stored result relabeled by a non-monotone map
+    is not the evaluation on the relabeled letters."""
+    rng = random.Random(17)
+    fam = BFamily(B4.lam, B4.max_degree, B4.table)
+    fresh = BFamily(B4.lam, B4.max_degree, B4.table)
+
+    def direct(p, q, letters):
+        return fresh.eval(p, q, [LiePoly({x: Fraction(1)}) for x in letters])
+
+    def moved(letters, f):
+        return tuple(tuple((f(p), s) for p, s in l) for l in letters)
+
+    nonzero = wrong = 0
+    for p, q in sorted(B4.table):
+        for _ in range(4):
+            letters = _random_letters(rng, p + q, range(5))
+            base = fam.letter_eval(p, q, letters)
+            assert base == direct(p, q, letters)
+            evals = len(fam._letter_evals)
+            spread = sorted(rng.sample(range(100), 5))
+            for m in (moved(letters, lambda p: p + 2000), moved(letters, spread.__getitem__)):
+                assert fam.letter_eval(p, q, m) == direct(p, q, m)
+            assert len(fam._letter_evals) == evals
+            perm = rng.sample(range(5), 5)
+            m = moved(letters, perm.__getitem__)
+            assert fam.letter_eval(p, q, m) == direct(p, q, m)
+            naive = LiePoly({tuple((perm[p], s) for p, s in w): c for w, c in base.terms.items()})
+            wrong += naive != direct(p, q, m)
+            nonzero += bool(base)
+    assert nonzero > 10 and wrong > 5

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+from liequant import rmatrix
 from liequant.bfamily import BFamily, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
 from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
@@ -252,3 +253,27 @@ def test_shift_pids_is_relabel(B4):
             assert _shift_pids(e, off) == e.relabel({p: p + off for p in e.pids()})
         multi += any(len(letter) > 1 for k in e.terms for leg in k for letter in leg)
     assert multi > 30
+
+
+def test_lambda_table_grows_in_place(B4, monkeypatch):
+    """lambda_table builds only the missing degrees, into the table the
+    family already holds: a caller's table stays the same object, keeps
+    every earlier entry, and has the entries and R_n of a fresh
+    LambdaTable.  An R'_j read past the old degree is not kept."""
+    fam = BFamily(B4.lam, B4.max_degree, B4.table)
+    held = lambda_table(fam, 2)
+    before = dict(held.entries)
+    stale = held.rmatrix(3)
+    built = []
+    build = rmatrix.LambdaTable._build_degree
+    monkeypatch.setattr(rmatrix.LambdaTable, "_build_degree",
+                        lambda self, n: built.append(n) or build(self, n))
+    assert lambda_table(fam, 4) is held and lambda_table(fam, 3) is held
+    assert built == [3, 4]
+    monkeypatch.undo()
+    fresh = rmatrix.LambdaTable(BFamily(B4.lam, B4.max_degree, B4.table), 4)
+    assert held.max_degree == fresh.max_degree == 4
+    assert held.entries == fresh.entries
+    assert all(held.entries[c] == e for c, e in before.items())
+    assert [held.rmatrix(n) for n in range(5)] == [fresh.rmatrix(n) for n in range(5)]
+    assert stale != held.rmatrix(3)

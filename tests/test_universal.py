@@ -12,6 +12,7 @@ from liequant.liealg import (delta3_r, delta4_r, tensor_add, tensor_smul, sl2,
 from liequant import universal
 from liequant.bfamily import Obstructed
 from liequant.freealg import LiePoly, substitute
+from liequant.rmatrix import _shift_pids, lambda_table
 from liequant.scalars import add_term
 from liequant.universal import (normal_order, canonical_classes, delta3,
                                 delta4, basis_F, basis_F3lie, cohomology_dims,
@@ -20,6 +21,7 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
                                 expand_to_words, r_pair)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
 from f3_algebra import CONC3, entretien_cybe, f3_mul, mu_lie
+from qybe_oracle import full_qybe_residual
 
 
 def _lie3(s1, s2, s3, c=1):
@@ -642,7 +644,9 @@ def _counting_substitute(monkeypatch):
 def test_substitute_pairs_shares_equal_replacement_tuples(monkeypatch):
     """Letters of pids 0,1 and 4,5 get the same replacement tuple (A0, A1);
     pids 2,3 get it swapped, (A1, A0) = -(A0, A1) after substitution, so a
-    key blind to the order would flip a sign."""
+    key blind to the order would flip a sign.  The b-side tuples (B0, B1)
+    and (B1, B0) have the order types of (A0, A1) and (A1, A0), and the
+    memo is keyed on order type, so they share those substitutions."""
     a, b = a_atom, b_atom
     r0 = UElem(2, {(((a(100), a(101)),), ((b(100), b(101)),)): Fraction(1, 8)})
     r1 = UElem(2, {(((a(102),),), ((b(102),),)): Fraction(1)})
@@ -652,8 +656,8 @@ def test_substitute_pairs_shares_equal_replacement_tuples(monkeypatch):
     calls = _counting_substitute(monkeypatch)
     got = universal._substitute_pairs(elem, pair_map)
     assert got and got.terms == _substitute_by_letters(elem, pair_map)
-    # (A0, A1), (A1, A0), (B0, B1), (B1, B0): four of six letters
-    assert len(calls) == 4
+    # one substitution per order type: (A0, A1) ~ (B0, B1), (A1, A0) ~ (B1, B0)
+    assert len(calls) == 2
 
 
 def test_substitute_pairs_matches_letterwise_reference(monkeypatch):
@@ -673,3 +677,74 @@ def test_substitute_pairs_matches_letterwise_reference(monkeypatch):
                        * sum(map(len, k)) for k in elem.terms)
         nonzero += bool(got)
     assert nonzero > 15 and 0 < len(calls) < letters
+
+
+# ---------------------------------------------------------------------------
+# the lean universal QYBE solve, each part against its oracle
+# ---------------------------------------------------------------------------
+
+def _random_rho2(rng):
+    """A seeded combination of the basis of F_2 on pids of its own."""
+    x = UElem.zero(2)
+    for e in basis_F(2):
+        x = x + Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)) * e
+    return x
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_pruned_residual_matches_full_triple_loop(B4, B4_rref, N):
+    """univ_qybe_residual, which visits only the word-length triples whose
+    three slots are not zero by definition, equals the full triple loop:
+    on B4 with the solved rho and with rho_{N-1} dropped (Phi_N), on
+    seeded random rho_2, and on the rref-zero family."""
+    rng = random.Random(41)
+    cases = []
+    for fam in (B4, B4_rref):
+        rho = solve_varrho(fam, 3)
+        cases += [(fam, rho), (fam, {m: v for m, v in rho.items() if m < N - 1})]
+        cases += [(fam, {1: varrho_one(), 2: _random_rho2(rng)}) for _ in range(2)]
+    nonzero = 0
+    for fam, varrho in cases:
+        got = univ_qybe_residual(fam, varrho, N)
+        assert got == full_qybe_residual(fam, varrho, N)
+        nonzero += bool(got)
+    assert nonzero >= 4
+
+
+def test_identity_insertion_is_the_substitution(B4, monkeypatch):
+    """With every pair of R_n at degree 1 and varrho_1 = varrho_one(),
+    insert_pairs relabels instead of substituting; the result equals
+    _substitute_pairs and the letterwise reference, for R_1..R_4.  A
+    scaled varrho_1 takes the substitution path."""
+    table = lambda_table(B4, 4)
+    for n in range(1, 5):
+        rn = table.rmatrix(n)
+        pids = sorted(rn.pids())
+        assert len(pids) == n
+        pair_map = {p: _shift_pids(varrho_one(), 1000 + k) for k, p in enumerate(pids)}
+        want = universal._substitute_pairs(rn, pair_map)
+        assert want.terms == _substitute_by_letters(rn, pair_map)
+        calls = _counting_substitute(monkeypatch)
+        assert universal.insert_pairs(rn, {1: varrho_one()}, n) == want
+        assert not calls
+        two = {1: Fraction(2) * varrho_one()}
+        assert universal.insert_pairs(rn, two, n) == Fraction(2 ** n) * want
+        assert calls
+        monkeypatch.undo()
+
+
+def test_normal_order_on_mixed_denominators():
+    """The integer rewrite (input scaled by the lcm of its denominators)
+    matches the Fraction oracle on inputs with coefficients in 1/2, 1/3
+    and 5/6, and returns Fraction coefficients."""
+    rng = random.Random(43)
+    nonzero = 0
+    for _ in range(40):
+        x = _random_paired_element(rng, rng.randint(3, 4))
+        x = UElem(x.legs, {k: rng.choice((1, -1)) * rng.choice(
+            (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))) for k in x.terms})
+        out = normal_order(x)
+        assert out == canonical(_raw_normal_order(x))
+        assert all(type(c) is Fraction for c in out.terms.values())
+        nonzero += bool(out)
+    assert nonzero > 20
