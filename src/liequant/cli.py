@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: cbh, bfamily (solve|check), shuffle (mul|hopf-check),
-rmatrix, qybe (solve|cohomology), quantize, cybe-props.  JSON is the
-interchange format; exit code 0 on success, 1 on any residual failure,
-2 on input errors.  Outputs are deterministic for a fixed configuration.
+Leaf commands: cbh, bfamily (solve|check), shuffle (mul|hopf-check),
+rmatrix, qybe (solve|cohomology), quantize, cybe-props; each declares
+only the options it reads (COMMANDS).  JSON is the interchange format;
+exit code 0 on success, 1 on any residual failure, 2 on input errors.
+Outputs are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -39,14 +40,32 @@ def _parse(loader, data, what):
         raise BadInput("%s: malformed (%s: %s)" % (what, type(e).__name__, e))
 
 
-def _check_degree(args, least=2):
-    if args.max_degree < least:
-        raise BadInput("--max-degree must be at least %d" % least)
+def _at_least(flag, value, least):
+    if value < least:
+        raise BadInput("%s must be at least %d" % (flag, least))
 
 
-def _check_hbar_order(args):
-    if args.hbar_order < 0:
-        raise BadInput("--hbar-order must be at least 0")
+def _violations(fam):
+    """(p, q, r, residual) for each associativity equation fam breaks,
+    lowest degree first."""
+    for n in range(3, fam.max_degree + 1):
+        for p in range(1, n - 1):
+            for q in range(1, n - p):
+                res = bfamily.assoc_residual(fam, p, q, n - p - q)
+                if res:
+                    yield p, q, n - p - q, res
+
+
+def _solve_varrho(command, fam, degree):
+    """universal.solve_varrho, or None after one stderr line naming the
+    degree at which the system is obstructed or not unique."""
+    try:
+        return universal.solve_varrho(fam, degree)
+    except bfamily.Obstructed as e:
+        print("%s: obstructed at degree %s" % (command, e), file=sys.stderr)
+    except rmatrix.NonUnique as e:
+        print("%s: solution not unique at degree %s" % (command, e), file=sys.stderr)
+    return None
 
 
 def _emit(args, payload):
@@ -59,7 +78,7 @@ def _emit(args, payload):
 
 
 def cmd_cbh(args):
-    _check_degree(args, 1)
+    _at_least("--max-degree", args.max_degree, 1)
     table = freealg.cbh(args.max_degree)
     out = {"max_degree": args.max_degree,
            "entries": [{"p": p, "q": q, "poly": freealg.lie_to_json(v),
@@ -74,7 +93,7 @@ def cmd_cbh(args):
 
 def cmd_bfamily(args):
     if args.action == "solve":
-        _check_degree(args)
+        _at_least("--max-degree", args.max_degree, 2)
         try:
             fam = bfamily.solve_bfamily(Fraction(args.lam), args.max_degree, args.gauge)
         except bfamily.Obstructed as e:
@@ -82,15 +101,11 @@ def cmd_bfamily(args):
             return 1
         _emit(args, bfamily.bfamily_to_json(fam))
         return 0
+    if args.bfamily is None:
+        raise BadInput("--bfamily is required for bfamily check")
     fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
-    bad = []
-    for n in range(3, fam.max_degree + 1):
-        for p in range(1, n - 1):
-            for q in range(1, n - p):
-                res = bfamily.assoc_residual(fam, p, q, n - p - q)
-                if res:
-                    bad.append({"p": p, "q": q, "r": n - p - q,
-                                "residual": freealg.lie_text(res)})
+    bad = [{"p": p, "q": q, "r": r, "residual": freealg.lie_text(res)}
+           for p, q, r, res in _violations(fam)]
     _emit(args, {"ok": not bad, "violations": bad})
     return 0 if not bad else 1
 
@@ -109,7 +124,8 @@ def _bialgebra_from_args(args):
 
 
 def cmd_shuffle(args):
-    _check_degree(args)
+    _at_least("--hbar-order", args.hbar_order, 0)
+    _at_least("--max-degree", args.max_degree, 2)
     fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree, args.gauge)
     bia = _bialgebra_from_args(args)
     if args.action == "hopf-check":
@@ -131,7 +147,7 @@ def cmd_shuffle(args):
 
 
 def cmd_rmatrix(args):
-    _check_degree(args, 0)
+    _at_least("--max-degree", args.max_degree, 0)
     fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree, 2), args.gauge)
     terms = rmatrix.rmatrix_terms(fam, args.max_degree)
     ok = True
@@ -147,8 +163,10 @@ def cmd_rmatrix(args):
 
 
 def cmd_qybe(args):
-    if args.action == "cohomology" and args.max_n < 1:
-        raise BadInput("--max-n must be at least 1")
+    if args.action == "cohomology":
+        _at_least("--max-n", args.max_n, 1)
+    else:
+        _at_least("--max-degree", args.max_degree, 1)
     fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree + 1, 2), "paper3")
     if args.action == "cohomology":
         dims = universal.cohomology_dims(args.max_n)
@@ -159,13 +177,8 @@ def cmd_qybe(args):
         for r in rows:
             print("%d,%s,%s" % (r["N"], r["dim_H2"], r["dim_H3"]), file=sys.stderr)
         return 0
-    try:
-        sol = universal.solve_varrho(fam, args.max_degree)
-    except bfamily.Obstructed as e:
-        print("qybe solve: obstructed at degree %s" % e, file=sys.stderr)
-        return 1
-    except rmatrix.NonUnique as e:
-        print("qybe solve: solution not unique at degree %s" % e, file=sys.stderr)
+    sol = _solve_varrho("qybe solve", fam, args.max_degree)
+    if sol is None:
         return 1
     residual = universal.univ_qybe_residual(fam, sol, args.max_degree + 1)
     payload = {"ok": not residual,
@@ -176,16 +189,21 @@ def cmd_qybe(args):
 
 
 def cmd_quantize(args):
-    if args.hbar_order < 1:
-        # the semiclassical check reads the hbar^1 coefficient
-        raise BadInput("--hbar-order must be at least 1 for quantize")
-    fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily") \
-        if args.bfamily else bfamily.solve_bfamily(Fraction(1, 2),
-                                                   max(args.hbar_order + 1, 2), "paper3")
+    # the semiclassical check reads the hbar^1 coefficient
+    _at_least("--hbar-order", args.hbar_order, 1)
+    if args.bfamily:
+        fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
+        bad = next(_violations(fam), None)
+        if bad:
+            raise BadInput("bfamily: not associative at (p, q, r) = (%d, %d, %d)" % bad[:3])
+    else:
+        fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.hbar_order + 1, 2), "paper3")
     bia = _bialgebra_from_args(args)
     # the universal system is solved to degree <= 3 (desk scale); ell is
     # then exact mod hbar^3, enough for the checks below
-    vr = universal.solve_varrho(fam, min(args.hbar_order + 1, 3))
+    vr = _solve_varrho("quantize", fam, min(args.hbar_order + 1, 3))
+    if vr is None:
+        return 1
     Q = quantize.Quantization(fam, bia, order=args.hbar_order, varrho=vr)
     ok = True
     try:
@@ -215,8 +233,7 @@ def cmd_quantize(args):
 
 
 def cmd_cybe_props(args):
-    if args.trials < 1:
-        raise BadInput("--trials must be at least 1")
+    _at_least("--trials", args.trials, 1)
     alg = deform.matrix_algebra(2 if args.algebra == "m2" else 3)
     rng = random.Random(args.seed)
     failures = 0
@@ -233,56 +250,56 @@ def cmd_cybe_props(args):
     return 0 if failures == 0 and part_ok else 1
 
 
+OPTIONS = {  # every option once, as argparse keywords
+    "--out": {},
+    "--max-degree": {"type": int, "default": 3},
+    "--hbar-order": {"type": int, "default": 3},
+    "--gauge": {"choices": ["rref-zero", "paper3"], "default": "paper3"},
+    "--lam": {"default": "1/2"},
+    "--bfamily": {},
+    "--bialgebra": {"default": "borel2"},
+    "--left": {"default": "0"},
+    "--right": {"default": "1"},
+    "--max-n": {"type": int, "default": 3},
+    "--algebra": {"choices": ["m2", "m3"], "default": "m2"},
+    "--trials": {"type": int, "default": 20},
+    "--seed": {"type": int, "default": 7},
+}
+
+# leaf command -> (its function, the options it reads besides --out)
+COMMANDS = {
+    "cbh": (cmd_cbh, "--max-degree"),
+    "bfamily solve": (cmd_bfamily, "--max-degree --gauge --lam"),
+    "bfamily check": (cmd_bfamily, "--bfamily"),
+    "shuffle mul": (cmd_shuffle,
+                    "--max-degree --hbar-order --gauge --bialgebra --left --right"),
+    "shuffle hopf-check": (cmd_shuffle, "--max-degree --hbar-order --gauge --bialgebra"),
+    "rmatrix": (cmd_rmatrix, "--max-degree --gauge"),
+    "qybe solve": (cmd_qybe, "--max-degree"),
+    "qybe cohomology": (cmd_qybe, "--max-degree --max-n"),
+    "quantize": (cmd_quantize, "--hbar-order --bialgebra --bfamily"),
+    "cybe-props": (cmd_cybe_props, "--algebra --trials --seed"),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="liequant")
-    ap.add_argument("--seed", type=int, default=7)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--hbar-order", type=int, default=3)
-        p.add_argument("--gauge", choices=["rref-zero", "paper3"], default="paper3")
-
-    p = sub.add_parser("cbh"); common(p); p.set_defaults(fn=cmd_cbh)
-
-    p = sub.add_parser("bfamily"); common(p)
-    p.add_argument("action", choices=["solve", "check"])
-    p.add_argument("--lam", default="1/2")
-    p.add_argument("--bfamily", default=None)
-    p.set_defaults(fn=cmd_bfamily)
-
-    p = sub.add_parser("shuffle"); common(p)
-    p.add_argument("action", choices=["mul", "hopf-check"])
-    p.add_argument("--bialgebra", default="borel2")
-    p.add_argument("--left", default="0")
-    p.add_argument("--right", default="1")
-    p.set_defaults(fn=cmd_shuffle)
-
-    p = sub.add_parser("rmatrix"); common(p); p.set_defaults(fn=cmd_rmatrix)
-
-    p = sub.add_parser("qybe"); common(p)
-    p.add_argument("action", choices=["solve", "cohomology"])
-    p.add_argument("--max-n", type=int, default=3)
-    p.set_defaults(fn=cmd_qybe)
-
-    p = sub.add_parser("quantize"); common(p)
-    p.add_argument("--bialgebra", default="borel2")
-    p.add_argument("--bfamily", default=None)
-    p.set_defaults(fn=cmd_quantize)
-
-    p = sub.add_parser("cybe-props"); common(p)
-    p.add_argument("--algebra", choices=["m2", "m3"], default="m2")
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(fn=cmd_cybe_props)
+    groups = {}
+    for leaf, (fn, opts) in COMMANDS.items():
+        name, _, action = leaf.partition(" ")
+        if action and name not in groups:
+            groups[name] = sub.add_parser(name).add_subparsers(dest="action", required=True)
+        p = groups[name].add_parser(action) if action else sub.add_parser(name)
+        for opt in ["--out"] + opts.split():
+            p.add_argument(opt, **OPTIONS[opt])
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = ap.parse_args(argv)
-        _check_hbar_order(args)
         return args.fn(args)
     except BadInput as e:
         print("input error: %s" % e, file=sys.stderr)

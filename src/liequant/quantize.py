@@ -16,7 +16,7 @@ import itertools
 from .scalars import HSeries, add_term, distribute
 from .bfamily import compositions
 from .liealg import build_double
-from .shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
+from .shuffle import (ShElem, ShTensor, sh_mul, sh_comul,
                       TensContext, TensElem, t_comul, all_words, qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import instantiate_tensor
@@ -54,9 +54,10 @@ class Quantization:
         # the hbar^<=k parts of ell and of the relations need rho_<=k+1
         self.rel_order = min(order, max(varrho) - 1)
         self.rho = self._rho_at_order(order, varrho)
-        # one context of each kind, so their product memos are shared
-        self.sh_ctx = ShContext(self.double.algebra, bfam, order)
+        # one context of each kind, so their memos are shared; T(g)'s dual
+        # blocks and Sh(D)'s word products read one memo of B_pq on D
         self.tens_ctx = TensContext(self.double, bfam, order)
+        self.sh_ctx = self.tens_ctx.sh
         self._ell_gen = None
 
     # -- rho = sum hbar^n kappa(varrho_n)(r) ------------------------------

@@ -340,24 +340,25 @@ class TensElem(LinComb):
 
 class TensContext:
     """T(g) of a Lie bialgebra g, read on its double D = g + g*, with a
-    B-family; the generator coproduct is cached."""
+    B-family; the generator coproduct is cached, and B_pq on D is read
+    through the memo of the context's own Sh(D) (self.sh)."""
 
     def __init__(self, double, bfam, order=None):
         self.double = double
         self.bfam = bfam
         self.order = DEFAULT_ORDER if order is None else order
+        self.sh = ShContext(double.algebra, bfam, self.order)
         self._gen_comul = {}
 
     def dual_block(self, p, q, x, left=(), right=()):
         """{idx: <B_pq(left, e^idx..., right), e_x>} over the dual-basis
         letters e^idx between the g-letters left and right (tuples of
         basis indices): the e^x coordinate of B_pq evaluated on the double."""
-        alg = self.double.algebra
         d = self.double.base.algebra.dim
         out = {}
         for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
             letters = left + tuple(d + i for i in idx) + right
-            c = self.bfam.eval(p, q, [alg.basis(i) for i in letters], alg).get(d + x)
+            c = self.sh.b_eval(p, q, letters).get(d + x)
             if c:
                 out[idx] = c
         return out

@@ -156,6 +156,7 @@ def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("shuffle", "hopf-check", "--hbar-order", "-1"))
     _assert_input_error(run_cli("cbh", "--max-degree", "0"))
     _assert_input_error(run_cli("rmatrix", "--max-degree", "-1"))
+    _assert_input_error(run_cli("qybe", "solve", "--max-degree", "0"))
     _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "0"))
     _assert_input_error(run_cli("qybe", "cohomology", "--max-n", "-2"))
     _assert_input_error(run_cli("cybe-props", "--trials", "0"))
@@ -196,3 +197,75 @@ def test_bfamily_solve_reports_obstruction(monkeypatch, capsys):
     assert cli.main(["bfamily", "solve", "--max-degree", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "bfamily solve: obstructed at degree 4\n"
+
+
+# the options each leaf command reads besides --out: the CLI's spec,
+# written out here rather than read from cli
+OPTIONS_READ = {
+    ("cbh",): ["--max-degree"],
+    ("bfamily", "solve"): ["--max-degree", "--gauge", "--lam"],
+    ("bfamily", "check"): ["--bfamily"],
+    ("shuffle", "mul"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra",
+                         "--left", "--right"],
+    ("shuffle", "hopf-check"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra"],
+    ("rmatrix",): ["--max-degree", "--gauge"],
+    ("qybe", "solve"): ["--max-degree"],
+    ("qybe", "cohomology"): ["--max-degree", "--max-n"],
+    ("quantize",): ["--hbar-order", "--bialgebra", "--bfamily"],
+    ("cybe-props",): ["--algebra", "--trials", "--seed"],
+}
+VALUES = {"--out": "o.json", "--max-degree": "2", "--hbar-order": "1",
+          "--gauge": "rref-zero", "--lam": "1/3", "--bfamily": "f.json",
+          "--bialgebra": "abelian2", "--left": "0,1", "--right": "1",
+          "--max-n": "2", "--algebra": "m3", "--trials": "2", "--seed": "11"}
+
+
+@pytest.mark.parametrize("leaf", sorted(OPTIONS_READ), ids=" ".join)
+def test_each_command_declares_exactly_the_options_it_reads(leaf, capsys):
+    read = ["--out"] + OPTIONS_READ[leaf]
+    argv = list(leaf) + [a for opt in read for a in (opt, VALUES[opt])]
+    args = cli.build_parser().parse_args(argv)
+    given = {k: str(v) for k, v in vars(args).items()
+             if k not in ("fn", "command", "action")}
+    assert given == {opt[2:].replace("-", "_"): VALUES[opt] for opt in read}
+    for opt in sorted(set(VALUES) - set(read)):
+        with pytest.raises(SystemExit) as e:
+            cli.main(list(leaf) + [opt, VALUES[opt]])
+        assert e.value.code == 2
+        assert "unrecognized arguments: " + opt in capsys.readouterr().err
+
+
+def test_seed_belongs_to_cybe_props():
+    r = run_cli("--seed", "7", "cybe-props")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    r1, r2 = (run_cli("cybe-props", "--trials", "3", "--seed", "7") for _ in range(2))
+    assert r1.returncode == 0 and (r1.stdout, r1.stderr) == (r2.stdout, r2.stderr)
+
+
+def test_bfamily_check_without_family_is_input_error():
+    _assert_input_error(run_cli("bfamily", "check"))
+
+
+def test_quantize_rejects_non_associative_family(tmp_path):
+    data = bfamily.bfamily_to_json(bfamily.solve_bfamily(Fraction(1, 2), 3, "paper3"))
+    for e in data["entries"]:
+        if (e["p"], e["q"]) == (2, 1):
+            for t in e["poly"]["terms"]:
+                t["coeff"] = "5"
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(data))
+    r = run_cli("quantize", "--hbar-order", "1", "--bfamily", str(f))
+    _assert_input_error(r)
+    assert "not associative at (p, q, r) = (1, 1, 1)" in r.stderr
+
+
+@pytest.mark.parametrize("exc, message", [
+    (Obstructed(3), "quantize: obstructed at degree 3"),
+    (NonUnique(2), "quantize: solution not unique at degree 2")])
+def test_quantize_reports_obstruction(monkeypatch, capsys, exc, message):
+    def solve(bfam, n):
+        raise exc
+    monkeypatch.setattr(universal, "solve_varrho", solve)
+    assert cli.main(["quantize", "--hbar-order", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
