@@ -3,7 +3,9 @@
 Leaf commands: cbh, bfamily (solve|check), shuffle (mul|hopf-check),
 rmatrix, qybe (solve|cohomology), quantize, cybe-props; each declares
 only the options it reads (COMMANDS).  JSON is the interchange format;
-exit code 0 on success, 1 on any residual failure, 2 on input errors.
+exit code 0 on success, 1 on any residual failure, 2 on input errors,
+141 when stdout is closed early (no traceback).  Options are accepted
+only under their full names.
 Outputs are deterministic for a fixed configuration.
 """
 
@@ -11,12 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import freealg, bfamily, liealg, shuffle, rmatrix, universal, deform, quantize
 from .scalars import scalar_str
+
+
+#: exit code when stdout is closed before the output is written, as a
+#: shell reports a process ended by SIGPIPE (128 + 13)
+CLOSED_STDOUT = 141
 
 
 class BadInput(ValueError):
@@ -283,14 +291,16 @@ COMMANDS = {
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="liequant")
+    # allow_abbrev=False: an option is accepted only under its full name
+    ap = argparse.ArgumentParser(prog="liequant", allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}
     for leaf, (fn, opts) in COMMANDS.items():
         name, _, action = leaf.partition(" ")
         if action and name not in groups:
-            groups[name] = sub.add_parser(name).add_subparsers(dest="action", required=True)
-        p = groups[name].add_parser(action) if action else sub.add_parser(name)
+            groups[name] = sub.add_parser(name, allow_abbrev=False).add_subparsers(
+                dest="action", required=True)
+        p = (groups[name] if action else sub).add_parser(action or name, allow_abbrev=False)
         for opt in ["--out"] + opts.split():
             p.add_argument(opt, **OPTIONS[opt])
         p.set_defaults(fn=fn)
@@ -300,10 +310,19 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except BadInput as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

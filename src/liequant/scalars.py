@@ -2,13 +2,17 @@
 
 All coefficients in the library are either `fractions.Fraction` (exact
 rationals, always in lowest terms with positive denominator) or `HSeries`
-(polynomials in hbar truncated at a fixed order, with Fraction
-coefficients).  The two kinds mix freely in arithmetic; a Fraction is
-treated as a constant series of infinite precision.
+(polynomials in hbar truncated at a fixed order).  A series keeps int
+numerators over one common denominator, and `+`, `-` and `*` work on those
+ints; Fractions are built at the edges only: where coefficients are read
+(`coeff`, `coeffs`, `scalar_str`, `repr`), in `inverse` and in the hash of
+a constant.  The two kinds mix freely in arithmetic; a Fraction is treated
+as a constant series of infinite precision.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -16,165 +20,187 @@ from fractions import Fraction
 DEFAULT_ORDER = 4
 
 
+def _series(nums, den, order):
+    """The series sum_k nums[k]/den * hbar^k (nums a tuple of order + 1
+    ints, den > 0), reduced to lowest terms with one gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+    s = object.__new__(HSeries)
+    s.nums = nums
+    s.den = den
+    s.order = order
+    return s
+
+
 class HSeries:
     """Truncated power series  c0 + c1*hbar + ... + cN*hbar^N  (mod hbar^(N+1)).
 
-    Immutable.  Arithmetic between series of different orders truncates to
-    the smaller order; arithmetic with plain rationals/integers keeps the
-    order of the series operand.
+    Immutable.  c_k = nums[k] / den: N + 1 int numerators over one positive
+    denominator, in lowest terms (gcd(den, *nums) == 1), so the zero series
+    is all zeros over 1 and equal series of equal order have equal fields.
+    Arithmetic between series of different orders truncates to the smaller
+    order; arithmetic with plain rationals/integers keeps the order of the
+    series operand.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("nums", "den", "order")
 
     def __init__(self, coeffs, order=None):
         if order is None:
             order = DEFAULT_ORDER
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs[: order + 1]]
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = math.lcm(*[c.denominator for c in cs])
+        self.nums = (tuple([c.numerator * (den // c.denominator) for c in cs])
+                     + (0,) * (order + 1 - len(cs)))
+        self.den = den
         self.order = order
-
-    @staticmethod
-    def _of(coeffs, order):
-        """Trusted constructor: coeffs is already a tuple of order + 1
-        Fractions, so the coercion of __init__ is skipped."""
-        s = object.__new__(HSeries)
-        s.coeffs = coeffs
-        s.order = order
-        return s
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c, order=None):
-        return HSeries([Fraction(c)], order)
+        return HSeries((c,), order)
 
     @staticmethod
     def hbar(order=None):
-        return HSeries([0, 1], order)
+        return HSeries((0, 1), order)
 
     @staticmethod
     def hpow(k, c=1, order=None):
         """c * hbar^k."""
-        if order is None:
-            order = DEFAULT_ORDER
-        coeffs = [Fraction(0)] * (order + 1)
-        if k <= order:
-            coeffs[k] = Fraction(c)
-        return HSeries(coeffs, order)
+        return HSeries((0,) * k + (c,), order)
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The coefficients c0..cN as Fractions."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
     def coeff(self, k):
         """Coefficient of hbar^k (0 beyond the truncation order)."""
         if 0 <= k <= self.order:
-            return self.coeffs[k]
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def valuation(self):
         """Smallest k with nonzero coefficient; None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, x in enumerate(self.nums):
+            if x:
                 return k
         return None
 
     def is_const(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, HSeries):
-            n = min(self.order, other.order)
-            return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+            if self.order == other.order:
+                return self.nums == other.nums and self.den == other.den
+            da, db = self.den, other.den
+            # zip stops at the shorter tuple: the smaller order
+            return all(a * db == b * da for a, b in zip(self.nums, other.nums))
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.nums[0] * other.denominator == other.numerator * self.den
+                    and self.is_const())
         return NotImplemented
 
     def __hash__(self):
         # hash as a constant when possible so mixed dicts behave
         if self.is_const():
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.nums, self.den))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, HSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return HSeries._of((Fraction(other),) + (Fraction(0),) * self.order,
-                               self.order)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, HSeries):
+            b, db, order = other.nums, other.den, min(self.order, other.order)
+        elif isinstance(other, (int, Fraction)):
+            b, db, order = (other.numerator,), other.denominator, self.order
+        else:
             return NotImplemented
-        # zip stops at the shorter tuple: the smaller order
-        return HSeries._of(tuple(map(operator.add, self.coeffs, o.coeffs)),
-                           min(self.order, o.order))
+        a, da = self.nums, self.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [x * (db // g) for x in a]
+            b = [y * (da // g) for y in b]
+            da *= db // g
+        # map stops at the shorter operand; a scalar b leaves a[1:] as is
+        return _series(tuple(map(operator.add, a, b)) + tuple(a[len(b): order + 1]),
+                       da, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries._of(tuple(-c for c in self.coeffs), self.order)
+        return _series(tuple([-x for x in self.nums]), self.den, self.order)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (HSeries, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.order, o.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return HSeries._of(tuple(out), n)
+        if isinstance(other, HSeries):
+            a, b = self.nums, other.nums
+            n = min(self.order, other.order)
+            out = [0] * (n + 1)
+            for i in range(n + 1):
+                x = a[i]
+                if x:
+                    for j in range(n + 1 - i):
+                        y = b[j]
+                        if y:
+                            out[i + j] += x * y
+            return _series(tuple(out), self.den * other.den, n)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return _series(tuple([x * p for x in self.nums]),
+                           self.den * other.denominator, self.order)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
+        cs = self.coeffs
+        c0 = cs[0]
         if c0 == 0:
             raise ZeroDivisionError("HSeries with zero constant term is not invertible")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
-        for k in range(1, n + 1):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.coeffs[j] * inv[k - j]
-            inv[k] = -s / c0
-        return HSeries(inv, n)
+        inv = [1 / c0]
+        for k in range(1, self.order + 1):
+            inv.append(-sum(cs[j] * inv[k - j] for j in range(1, k + 1)) / c0)
+        return HSeries(inv, self.order)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, HSeries):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("HSeries with zero constant term is not invertible")
+            return self * Fraction(other.denominator, other.numerator)
+        return NotImplemented
 
     def shift(self, k):
         """Multiply by hbar^k (k may be negative; dropping below hbar^0 errors)."""
+        nums, n = self.nums, self.order + 1
         if k >= 0:
-            return HSeries([Fraction(0)] * k + list(self.coeffs), self.order)
-        if any(self.coeffs[:-k]):
+            return _series(((0,) * k + nums)[:n], self.den, self.order)
+        if any(nums[:-k]):
             raise ValueError("negative hbar shift hits a nonzero low-order term")
-        return HSeries(list(self.coeffs[-k:]) + [Fraction(0)] * (-k), self.order)
+        return _series((nums[-k:] + (0,) * -k)[:n], self.den, self.order)
 
     def __repr__(self):
         parts = []

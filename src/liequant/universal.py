@@ -327,12 +327,6 @@ def insert_pairs(elem, varrho, total_degree):
     return out
 
 
-def ins(elem, varrho, total_degree):
-    """The class of insert_pairs(elem, varrho, total_degree); the identity
-    family {1: varrho_one()} acts as a relabeling."""
-    return canonical_classes(insert_pairs(elem, varrho, total_degree))
-
-
 def r_terms_with_rho(table, varrho, N):
     """Terms of R(rho) of total pair-degree d for d = 0..N.
 

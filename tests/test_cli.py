@@ -235,6 +235,31 @@ def test_each_command_declares_exactly_the_options_it_reads(leaf, capsys):
         assert "unrecognized arguments: " + opt in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("leaf", sorted(OPTIONS_READ), ids=" ".join)
+def test_options_are_not_abbreviated(leaf, capsys):
+    """Every prefix of a declared option (cbh --max, cybe-props --tri) is
+    an unrecognized argument, not an abbreviation."""
+    read = ["--out"] + OPTIONS_READ[leaf]
+    for opt in read:
+        for prefix in (opt[:n] for n in range(3, len(opt))):
+            assert prefix not in read
+            with pytest.raises(SystemExit) as e:
+                cli.main(list(leaf) + [prefix, VALUES[opt]])
+            assert e.value.code == 2
+            assert "unrecognized arguments: " + prefix in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_without_traceback():
+    p = subprocess.Popen([sys.executable, "-m", "liequant.cli", "cbh", "--max-degree", "3"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    p.stdout.close()     # before the command writes: every write fails
+    _, err = p.communicate(timeout=60)
+    assert p.returncode == cli.CLOSED_STDOUT
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert "B_CBH[1,1] = 1/2*[x1,x2]" in err
+
+
 def test_seed_belongs_to_cybe_props():
     r = run_cli("--seed", "7", "cybe-props")
     assert r.returncode == 2 and "Traceback" not in r.stderr

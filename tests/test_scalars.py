@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,139 @@ def test_mixing_with_fractions():
     x = Fraction(1, 2) + h
     assert x.coeff(0) == Fraction(1, 2) and x.coeff(1) == 1
     assert (Fraction(2) * h).coeff(1) == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of HSeries against a naive Fraction-tuple oracle
+# ---------------------------------------------------------------------------
+
+def _o_lift(x, n):
+    """The oracle's coefficient tuple of a series or a scalar at order n."""
+    if isinstance(x, tuple):
+        return x[: n + 1]
+    return (Fraction(x),) + (Fraction(0),) * n
+
+
+def _o_order(x, y):
+    return min(len(z) - 1 for z in (x, y) if isinstance(z, tuple))
+
+
+def _o_add(x, y):
+    n = _o_order(x, y)
+    return tuple(a + b for a, b in zip(_o_lift(x, n), _o_lift(y, n)))
+
+
+def _o_neg(x):
+    return tuple(-a for a in x) if isinstance(x, tuple) else -x
+
+
+def _o_mul(x, y):
+    n = _o_order(x, y)
+    a, b = _o_lift(x, n), _o_lift(y, n)
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(n + 1))
+
+
+def _o_eq(x, y):
+    n = _o_order(x, y)
+    return _o_lift(x, n) == _o_lift(y, n)
+
+
+def _o_inverse(x):
+    inv = [1 / x[0]]
+    for k in range(1, len(x)):
+        inv.append(-sum(x[j] * inv[k - j] for j in range(1, k + 1)) / x[0])
+    return tuple(inv)
+
+
+def _o_shift(x, k):
+    if k >= 0:
+        return ((Fraction(0),) * k + x)[: len(x)]
+    if any(x[:-k]):
+        return ValueError
+    return (x[-k:] + (Fraction(0),) * -k)[: len(x)]
+
+
+def _random_rational(rng):
+    if rng.random() < 0.25:
+        return 0
+    c = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+    return int(c) if c.denominator == 1 and rng.random() < 0.5 else c
+
+
+def _random_series(rng):
+    """(HSeries, oracle tuple): mixed orders, zero series, high valuations
+    (so that products truncate to zero) and every constructor."""
+    order = rng.randint(0, 4)
+    low = rng.choice((0, 0, 0, 1, 2, order))
+    coeffs = [0] * low + [_random_rational(rng) for _ in range(rng.randint(1, order + 2))]
+    kind = rng.random()
+    if kind < 0.15:
+        c = rng.choice((0, 1, -2, Fraction(3, 4)))
+        k = rng.randint(0, order + 1)
+        s = HSeries.const(c, order) if k == 0 else HSeries.hpow(k, c, order)
+        coeffs = [0] * k + [c]
+    else:
+        if kind < 0.25:
+            coeffs = []
+        s = HSeries(coeffs, order)
+    want = tuple(Fraction(c) for c in coeffs[: order + 1])
+    return s, want + (Fraction(0),) * (order + 1 - len(want))
+
+
+def _assert_kernel(s, want):
+    """s holds the oracle's coefficients, in lowest terms over one
+    positive denominator (the zero series as all zeros over 1)."""
+    assert s.coeffs == want and s.order == len(want) - 1
+    assert type(s.nums) is tuple and len(s.nums) == len(want)
+    assert all(type(x) is int for x in s.nums) and type(s.den) is int
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert [s.coeff(k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
+    assert scalar_str(s) == [str(c) for c in want]
+
+
+def test_hseries_kernel_matches_fraction_oracle():
+    rng = random.Random(18)
+    truncated = zeros = 0
+    for _ in range(600):
+        (x, ox), (y, oy) = _random_series(rng), _random_series(rng)
+        c = _random_rational(rng)
+        _assert_kernel(x, ox)
+        _assert_kernel(-x, _o_neg(ox))
+        for got, want in ((x + y, _o_add(ox, oy)), (x - y, _o_add(ox, _o_neg(oy))),
+                          (x * y, _o_mul(ox, oy)),
+                          (x + c, _o_add(ox, c)), (c + x, _o_add(c, ox)),
+                          (x - c, _o_add(ox, -c)), (c - x, _o_add(c, _o_neg(ox))),
+                          (x * c, _o_mul(ox, c)), (c * x, _o_mul(c, ox))):
+            _assert_kernel(got, want)
+        if x and y and not x * y:
+            truncated += 1
+        zeros += not x
+        xyy = _o_add(_o_add(ox, oy), _o_neg(oy))
+        for a, oa, b, ob in ((x, ox, y, oy), (x, ox, c, c), (c, c, x, ox),
+                             (x, ox, x * 1, ox), (x, ox, x + y - y, xyy)):
+            assert (a == b) is _o_eq(oa, ob) and (a != b) is not _o_eq(oa, ob)
+        assert (x == y) is (y == x)
+        if x.order == y.order and x == y:
+            assert hash(x) == hash(y)
+        if not any(ox[1:]):
+            assert hash(x) == hash(ox[0]) and x == ox[0]
+        if ox[0]:
+            _assert_kernel(x.inverse(), _o_inverse(ox))
+            _assert_kernel(y / x, _o_mul(oy, _o_inverse(ox)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        if c:
+            _assert_kernel(x / c, _o_mul(ox, 1 / Fraction(c)))
+        for k in range(-3, 4):
+            want = _o_shift(ox, k)
+            if want is ValueError:
+                with pytest.raises(ValueError):
+                    x.shift(k)
+            else:
+                _assert_kernel(x.shift(k), want)
+    assert truncated > 10 and zeros > 10
 
 
 def test_json_forms():

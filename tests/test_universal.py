@@ -17,7 +17,7 @@ from liequant.scalars import add_term
 from liequant.universal import (normal_order, canonical_classes, delta3,
                                 delta4, basis_F, basis_F3lie, cohomology_dims,
                                 phi_N, solve_varrho, univ_qybe_residual,
-                                varrho_one, instantiate, ins, lie_form,
+                                varrho_one, instantiate, insert_pairs, lie_form,
                                 expand_to_words, r_pair)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
 from f3_algebra import CONC3, entretien_cybe, f3_mul, mu_lie
@@ -228,6 +228,12 @@ def test_delta4_injective_in_degree_2(dbl):
     xs = [placed_bracket(alg, r, (1, 3), r, (2, 3), 3),
           placed_bracket(alg, r, (1, 2), r, (1, 3), 3)]
     assert _rank([delta4_r(alg, r, x) for x in xs]) == 2
+
+
+def ins(elem, varrho, total_degree):
+    """The class of insert_pairs(elem, varrho, total_degree); the identity
+    family {1: varrho_one()} acts as a relabeling."""
+    return canonical_classes(insert_pairs(elem, varrho, total_degree))
 
 
 def test_ins():
