@@ -175,8 +175,19 @@ def assoc_residual(B, p, q, r):
     return lhs - rhs
 
 
+def violations(B):
+    """(p, q, r, residual) for each associativity equation B breaks,
+    lowest degree first."""
+    for n in range(3, B.max_degree + 1):
+        for p in range(1, n - 1):
+            for q in range(1, n - p):
+                res = assoc_residual(B, p, q, n - p - q)
+                if res:
+                    yield p, q, n - p - q, res
+
+
 def all_residuals_zero(B):
-    return not any(_residuals(B, n) for n in range(3, B.max_degree + 1))
+    return not any(violations(B))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +269,7 @@ def _add_slots(table, coords):
             table.pop(pq, None)
 
 
-def solve_bfamily(lam, N, gauge="rref-zero"):
+def solve_bfamily(lam, N, gauge):
     """Solve the associativity equations degree by degree up to N.
 
     gauge "rref-zero": free variables of each degree's exact linear system
@@ -329,39 +340,6 @@ def solve_bfamily(lam, N, gauge="rref-zero"):
     return fam
 
 
-def _newton(residual, cur, iterations, N):
-    """Exact Newton iteration on the coordinate list cur (only
-    `connecting_gauge` uses it).
-
-    residual(x) is a sparse dict; column i of each step's system is
-    residual(x + e_i) - residual(x), and the step is the solution with
-    every free variable zero.  Returns the first x whose residual is
-    zero; raises Obstructed(N) on an inconsistent step or after
-    `iterations` steps.
-    """
-    for _ in range(iterations):
-        f = residual(cur)
-        if not f:
-            return cur
-        cols = []
-        for i in range(len(cur)):
-            bumped = list(cur)
-            bumped[i] += 1
-            col = residual(bumped)
-            for k, c in f.items():
-                add_term(col, k, -c)
-            cols.append(col)
-        try:
-            step = linalg.rref(cols, len(cols)).solve(
-                {k: -c for k, c in f.items()})
-        except linalg.InconsistentSystem:
-            raise Obstructed(N)
-        cur = list(cur)
-        for i, d in step.items():
-            cur[i] += d
-    raise Obstructed(N)
-
-
 # ---------------------------------------------------------------------------
 # gauge group
 # ---------------------------------------------------------------------------
@@ -396,18 +374,9 @@ def gauge_mul(P, Q):
     N = min(P.max_degree, Q.max_degree)
     table = {}
     for n in range(2, N + 1):
-        gens = [LiePoly.gen(i) for i in range(n)]
         acc = LiePoly()
-        for alpha in range(1, n + 1):
-            for nc in positive_compositions(n, alpha):
-                blocks = []
-                off = 0
-                for nb in nc:
-                    blocks.append(Q.eval(nb, gens[off:off + nb]))
-                    off += nb
-                if any(not bl for bl in blocks):
-                    continue
-                acc = acc + P.eval(alpha, blocks)
+        for blocks, _ in _gauge_blocks(Q, [LiePoly.gen(i) for i in range(n)]):
+            acc = acc + P.eval(len(blocks), list(blocks))
         if acc:
             table[n] = acc
     return GaugeSeq(table, N)
@@ -519,12 +488,19 @@ def gauge_inverse(P):
     return inv
 
 
-def connecting_gauge(B_from, B_to, max_iter=8):
+#: Newton steps connecting_gauge takes before it raises Obstructed
+_NEWTON_STEPS = 8
+
+
+def connecting_gauge(B_from, B_to):
     """Solve P with gauge_act(P, B_from) == B_to.
 
     The gauge group is pro-unipotent, so exact Newton iteration on the
     coordinates of (P_2, ..., P_N) terminates after finitely many steps
-    when the families are gauge equivalent; otherwise Obstructed raises.
+    when the families are gauge equivalent; otherwise Obstructed(N)
+    raises, on an inconsistent step or after _NEWTON_STEPS steps.
+    Column i of each step's system is mismatch(x + e_i) - mismatch(x),
+    and the step is the solution with every free variable zero.
     """
     N = min(B_from.max_degree, B_to.max_degree)
     slots = []
@@ -549,7 +525,26 @@ def connecting_gauge(B_from, B_to, max_iter=8):
                     f[(p, m - p, mono)] = c
         return f
 
-    return to_gauge(_newton(mismatch, [Fraction(0)] * len(slots), max_iter, N))
+    cur = [Fraction(0)] * len(slots)
+    for _ in range(_NEWTON_STEPS):
+        f = mismatch(cur)
+        if not f:
+            return to_gauge(cur)
+        cols = []
+        for i in range(len(cur)):
+            bumped = list(cur)
+            bumped[i] += 1
+            col = mismatch(bumped)
+            for k, c in f.items():
+                add_term(col, k, -c)
+            cols.append(col)
+        try:
+            step = linalg.rref(cols, len(cols)).solve({k: -c for k, c in f.items()})
+        except linalg.InconsistentSystem:
+            raise Obstructed(N)
+        for i, d in step.items():
+            cur[i] += d
+    raise Obstructed(N)
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,6 @@ def _at_least(flag, value, least):
         raise BadInput("%s must be at least %d" % (flag, least))
 
 
-def _violations(fam):
-    """(p, q, r, residual) for each associativity equation fam breaks,
-    lowest degree first."""
-    for n in range(3, fam.max_degree + 1):
-        for p in range(1, n - 1):
-            for q in range(1, n - p):
-                res = bfamily.assoc_residual(fam, p, q, n - p - q)
-                if res:
-                    yield p, q, n - p - q, res
-
-
 def _solve_varrho(command, fam, degree):
     """universal.solve_varrho, or None after one stderr line naming the
     degree at which the system is obstructed or not unique."""
@@ -102,8 +91,11 @@ def cmd_cbh(args):
 def cmd_bfamily(args):
     if args.action == "solve":
         _at_least("--max-degree", args.max_degree, 2)
+        lam = _parse(Fraction, args.lam, "--lam")
+        if args.gauge == "paper3" and lam != Fraction(1, 2):
+            raise BadInput("--gauge paper3 requires --lam 1/2")
         try:
-            fam = bfamily.solve_bfamily(Fraction(args.lam), args.max_degree, args.gauge)
+            fam = bfamily.solve_bfamily(lam, args.max_degree, args.gauge)
         except bfamily.Obstructed as e:
             print("bfamily solve: obstructed at degree %s" % e, file=sys.stderr)
             return 1
@@ -113,7 +105,7 @@ def cmd_bfamily(args):
         raise BadInput("--bfamily is required for bfamily check")
     fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
     bad = [{"p": p, "q": q, "r": r, "residual": freealg.lie_text(res)}
-           for p, q, r, res in _violations(fam)]
+           for p, q, r, res in bfamily.violations(fam)]
     _emit(args, {"ok": not bad, "violations": bad})
     return 0 if not bad else 1
 
@@ -201,7 +193,7 @@ def cmd_quantize(args):
     _at_least("--hbar-order", args.hbar_order, 1)
     if args.bfamily:
         fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
-        bad = next(_violations(fam), None)
+        bad = next(bfamily.violations(fam), None)
         if bad:
             raise BadInput("bfamily: not associative at (p, q, r) = (%d, %d, %d)" % bad[:3])
     else:

@@ -103,7 +103,7 @@ def t_comm(alg, t, u):
     return tensor_add(t_mul(alg, t, u), tensor_smul(Fraction(-1), t_mul(alg, u, t)))
 
 
-def random_tensor(alg, degree, rng, span=3):
+def random_tensor(alg, degree, rng, span):
     out = {}
     for _ in range(4):
         idx = tuple(rng.randrange(alg.dim) for _ in range(degree))
@@ -229,5 +229,5 @@ def half_r_squared(alg, r):
     return tensor_smul(Fraction(1, 2), t_mul(alg, r, r))
 
 
-def random_r(alg, rng, span=2):
-    return random_tensor(alg, 2, rng, span)
+def random_r(alg, rng):
+    return random_tensor(alg, 2, rng, 2)

@@ -174,20 +174,6 @@ def expand_lyndon(w):
     return _expand_tree(lyndon_standard_bracketing(w))
 
 
-def lyndon_words(mdeg):
-    """All Lyndon words of a given multidegree ((label, count), ...)."""
-    letters = []
-    for a, k in mdeg:
-        letters.extend([a] * k)
-    seen = set()
-    out = []
-    for p in set(itertools.permutations(letters)):
-        if p not in seen and is_lyndon(p):
-            seen.add(p)
-            out.append(p)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Lie side
 # ---------------------------------------------------------------------------
@@ -328,14 +314,6 @@ def dynkin(p):
             raise ValueError("dynkin needs a homogeneous polynomial")
         out = out + c * expand_leftnormed(w)
     return assoc_to_lie(out, check=False)
-
-
-def is_lie(p):
-    """Dynkin criterion: p multilinear of degree n is Lie iff dynkin(p) = n*p."""
-    if not p.terms:
-        return True
-    n = len(next(iter(p.terms)))
-    return dynkin(p).expand() == Fraction(n) * p
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class LieAlgebra:
         return True
 
 
-def abelian(dim, names=None):
-    return LieAlgebra(dim, names or ["e%d" % i for i in range(dim)], {})
+def abelian(dim):
+    return LieAlgebra(dim, ["e%d" % i for i in range(dim)], {})
 
 
 def sl2():
@@ -122,7 +122,7 @@ def borel2():
     return LieBialgebra(alg, cob)
 
 
-def abelian_bialgebra(dim=2):
+def abelian_bialgebra(dim):
     return LieBialgebra(abelian(dim), {})
 
 
@@ -162,10 +162,10 @@ def placed_bracket(alg, t, spots_t, u, spots_u, degree):
     return out
 
 
-# The Yang-Baxter coboundary tables, shared by the Lie (here), associative
-# (deform) and universal calculi.  A term (s, t, sign) stands for
-# sign * [r^(s), x^(t)]: r in the 1-based slots s, x in the slots t, the
-# two sharing one slot.
+# The Yang-Baxter coboundary tables, shared by the Lie (here and the
+# tests' lie_oracle), associative (deform) and universal calculi.  A term
+# (s, t, sign) stands for sign * [r^(s), x^(t)]: r in the 1-based slots
+# s, x in the slots t, the two sharing one slot.
 
 # CYB(r) = [r12,r13] + [r12,r23] + [r13,r23], with x = r
 CYBE = (((1, 2), (1, 3), 1), ((1, 2), (2, 3), 1), ((1, 3), (2, 3), 1))
@@ -197,14 +197,6 @@ def coboundary(table, bracket):
 
 def cybe_residual(alg, r):
     return coboundary(CYBE, lambda s, t: placed_bracket(alg, r, s, r, t, 3))
-
-
-def delta3_r(alg, r, x):
-    return coboundary(DELTA3, lambda s, t: placed_bracket(alg, r, s, x, t, 3))
-
-
-def delta4_r(alg, r, x):
-    return coboundary(DELTA4, lambda s, t: placed_bracket(alg, r, s, x, t, 4))
 
 
 # ---------------------------------------------------------------------------

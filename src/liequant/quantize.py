@@ -20,7 +20,7 @@ from .shuffle import (ShElem, ShTensor, sh_mul, sh_comul,
                       TensContext, TensElem, t_comul, all_words, qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import instantiate_tensor
-from .universal import solve_varrho, instantiate
+from .universal import instantiate
 from . import linalg
 
 
@@ -41,15 +41,13 @@ class NotInKernel(ValueError):
 class Quantization:
     """Carrier for the quantization data of one bialgebra at one order."""
 
-    def __init__(self, bfam, bia, order=3, varrho=None):
+    def __init__(self, bfam, bia, order, varrho):
         self.bfam = bfam
         self.bia = bia
         self.order = order
         self.double = build_double(bia)
         # ell reads R, and so rho, one order beyond the truncation
         self.table = lambda_table(bfam, order + 1)
-        if varrho is None:
-            varrho = solve_varrho(bfam, order + 1)
         self.varrho = varrho
         # the hbar^<=k parts of ell and of the relations need rho_<=k+1
         self.rel_order = min(order, max(varrho) - 1)
@@ -224,12 +222,11 @@ class Quantization:
 
     # -- QFSH ----------------------------------------------------------------
 
-    def image_membership(self, x, max_word_deg=None):
-        """Exact linear test for x in Im(ell) at the truncated order."""
-        deg = max_word_deg if max_word_deg is not None else max(
-            (len(w) for w in x.terms), default=0) + self.order
+    def image_membership(self, x, max_word_deg):
+        """Exact linear test for x in Im(ell) at the truncated order, over
+        the images of the words of length <= max_word_deg."""
         images = [self.ell(TensElem.word(self.tens_ctx, w))
-                  for w in all_words(self.bia.algebra.dim, deg)]
+                  for w in all_words(self.bia.algebra.dim, max_word_deg)]
         # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []
         for im in images:
@@ -249,6 +246,6 @@ class Quantization:
         except linalg.InconsistentSystem:
             return False
 
-    def qfsh_membership(self, x, max_word_deg=None):
+    def qfsh_membership(self, x, max_word_deg):
         """x in O_hbar iff x in Im(ell) and x passes the divisibility filter."""
         return qfsh_member(x) and self.image_membership(x, max_word_deg)

@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import positive_compositions, deformed_word_product
-from .freealg import LiePoly
+from .bfamily import positive_compositions
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                         pr_word_product, _relabel_term)
@@ -151,20 +150,6 @@ def lambda_table(bfam, N):
     return bfam.lambdas
 
 
-def Ln(bfam, n):
-    """Degree-one part of the product (x_1)...(x_n), as a LiePoly."""
-    words = [((LiePoly.gen(0),), 1)]
-    for i in range(1, n):
-        words = [(w2, c * c2) for w, c in words
-                 for w2, c2 in deformed_word_product(w, (LiePoly.gen(i),),
-                                                     bfam.eval_block)]
-    out = LiePoly()
-    for w, c in words:
-        if len(w) == 1:
-            out = out + c * w[0]
-    return out
-
-
 def rmatrix_terms(bfam, N):
     """[R_0, ..., R_N] as universal 2-leg elements."""
     table = lambda_table(bfam, N)
@@ -225,7 +210,7 @@ def uelem_from_json(d):
     return UElem(d["legs"], terms)
 
 
-def pretty_rmatrix(elem, aname="a", bname="b"):
+def pretty_rmatrix(elem):
     """Paper-style rendering (a...)x(b...) of a universal 2-leg element."""
     def letter_str(letter, nm):
         if len(letter) == 1:
@@ -236,7 +221,7 @@ def pretty_rmatrix(elem, aname="a", bname="b"):
         return s
     bits = []
     for (la, lb), c in sorted(elem.terms.items()):
-        wa = "(" + " ".join(letter_str(x, aname) for x in la) + ")"
-        wb = "(" + " ".join(letter_str(x, bname) for x in lb) + ")"
+        wa = "(" + " ".join(letter_str(x, "a") for x in la) + ")"
+        wb = "(" + " ".join(letter_str(x, "b") for x in lb) + ")"
         bits.append("%s %s(x)%s" % (c, wa, wb))
     return " + ".join(bits) if bits else "0"

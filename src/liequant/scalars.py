@@ -16,10 +16,6 @@ import math
 import operator
 from fractions import Fraction
 
-#: default truncation order: series are kept modulo hbar^(DEFAULT_ORDER+1)
-DEFAULT_ORDER = 4
-
-
 def _series(nums, den, order):
     """The series sum_k nums[k]/den * hbar^k (nums a tuple of order + 1
     ints, den > 0), reduced to lowest terms with one gcd."""
@@ -48,9 +44,7 @@ class HSeries:
 
     __slots__ = ("nums", "den", "order")
 
-    def __init__(self, coeffs, order=None):
-        if order is None:
-            order = DEFAULT_ORDER
+    def __init__(self, coeffs, order):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
               for c in coeffs[: order + 1]]
         # over the lcm of reduced denominators the numerators are coprime to it
@@ -63,15 +57,15 @@ class HSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(c, order=None):
+    def const(c, order):
         return HSeries((c,), order)
 
     @staticmethod
-    def hbar(order=None):
+    def hbar(order):
         return HSeries((0, 1), order)
 
     @staticmethod
-    def hpow(k, c=1, order=None):
+    def hpow(k, c, order):
         """c * hbar^k."""
         return HSeries((0,) * k + (c,), order)
 
@@ -216,7 +210,7 @@ class HSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def as_series(c, order=None):
+def as_series(c, order):
     """Coerce a scalar to HSeries."""
     if isinstance(c, HSeries):
         return c

@@ -12,23 +12,20 @@ ShTensor: small tensor powers of ShElem legs.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 
 from .scalars import (HSeries, LinComb, add_term, as_series, distribute,
-                      scalar_from_json, scalar_str, surviving_pairs, DEFAULT_ORDER)
-from .bfamily import (deformed_word_product, positive_compositions, shuffles,
-                      word_antipode)
+                      scalar_from_json, scalar_str, surviving_pairs)
+from .bfamily import deformed_word_product, positive_compositions, word_antipode
 
 
 class ShContext:
     """A Lie algebra together with a B-family; caches B evaluations, word
     products and antipodes (the same words recur massively in tensor work)."""
 
-    def __init__(self, alg, bfam, order=None):
+    def __init__(self, alg, bfam, order):
         self.alg = alg
         self.bfam = bfam
-        self.order = DEFAULT_ORDER if order is None else order
+        self.order = order
         self._bcache = {}
         self._mulcache = {}
         self._antipodes = ({}, {})     # S, S^-1
@@ -276,34 +273,6 @@ def hopf_report(alg, bfam, deg, hord):
 
 
 # ---------------------------------------------------------------------------
-# Poisson term of the undeformed structure
-# ---------------------------------------------------------------------------
-
-def shuffle0(ctx, u, v):
-    """Plain shuffle product of two words (no deformation)."""
-    return ShElem(ctx, Counter(shuffles(u, v)))
-
-
-def poisson_m1(ctx, u, v):
-    """First-order Poisson term: bracket one letter of u with one of v,
-    shuffling the prefixes and the suffixes separately."""
-    out = ShElem(ctx, {})
-    u, v = tuple(u), tuple(v)
-    for i in range(len(u)):
-        for j in range(len(v)):
-            br = ctx.alg.bracket(ctx.alg.basis(u[i]), ctx.alg.basis(v[j]))
-            if not br:
-                continue
-            pre = shuffle0(ctx, u[:i], v[:j])
-            suf = shuffle0(ctx, u[i + 1:], v[j + 1:])
-            for wp, cp in pre.terms.items():
-                for ws, cs in suf.terms.items():
-                    for m, cb in br.items():
-                        add_term(out.terms, wp + (m,) + ws, cp * cs * cb)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the deformed tensor algebra T(g)
 # ---------------------------------------------------------------------------
 
@@ -343,10 +312,10 @@ class TensContext:
     B-family; the generator coproduct is cached, and B_pq on D is read
     through the memo of the context's own Sh(D) (self.sh)."""
 
-    def __init__(self, double, bfam, order=None):
+    def __init__(self, double, bfam, order):
         self.double = double
         self.bfam = bfam
-        self.order = DEFAULT_ORDER if order is None else order
+        self.order = order
         self.sh = ShContext(double.algebra, bfam, self.order)
         self._gen_comul = {}
 
@@ -455,13 +424,6 @@ def qfsh_delta(a, n):
     return ShTensor(ctx, n, out)
 
 
-def ordered_surjection_count(n, k):
-    """Order-preserving surjections {1..k} -> {1..n}: C(k-1, n-1)."""
-    if n < 1 or k < n:
-        return 0
-    return math.comb(k - 1, n - 1)
-
-
 def qfsh_member(a):
     """x in (Sh^w)' iff each degree-k part is divisible by hbar^k."""
     for w, c in a.terms.items():
@@ -475,7 +437,7 @@ def qfsh_member(a):
 
 
 # ---------------------------------------------------------------------------
-# symmetric tensors / enveloping algebra embedding
+# serialization
 # ---------------------------------------------------------------------------
 
 def sh_to_json(a):
@@ -486,20 +448,3 @@ def sh_to_json(a):
 def sh_from_json(ctx, d):
     return ShElem(ctx, {tuple(t["word"]): scalar_from_json(t["coeff"], ctx.order)
                         for t in d["terms"]})
-
-
-def sym_word(ctx, letters):
-    """Symmetrized tensor of the given letters."""
-    out = {}
-    for p in itertools.permutations(letters):
-        add_term(out, p, as_series(1, ctx.order))
-    return ShElem(ctx, out)
-
-
-def is_symmetric(a):
-    for w, c in a.terms.items():
-        for p in itertools.permutations(range(len(w))):
-            wp = tuple(w[i] for i in p)
-            if a.terms.get(wp, as_series(0, a.ctx.order)) != c:
-                return False
-    return True

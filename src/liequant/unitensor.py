@@ -83,11 +83,6 @@ def normalize_letters(elem):
     return out
 
 
-def from_assoc_letter(letter):
-    """Canonical LiePoly of a left-normed monomial given in any order."""
-    return LiePoly.leftnormed(tuple(letter))
-
-
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -162,7 +157,7 @@ def _letter_basis(letter):
     """A letter as (basis monomial, coeff) pairs."""
     if len(letter) <= 1 or letter[0] == min(letter):
         return ((tuple(letter), 1),)
-    return from_assoc_letter(letter).terms.items()
+    return LiePoly.leftnormed(tuple(letter)).terms.items()
 
 
 # ---------------------------------------------------------------------------

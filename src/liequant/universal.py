@@ -407,23 +407,11 @@ def varrho_one():
     return pair_elem(0)
 
 
-def phi_N(bfam, varrho, N, check_delta3=False):
-    """Phi_N: the degree-N residual with varrho_{N-1} set to zero.
-
-    With check_delta3, also asserts that restoring varrho_{N-1} changes
-    the residual by exactly delta3(varrho_{N-1}).
-    """
+def phi_N(bfam, varrho, N):
+    """Phi_N: the degree-N residual with varrho_{N-1} set to zero."""
     reduced = {m: v for m, v in varrho.items() if m <= N - 2}
     reduced[1] = varrho_one()
-    phi = univ_qybe_residual(bfam, reduced, N)
-    if check_delta3 and (N - 1) in varrho and varrho[N - 1]:
-        full = dict(reduced)
-        full[N - 1] = varrho[N - 1]
-        total = univ_qybe_residual(bfam, full, N)
-        diff = canonical_classes(total - phi)
-        assert diff == canonical_classes(delta3(varrho[N - 1])), \
-            "residual difference is not delta3(varrho_{N-1})"
-    return phi
+    return univ_qybe_residual(bfam, reduced, N)
 
 
 def solve_varrho(bfam, N):

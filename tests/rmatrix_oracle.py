@@ -1,15 +1,32 @@
 """Independent oracle for the universal R-matrix terms: solve the
 coproduct identities degree by degree over a basis of the universal
-2-leg space, instead of running the lambda-table recursion."""
+2-leg space, instead of running the lambda-table recursion.  Also the
+degree-one part Ln of the product of n generator letters."""
 
 import itertools
 from fractions import Fraction
 
 from liequant import linalg
+from liequant.bfamily import deformed_word_product
+from liequant.freealg import LiePoly
 from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
                               _shift_pids)
 from liequant.scalars import add_term
 from liequant.unitensor import UElem, canonical, u_mul
+
+
+def Ln(bfam, n):
+    """Degree-one part of the product (x_1)...(x_n), as a LiePoly."""
+    words = [((LiePoly.gen(0),), 1)]
+    for i in range(1, n):
+        words = [(w2, c * c2) for w, c in words
+                 for w2, c2 in deformed_word_product(w, (LiePoly.gen(i),),
+                                                     bfam.eval_block)]
+    out = LiePoly()
+    for w, c in words:
+        if len(w) == 1:
+            out = out + c * w[0]
+    return out
 
 
 class NoSolution(ValueError):

@@ -17,8 +17,8 @@ from liequant.freealg import AssocPoly, LiePoly, lie_bracket, dynkin, cbh
 from liequant.bfamily import assoc_residual, cbh_check, PAPER3_B21, PAPER3_B12
 from liequant.liealg import sl2, tensor_add
 from liequant.shuffle import (ShContext, ShElem, hopf_report, qfsh_delta,
-                              qfsh_member, ordered_surjection_count, all_words)
-from liequant.rmatrix import rmatrix_terms, quasitri_residual, Ln
+                              qfsh_member, all_words)
+from liequant.rmatrix import rmatrix_terms, quasitri_residual
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor)
 from liequant.universal import (solve_varrho, phi_N, delta4,
@@ -30,7 +30,8 @@ from liequant import linalg
 from liequant.deform import (matrix_algebra, random_r, aryeh_residual,
                              recursion_residual, half_r_squared)
 from deform_oracle import kappa_cob
-from rmatrix_oracle import rmatrix_by_solving
+from rmatrix_oracle import Ln, rmatrix_by_solving
+from shuffle_oracle import ordered_surjection_count
 
 
 def report(num, ok, t0, detail=""):

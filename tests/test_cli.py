@@ -148,6 +148,14 @@ def test_degree_below_two_is_input_error():
     _assert_input_error(run_cli("shuffle", "mul", "--max-degree", "1"))
 
 
+def test_malformed_lam_is_input_error():
+    # --gauge paper3 is the default, and it needs lam = 1/2
+    for lam in ("abc", "1/0", "0"):
+        r = run_cli("bfamily", "solve", "--lam", lam)
+        _assert_input_error(r)
+        assert r.stderr.count("\n") == 1, r.stderr
+
+
 def test_out_of_range_flags_are_input_errors():
     _assert_input_error(run_cli("quantize", "--hbar-order", "-1"))
     _assert_input_error(run_cli("quantize", "--hbar-order", "0"))

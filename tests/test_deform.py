@@ -47,7 +47,7 @@ def test_delta_r_examples():
     for _ in range(6):
         r = random_r(M2, rng)
         if cybe(M2, r):
-            rho = random_tensor(M2, 3, rng)
+            rho = random_tensor(M2, 3, rng, 3)
             if delta_p(M2, r, bbrack(M2, r, rho), 1):
                 found = True
                 break
@@ -57,7 +57,7 @@ def test_delta_r_examples():
 def test_delta_p_family():
     rng = random.Random(9)
     R = random_r(M2, rng)
-    rho = random_tensor(M2, 3, rng)
+    rho = random_tensor(M2, 3, rng, 3)
     assert delta_p(M2, R, rho, 0) == {}
     # delta_1 kills CYB(R) for every R, CYBE solution or not
     assert cybe(M2, R) and delta_p(M2, R, cybe(M2, R), 1) == {}
@@ -72,7 +72,7 @@ def test_delta_p1_is_linear_term_of_delta_p3():
            for b, cb in M2.unit.items()}
     for _ in range(3):
         r = random_r(M2, rng)
-        rho = random_tensor(M2, 3, rng)
+        rho = random_tensor(M2, 3, rng, 3)
         assert delta_p(M2, one, rho, 3) == {}
         f = {t: delta_p(M2, tensor_add(one, tensor_smul(Fraction(t), r)), rho, 3)
              for t in (1, 2, 3)}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,25 @@ from fractions import Fraction
 import pytest
 
 from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, dynkin,
-                              is_lie, substitute, cbh, assoc_to_lie,
-                              expand_leftnormed, lyndon_words, expand_lyndon,
-                              lie_to_json, lie_from_json, NotLieElement)
+                              substitute, cbh, assoc_to_lie, expand_leftnormed,
+                              expand_lyndon, is_lyndon, lie_to_json,
+                              lie_from_json, NotLieElement)
+
+
+def lyndon_words(mdeg):
+    """All Lyndon words of a given multidegree ((label, count), ...)."""
+    letters = []
+    for a, k in mdeg:
+        letters.extend([a] * k)
+    return sorted(p for p in set(itertools.permutations(letters)) if is_lyndon(p))
+
+
+def is_lie(p):
+    """Dynkin criterion: p multilinear of degree n is Lie iff dynkin(p) = n*p."""
+    if not p.terms:
+        return True
+    n = len(next(iter(p.terms)))
+    return dynkin(p).expand() == Fraction(n) * p
 
 
 def rand_lie(rng, n, terms=3):
@@ -146,11 +163,16 @@ def test_cbh_values_and_round_trip():
 
 
 def test_lyndon_basis_round_trip():
-    words = lyndon_words(((0, 2), (1, 1)))
-    assert words == [(0, 0, 1), (0, 1, 0)] or all(len(w) == 3 for w in words)
-    for w in words:
-        p = assoc_to_lie(expand_lyndon(w))
-        assert p == LiePoly({w: Fraction(1)})
+    assert lyndon_words(((0, 2), (1, 1))) == [(0, 0, 1)]
+    assert lyndon_words(((0, 1), (1, 1), (2, 1))) == [(0, 1, 2), (0, 2, 1)]
+    assert lyndon_words(((0, 2), (1, 1), (2, 1))) == [
+        (0, 0, 1, 2), (0, 0, 2, 1), (0, 1, 0, 2)]
+    # Witt's formula for multidegree (3, 3): (C(6, 3) - C(2, 1)) / 6 = 3
+    assert len(lyndon_words(((0, 3), (1, 3)))) == 3
+    for mdeg in (((0, 2), (1, 1)), ((0, 2), (1, 1), (2, 1)), ((0, 3), (1, 3))):
+        for w in lyndon_words(mdeg):
+            p = assoc_to_lie(expand_lyndon(w))
+            assert p == LiePoly({w: Fraction(1)})
 
 
 def test_not_lie_rejected():

@@ -8,9 +8,10 @@ from liequant import linalg
 from liequant.deform import bbrack, cybe, matrix_algebra, random_r
 from liequant.liealg import (LieAlgebra, LieBialgebra, validate_bialgebra,
                              build_double, cybe_residual, placed_bracket,
-                             delta3_r, delta4_r, tensor_add, tensor_smul,
+                             tensor_add, tensor_smul,
                              borel2, abelian_bialgebra, sl2,
                              bialgebra_to_json, bialgebra_from_json)
+from lie_oracle import delta3_r, delta4_r
 
 
 def test_jacobi_enforced():

@@ -12,8 +12,13 @@ from quantize_oracle import equivalence_report, malta_check
 
 
 @pytest.fixture(scope="module")
-def Q2(B4, borel):
-    return Quantization(B4, borel, order=2)
+def varrho3(B4):
+    return solve_varrho(B4, 3)
+
+
+@pytest.fixture(scope="module")
+def Q2(B4, borel, varrho3):
+    return Quantization(B4, borel, order=2, varrho=varrho3)
 
 
 def test_rho_orders(B4, Q2):
@@ -26,14 +31,14 @@ def test_rho_orders(B4, Q2):
     assert vals2 == {(1, d + 1): Fraction(1, 4)}
 
 
-def test_rho_abelian_is_hbar_r(B4):
-    Qa = Quantization(B4, abelian_bialgebra(2), order=2)
+def test_rho_abelian_is_hbar_r(B4, varrho3):
+    Qa = Quantization(B4, abelian_bialgebra(2), order=2, varrho=varrho3)
     d = 2
     assert Qa.rho == {(i, d + i): HSeries.hpow(1, 1, 2) for i in range(2)}
 
 
 def test_qybe_order1(B4, borel):
-    Q1 = Quantization(B4, borel, order=1)
+    Q1 = Quantization(B4, borel, order=1, varrho=solve_varrho(B4, 2))
     assert Q1.check_qybe()
 
 
@@ -93,8 +98,8 @@ def test_ell_examples(Q2):
     assert h0 == p0
 
 
-def test_ell_matches_direct_pairing(B4, borel):
-    Q = Quantization(B4, borel, order=2)
+def test_ell_matches_direct_pairing(B4, borel, varrho3):
+    Q = Quantization(B4, borel, order=2, varrho=varrho3)
     tctx = Q.tens_ctx
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
         x = TensElem.word(tctx, w)
@@ -123,10 +128,10 @@ def test_beta_gamma(Q2, B4):
             assert g11 == {k: v for k, v in expect_g.items() if v}
 
 
-def test_beta_vanishes_abelian(B4):
+def test_beta_vanishes_abelian(B4, varrho3):
     """On the abelian double every B_pq of degree >= 2 vanishes, so the
     beta (g-letters right) and gamma (g-letters left) blocks are empty."""
-    tctx = Quantization(B4, abelian_bialgebra(2), order=2).tens_ctx
+    tctx = Quantization(B4, abelian_bialgebra(2), order=2, varrho=varrho3).tens_ctx
     for p in range(1, 3):
         for q in range(1, 3):
             assert tctx.dual_block(p, q, 1, right=(0,) * q) == {}
@@ -164,19 +169,19 @@ def test_relations(Q2):
         assert h0 == {k2: v for k2, v in expect.items() if v}
 
 
-def test_relations_stop_at_the_order_rho_supports(B4, borel, Q2):
+def test_relations_stop_at_the_order_rho_supports(B4, borel, Q2, varrho3):
     """rho to degree 3 makes ell exact only mod hbar^3, so an order-3
     object reports its relations at rel_order 2, equal to the order-2
     object's; checked mod hbar^4 they leave the kernel (NotInKernel)."""
-    Q3 = Quantization(B4, borel, order=3, varrho=solve_varrho(B4, 3))
+    Q3 = Quantization(B4, borel, order=3, varrho=varrho3)
     rels = Q3.extract_relations()
     assert rels == Q2.extract_relations()
     assert (Q3.rel_order, Q2.rel_order) == (2, 2)
     assert all(c.order == 2 for k in rels.values() for c in k.terms.values())
 
 
-def test_relations_abelian(B4):
-    Qa = Quantization(B4, abelian_bialgebra(2), order=2)
+def test_relations_abelian(B4, varrho3):
+    Qa = Quantization(B4, abelian_bialgebra(2), order=2, varrho=varrho3)
     rels = Qa.extract_relations()
     tctx = Qa.tens_ctx
     for (i, j), k in rels.items():

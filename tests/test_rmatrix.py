@@ -7,14 +7,14 @@ from fractions import Fraction
 from liequant import rmatrix
 from liequant.bfamily import BFamily, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
-from liequant.rmatrix import (lambda_table, Ln, rmatrix_terms,
+from liequant.rmatrix import (lambda_table, rmatrix_terms,
                               quasitri_residual, pair_elem,
                               uelem_to_json, uelem_from_json, pretty_rmatrix,
                               _shift_pids)
 from liequant.scalars import pr_legs
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor, pr_word_product)
-from rmatrix_oracle import rmatrix_by_solving
+from rmatrix_oracle import Ln, rmatrix_by_solving
 
 
 def _term(legA, legB, c):

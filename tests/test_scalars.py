@@ -198,7 +198,7 @@ SERIES_KINDS = ("ShElem", "TensElem", "ShTensor")
 
 def _contexts():
     bia = borel2()
-    fam = solve_bfamily(Fraction(1, 2), 2)
+    fam = solve_bfamily(Fraction(1, 2), 2, "rref-zero")
     return (ShContext(bia.algebra, fam, ORDER),
             TensContext(build_double(bia), fam, ORDER))
 

@@ -7,12 +7,11 @@ from liequant.freealg import LiePoly
 from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, build_double,
                              sl2)
 from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
-                              sh_antipode,
-                              hopf_report, shuffle0, poisson_m1, sym_word,
-                              is_symmetric, TensContext,
+                              sh_antipode, hopf_report, TensContext,
                               TensElem, t_comul, pairing, qfsh_delta,
-                              qfsh_member, ordered_surjection_count,
-                              all_words, sh_to_json, sh_from_json)
+                              qfsh_member, all_words, sh_to_json, sh_from_json)
+from shuffle_oracle import (is_symmetric, ordered_surjection_count, poisson_m1,
+                            shuffle0, sym_word)
 
 
 def ctx_borel(B4, borel, order=3):

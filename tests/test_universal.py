@@ -7,8 +7,8 @@ import pytest
 
 from liequant import linalg
 from liequant.deform import matrix_algebra, cybe as am_cybe
-from liequant.liealg import (delta3_r, delta4_r, tensor_add, tensor_smul, sl2,
-                             cybe_residual, placed_bracket)
+from liequant.liealg import (tensor_add, tensor_smul, sl2, cybe_residual,
+                             placed_bracket)
 from liequant import universal
 from liequant.bfamily import Obstructed
 from liequant.freealg import LiePoly, substitute
@@ -21,6 +21,7 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
                                 expand_to_words, r_pair)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
 from f3_algebra import CONC3, entretien_cybe, f3_mul, mu_lie
+from lie_oracle import delta3_r, delta4_r
 from qybe_oracle import full_qybe_residual
 
 
@@ -303,8 +304,12 @@ def test_obstruction_and_unique_solution(B4):
                                             Fraction(1, 8)}))
     assert canonical_classes(rho[2]) == expected2
     assert not delta4(phi_N(B4, rho, 3))
-    assert not delta4(phi_N(B4, rho, 4, check_delta3=True))
-    assert not univ_qybe_residual(B4, rho, 4)
+    phi4 = phi_N(B4, rho, 4)
+    assert not delta4(phi4)
+    # restoring varrho_3 changes the residual by exactly delta3(varrho_3)
+    full = univ_qybe_residual(B4, rho, 4)
+    assert rho[3] and canonical_classes(full - phi4) == canonical_classes(delta3(rho[3]))
+    assert not full
 
 
 def test_obstruction_names_a_failed_cocycle_check(B4, monkeypatch):
