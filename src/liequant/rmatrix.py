@@ -17,7 +17,7 @@ from . import linalg
 from .bfamily import positive_compositions
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                        pr_word_product, _relabel_term)
+                        normalize_letters, pr_word_product, _relabel_term)
 
 
 def pair_elem(pid):
@@ -113,12 +113,9 @@ class LambdaTable:
                 for p in b:
                     mapping[p] = pos
                     pos += 1
-            buckets.setdefault(comp, []).append(
-                (UElem(2, {key: c}).relabel(mapping)))
-        for comp, pieces in buckets.items():
-            total = UElem.zero(2)
-            for p in pieces:
-                total = total + p
+            add_term(buckets.setdefault(comp, {}), _relabel_term(key, mapping), c)
+        for comp, raw in buckets.items():
+            total = normalize_letters(UElem(2, raw))
             if canonical(total):
                 if len(comp) == 1:
                     raise AssertionError("single-block entry should vanish")

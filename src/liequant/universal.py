@@ -10,7 +10,8 @@ atoms onto their partners.  Normal-ordered terms have every inner slot
 of the shape a...a b...b, which spans the direct sum of the F-spaces.
 The coboundaries delta3 and delta4 sum liealg's tables DELTA3 and
 DELTA4 over the commutators of a fresh formal pair with the placed
-argument, then normal-order.
+argument, each product a concatenation of the pair's atoms with the
+placed slot words, then normal-order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _shift_pids)
 from .scalars import add_term, distribute, pr_legs
-from .unitensor import (UElem, a_atom, b_atom, canonical,
-                        expand_letters, normalize_letters, u_mul, pr_word_product,
-                        instantiate_tensor)
+from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
+                        normalize_letters, pr_word_product, instantiate_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +49,18 @@ def normal_order(elem):
     """Rewrite so every inner slot is a-atoms then b-atoms; the class.
 
     Input letters may be Lie monomials; every pair's a-atom must sit in
-    an earlier slot than its b-atom.  The output is the class coordinate
-    in word form.  The mixed commutator move is the universal three-term
-    identity; its instantiation is the CYBE.
+    an earlier slot than its b-atom.  That precondition is checked once
+    per input term (AssertionError naming the key); the rewrite keeps
+    it.  The output is the class coordinate in word form.  The mixed
+    commutator move is the universal three-term identity; its
+    instantiation is the CYBE.
 
-    Inside the loop a key is a tuple of slots of int atoms 2*pid + side,
-    renamed in order of first appearance, so the keys of one class meet
-    in one work item; the rewrite commutes with renaming.  Items are
+    Inside the loop a key is a tuple of slots of int atoms 2*pid + side;
+    a key of single-atom letters maps to one directly, others through
+    expand_letters.  Pids are renamed in the order of their a-atoms, the
+    n-th a-atom to 2n and its b-atom to 2n+1; by the precondition that is
+    the order of first appearance, so the keys of one class meet in one
+    work item; the rewrite commutes with renaming.  Items are
     taken in decreasing grade (Phi, inv): Phi is the sum of the a-atoms'
     slots minus that of the b-atoms', inv the number of b-before-a pairs
     within slots.  A swap lowers inv by one and a commutator move carries
@@ -72,26 +77,38 @@ def normal_order(elem):
     D = math.lcm(*(c.denominator for c in elem.terms.values()))
 
     def push(k, c):
-        names = {}      # atom -> renamed atom, both sides of a pid at once
+        names = {}      # a-atom -> 2n, n its rank among the a-atoms
         phi = inv = 0
         for s, w in enumerate(k):
             nb = 0
             for x in w:
-                if x not in names:
-                    n = len(names) + (x & 1)
-                    names[x] = n
-                    names[x ^ 1] = n ^ 1
                 if x & 1:
                     phi -= s
                     nb += 1
                 else:
+                    names[x] = 2 * len(names)
                     phi += s
                     inv += nb
-        k = tuple(tuple(map(names.__getitem__, w)) for w in k)
-        add_term(work.setdefault((phi, inv), {}), k, c)
+        k = tuple([tuple([names[x & -2] | x & 1 for x in w]) for w in k])
+        bucket = work.get((phi, inv))
+        if bucket is None:
+            work[phi, inv] = {k: c}
+        else:
+            add_term(bucket, k, c)
 
     for k, c in elem.terms.items():
         c = c.numerator * (D // c.denominator)
+        ints = tuple(tuple([2 * p + s for letter in w for (p, s) in letter]) for w in k)
+        seen = set()        # the atoms of the earlier slots
+        for w in ints:
+            if not seen.issuperset([x - 1 for x in w if x & 1]):
+                raise AssertionError(_UNPAIRED % (k,))
+            seen.update(w)
+        if not seen.issuperset([x ^ 1 for x in seen]):
+            raise AssertionError(_UNPAIRED % (k,))
+        if all(len(v) == len(w) for v, w in zip(ints, k)):
+            push(ints, c)       # single-atom letters: already a word key
+            continue
         for key, cw in expand_letters(k):
             push(tuple(tuple(2 * p + s for word in w for (p, s) in word)
                        for w in key), c * cw)
@@ -108,8 +125,8 @@ def normal_order(elem):
             w = k[s]
             bj, ap = w[i], w[i + 1]
             aj, bp = bj - 1, ap + 1
-            # the swap moves no pid's first atom (an a-atom), so the
-            # child is already a class key, one grade lower
+            # the swap keeps the order of the a-atoms, so the child is
+            # already a class key, one grade lower
             add_term(work.setdefault((phi, inv - 1), {}),
                      k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
             # [b_j, a_p] in an inner slot rewrites to
@@ -120,12 +137,14 @@ def normal_order(elem):
                                      (w[:i] + w[i + 1:], bp, (bj, bp))):
                 mid = k[:s] + (rest,) + k[s + 1:]
                 t = next(t for t, v in enumerate(mid) if stay in v)
-                assert t != s, "a pair's atoms share a slot"
                 v = mid[t]
                 pos = v.index(stay)
                 for word, sign in ((pair, -c), (pair[::-1], c)):
                     push(mid[:t] + (v[:pos] + word + v[pos + 1:],) + mid[t + 1:], sign)
     return UElem(elem.legs, {k: Fraction(c, D) for k, c in done.items()})
+
+
+_UNPAIRED = "normal_order needs each pair's a-atom in an earlier slot than its b-atom: %r"
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +194,29 @@ def lie_form(elem):
 # r-insertions and coboundaries
 # ---------------------------------------------------------------------------
 
-def r_pair(pid, spots, legs):
-    """r^(spots) for one formal pair: a in spots[0], b in spots[1]."""
-    return pair_elem(pid).place(spots, legs)
-
-
-def _comm(x, y, modes):
-    return u_mul(x, y, modes) - u_mul(y, x, modes)
-
-
 def _coboundary(table, x, legs):
     """The class of a liealg coboundary table summed over the commutators
-    [r^(s), x^(t)] in `legs` slots, r one formal pair on a fresh pid."""
+    [r^(s), x^(t)] in `legs` slots, r one formal pair on a fresh pid.
+
+    Slots concatenate, so r^(s) x^(t) is each term of x with its slot
+    words placed in the slots t and the pair's one-atom letters put in
+    front of the words in the slots s; x^(t) r^(s) puts them behind."""
     fresh = max(x.pids(), default=-1) + 1
-    modes = ("conc",) * legs
-    bracket = lambda s, t: _comm(r_pair(fresh, s, legs), x.place(t, legs), modes).terms
+    pair = (((fresh, 0),), ((fresh, 1),))
+
+    def bracket(s, t):
+        out = {}
+        behind = []
+        for k, c in x.place(t, legs).terms.items():
+            front, back = list(k), list(k)
+            for spot, letter in zip(s, pair):
+                front[spot - 1] = (letter,) + k[spot - 1]
+                back[spot - 1] = k[spot - 1] + (letter,)
+            add_term(out, tuple(front), c)
+            behind.append((tuple(back), -c))
+        for k, c in behind:
+            add_term(out, k, c)
+        return out
     return normal_order(UElem(legs, coboundary(table, bracket)))
 
 

@@ -1,13 +1,24 @@
 """Constructions on 3- and 4-slot classes that only the tests use: the
-normal ordering of a tensor of Lie letters with its Lie check, the
-product of 3-slot classes and the entretien CYBE sums."""
+placed formal pair and the commutator of u_mul products (the oracle for
+the coboundaries' concatenation), the normal ordering of a tensor of Lie
+letters with its Lie check, the product of 3-slot classes and the
+entretien CYBE sums."""
 
-from liequant.rmatrix import _shift_pids
+from liequant.rmatrix import _shift_pids, pair_elem
 from liequant.unitensor import UElem, u_mul
-from liequant.universal import _comm, lie_form, normal_order, r_pair
+from liequant.universal import lie_form, normal_order
 
 CONC3 = ("conc",) * 3
 CONC4 = ("conc",) * 4
+
+
+def r_pair(pid, spots, legs):
+    """r^(spots) for one formal pair: a in spots[0], b in spots[1]."""
+    return pair_elem(pid).place(spots, legs)
+
+
+def _comm(x, y, modes):
+    return u_mul(x, y, modes) - u_mul(y, x, modes)
 
 
 def mu_lie(elem3):

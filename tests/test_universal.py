@@ -7,8 +7,8 @@ import pytest
 
 from liequant import linalg
 from liequant.deform import matrix_algebra, cybe as am_cybe
-from liequant.liealg import (tensor_add, tensor_smul, sl2, cybe_residual,
-                             placed_bracket)
+from liequant.liealg import (DELTA3, DELTA4, coboundary, tensor_add, tensor_smul,
+                             sl2, cybe_residual, placed_bracket)
 from liequant import universal
 from liequant.bfamily import Obstructed
 from liequant.freealg import LiePoly, substitute
@@ -18,9 +18,9 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
                                 delta4, basis_F, basis_F3lie, cohomology_dims,
                                 phi_N, solve_varrho, univ_qybe_residual,
                                 varrho_one, instantiate, insert_pairs, lie_form,
-                                expand_to_words, r_pair)
+                                expand_to_words)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
-from f3_algebra import CONC3, entretien_cybe, f3_mul, mu_lie
+from f3_algebra import CONC3, _comm, entretien_cybe, f3_mul, mu_lie, r_pair
 from lie_oracle import delta3_r, delta4_r
 from qybe_oracle import full_qybe_residual
 
@@ -759,3 +759,65 @@ def test_normal_order_on_mixed_denominators():
         assert all(type(c) is Fraction for c in out.terms.values())
         nonzero += bool(out)
     assert nonzero > 20
+
+
+# ---------------------------------------------------------------------------
+# the coboundaries' concatenation against the u_mul commutator
+# ---------------------------------------------------------------------------
+
+def _coboundary_by_u_mul(table, x, legs):
+    """delta3/delta4 as the table sum over u_mul commutators of the
+    placed fresh pair with the placed argument, then normal_order."""
+    fresh = max(x.pids(), default=-1) + 1
+    modes = ("conc",) * legs
+    return normal_order(UElem(legs, coboundary(
+        table,
+        lambda s, t: _comm(r_pair(fresh, s, legs), x.place(t, legs), modes).terms)))
+
+
+def _random_word_element(rng, legs):
+    """A seeded word-form element (single-atom letters, each pair's a-atom
+    in an earlier slot) with coefficients in 1/2, 1/3, 2/5 and 5/6."""
+    x = expand_to_words(_random_paired_element(rng, legs))
+    return UElem(legs, {k: rng.choice((1, -2)) * rng.choice(
+        (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 6))) for k in x.terms})
+
+
+def test_coboundaries_match_the_u_mul_commutator(B4):
+    """delta3 and delta4, which concatenate the fresh pair's letters onto
+    the placed slot words, equal the u_mul commutator oracle on the bases
+    of F_N and of the three-slot Lie space for N <= 3 (Lie-monomial
+    letters), on Phi_3 and Phi_4, and on seeded word-form elements with
+    mixed denominators."""
+    rng = random.Random(47)
+    varrho = solve_varrho(B4, 2)
+    cases = [(DELTA3, delta3, e) for n in (1, 2, 3) for e in basis_F(n)]
+    cases += [(DELTA4, delta4, e) for n in (2, 3) for e in basis_F3lie(n)]
+    cases += [(DELTA4, delta4, phi_N(B4, varrho, n)) for n in (3, 4)]
+    cases += [(DELTA3, delta3, _random_word_element(rng, 2)) for _ in range(10)]
+    cases += [(DELTA4, delta4, _random_word_element(rng, 3)) for _ in range(20)]
+    nonzero = 0
+    for table, delta, x in cases:
+        got = delta(x)
+        assert got == _coboundary_by_u_mul(table, x, x.legs + 1)
+        nonzero += bool(got)
+    assert nonzero > 30
+
+
+@pytest.mark.parametrize("slots", [
+    # b0 in a slot before a0
+    ([b_atom(0)], [a_atom(0)], []),
+    # b0 in the slot before a0, next to a correctly placed pair 1
+    ([a_atom(1)], [b_atom(0), b_atom(1)], [a_atom(0)]),
+    # b1 has no a-atom, next to the inner hit (b1, a2)
+    ([a_atom(0)], [b_atom(1), a_atom(2)], [b_atom(0), b_atom(2)]),
+    # a1 has no b-atom, next to the inner hit (b0, a1)
+    ([a_atom(0)], [b_atom(0), a_atom(1)], []),
+])
+def test_normal_order_checks_its_precondition(slots):
+    """An input term whose b-atom lacks an a-atom in an earlier slot, or
+    whose a-atom lacks its b-atom, raises AssertionError naming the key."""
+    key = tuple(tuple((atom,) for atom in slot) for slot in slots)
+    with pytest.raises(AssertionError) as err:
+        normal_order(UElem(3, {key: Fraction(1)}))
+    assert repr(key) in str(err.value)
