@@ -19,7 +19,7 @@ from .liealg import build_double
 from .shuffle import (ShElem, ShTensor, sh_mul, sh_comul,
                       TensContext, TensElem, t_comul, all_words, qfsh_member)
 from .rmatrix import lambda_table
-from .unitensor import instantiate_tensor
+from .unitensor import UElem, instantiate_tensor
 from .universal import instantiate
 from . import linalg
 
@@ -72,13 +72,22 @@ class Quantization:
 
     # -- R-matrix ----------------------------------------------------------
 
-    def r_matrix(self, rho, order):
+    def r_matrix(self, rho, order, second_len=None):
         """R = sum_n R_n instantiated at rho, mod hbar^(order+1), as one
-        {(word, word): coeff} table over the double."""
+        {(word, word): coeff} table over the double.  With second_len,
+        only the terms whose second leg has that many letters; they are
+        picked before instantiating, which keeps each leg's letter count.
+        Raises ValueError when the lambda table stops below order."""
+        if order > self.table.max_degree:
+            raise ValueError("R to degree %d needs the lambda table to that "
+                             "degree; it stops at %d" % (order, self.table.max_degree))
         out = {}
-        for n in range(min(order, self.table.max_degree) + 1):
-            for k, c in instantiate_tensor(self.table.rmatrix(n),
-                                           self.double.algebra, rho).items():
+        for n in range(order + 1):
+            rn = self.table.rmatrix(n)
+            if second_len is not None:
+                rn = UElem(2, {k: c for k, c in rn.terms.items()
+                               if len(k[1]) == second_len})
+            for k, c in instantiate_tensor(rn, self.double.algebra, rho).items():
                 add_term(out, k, c)
         return out
 
@@ -113,10 +122,8 @@ class Quantization:
             d = self.bia.algebra.dim
             hi = self.order + 1
             gens = [{} for _ in range(d)]
-            R = self.r_matrix(self._rho_at_order(hi, self.varrho), hi)
+            R = self.r_matrix(self._rho_at_order(hi, self.varrho), hi, second_len=1)
             for (wa, wb), c in R.items():
-                if len(wb) != 1:
-                    continue
                 j = wb[0] - d
                 assert 0 <= j < d, "second leg escaped the dual part"
                 assert all(k < d for k in wa), "first leg escaped the primal part"

@@ -127,12 +127,16 @@ class LambdaTable:
 
 
 def _shift_pids(elem, offset):
-    """elem with every pid raised by offset.  A constant offset keeps the
-    atom order inside each letter, so letters in the left-normed basis
-    (minimal atom first) stay in it and need no renormalizing."""
+    """elem with every pid raised by offset."""
     if offset == 0:
         return elem
-    mapping = {p: p + offset for p in elem.pids()}
+    return _relabel_in_order(elem, {p: p + offset for p in elem.pids()})
+
+
+def _relabel_in_order(elem, mapping):
+    """elem with its pids renamed by an increasing mapping.  Such a map
+    keeps the atom order inside each letter, so letters in the left-normed
+    basis (minimal atom first) stay in it and need no renormalizing."""
     return UElem(elem.legs, {_relabel_term(k, mapping): c
                              for k, c in elem.terms.items()})
 

@@ -25,7 +25,7 @@ from .bfamily import Obstructed, order_type, positive_compositions
 from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
-                      _shift_pids)
+                      _relabel_in_order, _shift_pids)
 from .scalars import add_term, distribute, pr_legs
 from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
                         normalize_letters, pr_word_product, instantiate_tensor)
@@ -336,11 +336,11 @@ def insert_pairs(elem, varrho, total_degree):
     after those of the pairs before it.  When every pair gets degree 1
     and varrho_1 is varrho_one(), that substitution is the relabeling
     of the k-th pid to 1000 + k, which keeps the atom order, and is
-    done as one.
+    done as one, with no renormalizing of letters.
     """
     pids = sorted(elem.pids())
     if total_degree == len(pids) and varrho.get(1) == varrho_one():
-        return elem.relabel({p: 1000 + k for k, p in enumerate(pids)})
+        return _relabel_in_order(elem, {p: 1000 + k for k, p in enumerate(pids)})
     out = UElem.zero(elem.legs)
     for degs in positive_compositions(total_degree, len(pids)):
         if any(m not in varrho or not varrho[m] for m in degs):
@@ -383,8 +383,14 @@ def univ_qybe_residual(bfam, varrho, N):
     ordering's slots are the same pairs swapped, so it is live with it.
     Entries missing from a family that is too short are no such zero and
     are evaluated.
+
+    A factor of degree N forces the other two to R_0 = 1, whose empty
+    words meet in one slot as B_00 = 0, so no live triple reads R_N: the
+    lambda table is grown and R(rho) built only to degree N - 1, and
+    degree N gets an empty group.
     """
-    rterms = r_terms_with_rho(lambda_table(bfam, N), varrho, N)
+    rterms = r_terms_with_rho(lambda_table(bfam, N - 1), varrho, N - 1)
+    rterms.append(UElem.zero(2))
     # the R13 and R23 factors on pids of their own
     g12 = [_by_lengths(t) for t in rterms]
     g13 = [_by_lengths(_shift_pids(t, 2000)) for t in rterms]

@@ -67,6 +67,27 @@ def test_qybe_failure_names_its_first_term(Q2):
     assert Q2.check_qybe()
 
 
+def test_ell_reads_the_length_one_part_of_r(Q2):
+    """ell_generator's R-table, picked by second-leg letter count before
+    instantiating, is the length-one second-leg part of the whole R at
+    order + 1."""
+    hi = Q2.order + 1
+    rho = Q2._rho_at_order(hi, Q2.varrho)
+    full = Q2.r_matrix(rho, hi)
+    want = {k: c for k, c in full.items() if len(k[1]) == 1}
+    assert 0 < len(want) < len(full)
+    assert Q2.r_matrix(rho, hi, second_len=1) == want
+
+
+def test_r_matrix_raises_beyond_the_table(Q2):
+    """R to a degree the lambda table lacks is an error, not a silent
+    truncation."""
+    top = Q2.table.max_degree
+    assert Q2.r_matrix(Q2.rho, top)
+    with pytest.raises(ValueError, match="stops at %d" % top):
+        Q2.r_matrix(Q2.rho, top + 1)
+
+
 def test_equivalence_report(Q2):
     rep = equivalence_report(Q2)
     assert all(full == pr for (full, pr) in rep.values())

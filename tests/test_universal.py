@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from liequant.deform import matrix_algebra, cybe as am_cybe
 from liequant.liealg import (DELTA3, DELTA4, coboundary, tensor_add, tensor_smul,
                              sl2, cybe_residual, placed_bracket)
 from liequant import universal
-from liequant.bfamily import Obstructed
+from liequant.bfamily import Obstructed, bfamily_from_json
 from liequant.freealg import LiePoly, substitute
 from liequant.rmatrix import _shift_pids, lambda_table
 from liequant.scalars import add_term
@@ -23,6 +25,8 @@ from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
 from f3_algebra import CONC3, _comm, entretien_cybe, f3_mul, mu_lie, r_pair
 from lie_oracle import delta3_r, delta4_r
 from qybe_oracle import full_qybe_residual
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _lie3(s1, s2, s3, c=1):
@@ -702,12 +706,14 @@ def _random_rho2(rng):
     return x
 
 
-@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4])
 def test_pruned_residual_matches_full_triple_loop(B4, B4_rref, N):
     """univ_qybe_residual, which visits only the word-length triples whose
-    three slots are not zero by definition, equals the full triple loop:
-    on B4 with the solved rho and with rho_{N-1} dropped (Phi_N), on
-    seeded random rho_2, and on the rref-zero family."""
+    three slots are not zero by definition and builds no R_N, equals the
+    full triple loop over R_0..R_N: on B4 with the solved rho and with
+    rho_{N-1} dropped (Phi_N), on seeded random rho_2, and on the
+    rref-zero family.  At N = 2 every case is the universal CYBE of
+    varrho_1, or zero with no varrho_1, so every residual vanishes."""
     rng = random.Random(41)
     cases = []
     for fam in (B4, B4_rref):
@@ -719,7 +725,22 @@ def test_pruned_residual_matches_full_triple_loop(B4, B4_rref, N):
         got = univ_qybe_residual(fam, varrho, N)
         assert got == full_qybe_residual(fam, varrho, N)
         nonzero += bool(got)
-    assert nonzero >= 4
+    assert nonzero >= 4 if N > 2 else nonzero == 0
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_residual_builds_the_table_below_degree_n(B4, N):
+    """On a family fresh from JSON, the degree-N residual grows the lambda
+    table to degree N - 1 only, and still equals the full triple loop,
+    which grows it to N."""
+    rho = solve_varrho(B4, 3)
+    varrho = {m: v for m, v in rho.items() if m < N - 1}
+    fam = bfamily_from_json(json.loads((DATA / "bfamily_n4_paper3.json").read_text()))
+    assert fam.lambdas is None
+    got = univ_qybe_residual(fam, varrho, N)
+    assert fam.lambdas.max_degree == N - 1
+    assert got and got == full_qybe_residual(fam, varrho, N)
+    assert fam.lambdas.max_degree == N
 
 
 def test_identity_insertion_is_the_substitution(B4, monkeypatch):
