@@ -187,11 +187,12 @@ DELTA4 = (((1, 2), (2, 3, 4), 1), ((1, 3), (2, 3, 4), 1), ((1, 4), (2, 3, 4), 1)
 
 def coboundary(table, bracket):
     """sum of sign * bracket(s, t) over the terms of a table; bracket
-    returns a sparse dict, and so does this."""
+    returns a sparse dict, and so does this.  Every table sign is +-1, so
+    a term is added or negated, never multiplied."""
     out = {}
     for s, t, sign in table:
         for k, c in bracket(s, t).items():
-            add_term(out, k, sign * c)
+            add_term(out, k, c if sign > 0 else -c)
     return out
 
 

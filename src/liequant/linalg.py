@@ -6,11 +6,15 @@ zeros (the `scalars.add_term` rule); the unknowns are the positions of
 the vectors in their sequence.  The answers are those of the dense
 reduced row echelon form of the matrix whose columns are the vectors:
 the pivot columns, its nullspace basis and the solution with every free
-variable zero.
+variable zero.  None of them depends on which key a pivot is taken on, so
+each pivot is taken on the key of the reduced vector that the fewest
+input vectors hold: a rare key's row meets few later vectors, which
+keeps the rows of long sparse systems short.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .scalars import add_term
@@ -28,14 +32,17 @@ class Echelon:
     """Vectors v_0, v_1, ... reduced in order against the pivots so far.
 
     A pivot is (key, row, comb) with row[key] == 1, row zero at the keys
-    of earlier pivots, and row == sum(comb[i] * v_i).
+    of earlier pivots, and row == sum(comb[i] * v_i).  Its key is the
+    first of the reduced vector's keys with the smallest count in
+    `counts` (every key the vectors hold; see `rref`).
 
     kept: the indices j with v_j independent of v_0, ..., v_{j-1};
     kernel: for every other j, the relation {j: 1, i: -x_i} that writes
     v_j as sum(x_i * v_i) over kept i < j.
     """
 
-    def __init__(self):
+    def __init__(self, counts):
+        self.counts = counts
         self.pivots = []
         self.kept = []
         self.kernel = []
@@ -63,7 +70,7 @@ class Echelon:
             rel[j] = Fraction(1)
             self.kernel.append(rel)
             return
-        key = next(iter(rest))
+        key = min(rest, key=self.counts.__getitem__)
         inv = 1 / Fraction(rest[key])
         comb = {i: -c * inv for i, c in x.items()}
         comb[j] = inv
@@ -80,8 +87,9 @@ class Echelon:
 
 
 def rref(vectors, n):
-    """The echelon of vectors[0], ..., vectors[n - 1]."""
-    ech = Echelon()
+    """The echelon of vectors[0], ..., vectors[n - 1], pivoting on the
+    keys that the fewest of them hold."""
+    ech = Echelon(Counter(k for v in vectors[:n] for k in v))
     for j in range(n):
         ech.add(vectors[j])
     return ech

@@ -16,13 +16,15 @@ placed slot words, then normal-order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from . import linalg
 from .bfamily import Obstructed, order_type, positive_compositions
-from .freealg import LiePoly, leftnormed_basis, substitute, FreeLieCarrier
+from .freealg import (LiePoly, leftnormed_basis, leftnormed_words, substitute,
+                      FreeLieCarrier)
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _relabel_in_order, _shift_pids)
@@ -49,102 +51,194 @@ def normal_order(elem):
     """Rewrite so every inner slot is a-atoms then b-atoms; the class.
 
     Input letters may be Lie monomials; every pair's a-atom must sit in
-    an earlier slot than its b-atom.  That precondition is checked once
-    per input term (AssertionError naming the key); the rewrite keeps
-    it.  The output is the class coordinate in word form.  The mixed
-    commutator move is the universal three-term identity; its
-    instantiation is the CYBE.
+    an earlier slot than its b-atom.  The output is the class coordinate
+    in word form.  The mixed commutator move is the universal three-term
+    identity; its instantiation is the CYBE.
 
-    Inside the loop a key is a tuple of slots of int atoms 2*pid + side;
-    a key of single-atom letters maps to one directly, others through
-    expand_letters.  Pids are renamed in the order of their a-atoms, the
-    n-th a-atom to 2n and its b-atom to 2n+1; by the precondition that is
-    the order of first appearance, so the keys of one class meet in one
-    work item; the rewrite commutes with renaming.  Items are
-    taken in decreasing grade (Phi, inv): Phi is the sum of the a-atoms'
-    slots minus that of the b-atoms', inv the number of b-before-a pairs
-    within slots.  A swap lowers inv by one and a commutator move carries
-    a_p to an earlier slot or b_j to a later one, lowering Phi, so each
-    class is rewritten once, with its full coefficient, and a class whose
+    Inside the loop a key is one flat `bytes`: the atom of pair rank n
+    and side s is the byte 2n + s, and the byte _SEP ends every slot but
+    the last.  Pairs are ranked in the order of their a-atoms; by the
+    precondition that is the order of first appearance, so the keys of
+    one class meet in one work item, and the rewrite commutes with
+    renaming.  One byte per atom caps a term at _MAX_PAIRS pairs (more
+    raise ValueError).  Items are taken in decreasing grade (Phi, inv):
+    Phi is the sum of the a-atoms' slots minus that of the b-atoms',
+    inv the number of b-before-a pairs within slots.  So each class is
+    rewritten once, with its full coefficient, and a class whose
     coefficient cancels is never expanded.
+
+    Each input term is read in one pass (`_flat_key`) that checks the
+    precondition (AssertionError naming the key), grades and renames;
+    the word keys of a term with multi-atom letters are built from that
+    flat key (`_expansions`), with no second pass over each.  The
+    first mixed pair b_j a_p of a key is one `find` on the kinds of its
+    bytes (it cannot sit in the first or last slot), and each child's
+    grade is the parent's plus the change of the move, counted on those
+    kinds, not a rescan:
+      - the swap a_p b_j lowers inv by one;
+      - moving a_p next to a_j, in an earlier slot, lowers Phi by the
+        slots crossed and inv by the b-atoms before a_p in its slot
+        (the slot of a_j is ordered, so no b-atom precedes a_j there);
+      - moving b_j next to b_p, in a later slot, lowers Phi by the slots
+        crossed; inv loses the a-atoms after b_j in its slot and gains
+        those after b_p in its.
+    The swap and the move of b_j keep the order of the a-atoms, so those
+    children are class keys as they stand.  Moving a_p next to a_j
+    rotates the ranks between the two, one `bytes.translate`.
 
     The rewrite only adds and negates coefficients, and letter expansion
     signs are +-1, so it runs on ints: the input scaled once by D, the
     lcm of its denominators, and the output divided by D.
     """
-    work = {}       # grade -> {class key: int coeff, scaled by D}
+    work = {}       # grade -> {flat class key: int coeff, scaled by D}
     done = {}
     D = math.lcm(*(c.denominator for c in elem.terms.values()))
 
-    def push(k, c):
-        names = {}      # a-atom -> 2n, n its rank among the a-atoms
-        phi = inv = 0
-        for s, w in enumerate(k):
-            nb = 0
-            for x in w:
-                if x & 1:
-                    phi -= s
-                    nb += 1
-                else:
-                    names[x] = 2 * len(names)
-                    phi += s
-                    inv += nb
-        k = tuple([tuple([names[x & -2] | x & 1 for x in w]) for w in k])
-        bucket = work.get((phi, inv))
-        if bucket is None:
-            work[phi, inv] = {k: c}
-        else:
-            add_term(bucket, k, c)
-
     for k, c in elem.terms.items():
         c = c.numerator * (D // c.denominator)
-        ints = tuple(tuple([2 * p + s for letter in w for (p, s) in letter]) for w in k)
-        seen = set()        # the atoms of the earlier slots
-        for w in ints:
-            if not seen.issuperset([x - 1 for x in w if x & 1]):
-                raise AssertionError(_UNPAIRED % (k,))
-            seen.update(w)
-        if not seen.issuperset([x ^ 1 for x in seen]):
-            raise AssertionError(_UNPAIRED % (k,))
-        if all(len(v) == len(w) for v, w in zip(ints, k)):
-            push(ints, c)       # single-atom letters: already a word key
+        flat, grade = _flat_key(k)
+        if len(flat) + 1 - len(k) == sum(map(len, k)):
+            # single-atom letters: the key is already a word key
+            add_term(work.setdefault(grade, {}), flat, c)
             continue
-        for key, cw in expand_letters(k):
-            push(tuple(tuple(2 * p + s for word in w for (p, s) in word)
-                       for w in key), c * cw)
-    middles = range(1, elem.legs - 1)
+        for key, inv, sign in _expansions(flat, k):
+            add_term(work.setdefault((grade[0], inv), {}), key, c * sign)
     while work:
-        phi, inv = max(work)
-        for k, c in work.pop((phi, inv)).items():
-            hit = next(((s, i) for s in middles for i in range(len(k[s]) - 1)
-                        if k[s][i] & 1 and not k[s][i + 1] & 1), None)
-            if hit is None:
-                add_term(done, tuple(tuple(((x >> 1, x & 1),) for x in w) for w in k), c)
+        grade = max(work)
+        phi, inv = grade
+        for k, c in work.pop(grade).items():
+            kinds = k.translate(_KIND)
+            i = kinds.find(_MIXED)  # b_j at i, a_p at i + 1
+            if i < 0:
+                add_term(done, k, c)
                 continue
-            s, i = hit
-            w = k[s]
-            bj, ap = w[i], w[i + 1]
+            bj, ap = k[i], k[i + 1]
             aj, bp = bj - 1, ap + 1
-            # the swap keeps the order of the a-atoms, so the child is
-            # already a class key, one grade lower
             add_term(work.setdefault((phi, inv - 1), {}),
-                     k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
+                     k[:i] + bytes((ap, bj)) + k[i + 2:], c)
             # [b_j, a_p] in an inner slot rewrites to
             #   - (a_j -> [a_j, a_p] at its slot) x (b_j stays)
             #   - (a_p stays) x (b_p -> [b_j, b_p] at its slot),
-            # instantiating to the CYBE for the formal pairs j, p.
-            for rest, stay, pair in ((w[:i + 1] + w[i + 2:], aj, (aj, ap)),
-                                     (w[:i] + w[i + 1:], bp, (bj, bp))):
-                mid = k[:s] + (rest,) + k[s + 1:]
-                t = next(t for t, v in enumerate(mid) if stay in v)
-                v = mid[t]
-                pos = v.index(stay)
-                for word, sign in ((pair, -c), (pair[::-1], c)):
-                    push(mid[:t] + (v[:pos] + word + v[pos + 1:],) + mid[t + 1:], sign)
-    return UElem(elem.legs, {k: Fraction(c, D) for k, c in done.items()})
+            # instantiating to the CYBE for the formal pairs j, p.  The
+            # b-atoms before a_p in its slot reach back to the last a-atom
+            # or _SEP.
+            q = k.index(aj)
+            bucket = work.setdefault(
+                (phi - k.count(_SEP, q, i),
+                 inv - i + max(kinds.rfind(0, 0, i), kinds.rfind(2, 0, i))), {})
+            head, tail = k[:q], k[q + 1:i + 1] + k[i + 2:]
+            rj, rp = aj >> 1, ap >> 1
+            add_term(bucket, (head + bytes((aj, ap)) + tail).translate(
+                _rotation(rj + 1, rp)), -c)
+            add_term(bucket, (head + bytes((ap, aj)) + tail).translate(
+                _rotation(rj, rp)), c)
+            q = k.index(bp)
+            end = k.find(_SEP, q)
+            bucket = work.setdefault(
+                (phi - k.count(_SEP, i, q),
+                 inv - kinds.count(0, i + 1, k.index(_SEP, i))
+                 + kinds.count(0, q + 1, end if end >= 0 else len(k))), {})
+            head, tail = k[:i] + k[i + 1:q], k[q + 1:]
+            add_term(bucket, head + bytes((bj, bp)) + tail, -c)
+            add_term(bucket, head + bytes((bp, bj)) + tail, c)
+    return UElem(elem.legs, {
+        tuple(tuple(map(_LETTER.__getitem__, w)) for w in k.split(_SEP_BYTES)):
+        Fraction(c, D) for k, c in done.items()})
 
 
 _UNPAIRED = "normal_order needs each pair's a-atom in an earlier slot than its b-atom: %r"
+_MAX_PAIRS = 127                # atoms 0..253 stay clear of _SEP
+_SEP = 255
+_SEP_BYTES = bytes((_SEP,))
+# the kind of each byte: 0 for an a-atom, 1 for a b-atom, 2 for _SEP
+_KIND = bytes([x & 1 for x in range(_SEP)] + [2])
+_MIXED = bytes((1, 0))          # a b-atom, then an a-atom
+_LETTER = tuple(((x >> 1, x & 1),) for x in range(256))
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation(lo, hi):
+    """The translate table of the renaming that gives rank hi to lo and
+    moves the ranks lo..hi-1 up by one."""
+    table = bytearray(range(256))
+    table[2 * lo:2 * hi + 2] = bytes([*range(2 * lo + 2, 2 * hi + 2), 2 * lo, 2 * lo + 1])
+    return bytes(table)
+
+
+def _flat_key(k):
+    """(flat key, (Phi, inv)) of an input key, its letters read as words,
+    in one pass that checks normal_order's precondition, grades and
+    renames."""
+    names = {}      # pid -> 2 * rank of its a-atom
+    out = []
+    phi = inv = nbs = 0
+    for s, w in enumerate(k):
+        if s:
+            out.append(_SEP)
+        first = 2 * len(names)      # the a-atoms of earlier slots are below it
+        nb = 0
+        for letter in w:
+            for p, side in letter:
+                if side:
+                    x = names.get(p, first)
+                    if x >= first:
+                        raise AssertionError(_UNPAIRED % (k,))
+                    out.append(x + 1)
+                    nb += 1
+                else:
+                    x = names[p] = 2 * len(names)
+                    out.append(x)
+                    inv += nb
+        phi += s * (len(names) - first // 2 - nb)
+        nbs += nb
+    if nbs != len(names):
+        raise AssertionError(_UNPAIRED % (k,))
+    if len(names) > _MAX_PAIRS:
+        raise ValueError("normal_order handles at most %d pairs per term, not %d"
+                         % (_MAX_PAIRS, len(names)))
+    return bytes(out), (phi, inv)
+
+
+def _expansions(flat, k):
+    """(flat key, inv, sign) of every word key of expand_letters(k), in
+    its order; flat is the flat key of k itself.
+
+    Expanding letters reorders atoms within their slot only, so the
+    a-atoms of each slot keep the block of ranks they hold in flat: a
+    slot's word choice renames its own block (one slice of a translate
+    table) and brings its own count of b-before-a pairs.  Each choice is
+    worked out once; the word keys are built slot by slot from them, and
+    each is renamed by one translate."""
+    choices = []
+    first = 0       # 2 * the lowest a-rank of the slot
+    for seg, w in zip(flat.split(_SEP_BYTES), k):
+        letters, i = [], 0
+        for letter in w:
+            letters.append(seg[i:i + len(letter)])
+            i += len(letter)
+        size = 2 * seg.translate(_KIND).count(0)
+        slot = []
+        for words, sign in distribute(map(leftnormed_words, letters)):
+            word = bytes(itertools.chain.from_iterable(words))
+            block = bytearray(size)
+            n, inv, nb = first, 0, 0
+            for x in word:
+                if x & 1:
+                    nb += 1
+                else:
+                    block[x - first:x - first + 2] = bytes((n, n + 1))
+                    n += 2
+                    inv += nb
+            slot.append((word, bytes(block), inv, sign))
+        choices.append(slot)
+        first += size
+    keys = [(b"", b"", 0, 1)]
+    for s, slot in enumerate(choices):
+        glue = _SEP_BYTES if s else b""
+        keys = [(key + glue + word, table + block, inv + i, sign * sg)
+                for key, table, inv, sign in keys for word, block, i, sg in slot]
+    tail = bytes(range(first, 256))
+    return [(key.translate(table + tail), inv, sign) for key, table, inv, sign in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liequant.linalg import rref, nullspace, InconsistentSystem
+from echelon_oracle import FirstKeyEchelon
 
 
 def F(x):
@@ -166,3 +167,64 @@ def test_echelon_edge_cases():
     kernel = rref([{0: 2}, {0: 1}], 2).kernel
     assert kernel == [{0: Fraction(-1, 2), 1: F(1)}]
     assert all(type(c) is Fraction for c in kernel[0].values())
+
+
+def _sparse_system(rng):
+    """Sparse vectors over up to twelve keys, most on two or three of
+    them, with repeated and dependent vectors among them."""
+    keys = ["k%d" % i for i in range(rng.randint(3, 12))]
+    vectors = []
+    for _ in range(rng.randint(2, 12)):
+        kind = rng.random()
+        if kind < 0.2 and vectors:
+            vectors.append(dict(rng.choice(vectors)))
+        elif kind < 0.4 and vectors:
+            vectors.append(_combination(rng, rng.sample(vectors, min(len(vectors), 3))))
+        else:
+            support = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+            vectors.append({k: F(rng.choice((-3, -1, 1, 2))) / rng.randint(1, 3)
+                            for k in support})
+    return keys, vectors
+
+
+def test_rarest_key_pivots_match_the_first_key_echelon():
+    """Pivoting on the rarest key keeps the kept vectors, the kernel and
+    the free-variables-zero solution of the first-key echelon, and its
+    answer to a random target, consistent or not; on an inconsistent
+    target both raise, each with a residual that differs from the
+    target by a vector of the span.  The two rules pick different pivot
+    keys in more than a quarter of the systems."""
+    rng = random.Random(20261019)
+    moved = 0
+    outcomes = set()
+    for _ in range(200):
+        keys, vectors = _sparse_system(rng)
+        ech, oracle = rref(vectors, len(vectors)), FirstKeyEchelon(vectors)
+        assert ech.kept == oracle.kept and ech.kernel == oracle.kernel
+        target = _combination(rng, vectors)
+        assert ech.solve(target) == oracle.solve(target)
+        # a random target over the keys: both solve it alike, or both raise
+        guess = {k: F(rng.randint(-1, 1)) for k in rng.sample(keys, 2)}
+        guess = {k: c for k, c in guess.items() if c}
+        try:
+            want = oracle.solve(guess)
+        except InconsistentSystem:
+            with pytest.raises(InconsistentSystem):
+                ech.solve(guess)
+            outcomes.add(False)
+        else:
+            assert ech.solve(guess) == want
+            outcomes.add(True)
+        bad = dict(target)
+        bad["fresh"] = F(1)
+        for e in (ech, oracle):
+            with pytest.raises(InconsistentSystem) as info:
+                e.solve(bad)
+            residual = info.value.residual
+            assert residual["fresh"] == 1
+            inside = dict(bad)
+            for k, c in residual.items():
+                inside[k] = inside.get(k, F(0)) - c
+            e.solve({k: c for k, c in inside.items() if c})
+        moved += [p[0] for p in ech.pivots] != [p[0] for p in oracle.pivots]
+    assert moved > 50 and outcomes == {True, False}

@@ -21,7 +21,7 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
                                 phi_N, solve_varrho, univ_qybe_residual,
                                 varrho_one, instantiate, insert_pairs, lie_form,
                                 expand_to_words)
-from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical
+from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical, expand_letters
 from f3_algebra import CONC3, _comm, entretien_cybe, f3_mul, mu_lie, r_pair
 from lie_oracle import delta3_r, delta4_r
 from qybe_oracle import full_qybe_residual
@@ -35,14 +35,26 @@ def _lie3(s1, s2, s3, c=1):
     return UElem(3, {key: Fraction(c)})
 
 
+def _ordered_term(n):
+    """n pairs on three slots, already in normal order: a_0..a_{n/2-1} |
+    a_{n/2}..a_{n-1} b_0..b_{n/2-1} | b_{n/2}..b_{n-1}."""
+    h = n // 2
+    slots = ([a_atom(p) for p in range(h)],
+             [a_atom(p) for p in range(h, n)] + [b_atom(p) for p in range(h)],
+             [b_atom(p) for p in range(h, n)])
+    return tuple(tuple((atom,) for atom in slot) for slot in slots)
+
+
 def test_normal_order_fixed_point():
-    # already ordered input is unchanged
-    e = _lie3([[a_atom(0)]], [[a_atom(1)], [b_atom(0)]], [[b_atom(1)]])
-    # pair 0: (1,2)-ish? construct a legit ordered pattern: a0 slot1/b0 slot2,
-    # a1 slot2/b1 slot3 with slot2 word (a1 b0): a-before-b
-    key = ((( (a_atom(0),) ),), ((a_atom(1),), (b_atom(0),)), (((b_atom(1),)),))
+    # already ordered input is unchanged: a0 | a1 b0 | b1
+    key = (((a_atom(0),),), ((a_atom(1),), (b_atom(0),)), ((b_atom(1),),))
     e = UElem(3, {key: Fraction(1)})
     assert normal_order(e).terms == e.terms
+    # one byte per atom: 127 pairs are a term, 128 are refused, not wrapped
+    e = UElem(3, {_ordered_term(127): Fraction(1, 3)})
+    assert normal_order(e).terms == e.terms
+    with pytest.raises(ValueError):
+        normal_order(UElem(3, {_ordered_term(128): Fraction(1)}))
 
 
 def _cybe_sum(j, p):
@@ -457,20 +469,24 @@ def test_lie_form_reads_multi_atom_letters(B4):
     assert canonical_classes(lie_form(rho3)) == canonical_classes(rho3)
 
 
-def _random_paired_element(rng, legs):
-    """A few terms on up to three pairs, each pair's a-atom in an earlier
-    slot than its b-atom, every slot cut into Lie letters of one to three
-    atoms in random order: the input shape of normal_order."""
+def _random_paired_element(rng, legs, pairs=3, crowded=False):
+    """A few terms on up to `pairs` pairs, each pair's a-atom in an
+    earlier slot than its b-atom, every slot cut into Lie letters of one
+    to three atoms in random order: the input shape of normal_order.  A
+    crowded element is one term of exactly `pairs` pairs, and about half
+    of its slots hold all their b-atoms ahead of all their a-atoms."""
     terms = {}
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(1 if crowded else rng.randint(1, 4)):
         slots = [[] for _ in range(legs)]
-        for p in rng.sample(range(10), rng.randint(1, 3)):
+        for p in rng.sample(range(10), pairs if crowded else rng.randint(1, pairs)):
             sa, sb = sorted(rng.sample(range(legs), 2))
             slots[sa].append(a_atom(p))
             slots[sb].append(b_atom(p))
         key = []
         for atoms in slots:
             rng.shuffle(atoms)
+            if crowded and rng.random() < 0.5:
+                atoms.sort(key=lambda atom: -atom[1])
             leg = []
             while atoms:
                 size = rng.randint(1, min(3, len(atoms)))
@@ -530,16 +546,98 @@ def _raw_normal_order(elem):
     return UElem(elem.legs, out)
 
 
+# b1 a2 is the first mixed pair, with b0 b1 ahead of a2 a3 in slot 1;
+# b1 then joins b2 in slot 2, ahead of a4; six pairs on four legs
+_CROWDED = (((a_atom(0),), (a_atom(1),), (a_atom(5),)),
+            ((b_atom(0),), (b_atom(1),), (a_atom(2),), (a_atom(3),)),
+            ((b_atom(2),), (a_atom(4),), (b_atom(5),)),
+            ((b_atom(3),), (b_atom(4),)))
+# the same atoms in Lie-monomial letters
+_CROWDED_LIE = (((a_atom(0), a_atom(1)), (a_atom(5),)),
+                ((b_atom(0),), (b_atom(1),), (a_atom(2), a_atom(3))),
+                ((b_atom(2), a_atom(4)), (b_atom(5),)),
+                ((b_atom(3),), (b_atom(4),)))
+
+
+def _crowded_elements(rng, count):
+    """_CROWDED, _CROWDED_LIE, and `count` seeded crowded elements on
+    four or five legs and six pairs (see _random_paired_element): inputs
+    that reach every grade update and renaming of normal_order."""
+    yield UElem(4, {_CROWDED: Fraction(1)})
+    yield UElem(4, {_CROWDED_LIE: Fraction(-2, 3)})
+    for _ in range(count):
+        yield _random_paired_element(rng, rng.randint(4, 5), 6, crowded=True)
+
+
+def _with_crowded(rng, count):
+    """Forty seeded elements as _random_paired_element makes them on three
+    or four legs, then _crowded_elements(rng, count); lazily, so the
+    first forty take the same draws as they would alone."""
+    return itertools.chain((_random_paired_element(rng, rng.randint(3, 4))
+                            for _ in range(40)), _crowded_elements(rng, count))
+
+
+def _rescanned_normal_order(elem):
+    """Oracle for the key order of normal_order: the same graded,
+    class-merged rewrite on tuple keys of int atoms 2*pid + side, every
+    child renamed and graded by a rescan of its whole key."""
+    work, done = {}, {}
+
+    def push(k, c):
+        names, phi, inv = {}, 0, 0
+        for s, w in enumerate(k):
+            nb = 0
+            for x in w:
+                if x & 1:
+                    phi -= s
+                    nb += 1
+                else:
+                    names[x] = 2 * len(names)
+                    phi += s
+                    inv += nb
+        add_term(work.setdefault((phi, inv), {}),
+                 tuple(tuple(names[x & -2] | x & 1 for x in w) for w in k), c)
+
+    for k, c in elem.terms.items():
+        for key, cw in expand_letters(k):
+            push(tuple(tuple(2 * p + s for word in w for (p, s) in word) for w in key),
+                 c * cw)
+    while work:
+        for k, c in work.pop(max(work)).items():
+            hit = next(((s, i) for s in range(1, elem.legs - 1)
+                        for i in range(len(k[s]) - 1)
+                        if k[s][i] & 1 and not k[s][i + 1] & 1), None)
+            if hit is None:
+                add_term(done, tuple(tuple(((x >> 1, x & 1),) for x in w) for w in k), c)
+                continue
+            s, i = hit
+            w = k[s]
+            bj, ap = w[i], w[i + 1]
+            push(k[:s] + (w[:i] + (ap, bj) + w[i + 2:],) + k[s + 1:], c)
+            for rest, stay, pair in ((w[:i + 1] + w[i + 2:], bj - 1, (bj - 1, ap)),
+                                     (w[:i] + w[i + 1:], ap + 1, (bj, ap + 1))):
+                mid = k[:s] + (rest,) + k[s + 1:]
+                t = next(t for t, v in enumerate(mid) if stay in v)
+                pos = mid[t].index(stay)
+                v = mid[t]
+                for word, sign in ((pair, -c), (pair[::-1], c)):
+                    push(mid[:t] + (v[:pos] + word + v[pos + 1:],) + mid[t + 1:], sign)
+    return UElem(elem.legs, done)
+
+
 def test_normal_order_returns_the_class():
     """normal_order is the class coordinate: invariant under relabeling,
-    fixed by canonical, and canonical of the raw normal order."""
+    fixed by canonical, canonical of the raw normal order, and term for
+    term, in order, the rescanning oracle's; also on crowded inputs of
+    six pairs."""
     rng = random.Random(9)
     nonzero = 0
-    for _ in range(40):
-        x = _random_paired_element(rng, rng.randint(3, 4))
+    for x in _with_crowded(rng, 6):
         out = normal_order(x)
         assert canonical(out) == out
         assert out == canonical(_raw_normal_order(x))
+        # term for term, in the order of the rescanning oracle
+        assert list(out.terms.items()) == list(_rescanned_normal_order(x).terms.items())
         sigma = dict(enumerate(rng.sample(range(20), 20)))
         assert normal_order(x.relabel(sigma)) == out
         nonzero += bool(out)
@@ -590,14 +688,25 @@ def test_delta4_kills_delta3_on_relabeled_combinations():
 
 
 def test_delta4_images_match_the_oracle(monkeypatch):
-    """delta4 over basis_F3lie(4) equals delta4 with the graded, merged
-    normal order replaced by the class of the raw LIFO oracle."""
-    f3b = basis_F3lie(4)
-    got = [delta4(e) for e in f3b]
-    monkeypatch.setattr(universal, "normal_order",
-                        lambda e: canonical(_raw_normal_order(e)))
-    assert got == [delta4(e) for e in f3b]
-    assert all(got)
+    """delta4 over basis_F3lie(4), and delta3 over basis_F(3), equal the
+    coboundaries with the graded, merged normal order replaced by the
+    class of the raw LIFO oracle.  Each coboundary reaches normal_order
+    by its module name once, so the replacement (and a tracer's wrapper
+    of that name) sees every one of them."""
+    f3b, fb = basis_F3lie(4), basis_F(3)
+    got4, got3 = [delta4(e) for e in f3b], [delta3(e) for e in fb]
+    calls = []
+
+    def oracle(e):
+        calls.append(e.legs)
+        return canonical(_raw_normal_order(e))
+    monkeypatch.setattr(universal, "normal_order", oracle)
+    assert got4 == [delta4(e) for e in f3b]
+    assert calls == [4] * len(f3b)
+    calls.clear()
+    assert got3 == [delta3(e) for e in fb]
+    assert calls == [3] * len(fb)
+    assert all(got4) and all(got3)
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +876,16 @@ def test_identity_insertion_is_the_substitution(B4, monkeypatch):
 
 def test_normal_order_on_mixed_denominators():
     """The integer rewrite (input scaled by the lcm of its denominators)
-    matches the Fraction oracle on inputs with coefficients in 1/2, 1/3
+    matches the Fraction oracles on inputs with coefficients in 1/2, 1/3
     and 5/6, and returns Fraction coefficients."""
     rng = random.Random(43)
     nonzero = 0
-    for _ in range(40):
-        x = _random_paired_element(rng, rng.randint(3, 4))
+    for x in _with_crowded(rng, 3):
         x = UElem(x.legs, {k: rng.choice((1, -1)) * rng.choice(
             (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))) for k in x.terms})
         out = normal_order(x)
         assert out == canonical(_raw_normal_order(x))
+        assert list(out.terms.items()) == list(_rescanned_normal_order(x).terms.items())
         assert all(type(c) is Fraction for c in out.terms.values())
         nonzero += bool(out)
     assert nonzero > 20
@@ -808,8 +917,9 @@ def test_coboundaries_match_the_u_mul_commutator(B4):
     """delta3 and delta4, which concatenate the fresh pair's letters onto
     the placed slot words, equal the u_mul commutator oracle on the bases
     of F_N and of the three-slot Lie space for N <= 3 (Lie-monomial
-    letters), on Phi_3 and Phi_4, and on seeded word-form elements with
-    mixed denominators."""
+    letters), on Phi_3 and Phi_4, on seeded word-form elements with
+    mixed denominators, and on crowded elements in Lie-monomial letters:
+    six pairs on two slots, four on three."""
     rng = random.Random(47)
     varrho = solve_varrho(B4, 2)
     cases = [(DELTA3, delta3, e) for n in (1, 2, 3) for e in basis_F(n)]
@@ -817,6 +927,10 @@ def test_coboundaries_match_the_u_mul_commutator(B4):
     cases += [(DELTA4, delta4, phi_N(B4, varrho, n)) for n in (3, 4)]
     cases += [(DELTA3, delta3, _random_word_element(rng, 2)) for _ in range(10)]
     cases += [(DELTA4, delta4, _random_word_element(rng, 3)) for _ in range(20)]
+    cases += [(DELTA3, delta3, _random_paired_element(rng, 2, 6, crowded=True))
+              for _ in range(2)]
+    cases += [(DELTA4, delta4, _random_paired_element(rng, 3, 4, crowded=True))
+              for _ in range(3)]
     nonzero = 0
     for table, delta, x in cases:
         got = delta(x)
