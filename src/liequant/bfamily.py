@@ -17,8 +17,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .freealg import (FreeLieCarrier, LiePoly, leftnormed_basis, lie_bracket,
-                      substitute, cbh, lie_to_json, lie_from_json)
+from .freealg import (LiePoly, leftnormed_basis, lie_bracket, substitute,
+                      substitute_letters, cbh, lie_to_json, lie_from_json)
 from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 
@@ -47,16 +47,6 @@ def positive_compositions(n, k):
     return tuple(c for c in compositions(n, k) if all(c))
 
 
-def order_type(words):
-    """(atoms, shape) of a tuple of words of labels: atoms the sorted
-    distinct labels, shape the words with each label replaced by its rank
-    among them, so words[i][j] == atoms[shape[i][j]].  Two tuples have
-    one shape iff an order-preserving relabeling carries one to the other."""
-    atoms = sorted({a for w in words for a in w})
-    rank = {a: i for i, a in enumerate(atoms)}
-    return atoms, tuple(tuple(rank[a] for a in w) for w in words)
-
-
 class BFamily:
     """The entries B_pq, with the memos of everything computed from them.
 
@@ -79,18 +69,13 @@ class BFamily:
             return LiePoly.gen(0)
         if p == 0 or q == 0:
             return LiePoly()
-        return self.table.get((p, q), LiePoly())
+        return self.table.get((p, q)) or LiePoly()
 
-    def eval(self, p, q, args, carrier=FreeLieCarrier):
+    def eval(self, p, q, args, carrier=LiePoly):
         """B_pq evaluated on carrier elements (first p = first group)."""
-        if (p, q) == (1, 0) or (p, q) == (0, 1):
+        if p + q == 1:
             return args[0]
-        if p == 0 or q == 0:
-            return carrier.zero()
-        e = self.table.get((p, q))
-        if e is None or not e:
-            return carrier.zero()
-        return substitute(e, list(args), carrier)
+        return substitute(self.entry(p, q), args, carrier)
 
     def eval_block(self, p, q, letters):
         """Block rule of deformed_word_product on LiePoly letters: the one
@@ -101,20 +86,9 @@ class BFamily:
     # -- Lie letters: tuples of labels, each the left-normed monomial on them
 
     def letter_eval(self, p, q, letters):
-        """B_pq on Lie letters, as a LiePoly.
-
-        Memoized on (p, q) and the letters' order type (`order_type`):
-        the free-Lie code only compares labels, so B_pq commutes with any
-        order-preserving relabeling of the atoms, and letters of one
-        order type share one evaluation, relabeled back here.
-        """
-        atoms, shape = order_type(letters)
-        key = (p, q, shape)
-        hit = self._letter_evals.get(key)
-        if hit is None:
-            hit = self.eval(p, q, [LiePoly({x: Fraction(1)}) for x in shape])
-            self._letter_evals[key] = hit
-        return LiePoly({tuple(atoms[i] for i in w): c for w, c in hit.terms.items()})
+        """B_pq on Lie letters, as a LiePoly; memoized on (p, q) and the
+        letters' order type (`freealg.substitute_letters`)."""
+        return substitute_letters(self.entry(p, q), letters, self._letter_evals, (p, q))
 
     def letter_mul(self, u, v):
         """Deformed product of two words of Lie letters; memoized."""
@@ -354,15 +328,13 @@ class GaugeSeq:
     def entry(self, n):
         if n == 1:
             return LiePoly.gen(0)
-        return self.table.get(n, LiePoly())
+        return self.table.get(n) or LiePoly()
 
-    def eval(self, n, args, carrier=FreeLieCarrier):
+    def eval(self, n, args):
+        """P_n evaluated on LiePoly arguments."""
         if n == 1:
             return args[0]
-        e = self.table.get(n)
-        if e is None or not e:
-            return carrier.zero()
-        return substitute(e, list(args), carrier)
+        return substitute(self.entry(n), args)
 
     @staticmethod
     def identity(max_degree):

@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import HSeries, LinComb, add_term
+from .scalars import LinComb, add_term
 
 
 def _multidegree(word):
@@ -63,10 +63,6 @@ class AssocPoly(LinComb):
         return AssocPoly(terms)
 
     @staticmethod
-    def zero():
-        return AssocPoly()
-
-    @staticmethod
     def unit(c=Fraction(1)):
         return AssocPoly({(): c})
 
@@ -80,22 +76,11 @@ class AssocPoly(LinComb):
 
     def __mul__(self, other):
         """Concatenation product."""
-        if isinstance(other, (int, Fraction, HSeries)):
-            return self.__rmul__(other)
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 add_term(out, w1 + w2, c1 * c2)
         return AssocPoly(out)
-
-    def component(self, degree):
-        return AssocPoly({w: c for w, c in self.terms.items() if len(w) == degree})
-
-    def coeff(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def max_degree(self):
-        return max((len(w) for w in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -183,7 +168,8 @@ class NotLieElement(ValueError):
 
 
 class LiePoly(LinComb):
-    """Canonical element of a free Lie algebra; see module docstring."""
+    """Canonical element of a free Lie algebra; see module docstring.  The
+    class is its own bracket carrier, substitute's default."""
 
     __slots__ = ()
 
@@ -206,11 +192,14 @@ class LiePoly(LinComb):
         """c*[[x_a1,x_a2],...,x_ak]; letters must be canonical (see expand)."""
         return assoc_to_lie(c * expand_leftnormed(letters))
 
-    def labels(self):
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
+    add = LinComb.__add__
+
+    @staticmethod
+    def smul(c, a):
+        return c * a
+
+    def bracket(self, other):
+        return lie_bracket(self, other)
 
     def relabel(self, mapping):
         """Apply a label substitution (must stay injective per monomial).
@@ -320,52 +309,53 @@ def dynkin(p):
 # substitution into bracket carriers
 # ---------------------------------------------------------------------------
 
-class FreeLieCarrier:
-    """Carrier whose elements are LiePoly."""
+def substitute(p, args, carrier=LiePoly):
+    """Image of a multilinear LiePoly under generator -> args[generator].
 
-    @staticmethod
-    def zero():
-        return LiePoly()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def smul(c, a):
-        return c * a
-
-    @staticmethod
-    def bracket(a, b):
-        return lie_bracket(a, b)
-
-
-def substitute(p, args, carrier=FreeLieCarrier):
-    """Image of a LiePoly under generator -> args[generator index].
-
-    The generators of p must be integers 0..n-1 with n = len(args); the
-    carrier provides zero/add/smul/bracket.
+    The generators of p must be integers 0..n-1 with n = len(args); each
+    word of p is a left-normed monomial, bracketed left to right, and a
+    word with a repeated letter (a Lyndon key) raises ValueError.  The
+    carrier provides zero/add/smul/bracket: LiePoly or a LieAlgebra.
     """
     out = carrier.zero()
     for w, c in p.terms.items():
         for a in w:
             if not (isinstance(a, int) and 0 <= a < len(args)):
                 raise ValueError("substitute: arity mismatch for generator %r" % (a,))
-        if _is_multilinear(w):
-            val = args[w[0]]
-            for a in w[1:]:
-                val = carrier.bracket(val, args[a])
-        else:
-            val = _subst_tree(lyndon_standard_bracketing(w), args, carrier)
+        if not _is_multilinear(w):
+            raise ValueError("substitute needs a multilinear polynomial, not the word %r"
+                             % (w,))
+        val = args[w[0]]
+        for a in w[1:]:
+            val = carrier.bracket(val, args[a])
         out = carrier.add(out, carrier.smul(c, val))
     return out
 
 
-def _subst_tree(t, args, carrier):
-    if len(t) == 1:
-        return args[t[0]]
-    return carrier.bracket(_subst_tree(t[0], args, carrier),
-                           _subst_tree(t[1], args, carrier))
+def order_type(words):
+    """(atoms, shape) of a tuple of words of labels: atoms the sorted
+    distinct labels, shape the words with each label replaced by its rank
+    among them, so words[i][j] == atoms[shape[i][j]].  Two tuples have
+    one shape iff an order-preserving relabeling carries one to the other."""
+    atoms = sorted({a for w in words for a in w})
+    rank = {a: i for i, a in enumerate(atoms)}
+    return atoms, tuple(tuple(rank[a] for a in w) for w in words)
+
+
+def substitute_letters(p, letters, memo, key):
+    """p with generator i replaced by the Lie letter letters[i] (a tuple
+    of distinct labels, minimal first: the left-normed monomial on them).
+
+    The free-Lie code only compares labels, so the substitution commutes
+    with any order-preserving relabeling of the atoms: memo[key, shape]
+    holds it on the letters' `order_type` shape, with key naming p for
+    the memo's owner, and the result is relabeled back here.
+    """
+    atoms, shape = order_type(letters)
+    hit = memo.get((key, shape))
+    if hit is None:
+        hit = memo[key, shape] = substitute(p, [LiePoly({x: Fraction(1)}) for x in shape])
+    return LiePoly({tuple(atoms[i] for i in w): c for w, c in hit.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,6 @@ class ShElem(LinComb):
     def letter(ctx, i, c=1):
         return ShElem(ctx, {(i,): as_series(c, ctx.order)})
 
-    def __mul__(self, other):
-        if isinstance(other, ShElem):
-            return sh_mul(self, other)
-        return self.__rmul__(other)
-
     def counit(self):
         return self.terms.get((), as_series(0, self.ctx.order))
 
@@ -105,9 +100,6 @@ class ShElem(LinComb):
 
     def component(self, k):
         return ShElem(self.ctx, {w: c for w, c in self.terms.items() if len(w) == k})
-
-    def max_degree(self):
-        return max((len(w) for w in self.terms), default=0)
 
     def reverse(self):
         """The word-reversal automorphism Psi."""
@@ -160,10 +152,6 @@ class ShTensor(LinComb):
 
     def _like(self, terms, legs=None):
         return ShTensor(self.ctx, self.legs if legs is None else legs, terms)
-
-    @staticmethod
-    def unit(ctx, legs, c=1):
-        return ShTensor(ctx, legs, {((),) * legs: as_series(c, ctx.order)})
 
     def mul(self, other):
         """Legwise product (all legs commute past each other)."""
@@ -296,15 +284,10 @@ class TensElem(LinComb):
 
     def __mul__(self, other):
         """Concatenation (the algebra structure is undeformed)."""
-        if not isinstance(other, TensElem):
-            return self.__rmul__(other)
         out = {}
         for w1, c1, w2, c2 in surviving_pairs(self.terms, other.terms):
             add_term(out, w1 + w2, c1 * c2)
         return TensElem(self.ctx, out)
-
-    def counit(self):
-        return self.terms.get((), as_series(0, self.ctx.order))
 
 
 class TensContext:
@@ -371,11 +354,6 @@ class PoleSeries:
     def __init__(self, pole, series):
         self.pole = pole
         self.series = series
-
-    def as_series(self):
-        if self.pole == 0:
-            return self.series
-        return self.series.shift(-self.pole)  # raises if not divisible
 
     def __repr__(self):
         return "h^-%d*(%s)" % (self.pole, self.series)

@@ -22,9 +22,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import Obstructed, order_type, positive_compositions
-from .freealg import (LiePoly, leftnormed_basis, leftnormed_words, substitute,
-                      FreeLieCarrier)
+from .bfamily import Obstructed, positive_compositions
+from .freealg import LiePoly, leftnormed_basis, leftnormed_words, substitute_letters
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _relabel_in_order, _shift_pids)
@@ -245,17 +244,6 @@ def _expansions(flat, k):
 # gradings and class utilities
 # ---------------------------------------------------------------------------
 
-def pid_types(k):
-    """dict pid -> (slot of a, slot of b), 0-based slots."""
-    t = {}
-    for slot, leg in enumerate(k):
-        for letter in leg:
-            for (p, s) in letter:
-                cur = t.setdefault(p, [None, None])
-                cur[s] = slot
-    return {p: tuple(v) for p, v in t.items()}
-
-
 def canonical_classes(elem):
     """Class coordinate of the plain word form: slots multiply
     associatively, so letter boundaries are dropped before comparing."""
@@ -332,12 +320,19 @@ def delta4(x):
 # ---------------------------------------------------------------------------
 
 def basis_F(n):
-    """Basis of F_n: generators P x Q, both slots on the same n pairs,
-    independent modulo relabeling."""
-    a_monos = leftnormed_basis([a_atom(i) for i in range(n)])
-    b_monos = leftnormed_basis([b_atom(i) for i in range(n)])
-    return independent_subset([UElem(2, {((ma,), (mb,)): Fraction(1)})
-                               for ma in a_monos for mb in b_monos],
+    """Basis of F_n: generators P0 x Q, independent modulo relabeling,
+    with P0 = (a0, a1, ..., a(n-1)) and Q over the left-normed b-basis.
+
+    F_n is spanned by every P x Q, P over the left-normed a-basis, and
+    the P0 x Q alone span it: P starts with a0, and the relabeling pi
+    that fixes pair 0 and sorts the other pairs of P sends P x Q to
+    P0 x pi(Q), where pi(Q) still starts with b0, a basis monomial
+    again.  The P0 block is the first of the products in the order
+    P-major, and the rank filter is greedy in input order, so the kept
+    list is the one of all the products."""
+    p0 = tuple(a_atom(i) for i in range(n))
+    return independent_subset([UElem(2, {((p0,), (mb,)): Fraction(1)})
+                               for mb in leftnormed_basis([b_atom(i) for i in range(n)])],
                               canonical_classes)
 
 
@@ -394,7 +389,7 @@ def _substitute_pairs(elem, pair_map):
     out = UElem(elem.legs, {})
     memo = {}
     for k, c in elem.terms.items():
-        pids = sorted(pid_types(k))
+        pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
         reps = (pair_map[pid].terms.items() for pid in pids)
         for choice, cc in distribute(reps, c):
             # each replacement is one letter per side
@@ -408,16 +403,11 @@ def _substitute_pairs(elem, pair_map):
 
 def _substitute_letter(letter, amap, memo):
     """The letter's monomial with each atom (p, s) replaced by side s of
-    amap[p], as (monomial, coeff) pairs.  The substitution only compares
-    atoms, so memo is keyed on the order type of those sides
-    (`order_type`) and its entry relabeled back."""
-    atoms, shape = order_type(tuple(amap[p][s] for (p, s) in letter))
-    out = memo.get(shape)
-    if out is None:
-        args = [LiePoly({rep: Fraction(1)}) for rep in shape]
-        lp = LiePoly({tuple(range(len(shape))): Fraction(1)})
-        out = memo[shape] = tuple(substitute(lp, args, FreeLieCarrier).terms.items())
-    return tuple((tuple(atoms[i] for i in m), c) for m, c in out)
+    amap[p], as (monomial, coeff) pairs, through the order-type memo of
+    `freealg.substitute_letters`."""
+    n = len(letter)
+    return substitute_letters(LiePoly({tuple(range(n)): Fraction(1)}),
+                              tuple(amap[p][s] for (p, s) in letter), memo, n).terms.items()
 
 
 def insert_pairs(elem, varrho, total_degree):

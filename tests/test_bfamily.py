@@ -12,7 +12,7 @@ from liequant.bfamily import (BFamily, GaugeSeq, solve_bfamily, assoc_residual,
                               scale, cbh_check, bfamily_to_json,
                               bfamily_from_json, PAPER3_B21, PAPER3_B12,
                               Obstructed, _shuffle_column, _unknown_slots)
-from liequant.freealg import LiePoly
+from liequant.freealg import LiePoly, lie_bracket, substitute
 from liequant.scalars import add_term
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -228,6 +228,37 @@ def _random_letters(rng, n, pids):
     cuts = [0] + sorted(rng.sample(range(1, len(atoms)), n - 1)) + [len(atoms)]
     letters = [atoms[i:j] for i, j in zip(cuts, cuts[1:])]
     return tuple(tuple(sorted(l)[:1] + [a for a in l if a != min(l)]) for l in letters)
+
+
+def test_eval_is_substitute_on_the_entry(B4, dbl):
+    """BFamily.eval is substitute on entry(p, q), on LiePoly arguments and
+    in a LieAlgebra: at the boundary entries (1, 0), (0, 1), (p, 0),
+    (0, q) and (0, 0), at every stored entry, and past max_degree, where
+    the entries still read zero.  letter_eval keys its memo on (p, q)
+    too: B_21 and B_12 on one tuple of letters differ."""
+    rng = random.Random(29)
+    alg = dbl.algebra
+    beyond = [(2, 3), (1, 4)]
+    nonzero = 0
+    for p, q in [(1, 0), (0, 1), (3, 0), (0, 2), (0, 0)] + sorted(B4.table) + beyond:
+        n = p + q
+        gens = [LiePoly.gen(i) for i in range(n + 1)]
+        lie_args = [rng.choice((gens[i], lie_bracket(gens[i], gens[n])))
+                    for i in range(n)]
+        alg_args = [{k: Fraction(rng.choice((-3, -1, 1, 2))) for k in range(alg.dim)}
+                    for _ in range(n)]
+        for args, carrier in ((lie_args, LiePoly), (alg_args, alg)):
+            got = B4.eval(p, q, args, carrier)
+            assert got == substitute(B4.entry(p, q), args, carrier)
+            if (p, q) in beyond:
+                assert not got
+            nonzero += bool(got)
+    assert nonzero > 10
+    fam = BFamily(B4.lam, B4.max_degree, B4.table)
+    letters = (((0, 0),), ((1, 0),), ((2, 0),))
+    for p, q in ((2, 1), (1, 2)):
+        want = B4.entry(p, q).relabel({i: (i, 0) for i in range(3)})
+        assert want and fam.letter_eval(p, q, letters) == want
 
 
 def test_letter_eval_memo_on_order_type(B4):

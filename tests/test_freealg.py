@@ -132,6 +132,12 @@ def test_substitute_examples(borel):
     assert substitute(LiePoly.gen(0), [h], alg) == h
     p = lie_bracket(LiePoly.gen(0), lie_bracket(LiePoly.gen(1), LiePoly.gen(2)))
     assert substitute(p, [h, e, e], alg) == {}
+    # a Lyndon key has a repeated letter and is never read as left-normed
+    lyndon = cbh(3)[(2, 1)]
+    assert any(len(set(w)) < len(w) for w in lyndon.terms)
+    for args, carrier in (([h, e], alg), ([LiePoly.gen(0), LiePoly.gen(1)], LiePoly)):
+        with pytest.raises(ValueError, match="multilinear"):
+            substitute(lyndon, args, carrier)
 
 
 def test_cbh_values_and_round_trip():

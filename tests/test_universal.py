@@ -11,10 +11,10 @@ from liequant import linalg
 from liequant.deform import matrix_algebra, cybe as am_cybe
 from liequant.liealg import (DELTA3, DELTA4, coboundary, tensor_add, tensor_smul,
                              sl2, cybe_residual, placed_bracket)
-from liequant import universal
+from liequant import freealg, universal
 from liequant.bfamily import Obstructed, bfamily_from_json
-from liequant.freealg import LiePoly, substitute
-from liequant.rmatrix import _shift_pids, lambda_table
+from liequant.freealg import LiePoly, leftnormed_basis, substitute
+from liequant.rmatrix import _shift_pids, independent_subset, lambda_table
 from liequant.scalars import add_term
 from liequant.universal import (normal_order, canonical_classes, delta3,
                                 delta4, basis_F, basis_F3lie, cohomology_dims,
@@ -203,6 +203,19 @@ def test_delta3_examples(B4, dbl):
             lhs = instantiate(delta3(e), dbl.algebra, dbl.r)
             rhs = delta3_r(dbl.algebra, dbl.r, instantiate(e, dbl.algebra, dbl.r))
             assert tensor_add(lhs, tensor_smul(Fraction(-1), rhs)) == {}
+
+
+def test_basis_F_matches_all_products():
+    """basis_F(n), built on the first a-monomial alone, keeps the same
+    list, element for element and in order, as the rank filter over
+    every product P x Q of the left-normed a- and b-bases."""
+    for n in range(1, 5):
+        a_monos = leftnormed_basis([a_atom(i) for i in range(n)])
+        b_monos = leftnormed_basis([b_atom(i) for i in range(n)])
+        full = independent_subset([UElem(2, {((ma,), (mb,)): Fraction(1)})
+                                   for ma in a_monos for mb in b_monos],
+                                  canonical_classes)
+        assert basis_F(n) == full
 
 
 def test_delta4_examples(dbl):
@@ -761,7 +774,7 @@ def _counting_substitute(monkeypatch):
     def counted(*args):
         calls.append(args)
         return substitute(*args)
-    monkeypatch.setattr(universal, "substitute", counted)
+    monkeypatch.setattr(freealg, "substitute", counted)
     return calls
 
 
