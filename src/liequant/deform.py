@@ -1,13 +1,15 @@
 """Order-by-order deformation of CYBE solutions in associative algebras.
 
 Tensors over an algebra A are dicts {index tuple: Fraction} over a fixed
-basis; slots without content hold the unit.  They follow
-scalars.add_term (no key holds a zero coefficient) and are added and
-scaled with liealg.tensor_add/tensor_smul.  The maps here are CYBE, the
-six-term bracket and the four-slot coboundary, which sum liealg's tables
-CYBE, DELTA3 and DELTA4 over the placed commutator t_comm(place, place);
-the rest of the homotopy family; and the residuals of the order-N
-quantization equations.
+basis.  They follow scalars.add_term (no key holds a zero coefficient)
+and are added and scaled with liealg.tensor_add/tensor_smul.  `place`
+leaves None in a slot without content, as LinComb.place leaves the
+empty word, and t_mul alone reads None as the unit.  Every product the
+maps return fills each slot, so their keys are fully indexed on fully
+indexed inputs.  The maps here are CYBE, the six-term bracket and the
+four-slot coboundary, which sum liealg's tables CYBE, DELTA3 and DELTA4
+over the placed commutator t_comm(place, place); the rest of the
+homotopy family; and the residuals of the order-N quantization equations.
 """
 
 from __future__ import annotations
@@ -75,17 +77,25 @@ def matrix_algebra(n):
 # tensor calculus in A^(x n)
 # ---------------------------------------------------------------------------
 
-def place(alg, t, spots, n):
-    """Embed a tensor into n slots, units elsewhere."""
+def place(t, spots, n):
+    """Spread the slots of t into the given 1-based spots of n slots,
+    with None (the unit) in the others."""
     out = {}
-    unit_items = list(alg.unit.items())
     for k, c in t.items():
-        slots = [unit_items] * n
+        key = [None] * n
         for spot, comp in zip(spots, k):
-            slots[spot - 1] = ((comp, 1),)
-        for idx, cc in distribute(slots, c):
-            add_term(out, idx, cc)
+            key[spot - 1] = comp
+        out[tuple(key)] = c
     return out
+
+
+def _slot_mul(alg, i, j):
+    """e_i e_j as (index, coeff) pairs, with None the unit."""
+    if i is None:
+        return ((j, 1),)
+    if j is None:
+        return ((i, 1),)
+    return alg.mul_basis(i, j).items()
 
 
 def t_mul(alg, t, u):
@@ -93,7 +103,7 @@ def t_mul(alg, t, u):
     out = {}
     for k1, c1 in t.items():
         for k2, c2 in u.items():
-            slots = (alg.mul_basis(i, j).items() for i, j in zip(k1, k2))
+            slots = (_slot_mul(alg, i, j) for i, j in zip(k1, k2))
             for key, c in distribute(slots, c1 * c2):
                 add_term(out, key, c)
     return out
@@ -117,7 +127,7 @@ def random_tensor(alg, degree, rng, span):
 
 def _placed_comm(alg, r, x, n):
     """The placed bracket (s, t) -> [r^(s), x^(t)] in A^(x n)."""
-    return lambda s, t: t_comm(alg, place(alg, r, s, n), place(alg, x, t, n))
+    return lambda s, t: t_comm(alg, place(r, s, n), place(x, t, n))
 
 
 def cybe(alg, r):
@@ -141,8 +151,8 @@ def delta_p(alg, R, rho, p):
         return {}
     if p == 1:
         return coboundary(DELTA4, _placed_comm(alg, R, rho, 4))
-    P = lambda spots: place(alg, R, spots, 4)
-    Q = lambda spots: place(alg, rho, spots, 4)
+    P = lambda spots: place(R, spots, 4)
+    Q = lambda spots: place(rho, spots, 4)
     mul = lambda *ts: _chain_mul(alg, ts)
     add = lambda *ts: functools.reduce(tensor_add, ts)
     neg = lambda t: tensor_smul(-1, t)
@@ -183,9 +193,9 @@ def _chain_mul(alg, ts):
 
 def _ordered_triple(alg, a, b, c):
     """a^12 b^13 c^23 - c^23 b^13 a^12 in A^(x3)."""
-    a12 = place(alg, a, (1, 2), 3)
-    b13 = place(alg, b, (1, 3), 3)
-    c23 = place(alg, c, (2, 3), 3)
+    a12 = place(a, (1, 2), 3)
+    b13 = place(b, (1, 3), 3)
+    c23 = place(c, (2, 3), 3)
     return tensor_add(_chain_mul(alg, (a12, b13, c23)),
                       tensor_smul(Fraction(-1), _chain_mul(alg, (c23, b13, a12))))
 
@@ -201,26 +211,16 @@ def recursion_residual(alg, r, rseq, N):
 
     rseq: [R_1, ..., R_k] with R_1 = r.  Computes [[r, R_{N-1}]] +
     sum_{p,q,s <= N-2, p+q+s = N} (R_p^12 R_q^13 R_s^23 - reverse) with
-    R_0 = 1; zero certifies the equation.
+    R_0 = 1 (None x None); zero certifies the equation.
     """
-    full = [None] + list(rseq)
+    full = [{(None, None): Fraction(1)}] + list(rseq)
     out = bbrack(alg, r, full[N - 1]) if N - 1 < len(full) else {}
-
-    def R(i):
-        if i == 0:
-            u = {}
-            for a, ca in alg.unit.items():
-                for b, cb in alg.unit.items():
-                    u[(a, b)] = ca * cb
-            return u
-        return full[i]
-
     for p in range(0, N - 1):
         for q in range(0, N - 1):
             s = N - p - q
             if s < 0 or s > N - 2:
                 continue
-            out = tensor_add(out, _ordered_triple(alg, R(p), R(q), R(s)))
+            out = tensor_add(out, _ordered_triple(alg, full[p], full[q], full[s]))
     return out
 
 

@@ -90,13 +90,10 @@ class LambdaTable:
             r2 = _shift_pids(self.rprime(n - k), k)
             for (a1, bword1), c1 in r1.terms.items():
                 for (a2, bword2), c2 in r2.terms.items():
-                    la, lb = len(a1), len(a2)
-                    if la + lb < 2:
-                        continue
                     prb = pr_word_product(self.bdual, bword1, bword2)
                     if not prb:
                         continue
-                    weight = Fraction(1, la + lb - 1) * c1 * c2
+                    weight = Fraction(1, len(a1) + len(a2) - 1) * c1 * c2
                     aword = a1 + a2
                     for mono, cm in prb.terms.items():
                         add_term(acc, (aword, (tuple(mono),)), weight * cm)

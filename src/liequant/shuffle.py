@@ -88,8 +88,8 @@ class ShElem(LinComb):
         return ShElem(ctx, {tuple(letters): as_series(c, ctx.order)})
 
     @staticmethod
-    def letter(ctx, i, c=1):
-        return ShElem(ctx, {(i,): as_series(c, ctx.order)})
+    def letter(ctx, i):
+        return ShElem(ctx, {(i,): as_series(1, ctx.order)})
 
     def counit(self):
         return self.terms.get((), as_series(0, self.ctx.order))

@@ -1,18 +1,35 @@
 """Test-only constructions on the associative deformation complex: the
-coboundary kappa of an element of A, and the obstruction term of the
-order-N equation with its hypotheses checked."""
+coboundary kappa of an element of A, the obstruction term of the
+order-N equation with its hypotheses checked, and the unit-expanding
+placement that deform.place replaced."""
 
 from fractions import Fraction
 
 from liequant.deform import _ordered_triple, bbrack, delta_p, place, t_comm
 from liequant.liealg import tensor_add, tensor_smul
+from liequant.scalars import add_term, distribute
+
+
+def expanded_place(alg, t, spots, n):
+    """deform.place with the unit written out: 1 = sum_i u_i e_i in every
+    free slot and in every None of t's keys, so no key holds None."""
+    out = {}
+    unit_items = list(alg.unit.items())
+    for k, c in t.items():
+        slots = [unit_items] * n
+        for spot, comp in zip(spots, k):
+            if comp is not None:
+                slots[spot - 1] = ((comp, 1),)
+        for idx, cc in distribute(slots, c):
+            add_term(out, idx, cc)
+    return out
 
 
 def kappa_cob(alg, r, x):
     """kappa(x) = [r, x x 1 + 1 x x] for x in A (x: {index: coeff})."""
     xt = {(i,): c for i, c in x.items()}
-    x1 = place(alg, xt, (1,), 2)
-    x2 = place(alg, xt, (2,), 2)
+    x1 = place(xt, (1,), 2)
+    x2 = place(xt, (2,), 2)
     return t_comm(alg, r, tensor_add(x1, x2))
 
 

@@ -275,6 +275,12 @@ def test_seed_belongs_to_cybe_props():
     assert r1.returncode == 0 and (r1.stdout, r1.stderr) == (r2.stdout, r2.stderr)
 
 
+def test_cybe_props_runs_on_m3():
+    r = run_cli("cybe-props", "--algebra", "m3", "--trials", "3", "--seed", "7")
+    assert r.returncode == 0 and json.loads(r.stdout) == {
+        "aryeh_failures": 0, "half_square_solves_order3": True, "trials": 3}
+
+
 def test_bfamily_check_without_family_is_input_error():
     _assert_input_error(run_cli("bfamily", "check"))
 
