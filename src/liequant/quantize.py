@@ -77,10 +77,7 @@ class Quantization:
         {(word, word): coeff} table over the double.  With second_len,
         only the terms whose second leg has that many letters; they are
         picked before instantiating, which keeps each leg's letter count.
-        Raises ValueError when the lambda table stops below order."""
-        if order > self.table.max_degree:
-            raise ValueError("R to degree %d needs the lambda table to that "
-                             "degree; it stops at %d" % (order, self.table.max_degree))
+        The lambda table raises ValueError when it stops below order."""
         out = {}
         for n in range(order + 1):
             rn = self.table.rmatrix(n)
@@ -184,9 +181,11 @@ class Quantization:
         """The kernel element attached to x = e_i, y = e_j.
 
         sum y^(1) phi(ell(y^(2)), x) - sum psi(ell(y^(1)), x) y^(2);
-        reduces mod hbar to y x x - x x y - [x,y] and lies in Ker(ell)."""
+        reduces mod hbar to y x x - x x y - [x,y] and lies in Ker(ell).
+        Every term carries x, seeded at rel_order, so the relation is
+        computed mod hbar^(rel_order+1) throughout."""
         ctx = self.tens_ctx
-        x = TensElem.word(ctx, (i,))
+        x = TensElem.word(ctx, (i,), HSeries.const(1, self.rel_order))
         out = TensElem(ctx, {})
         for (w1, w2), c in t_comul(ctx, TensElem.word(ctx, (j,))).items():
             lhs = self.phi(self.ell(TensElem.word(ctx, w2)), x)
@@ -204,9 +203,7 @@ class Quantization:
             for j in range(d):
                 if i == j:
                     continue
-                k = TensElem(self.tens_ctx, {
-                    w: HSeries(c.coeffs, self.rel_order)
-                    for w, c in self.relation(i, j).terms.items()})
+                k = self.relation(i, j)
                 if self.ell(k):
                     raise NotInKernel((i, j))
                 rels[(i, j)] = k

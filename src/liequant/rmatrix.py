@@ -1,11 +1,13 @@
 """Universal R-matrix terms in shuffle algebras.
 
-The recursion table lambda assigns to each composition (n_1..n_k) an
-element of the coinvariant space with k first-leg Lie factors and one
-last factor; assembling kappa-images of table entries with legwise
-products and reversing the second leg yields the terms R_n satisfying
-the quasitriangularity identities.  Table entries are kept as raw
-representatives; only their classes modulo relabeling of the formal
+The recursion table lambda assigns to each degree n an element lambda_n
+of the coinvariant space: a sum of terms with k first-leg Lie factors
+and one last factor.  R'_j is assembled from the lambda_m with legwise
+products, one step at a time (R'_j = sum_m R'_(j-m) lambda_m), and
+reversing its second leg yields the terms R_n satisfying the
+quasitriangularity identities.  The table stops at its degree: an R'_j
+past it is an error, never a truncated sum.  Table entries are kept as
+raw representatives; only their classes modulo relabeling of the formal
 pairs (unitensor.canonical) are meaningful.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import positive_compositions
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                         normalize_letters, pr_word_product, _relabel_term)
@@ -26,64 +27,50 @@ def pair_elem(pid):
 
 
 class LambdaTable:
-    """Entries indexed by compositions; block i owns a contiguous pid range."""
+    """lambda_n for n = 1..max_degree, one entry per degree (absent when
+    zero), and the R'_j they assemble, read only up to max_degree.
+
+    R'_j = sum_{m=1..j} R'_(j-m) * lambda_m, the legwise (deformed
+    product x concatenation) product with lambda_m's pids raised past
+    those of R'_(j-m), and R'_0 = 1: the sum over the compositions of j
+    of the ordered products of their parts, grouped by the last part."""
 
     def __init__(self, bfam, max_degree):
         self.bfam = bfam
         self.bdual = bfam.dual()
         self.max_degree = 1
-        self.entries = {(1,): pair_elem(0)}
-        self._rprime = {0: UElem.unit(2), 1: pair_elem(0)}
+        self.entries = {1: pair_elem(0)}
+        self._rprime = {0: UElem.unit(2)}
         self.grow(max_degree)
 
     def grow(self, N):
-        """Build the degrees max_degree+1..N in place.  A degree's entries
-        depend only on lower degrees, so the entries already built stay
-        as they are; an R'_j memoized past the old degree lacks the new
-        entries and is dropped."""
-        if N <= self.max_degree:
-            return
-        self._rprime = {j: r for j, r in self._rprime.items() if j <= self.max_degree}
+        """Build the degrees max_degree+1..N in place.  A degree's entry
+        depends only on lower degrees, so the entries and R'_j already
+        built stay as they are."""
         for n in range(self.max_degree + 1, N + 1):
             self._build_degree(n)
-        self.max_degree = N
-
-    # -- assembly of R'_j from the table --------------------------------
-
-    def aggregated(self, m):
-        """Sum of the entries over all compositions of m."""
-        out = UElem.zero(2)
-        for k in range(1, m + 1):
-            for comp in positive_compositions(m, k):
-                e = self.entries.get(comp)
-                if e:
-                    out = out + e
-        return out
+            self.max_degree = n
 
     def rprime(self, j):
-        """R'_j: legwise (deformed product x concatenation) assembly."""
+        """R'_j by the one-step recursion; ValueError past max_degree."""
         hit = self._rprime.get(j)
         if hit is not None:
             return hit
+        if j > self.max_degree:
+            raise ValueError("R'_%d is past the lambda table; it stops at %d"
+                             % (j, self.max_degree))
         total = UElem.zero(2)
-        for k in range(1, j + 1):
-            for comp in positive_compositions(j, k):
-                cur = None
-                off = 0
-                for m in comp:
-                    factor = _shift_pids(self.aggregated(m), off)
-                    off += m
-                    if cur is None:
-                        cur = factor
-                    else:
-                        cur = u_mul(cur, factor, (("sh", self.bfam), "conc"))
-                if cur:
-                    total = total + cur
+        for m, lam in self.entries.items():
+            if m <= j:
+                total = total + u_mul(self.rprime(j - m), _shift_pids(lam, j - m),
+                                      (("sh", self.bfam), "conc"))
         self._rprime[j] = total
         return total
 
     def _build_degree(self, n):
-        """kappa(lambda_n) = sum_k (conc~ x pr) (R'_k^(13) R'_(n-k)^(23))."""
+        """kappa(lambda_n) = sum_k (conc~ x pr) (R'_k^(13) R'_(n-k)^(23)),
+        split by the composition of the first-leg letter supports; lambda_n
+        is the sum of the parts whose class is nonzero."""
         acc = {}
         for k in range(1, n):
             r1 = self.rprime(k)
@@ -111,12 +98,15 @@ class LambdaTable:
                     mapping[p] = pos
                     pos += 1
             add_term(buckets.setdefault(comp, {}), _relabel_term(key, mapping), c)
+        lam = UElem.zero(2)
         for comp, raw in buckets.items():
             total = normalize_letters(UElem(2, raw))
             if canonical(total):
                 if len(comp) == 1:
                     raise AssertionError("single-block entry should vanish")
-                self.entries[comp] = total
+                lam = lam + total
+        if lam:
+            self.entries[n] = lam
 
     def rmatrix(self, n):
         """R_n: reversal of the second leg of R'_n."""

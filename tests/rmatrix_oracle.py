@@ -1,13 +1,15 @@
 """Independent oracle for the universal R-matrix terms: solve the
 coproduct identities degree by degree over a basis of the universal
 2-leg space, instead of running the lambda-table recursion.  Also the
-degree-one part Ln of the product of n generator letters."""
+degree-one part Ln of the product of n generator letters, and R'_j
+assembled over the compositions of j, the sum that the table's one-step
+recursion groups by its last part."""
 
 import itertools
 from fractions import Fraction
 
 from liequant import linalg
-from liequant.bfamily import deformed_word_product
+from liequant.bfamily import deformed_word_product, positive_compositions
 from liequant.freealg import LiePoly
 from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
                               _shift_pids)
@@ -27,6 +29,26 @@ def Ln(bfam, n):
         if len(w) == 1:
             out = out + c * w[0]
     return out
+
+
+def rprime_by_compositions(tab, j):
+    """R'_j = sum over the compositions (m_1..m_k) of j of the legwise
+    (deformed product x concatenation) products lambda_(m_1) ... lambda_(m_k)
+    of the table's entries, each with its pids raised past those before it."""
+    if j == 0:
+        return UElem.unit(2)
+    total = UElem.zero(2)
+    for k in range(1, j + 1):
+        for comp in positive_compositions(j, k):
+            cur = None
+            off = 0
+            for m in comp:
+                factor = _shift_pids(tab.entries.get(m, UElem.zero(2)), off)
+                off += m
+                cur = factor if cur is None else u_mul(
+                    cur, factor, (("sh", tab.bfam), "conc"))
+            total = total + cur
+    return total
 
 
 class NoSolution(ValueError):

@@ -28,7 +28,8 @@ from liequant.universal import (solve_varrho, phi_N, delta4,
 from liequant.quantize import Quantization
 from liequant import linalg
 from liequant.deform import (matrix_algebra, random_r, aryeh_residual,
-                             recursion_residual, half_r_squared)
+                             recursion_residual, half_r_squared, delta_p, cybe,
+                             _ordered_triple)
 from deform_oracle import kappa_cob
 from rmatrix_oracle import Ln, rmatrix_by_solving
 from shuffle_oracle import ordered_surjection_count
@@ -287,10 +288,14 @@ def test_criterion_8_deformation():
     m2 = matrix_algebra(2)
     rng = random.Random(7)
     ok = True
-    for _ in range(20):
+    for trial in range(20):
         R = random_r(m2, rng)
         for p in range(0, 4):
             ok = ok and not aryeh_residual(m2, R, p)
+        # the zero is a cancellation: both summands are nonzero at p = 1, 2
+        if trial == 0:
+            ok = ok and all(delta_p(m2, R, _ordered_triple(m2, R, R, R), p)
+                            and delta_p(m2, R, cybe(m2, R), p + 1) for p in (1, 2))
     r = {(1, 1): Fraction(1)}
     ok = ok and recursion_residual(m2, r, [r, half_r_squared(m2, r)], 3) == {}
     x = {0: Fraction(2), 3: Fraction(-1)}

@@ -93,6 +93,14 @@ def test_rmatrix_command():
     assert payload["ok"] is True and len(payload["terms"]) == 3
 
 
+def test_rmatrix_output_is_golden():
+    """stdout of rmatrix to degree 3, byte for byte: the raw
+    representatives of R_0..R_3 that the lambda table assembles."""
+    r = run_cli("rmatrix", "--max-degree", "3")
+    assert r.returncode == 0 and r.stderr.startswith("R_0 = ")
+    assert r.stdout.encode() == (DATA / "rmatrix_d3.json").read_bytes()
+
+
 def _assert_input_error(r):
     assert r.returncode == 2, r.stderr
     assert "input error:" in r.stderr and "Traceback" not in r.stderr

@@ -88,11 +88,17 @@ def test_delta_p1_is_linear_term_of_delta_p3():
 
 
 def test_aryeh_identity_20_trials():
+    """The identity on 20 seeded R.  Its zero is a cancellation: in the
+    first trial both summands are nonzero at p = 1 and 2."""
     rng = random.Random(7)
-    for _ in range(20):
+    for trial in range(20):
         R = random_r(M2, rng)
         for p in range(0, 4):
             assert aryeh_residual(M2, R, p) == {}
+        if trial == 0:
+            for p in (1, 2):
+                assert delta_p(M2, R, _ordered_triple(M2, R, R, R), p)
+                assert delta_p(M2, R, cybe(M2, R), p + 1)
 
 
 def test_recursion_residual():

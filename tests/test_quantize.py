@@ -193,12 +193,14 @@ def test_relations(Q2):
 def test_relations_stop_at_the_order_rho_supports(B4, borel, Q2, varrho3):
     """rho to degree 3 makes ell exact only mod hbar^3, so an order-3
     object reports its relations at rel_order 2, equal to the order-2
-    object's; checked mod hbar^4 they leave the kernel (NotInKernel)."""
+    object's; checked mod hbar^4 they leave the kernel (NotInKernel).
+    relation itself computes at rel_order, not at order."""
     Q3 = Quantization(B4, borel, order=3, varrho=varrho3)
     rels = Q3.extract_relations()
     assert rels == Q2.extract_relations()
     assert (Q3.rel_order, Q2.rel_order) == (2, 2)
     assert all(c.order == 2 for k in rels.values() for c in k.terms.values())
+    assert all(c.order == 2 for c in Q3.relation(0, 1).terms.values())
 
 
 def test_relations_abelian(B4, varrho3):

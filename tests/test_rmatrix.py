@@ -3,9 +3,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from liequant import rmatrix
-from liequant.bfamily import BFamily, positive_compositions
+from liequant.bfamily import BFamily, bfamily_from_json, positive_compositions
 from liequant.freealg import LiePoly, lie_bracket
 from liequant.rmatrix import (lambda_table, rmatrix_terms,
                               quasitri_residual, pair_elem,
@@ -14,7 +17,9 @@ from liequant.rmatrix import (lambda_table, rmatrix_terms,
 from liequant.scalars import pr_legs
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor, pr_word_product)
-from rmatrix_oracle import Ln, rmatrix_by_solving
+from rmatrix_oracle import Ln, rmatrix_by_solving, rprime_by_compositions
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _term(legA, legB, c):
@@ -23,18 +28,18 @@ def _term(legA, legB, c):
 
 
 def test_lambda_one_and_degree_two(B4):
+    """lambda_1 is the elementary pair; lambda_2 is the one (1, 1) term."""
     tab = lambda_table(B4, 3)
-    assert tab.entries[(1,)] == pair_elem(0)
-    lam11 = tab.entries[(1, 1)]
+    assert tab.entries[1] == pair_elem(0)
     expected = _term([[a_atom(0)], [a_atom(1)]], [[b_atom(0), b_atom(1)]],
                      Fraction(1, 2))
-    assert lam11 == expected
+    assert tab.entries[2] == expected
 
 
 def test_lambda_zero_family_vanishes():
     fam = BFamily(Fraction(0), 3, {(1, 1): LiePoly()})
     tab = lambda_table(fam, 3)
-    assert set(tab.entries) == {(1,)}
+    assert set(tab.entries) == {1}
     # R_n reduces to the grouplike-free shuffle part
     r2 = tab.rmatrix(2)
     assert all(len(k[0]) == len(k[1]) == 2 for k in r2.terms)
@@ -180,6 +185,18 @@ def test_oracle_matches_terms(B4):
         assert canonical(sols[n]) == canonical(tab.rmatrix(n))
 
 
+def test_rprime_recursion_matches_composition_sum(B4):
+    """R'_j by the one-step recursion equals the sum over the compositions
+    of j of the ordered products of the table's entries, on B4 to degree
+    4 and on the degree-5 paper3 family's table to degree 4."""
+    n5 = bfamily_from_json(json.loads((DATA / "bfamily_n5_paper3.json").read_text()))
+    for fam in (BFamily(B4.lam, B4.max_degree, B4.table), n5):
+        tab = lambda_table(fam, 4)
+        assert set(tab.entries) == {1, 2, 3, 4}
+        for j in range(5):
+            assert tab.rprime(j) == rprime_by_compositions(tab, j)
+
+
 def test_dual_symmetry(B4):
     """R'_n(r^{21})^{21} = R'_n(r): universally, swapping the two sides of
     every pair and the two legs is a symmetry of the primed terms."""
@@ -196,13 +213,13 @@ def test_dual_symmetry(B4):
 
 def test_kappa_representative_invariance(B4, dbl):
     tab = lambda_table(B4, 3)
-    lam = tab.entries[(1, 1)]
+    lam = tab.entries[2]
     img1 = instantiate_tensor(lam, dbl.algebra, dbl.r)
     relabeled = lam.relabel({0: 1, 1: 0})
     img2 = instantiate_tensor(relabeled, dbl.algebra, dbl.r)
     assert img1 == img2
     # kappa of lambda_1 is r itself
-    img = pr_legs(instantiate_tensor(tab.entries[(1,)], dbl.algebra, dbl.r))
+    img = pr_legs(instantiate_tensor(tab.entries[1], dbl.algebra, dbl.r))
     assert img == dbl.r
 
 
@@ -259,11 +276,13 @@ def test_lambda_table_grows_in_place(B4, monkeypatch):
     """lambda_table builds only the missing degrees, into the table the
     family already holds: a caller's table stays the same object, keeps
     every earlier entry, and has the entries and R_n of a fresh
-    LambdaTable.  An R'_j read past the old degree is not kept."""
+    LambdaTable.  An R_n past the table's degree is an error, not a
+    truncated sum."""
     fam = BFamily(B4.lam, B4.max_degree, B4.table)
     held = lambda_table(fam, 2)
     before = dict(held.entries)
-    stale = held.rmatrix(3)
+    with pytest.raises(ValueError, match="stops at 2"):
+        held.rmatrix(3)
     built = []
     build = rmatrix.LambdaTable._build_degree
     monkeypatch.setattr(rmatrix.LambdaTable, "_build_degree",
@@ -276,4 +295,3 @@ def test_lambda_table_grows_in_place(B4, monkeypatch):
     assert held.entries == fresh.entries
     assert all(held.entries[c] == e for c, e in before.items())
     assert [held.rmatrix(n) for n in range(5)] == [fresh.rmatrix(n) for n in range(5)]
-    assert stale != held.rmatrix(3)
