@@ -24,7 +24,8 @@ from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 class Obstructed(ValueError):
     """A degree-by-degree system has no solution; str(e) is the degree.
-    reason and witness, when given, name the failed check and one term."""
+    reason and witness, when given, name the failed check and one (key, c)
+    term of what it left nonzero."""
 
     def __init__(self, degree, reason=None, witness=None):
         super().__init__(degree)

@@ -53,13 +53,24 @@ def _at_least(flag, value, least):
         raise BadInput("%s must be at least %d" % (flag, least))
 
 
+def _print_obstructed(command, e):
+    """One stderr line for a bfamily.Obstructed: the degree, then the
+    failed check and the key and coefficient of its witness term when e
+    names them."""
+    line = "%s: obstructed at degree %s" % (command, e)
+    if e.reason is not None:
+        key, c = e.witness
+        line += " (%s: %r = %s)" % (e.reason, key, c)
+    print(line, file=sys.stderr)
+
+
 def _solve_varrho(command, fam, degree):
     """universal.solve_varrho, or None after one stderr line naming the
     degree at which the system is obstructed or not unique."""
     try:
         return universal.solve_varrho(fam, degree)
     except bfamily.Obstructed as e:
-        print("%s: obstructed at degree %s" % (command, e), file=sys.stderr)
+        _print_obstructed(command, e)
     except rmatrix.NonUnique as e:
         print("%s: solution not unique at degree %s" % (command, e), file=sys.stderr)
     return None
@@ -97,7 +108,7 @@ def cmd_bfamily(args):
         try:
             fam = bfamily.solve_bfamily(lam, args.max_degree, args.gauge)
         except bfamily.Obstructed as e:
-            print("bfamily solve: obstructed at degree %s" % e, file=sys.stderr)
+            _print_obstructed("bfamily solve", e)
             return 1
         _emit(args, bfamily.bfamily_to_json(fam))
         return 0

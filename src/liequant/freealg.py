@@ -14,6 +14,20 @@ LiePoly storage convention (per homogeneous multidegree component):
 
 The multidegree of a key decides its interpretation, so the two kinds
 coexist in one terms dict without ambiguity.
+
+Multilinear keys stay on the left-normed basis, whose coordinates are the
+coefficients of the words that start with the minimal letter (Reutenauer,
+Free Lie Algebras, ch. 5):
+
+* `lie_bracket`: keys on disjoint letters, head the one with the smaller
+  first letter, bracket to head + t with sign s for each (t, s) in
+  leftnormed_words(tail), negated when head is the right factor;
+* `LiePoly.relabel` and `LiePoly.leftnormed`: a left-normed monomial on
+  distinct letters is rewritten onto the min-first basis by
+  `_min_first_words`.
+
+Lyndon keys, bracket pairs on overlapping letters and maps that identify
+letters of a key go through the associative algebra and `assoc_to_lie`.
 """
 
 from __future__ import annotations
@@ -189,7 +203,11 @@ class LiePoly(LinComb):
 
     @staticmethod
     def leftnormed(letters, c=Fraction(1)):
-        """c*[[x_a1,x_a2],...,x_ak]; letters must be canonical (see expand)."""
+        """c*[[x_a1,x_a2],...,x_ak] on the canonical bases: distinct letters
+        by `_min_first_words`, repeated ones through `assoc_to_lie`."""
+        letters = tuple(letters)
+        if _is_multilinear(letters):
+            return LiePoly({u: c if s > 0 else -c for u, s in _min_first_words(letters)})
         return assoc_to_lie(c * expand_leftnormed(letters))
 
     add = LinComb.__add__
@@ -202,11 +220,22 @@ class LiePoly(LinComb):
         return lie_bracket(self, other)
 
     def relabel(self, mapping):
-        """Apply a label substitution (must stay injective per monomial).
-        The image of a Lie element is one, so it is not checked again."""
-        return assoc_to_lie(AssocPoly(
-            {tuple(mapping.get(a, a) for a in w): c for w, c in self.expand().terms.items()}),
-            check=False)
+        """Apply a label substitution; labels outside mapping stay.  A
+        multilinear key whose image keeps its letters distinct is rewritten
+        by `_min_first_words`; any other key is expanded, its words mapped
+        and the sum read back by `assoc_to_lie`, unchecked, since the image
+        of a Lie element is one."""
+        out = {}
+        rest = {}
+        for w, c in self.terms.items():
+            y = tuple(mapping.get(a, a) for a in w)
+            if _is_multilinear(w) and _is_multilinear(y):
+                for u, s in _min_first_words(y):
+                    add_term(out, u, c if s > 0 else -c)
+            else:
+                for u, cu in LiePoly({w: c}).expand().terms.items():
+                    add_term(rest, tuple(mapping.get(a, a) for a in u), cu)
+        return _with_assoc(out, rest)
 
     def __repr__(self):
         if not self.terms:
@@ -281,9 +310,51 @@ def assoc_to_lie(p, check=True):
     return LiePoly(terms)
 
 
+def _min_first_words(y):
+    """The left-normed monomial on the distinct letters y as (key, sign)
+    pairs on the min-first basis.  With the minimum m at position i > 0 it
+    is [[X, m], y_(i+1), ...] for X the monomial on y_0..y_(i-1), and only
+    the words of -m*X*y_(i+1)... start with m: 2^(i-1) keys, where the
+    whole expansion has 2^(n-1) words."""
+    i = y.index(min(y))
+    if i == 0:
+        return [(y, 1)]
+    return [(y[i:i + 1] + u + y[i + 1:], -s) for u, s in leftnormed_words(y[:i])]
+
+
+def _with_assoc(terms, rest):
+    """LiePoly of terms plus the Lie element rest, a dict of words."""
+    if rest:
+        for w, c in assoc_to_lie(AssocPoly(rest), check=False).terms.items():
+            add_term(terms, w, c)
+    return LiePoly(terms)
+
+
 def lie_bracket(a, b):
-    """Bracket of two LiePoly, canonical output."""
-    return assoc_to_lie(assoc_commutator(a.expand(), b.expand()), check=False)
+    """Bracket of two LiePoly, canonical output.  Multilinear keys on
+    disjoint letters bracket on the left-normed basis (module docstring):
+    of head*tail - tail*head only head*tail has words that start with the
+    minimal letter, and of head's expansion only the word head itself.
+    Every other term pair is multiplied out and read back by
+    `assoc_to_lie`."""
+    out = {}
+    rest = {}
+    for w, cw in a.terms.items():
+        w_ml = _is_multilinear(w)
+        for v, cv in b.terms.items():
+            c = cw * cv
+            if w_ml and _is_multilinear(v) and set(w).isdisjoint(v):
+                if w[0] < v[0]:
+                    head, tail = w, v
+                else:
+                    head, tail, c = v, w, -c
+                for t, s in leftnormed_words(tail):
+                    add_term(out, head + t, c if s > 0 else -c)
+            else:
+                ew, ev = LiePoly({w: cw}).expand(), LiePoly({v: cv}).expand()
+                for u, cu in assoc_commutator(ew, ev).terms.items():
+                    add_term(rest, u, cu)
+    return _with_assoc(out, rest)
 
 
 def dynkin(p):

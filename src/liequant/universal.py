@@ -536,7 +536,9 @@ def solve_varrho(bfam, N):
 
     Degree by degree: checks the obstruction delta4(Phi) = 0, solves
     delta3(x) = -Phi exactly and asserts the kernel is trivial.  A failed
-    check raises Obstructed(M + 1) with reason "cocycle" or "image".
+    check raises Obstructed(M + 1) with reason "cocycle" or "image", and as
+    witness one (key, c) term of delta4(Phi) or of the part of Phi that
+    delta3's image does not reach.
     """
     varrho = {1: varrho_one()}
     for M in range(2, N + 1):
@@ -549,7 +551,8 @@ def solve_varrho(bfam, N):
         try:
             x = ech.solve({k: -c for k, c in phi.terms.items()})
         except linalg.InconsistentSystem as e:
-            raise Obstructed(M + 1, "image", next(iter(e.residual))) from e
+            key, c = next(iter(e.residual.items()))
+            raise Obstructed(M + 1, "image", (key, -c)) from e
         if ech.kernel:
             raise NonUnique(M)
         sol = UElem.zero(2)

@@ -85,6 +85,13 @@ def test_qybe_cohomology():
     assert table[1]["dim_H2"] == 1 and table[2]["dim_H2"] == 0
 
 
+def test_qybe_cohomology_output_is_golden():
+    """stdout of qybe cohomology to N = 3, byte for byte."""
+    r = run_cli("qybe", "cohomology", "--max-n", "3")
+    assert r.returncode == 0 and r.stderr == "N,dim_H2,dim_H3\n1,1,None\n2,0,0\n3,0,0\n"
+    assert r.stdout.encode() == (DATA / "qybe_cohomology_n3.json").read_bytes()
+
+
 def test_rmatrix_command():
     r = run_cli("rmatrix", "--max-degree", "2")
     assert r.returncode == 0
@@ -196,7 +203,9 @@ def test_quantize_output_is_golden(bialgebra, order, golden):
 
 @pytest.mark.parametrize("exc, message", [
     (Obstructed(5), "qybe solve: obstructed at degree 5"),
-    (NonUnique(4), "qybe solve: solution not unique at degree 4")])
+    (NonUnique(4), "qybe solve: solution not unique at degree 4"),
+    (Obstructed(3, "image", (((((0, 0),),), (((0, 1),),), ()), Fraction(-2))),
+     "qybe solve: obstructed at degree 3 (image: ((((0, 0),),), (((0, 1),),), ()) = -2)")])
 def test_qybe_solve_reports_obstruction(monkeypatch, capsys, exc, message):
     def solve(bfam, n):
         raise exc
@@ -212,7 +221,8 @@ def test_bfamily_solve_reports_obstruction(monkeypatch, capsys):
     monkeypatch.setattr(bfamily, "solve_bfamily", solve)
     assert cli.main(["bfamily", "solve", "--max-degree", "4"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "bfamily solve: obstructed at degree 4\n"
+    assert out == "" and err == (
+        "bfamily solve: obstructed at degree 4 (assoc: (1, 1, 2, (0, 1, 2, 3)) = 1)\n")
 
 
 # the options each leaf command reads besides --out: the CLI's spec,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import lie_oracle
+from liequant.bfamily import shuffles
 from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, dynkin,
                               substitute, cbh, assoc_to_lie, expand_leftnormed,
                               expand_lyndon, is_lyndon, lie_to_json,
@@ -202,3 +204,76 @@ def test_bracket_on_tuple_labels():
     assert got == want.relabel({0: a, 1: b}) == LiePoly({(a, a, b): -1})
     assert repr(want) == "-1*[x1,[x1,x2]]"
     assert repr(got) == "-1*[(100, 0),[(100, 0),(101, 0)]]"
+
+
+# int labels and the universal calculus's (pid, side) labels
+LABEL_SETS = pytest.mark.parametrize("labels", [
+    tuple(range(6)), tuple((100 + k // 2, k % 2) for k in range(6))], ids=["int", "pair"])
+
+
+def rand_mixed(rng, labels):
+    """Random inhomogeneous LiePoly on some of the labels: multilinear keys
+    of degrees 1-4 with overlapping supports, and one Lyndon key."""
+    terms = {}
+    for _ in range(4):
+        letters = rng.sample(labels, rng.randint(1, 4))
+        lo = min(letters)
+        rest = [a for a in letters if a != lo]
+        rng.shuffle(rest)
+        terms[(lo,) + tuple(rest)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    x, y = sorted(rng.sample(labels, 2))
+    lyndon = lyndon_words(((x, 2), (y, 1))) + lyndon_words(((x, 1), (y, 2)))
+    terms[rng.choice(lyndon)] = Fraction(rng.randint(1, 4))
+    return LiePoly(terms)
+
+
+@LABEL_SETS
+def test_bracket_matches_the_associative_oracle(labels):
+    rng = random.Random(7)
+    for _ in range(8):
+        a, b = rand_mixed(rng, labels), rand_mixed(rng, labels)
+        assert lie_bracket(a, b) == lie_oracle.lie_bracket(a, b)
+    # single keys, the minimal letter on either side
+    x = [LiePoly.gen(a) for a in labels]
+    assert lie_bracket(x[0], x[1]) == -1 * lie_bracket(x[1], x[0]) == LiePoly(
+        {(labels[0], labels[1]): 1})
+    for a, b in ((x[2], lie_bracket(x[0], x[1])), (lie_bracket(x[1], x[3]), x[0])):
+        assert lie_bracket(a, b) == lie_oracle.lie_bracket(a, b)
+
+
+@LABEL_SETS
+def test_relabel_matches_the_associative_oracle(labels):
+    rng = random.Random(8)
+
+    def check(p, mapping):
+        assert p.relabel(mapping) == lie_oracle.relabel(p, mapping)
+
+    # the shuffle maps of bfamily's L_n columns
+    n = 5
+    for _ in range(4):
+        e = LiePoly({(0,) + tuple(rng.sample(range(1, n), n - 1)): Fraction(1)})
+        for p in range(1, n):
+            for w in shuffles(range(p), range(p, n)):
+                check(e, {i: labels[j] for i, j in enumerate(w)})
+    # non-monotone maps that put the image's minimum at every position
+    for n in range(1, 6):
+        for i in range(n):
+            mono = (0,) + tuple(rng.sample(range(1, n), n - 1))
+            images = sorted(rng.sample(labels, n))
+            rest = images[1:]
+            rng.shuffle(rest)
+            mapping = dict(zip(mono, rest[:i] + images[:1] + rest[i:]))
+            assert mapping[mono[i]] == images[0]
+            c = Fraction(rng.randint(1, 5))
+            check(LiePoly({mono: c}), mapping)
+            y = tuple(mapping[a] for a in mono)
+            assert LiePoly.leftnormed(y, c) == assoc_to_lie(c * expand_leftnormed(y))
+    # inhomogeneous sums with Lyndon keys, under a permutation of the labels,
+    # a partial map and a map that identifies two letters
+    for _ in range(10):
+        p = rand_mixed(rng, labels)
+        perm = list(labels)
+        rng.shuffle(perm)
+        check(p, dict(zip(labels, perm)))
+        check(p, {labels[0]: labels[5], labels[5]: labels[0]})
+        check(p, {labels[1]: labels[2]})

@@ -361,7 +361,7 @@ def test_obstruction_names_a_phi_outside_the_image(B4, monkeypatch):
         solve_varrho(B4, 2)
     e = info.value
     assert str(e) == "3" and e.reason == "image"
-    assert e.witness == next(iter(phi.terms))
+    assert e.witness == next(iter(phi.terms.items()))
 
 
 def test_instantiate_examples(B4, dbl):
