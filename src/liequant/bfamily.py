@@ -355,27 +355,61 @@ def gauge_mul(P, Q):
     return GaugeSeq(table, N)
 
 
+def _live(p, q):
+    """False when B_pq is zero by definition: B_00 = 0, and B_p0 = B_0p = 0
+    for p != 1."""
+    return bool(p and q) or p + q == 1
+
+
+def _live_partners(pc, b):
+    """The compositions qc of b, in lexicographic order, that pair with pc
+    into `_live` blocks only: a 0 in pc takes a 1, a part >= 2 a part
+    >= 1, and a 1 any part."""
+    if not pc:
+        return [()] if b == 0 else []
+    p, rest = pc[0], pc[1:]
+    # each later part that (r, 0) leaves dead takes at least 1
+    high = b - sum(not _live(r, 0) for r in rest)
+    return [(q,) + tail for q in range(high + 1) if _live(p, q)
+            for tail in _live_partners(rest, b - q)]
+
+
+@functools.lru_cache(maxsize=None)
+def _live_blocks(a, b):
+    """The live block sequences of deformed_word_product for word lengths
+    a and b, in its order: each a tuple of blocks (pb, qb, ox, oy), the
+    block sizes and their offsets into the two words."""
+    out = []
+    for k in range(1, a + b + 1):
+        for pc in compositions(a, k):
+            ox = tuple(itertools.accumulate(pc, initial=0))
+            for qc in _live_partners(pc, b):
+                out.append(tuple(zip(pc, qc, ox, itertools.accumulate(qc, initial=0))))
+    return tuple(out)
+
+
 def deformed_word_product(u, v, block):
     """Product of two words under a B-family.
 
-    The sum over pairs of equal-length compositions of len(u) and len(v)
-    with no empty block pair; each block pair (p, q) becomes a new letter
-    given by block(p, q, letters) as (letter, coeff) pairs, where letters
-    are the block's p letters of u followed by its q letters of v.  The
-    empty word is the unit.  Returns [(word, coeff)], repeats allowed.
+    The sum over pairs of equal-length compositions (pc, qc) of len(u) and
+    len(v); each block pair (p, q) becomes a new letter given by
+    block(p, q, letters) as (letter, coeff) pairs, where letters are the
+    block's p letters of u followed by its q letters of v.  Only block
+    sequences whose blocks are all live are walked: (1, 0), (0, 1) and
+    p, q >= 1.  B_00, B_p0 and B_0p (p >= 2) are zero by definition, and
+    block must give no term on them, so the dropped sequences are exactly
+    the zero ones; an entry that is zero only because p + q exceeds the
+    family's max_degree is still evaluated.  The sequences come by number
+    of blocks k, then pc, then qc, each in lexicographic order, and are
+    memoized per (len(u), len(v)).  The empty word is the unit.  Returns
+    [(word, coeff)], repeats allowed.
     """
     if not u or not v:
         return [(u + v, 1)]
     out = []
-    for k in range(1, len(u) + len(v) + 1):
-        for pc in compositions(len(u), k):
-            for qc in compositions(len(v), k):
-                if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
-                    continue
-                blocks = zip(pc, qc, itertools.accumulate(pc, initial=0),
-                             itertools.accumulate(qc, initial=0))
-                out.extend(distribute(block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
-                                      for pb, qb, ox, oy in blocks))
+    for blocks in _live_blocks(len(u), len(v)):
+        out.extend(distribute(block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
+                              for pb, qb, ox, oy in blocks))
     return out
 
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .bfamily import Obstructed, positive_compositions
+from .bfamily import Obstructed, _live, positive_compositions
 from .freealg import LiePoly, leftnormed_basis, leftnormed_words, substitute_letters
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
@@ -495,12 +495,6 @@ def univ_qybe_residual(bfam, varrho, N):
                     # RHS ordering R23 R13 R12
                     _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
     return normal_order(UElem(3, acc))
-
-
-def _live(p, q):
-    """False when B_pq is zero by definition: B_00 = 0, and B_p0 = B_0p = 0
-    for p != 1."""
-    return bool(p and q) or p + q == 1
 
 
 def _by_lengths(elem):

@@ -1,13 +1,14 @@
 """Test-only constructions on the shuffle algebra: the undeformed shuffle
-product and its first-order Poisson term, the count of order-preserving
-surjections behind the QFSH filter, and symmetrized words."""
+product and its first-order Poisson term, the deformed word product over
+every pair of compositions, the count of order-preserving surjections
+behind the QFSH filter, and symmetrized words."""
 
 import itertools
 import math
 from collections import Counter
 
-from liequant.bfamily import shuffles
-from liequant.scalars import add_term, as_series
+from liequant.bfamily import compositions, shuffles
+from liequant.scalars import add_term, as_series, distribute
 from liequant.shuffle import ShElem
 
 
@@ -32,6 +33,40 @@ def poisson_m1(ctx, u, v):
                 for ws, cs in suf.terms.items():
                     for m, cb in br.items():
                         add_term(out.terms, wp + (m,) + ws, cp * cs * cb)
+    return out
+
+
+def _all_block_sequences(a, b):
+    """Every pair of compositions of a and b into the same number of
+    parts, without an empty block (0, 0), as tuples of blocks (pb, qb, ox,
+    oy): by number of parts, then pc, then qc, each lexicographically."""
+    for k in range(1, a + b + 1):
+        for pc in compositions(a, k):
+            for qc in compositions(b, k):
+                if any(pb + qb == 0 for pb, qb in zip(pc, qc)):
+                    continue
+                yield tuple(zip(pc, qc, itertools.accumulate(pc, initial=0),
+                                itertools.accumulate(qc, initial=0)))
+
+
+def live_block_sequences(a, b):
+    """The block sequences of the full loop whose blocks are all live:
+    (1, 0), (0, 1), or both sizes at least 1."""
+    return tuple(s for s in _all_block_sequences(a, b)
+                 if all((pb, qb) in ((1, 0), (0, 1)) or min(pb, qb) >= 1
+                        for pb, qb, _, _ in s))
+
+
+def word_product_all_pairs(u, v, block):
+    """The deformed word product as a walk over every pair of compositions,
+    dead blocks included: [(word, coeff)] in the order of the block
+    sequences, repeats kept."""
+    if not u or not v:
+        return [(u + v, 1)]
+    out = []
+    for blocks in _all_block_sequences(len(u), len(v)):
+        out.extend(distribute(block(pb, qb, u[ox:ox + pb] + v[oy:oy + qb])
+                              for pb, qb, ox, oy in blocks))
     return out
 
 

@@ -71,6 +71,15 @@ def test_shuffle_mul(tmp_path):
     assert words[(0, 1)][0] == "1" and words[(1,)][0] == "1/2"
 
 
+def test_shuffle_mul_of_long_words_is_golden():
+    """stdout of the product of two 3-letter words, byte for byte: every
+    block sequence of the deformed word product at lengths (3, 3)."""
+    r = run_cli("shuffle", "mul", "--left", "0,1,0", "--right", "1,0,1",
+                "--max-degree", "4", "--hbar-order", "3")
+    assert r.returncode == 0 and r.stderr.startswith("[-5/24](e e e) + ")
+    assert r.stdout.encode() == (DATA / "shuffle_mul_010_101.json").read_bytes()
+
+
 def test_shuffle_hopf_check():
     r = run_cli("shuffle", "hopf-check", "--max-degree", "2",
                 "--hbar-order", "2")

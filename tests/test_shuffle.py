@@ -1,8 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from liequant.scalars import HSeries, add_term, as_series, surviving_pairs
-from liequant.bfamily import BFamily, deformed_word_product, positive_compositions
+from liequant.bfamily import (BFamily, _live_blocks, bfamily_from_json,
+                              deformed_word_product, positive_compositions)
 from liequant.freealg import LiePoly
 from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, build_double,
                              sl2)
@@ -10,8 +15,21 @@ from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                               sh_antipode, hopf_report, TensContext,
                               TensElem, t_comul, pairing, qfsh_delta,
                               qfsh_member, all_words, sh_to_json, sh_from_json)
-from shuffle_oracle import (is_symmetric, ordered_surjection_count, poisson_m1,
-                            shuffle0, sym_word)
+from shuffle_oracle import (is_symmetric, live_block_sequences,
+                            ordered_surjection_count, poisson_m1, shuffle0,
+                            sym_word, word_product_all_pairs)
+
+DATA = Path(__file__).resolve().parent / "data"
+# every pair of word lengths up to 4; at (5, 5) the full loop has about a
+# million composition pairs
+LENGTHS = [(a, b) for a in range(5) for b in range(5)]
+# the dead blocks up to size 4: B_00, B_p0 and B_0p for p >= 2
+DEAD = [(0, 0)] + [(p, 0) for p in range(2, 5)] + [(0, q) for q in range(2, 5)]
+
+
+@pytest.fixture(scope="module")
+def n5():
+    return bfamily_from_json(json.loads((DATA / "bfamily_n5_paper3.json").read_text()))
 
 
 def ctx_borel(B4, borel, order=3):
@@ -93,6 +111,61 @@ def test_unit_law_all_letter_kinds(B4, borel):
         assert ctx.word_mul((), v) == {v: as_series(1, 3)}
         assert ctx.word_mul(v, ()) == {v: as_series(1, 3)}
         assert sh_mul(ShElem.unit(ctx), ShElem.word(ctx, v)) == ShElem.word(ctx, v)
+
+
+def test_live_block_sequences_are_the_filtered_full_loop():
+    for a, b in LENGTHS:
+        assert _live_blocks(a, b) == live_block_sequences(a, b), (a, b)
+
+
+def test_block_rules_vanish_on_dead_blocks(B4, n5, borel):
+    """The precondition of deformed_word_product: every block rule the
+    library passes gives no term on a dead block."""
+    for fam in (B4, n5):
+        ctx = ShContext(borel.algebra, fam, 2)
+        for p, q in DEAD:
+            gens = tuple(LiePoly.gen(i) for i in range(p + q))
+            letters = tuple((i,) for i in range(p + q))
+            assert fam.eval_block(p, q, gens) == ()
+            assert not fam.letter_eval(p, q, letters).terms
+            assert not ctx.b_eval(p, q, tuple(i % 2 for i in range(p + q)))
+
+
+def test_word_product_is_the_full_loop_on_generators(B4, n5):
+    """Same words, coefficients, repeats and order as the walk over every
+    composition pair, with eval_block on free-Lie generators."""
+    for fam in (B4, n5):
+        for a, b in LENGTHS:
+            gens = tuple(LiePoly.gen(i) for i in range(a + b))
+            u, v = gens[:a], gens[a:]
+            assert (deformed_word_product(u, v, fam.eval_block)
+                    == word_product_all_pairs(u, v, fam.eval_block)), (a, b)
+
+
+def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
+    """The same with ShContext.b_eval, the block rule of word_mul, on
+    borel2 and on sl2."""
+    for alg in (borel.algebra, sl2()):
+        ctx = ShContext(alg, B4, 2)
+
+        def rule(p, q, idx):
+            return ctx.b_eval(p, q, idx).items()
+        for a, b in LENGTHS:
+            u = tuple(i % alg.dim for i in range(a))
+            v = tuple((i + 1) % alg.dim for i in range(b))
+            assert (deformed_word_product(u, v, rule)
+                    == word_product_all_pairs(u, v, rule)), (a, b)
+
+
+def test_letter_mul_is_the_full_loop_on_lie_letters(B4, n5):
+    """The same with letter_eval on words of Lie letters."""
+    letters = ((0,), (1, 2), (3,), (4, 5), (6,), (7, 8), (9,), (10,))
+    for fam in (B4, n5):
+        def rule(p, q, ls):
+            return fam.letter_eval(p, q, ls).terms.items()
+        for a, b in LENGTHS:
+            u, v = letters[:a], letters[a:a + b]
+            assert fam.letter_mul(u, v) == word_product_all_pairs(u, v, rule), (a, b)
 
 
 def antipode_closed(a):
