@@ -176,10 +176,6 @@ def cmd_rmatrix(args):
 def cmd_qybe(args):
     if args.action == "cohomology":
         _at_least("--max-n", args.max_n, 1)
-    else:
-        _at_least("--max-degree", args.max_degree, 1)
-    fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree + 1, 2), "paper3")
-    if args.action == "cohomology":
         dims = universal.cohomology_dims(args.max_n)
         rows = [{"N": n, "dim_H2": dims[n][0],
                  "dim_H3": dims[n][1]} for n in sorted(dims)]
@@ -188,6 +184,8 @@ def cmd_qybe(args):
         for r in rows:
             print("%d,%s,%s" % (r["N"], r["dim_H2"], r["dim_H3"]), file=sys.stderr)
         return 0
+    _at_least("--max-degree", args.max_degree, 1)
+    fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree + 1, "paper3")
     sol = _solve_varrho("qybe solve", fam, args.max_degree)
     if sol is None:
         return 1
@@ -287,7 +285,7 @@ COMMANDS = {
     "shuffle hopf-check": (cmd_shuffle, "--max-degree --hbar-order --gauge --bialgebra"),
     "rmatrix": (cmd_rmatrix, "--max-degree --gauge"),
     "qybe solve": (cmd_qybe, "--max-degree"),
-    "qybe cohomology": (cmd_qybe, "--max-degree --max-n"),
+    "qybe cohomology": (cmd_qybe, "--max-n"),
     "quantize": (cmd_quantize, "--hbar-order --bialgebra --bfamily"),
     "cybe-props": (cmd_cybe_props, "--algebra --trials --seed"),
 }

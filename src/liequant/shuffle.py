@@ -77,7 +77,11 @@ class ShElem(LinComb):
         self.terms = _norm_terms(terms, ctx.order)
 
     def _like(self, terms):
-        return ShElem(self.ctx, terms)
+        # LinComb's maps keep tuple keys and HSeries values: drop zeros only
+        out = ShElem.__new__(ShElem)
+        out.ctx = self.ctx
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
 
     @staticmethod
     def unit(ctx, c=1):
@@ -151,7 +155,12 @@ class ShTensor(LinComb):
         self.terms = _norm_terms(terms, ctx.order)
 
     def _like(self, terms, legs=None):
-        return ShTensor(self.ctx, self.legs if legs is None else legs, terms)
+        # as ShElem._like: the terms are normalized but for zeros
+        out = ShTensor.__new__(ShTensor)
+        out.ctx = self.ctx
+        out.legs = self.legs if legs is None else legs
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
 
     def mul(self, other):
         """Legwise product (all legs commute past each other)."""

@@ -87,21 +87,25 @@ def normal_order(elem):
 
     The rewrite only adds and negates coefficients, and letter expansion
     signs are +-1, so it runs on ints: the input scaled once by D, the
-    lcm of its denominators, and the output divided by D.
+    lcm of its denominators, and the output divided by D.  This function
+    is the input pass; `_rewrite` is the loop, which delta3 and delta4
+    feed directly with keys they build flat.
     """
     work = {}       # grade -> {flat class key: int coeff, scaled by D}
-    done = {}
     D = math.lcm(*(c.denominator for c in elem.terms.values()))
 
     for k, c in elem.terms.items():
         c = c.numerator * (D // c.denominator)
-        flat, grade = _flat_key(k)
-        if len(flat) + 1 - len(k) == sum(map(len, k)):
-            # single-atom letters: the key is already a word key
-            add_term(work.setdefault(grade, {}), flat, c)
-            continue
-        for key, inv, sign in _expansions(flat, k):
-            add_term(work.setdefault((grade[0], inv), {}), key, c * sign)
+        for key, grade, sign in _word_keys(k):
+            add_term(work.setdefault(grade, {}), key, c * sign)
+    return _rewrite(work, elem.legs, D)
+
+
+def _rewrite(work, legs, D):
+    """normal_order's rewrite loop: work maps each grade (Phi, inv) to
+    {flat word key: int coeff scaled by D}, the keys renamed in order of
+    first appearance; the class, with coefficients divided by D."""
+    done = {}
     while work:
         grade = max(work)
         phi, inv = grade
@@ -140,19 +144,21 @@ def normal_order(elem):
             head, tail = k[:i] + k[i + 1:q], k[q + 1:]
             add_term(bucket, head + bytes((bj, bp)) + tail, -c)
             add_term(bucket, head + bytes((bp, bj)) + tail, c)
-    return UElem(elem.legs, {
+    return UElem(legs, {
         tuple(tuple(map(_LETTER.__getitem__, w)) for w in k.split(_SEP_BYTES)):
         Fraction(c, D) for k, c in done.items()})
 
 
 _UNPAIRED = "normal_order needs each pair's a-atom in an earlier slot than its b-atom: %r"
 _MAX_PAIRS = 127                # atoms 0..253 stay clear of _SEP
+_TOO_MANY = "normal_order handles at most %d pairs per term, not %d"
 _SEP = 255
 _SEP_BYTES = bytes((_SEP,))
 # the kind of each byte: 0 for an a-atom, 1 for a b-atom, 2 for _SEP
 _KIND = bytes([x & 1 for x in range(_SEP)] + [2])
 _MIXED = bytes((1, 0))          # a b-atom, then an a-atom
 _LETTER = tuple(((x >> 1, x & 1),) for x in range(256))
+_BYTE = tuple(bytes((x,)) for x in range(256))
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,6 +168,14 @@ def _rotation(lo, hi):
     table = bytearray(range(256))
     table[2 * lo:2 * hi + 2] = bytes([*range(2 * lo + 2, 2 * hi + 2), 2 * lo, 2 * lo + 1])
     return bytes(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift(rank):
+    """The translate table that moves the ranks from `rank` up by one,
+    making room for a fresh pair of that rank in a key of at most
+    _MAX_PAIRS - 1 pairs."""
+    return bytes(x + 2 if 2 * rank <= x < 2 * _MAX_PAIRS - 2 else x for x in range(256))
 
 
 def _flat_key(k):
@@ -193,9 +207,17 @@ def _flat_key(k):
     if nbs != len(names):
         raise AssertionError(_UNPAIRED % (k,))
     if len(names) > _MAX_PAIRS:
-        raise ValueError("normal_order handles at most %d pairs per term, not %d"
-                         % (_MAX_PAIRS, len(names)))
+        raise ValueError(_TOO_MANY % (_MAX_PAIRS, len(names)))
     return bytes(out), (phi, inv)
+
+
+def _word_keys(k):
+    """(flat key, (Phi, inv), sign) of every word key of an input key:
+    the key itself when its letters are single atoms, else `_expansions`."""
+    flat, grade = _flat_key(k)
+    if len(flat) + 1 - len(k) == sum(map(len, k)):
+        return ((flat, grade, 1),)
+    return [(key, (grade[0], inv), sign) for key, inv, sign in _expansions(flat, k)]
 
 
 def _expansions(flat, k):
@@ -280,26 +302,62 @@ def _coboundary(table, x, legs):
     """The class of a liealg coboundary table summed over the commutators
     [r^(s), x^(t)] in `legs` slots, r one formal pair on a fresh pid.
 
-    Slots concatenate, so r^(s) x^(t) is each term of x with its slot
-    words placed in the slots t and the pair's one-atom letters put in
-    front of the words in the slots s; x^(t) r^(s) puts them behind."""
-    fresh = max(x.pids(), default=-1) + 1
-    pair = (((fresh, 0),), ((fresh, 1),))
+    Slots concatenate, so r^(s) x^(t) is each word key of x with its slot
+    segments placed in the slots t and the pair's atoms put in front of
+    the segments in the slots s; x^(t) r^(s) puts them behind.  The keys
+    are built as flat class keys of normal_order's loop, which takes the
+    sum directly (`_rewrite`).  Each term of x is read once by
+    `_flat_key` (its precondition and pair cap checked there) and its
+    letters expanded once by `_expansions`.  Placing keeps the order of
+    the a-atoms; the fresh a-atom takes the rank of the a-atoms before
+    it, and the ranks from there up move by one (a cached translate).
+    The grade follows by counting: the pair adds s_a - s_b to Phi, the
+    b-atoms of its slot to inv when the a-atom goes behind, the a-atoms
+    of its slot when the b-atom goes in front.  The table is read in
+    order, fronts before backs, and x's word keys in their order, so the
+    result is, term for term and in order, that of the same commutators
+    placed on tuple keys and normal-ordered."""
+    D = math.lcm(*(c.denominator for c in x.terms.values()))
+    terms = []      # (a- and b-atom count of each slot of x, its word keys)
+    for k, c in x.terms.items():
+        c = c.numerator * (D // c.denominator)
+        words = _word_keys(k)
+        # every word key of k has the slot counts of the first
+        segs = words[0][0].split(_SEP_BYTES)
+        pairs = (len(words[0][0]) + 1 - len(segs)) // 2
+        if pairs >= _MAX_PAIRS:
+            raise ValueError(_TOO_MANY % (_MAX_PAIRS, pairs + 1))
+        counts = [(na, len(seg) - na) for seg in segs
+                  for na in (seg.translate(_KIND).count(0),)]
+        terms.append((counts, [(key, inv, c * sign) for key, (_, inv), sign in words]))
 
     def bracket(s, t):
+        sa, sb = s[0] - 1, s[1] - 1
         out = {}
-        behind = []
-        for k, c in x.place(t, legs).terms.items():
-            front, back = list(k), list(k)
-            for spot, letter in zip(s, pair):
-                front[spot - 1] = (letter,) + k[spot - 1]
-                back[spot - 1] = k[spot - 1] + (letter,)
-            add_term(out, tuple(front), c)
-            behind.append((tuple(back), -c))
-        for k, c in behind:
-            add_term(out, k, c)
+        for behind in (False, True):
+            for counts, words in terms:
+                na, nb = [0] * legs, [0] * legs
+                phi = sa - sb
+                for spot, (a, b) in zip(t, counts):
+                    na[spot - 1], nb[spot - 1] = a, b
+                    phi += (spot - 1) * (a - b)
+                rank = sum(na[:sa + behind])
+                table = _shift(rank)
+                atoms = _BYTE[2 * rank], _BYTE[2 * rank + 1]
+                gain = nb[sa] if behind else na[sb]
+                for key, inv, c in words:
+                    slots = [b""] * legs
+                    for spot, seg in zip(t, key.translate(table).split(_SEP_BYTES)):
+                        slots[spot - 1] = seg
+                    for spot, atom in zip((sa, sb), atoms):
+                        slots[spot] = slots[spot] + atom if behind else atom + slots[spot]
+                    add_term(out, (phi, inv + gain, _SEP_BYTES.join(slots)),
+                             -c if behind else c)
         return out
-    return normal_order(UElem(legs, coboundary(table, bracket)))
+    work = {}
+    for (phi, inv, key), c in coboundary(table, bracket).items():
+        work.setdefault((phi, inv), {})[key] = c
+    return _rewrite(work, legs, D)
 
 
 def delta3(x):

@@ -88,10 +88,13 @@ def test_shuffle_hopf_check():
 
 
 def test_qybe_cohomology():
-    r = run_cli("qybe", "cohomology", "--max-n", "2", "--max-degree", "2")
+    r = run_cli("qybe", "cohomology", "--max-n", "2")
     assert r.returncode == 0
     table = {row["N"]: row for row in json.loads(r.stdout)["table"]}
     assert table[1]["dim_H2"] == 1 and table[2]["dim_H2"] == 0
+    # the command solves no family, so it takes no --max-degree
+    r = run_cli("qybe", "cohomology", "--max-n", "2", "--max-degree", "2")
+    assert r.returncode == 2 and "unrecognized arguments: --max-degree" in r.stderr
 
 
 def test_qybe_cohomology_output_is_golden():
@@ -99,6 +102,15 @@ def test_qybe_cohomology_output_is_golden():
     r = run_cli("qybe", "cohomology", "--max-n", "3")
     assert r.returncode == 0 and r.stderr == "N,dim_H2,dim_H3\n1,1,None\n2,0,0\n3,0,0\n"
     assert r.stdout.encode() == (DATA / "qybe_cohomology_n3.json").read_bytes()
+
+
+def test_qybe_solve_obstruction_is_golden():
+    """qybe solve to degree 4 stops at the cocycle check delta4(Phi_5):
+    exit 1, no stdout, and one stderr line with the witness term, the
+    first term of delta4(Phi_5), byte for byte."""
+    r = run_cli("qybe", "solve", "--max-degree", "4")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == (DATA / "qybe_solve_d4.stderr").read_text()
 
 
 def test_rmatrix_command():
@@ -245,7 +257,7 @@ OPTIONS_READ = {
     ("shuffle", "hopf-check"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra"],
     ("rmatrix",): ["--max-degree", "--gauge"],
     ("qybe", "solve"): ["--max-degree"],
-    ("qybe", "cohomology"): ["--max-degree", "--max-n"],
+    ("qybe", "cohomology"): ["--max-n"],
     ("quantize",): ["--hbar-order", "--bialgebra", "--bfamily"],
     ("cybe-props",): ["--algebra", "--trials", "--seed"],
 }

@@ -24,7 +24,7 @@ from liequant.universal import (normal_order, canonical_classes, delta3,
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical, expand_letters
 from f3_algebra import CONC3, _comm, entretien_cybe, f3_mul, mu_lie, r_pair
 from lie_oracle import delta3_r, delta4_r
-from qybe_oracle import full_qybe_residual
+from qybe_oracle import full_qybe_residual, tuple_key_coboundary, tuple_key_commutators
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -700,26 +700,73 @@ def test_delta4_kills_delta3_on_relabeled_combinations():
             assert not delta4(d3)
 
 
-def test_delta4_images_match_the_oracle(monkeypatch):
+def test_delta4_images_match_the_oracle():
     """delta4 over basis_F3lie(4), and delta3 over basis_F(3), equal the
-    coboundaries with the graded, merged normal order replaced by the
-    class of the raw LIFO oracle.  Each coboundary reaches normal_order
-    by its module name once, so the replacement (and a tracer's wrapper
-    of that name) sees every one of them."""
+    class of the raw LIFO oracle applied to the tuple-key commutator sum
+    (tests/qybe_oracle.py), which is nonzero and has one slot more than
+    its argument."""
     f3b, fb = basis_F3lie(4), basis_F(3)
     got4, got3 = [delta4(e) for e in f3b], [delta3(e) for e in fb]
-    calls = []
-
-    def oracle(e):
-        calls.append(e.legs)
-        return canonical(_raw_normal_order(e))
-    monkeypatch.setattr(universal, "normal_order", oracle)
-    assert got4 == [delta4(e) for e in f3b]
-    assert calls == [4] * len(f3b)
-    calls.clear()
-    assert got3 == [delta3(e) for e in fb]
-    assert calls == [3] * len(fb)
+    raw4 = [tuple_key_commutators(DELTA4, e, 4) for e in f3b]
+    raw3 = [tuple_key_commutators(DELTA3, e, 3) for e in fb]
+    assert got4 == [canonical(_raw_normal_order(e)) for e in raw4]
+    assert [e.legs for e in raw4 if e] == [4] * len(f3b)
+    assert got3 == [canonical(_raw_normal_order(e)) for e in raw3]
+    assert [e.legs for e in raw3 if e] == [3] * len(fb)
     assert all(got4) and all(got3)
+
+
+def test_coboundaries_equal_the_tuple_key_path_in_order(B4):
+    """delta3 and delta4, which build the flat keys of normal_order's
+    loop themselves, equal the tuple-key commutators normal-ordered
+    (tests/qybe_oracle.py) as ordered item lists, so the first term of
+    delta4(Phi), the obstruction witness, is the same: on basis_F(1..3),
+    basis_F3lie(2..4), Phi_3 and Phi_4 of the CLI's family, seeded
+    relabeled combinations of basis elements, and zero."""
+    rng = random.Random(53)
+    varrho = solve_varrho(B4, 2)
+    cases = [(DELTA3, delta3, e) for n in (1, 2, 3) for e in basis_F(n)]
+    cases += [(DELTA4, delta4, e) for n in (2, 3, 4) for e in basis_F3lie(n)]
+    phis = [phi_N(B4, varrho, n) for n in (3, 4)]
+    cases += [(DELTA4, delta4, phi) for phi in phis]
+    for table, delta, basis, legs in ((DELTA3, delta3, basis_F(3), 2),
+                                      (DELTA4, delta4, basis_F3lie(3), 3)):
+        for _ in range(3):
+            x = UElem.zero(legs)
+            for e in basis:
+                sigma = dict(enumerate(rng.sample(range(12), 12)))
+                x = x + Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) \
+                    * e.relabel(sigma)
+            cases.append((table, delta, x))
+    cases += [(DELTA3, delta3, UElem.zero(2)), (DELTA4, delta4, UElem.zero(3))]
+    zero = []
+    for table, delta, x in cases:
+        got = delta(x)
+        want = tuple_key_coboundary(table, x, x.legs + 1)
+        assert list(got.terms.items()) == list(want.terms.items())
+        if not got:
+            zero.append(x)
+    # delta3(F_1) = 0, Phi_3 and Phi_4 are cocycles, and the zeros
+    assert zero == basis_F(1) + phis + [UElem.zero(2), UElem.zero(3)]
+    assert all(phis)
+
+
+def test_coboundaries_check_the_pair_cap_and_the_precondition():
+    """delta3 and delta4 on a term of 127 pairs raise ValueError, as the
+    fresh pair makes 128; a term whose b-atom does not follow its a-atom
+    raises AssertionError naming its key."""
+    atoms = range(127)
+    key2 = (tuple((a_atom(p),) for p in atoms), tuple((b_atom(p),) for p in atoms))
+    key3 = (key2[0][:60], key2[0][60:], key2[1])
+    for delta, key in ((delta3, key2), (delta4, key3)):
+        with pytest.raises(ValueError, match="not 128"):
+            delta(UElem(len(key), {key: Fraction(1)}))
+    bad2 = (((b_atom(0),),), ((a_atom(0),),))
+    bad3 = (((a_atom(0),),), ((b_atom(1),),), ((b_atom(0),),))
+    for delta, key in ((delta3, bad2), (delta4, bad3)):
+        with pytest.raises(AssertionError) as err:
+            delta(UElem(len(key), {key: Fraction(1)}))
+        assert repr(key) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
