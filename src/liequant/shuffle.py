@@ -20,7 +20,9 @@ from .bfamily import deformed_word_product, positive_compositions, word_antipode
 
 class ShContext:
     """A Lie algebra together with a B-family; caches B evaluations, word
-    products and antipodes (the same words recur massively in tensor work)."""
+    products and antipodes (the same words recur massively in tensor work).
+    The product is defined over Q, so every memo holds ints and Fractions;
+    `order` is the order of the series the constructors build."""
 
     def __init__(self, alg, bfam, order):
         self.alg = alg
@@ -41,19 +43,19 @@ class ShContext:
         return hit
 
     def word_mul(self, wa, wb):
-        """Cached product of two basis words: dict word -> HSeries."""
+        """Cached product of two basis words: dict word -> int or Fraction.
+        A series times one of them keeps the series' order."""
         hit = self._mulcache.get((wa, wb))
         if hit is None:
-            acc = {}
+            hit = {}
             for w, c in deformed_word_product(
                     wa, wb, lambda p, q, idx: self.b_eval(p, q, idx).items()):
-                add_term(acc, w, c)
-            hit = {w: as_series(c, self.order) for w, c in acc.items()}
+                add_term(hit, w, c)
             self._mulcache[(wa, wb)] = hit
         return hit
 
     def antipode(self, w, inverse=False):
-        """S(w), or S^-1(w), on a basis word: {word: coeff}."""
+        """S(w), or S^-1(w), on a basis word: {word: rational}."""
         def mul(u, v):
             return (self.word_mul(v, u) if inverse else self.word_mul(u, v)).items()
         return word_antipode(w, mul, self._antipodes[inverse])
@@ -125,7 +127,7 @@ def sh_mul(a, b):
         c = ca * cb
         for w, cw in ctx.word_mul(wa, wb).items():
             add_term(out, w, c * cw)
-    return ShElem(ctx, out)
+    return a._like(out)
 
 
 def sh_comul(a):
@@ -139,7 +141,7 @@ def sh_antipode(a):
     for w, c in a.terms.items():
         for x, cx in a.ctx.antipode(w).items():
             add_term(out, x, c * cx)
-    return ShElem(a.ctx, out)
+    return a._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +196,23 @@ def all_words(dim, max_len):
 
 
 class HopfReport:
+    """failures: a (kind, (words, key, order)) pair per failed check: the
+    checked words, then the first term of lhs - rhs and the hbar valuation
+    of its coefficient."""
+
     def __init__(self):
         self.failures = []
 
     def ok(self):
         return not self.failures
 
-    def add(self, kind, witness):
-        self.failures.append((kind, witness))
+    def check(self, kind, words, *sides):
+        """Record the first (lhs, rhs) of sides that differ."""
+        for lhs, rhs in sides:
+            if lhs != rhs:
+                key, c = next(iter((lhs - rhs).terms.items()))
+                self.failures.append((kind, (words, key, c.valuation())))
+                return
 
     def __repr__(self):
         return "HopfReport(ok)" if self.ok() else "HopfReport(%d failures: %s...)" % (
@@ -214,6 +225,8 @@ def hopf_report(alg, bfam, deg, hord):
     rep = HopfReport()
     words = all_words(alg.dim, deg)
     nonempty = [w for w in words if w]
+    elems = {u: ShElem.word(ctx, u) for u in words}
+    comuls = {u: sh_comul(a) for u, a in elems.items()}
     # associativity
     for u in nonempty:
         for v in nonempty:
@@ -222,50 +235,35 @@ def hopf_report(alg, bfam, deg, hord):
             for w in nonempty:
                 if len(u) + len(v) + len(w) > deg:
                     continue
-                a, b, c = (ShElem.word(ctx, x) for x in (u, v, w))
-                if sh_mul(sh_mul(a, b), c) != sh_mul(a, sh_mul(b, c)):
-                    rep.add("associativity", (u, v, w))
+                a, b, c = elems[u], elems[v], elems[w]
+                rep.check("associativity", (u, v, w),
+                          (sh_mul(sh_mul(a, b), c), sh_mul(a, sh_mul(b, c))))
     # coassociativity and counit
     for u in words:
-        a = ShElem.word(ctx, u)
-        if sh_comul(a).comul_leg(0) != sh_comul(a).comul_leg(1):
-            rep.add("coassociativity", u)
-        left = ShElem(ctx, {})
-        right = ShElem(ctx, {})
-        for (w1, w2), c in sh_comul(a).terms.items():
-            if not w1:
-                left = left + ShElem.word(ctx, w2, c)
-            if not w2:
-                right = right + ShElem.word(ctx, w1, c)
-        if left != a or right != a:
-            rep.add("counit", u)
+        a, comul = elems[u], comuls[u]
+        rep.check("coassociativity", u, (comul.comul_leg(0), comul.comul_leg(1)))
+        left = ShElem(ctx, {w2: c for (w1, w2), c in comul.terms.items() if not w1})
+        right = ShElem(ctx, {w1: c for (w1, w2), c in comul.terms.items() if not w2})
+        rep.check("counit", u, (left, a), (right, a))
     # bialgebra compatibility Delta(uv) = Delta(u)Delta(v)
     for u in nonempty:
         for v in nonempty:
             if len(u) + len(v) > deg:
                 continue
-            a, b = ShElem.word(ctx, u), ShElem.word(ctx, v)
-            lhs = ShTensor(ctx, 2, {})
-            for w, c in sh_mul(a, b).terms.items():
-                lhs = lhs + c * sh_comul(ShElem.word(ctx, w))
-            rhs = sh_comul(a).mul(sh_comul(b))
-            if lhs != rhs:
-                rep.add("bialgebra", (u, v))
+            rep.check("bialgebra", (u, v), (sh_comul(sh_mul(elems[u], elems[v])),
+                                            comuls[u].mul(comuls[v])))
     # antipode axioms, and S^-1 inverts S
     for u in words:
-        a = ShElem.word(ctx, u)
+        a = elems[u]
         conv = ShElem(ctx, {})
         conv2 = ShElem(ctx, {})
-        for (w1, w2), c in sh_comul(a).terms.items():
-            conv = conv + c * sh_mul(sh_antipode(ShElem.word(ctx, w1)),
-                                     ShElem.word(ctx, w2))
-            conv2 = conv2 + c * sh_mul(ShElem.word(ctx, w1),
-                                       sh_antipode(ShElem.word(ctx, w2)))
+        for (w1, w2), c in comuls[u].terms.items():
+            conv = conv + sh_mul(sh_antipode(elems[w1]), ShElem.word(ctx, w2, c))
+            conv2 = conv2 + sh_mul(ShElem.word(ctx, w1, c), sh_antipode(elems[w2]))
         target = ShElem.unit(ctx, a.counit()) if u == () else ShElem(ctx, {})
-        if conv != target or conv2 != target:
-            rep.add("antipode", u)
-        if sh_antipode(ShElem(ctx, ctx.antipode(u, inverse=True))) != a:
-            rep.add("antipode-inverse", u)
+        rep.check("antipode", u, (conv, target), (conv2, target))
+        rep.check("antipode-inverse", u,
+                  (sh_antipode(ShElem(ctx, ctx.antipode(u, inverse=True))), a))
     return rep
 
 

@@ -1,26 +1,30 @@
-"""Oracle for `linalg.rref`: the incremental sparse echelon as it was
-written before it pivoted on the rarest key, each pivot on the first key
-of the reduced vector.  The pivot key changes the rows, not the kept
-vectors, the kernel relations or the free-variables-zero solution, so the
-tests compare those with it."""
+"""Oracle for `linalg.rref`: the incremental sparse echelon on Fraction
+rows, as it was written before it ran on ints.  Each pivot row is scaled
+to 1 at its key, which is the reduced vector's rarest key as in
+`linalg.rref`, or with rarest=False its first key, as the echelon was
+written before it pivoted on the rarest key.  The pivot key changes the
+rows, not the kept vectors, the kernel relations or the
+free-variables-zero solution."""
 
+from collections import Counter
 from fractions import Fraction
 
 from liequant.linalg import InconsistentSystem
 from liequant.scalars import add_term
 
 
-class FirstKeyEchelon:
-    """kept, kernel and solve(target) as in `linalg.Echelon`."""
+class FractionEchelon:
+    """kept, kernel, pivots and solve(target) as in `linalg.Echelon`."""
 
-    def __init__(self, vectors):
+    def __init__(self, vectors, rarest=True):
+        counts = Counter(k for v in vectors for k in v)
         self.pivots, self.kept, self.kernel = [], [], []
         for j, vec in enumerate(vectors):
             rest, x = self._reduce(vec)
             if not rest:
                 self.kernel.append({**{i: -c for i, c in x.items()}, j: Fraction(1)})
                 continue
-            key = next(iter(rest))
+            key = min(rest, key=counts.__getitem__) if rarest else next(iter(rest))
             inv = 1 / Fraction(rest[key])
             comb = {i: -c * inv for i, c in x.items()}
             comb[j] = inv

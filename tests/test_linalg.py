@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from liequant.linalg import rref, nullspace, InconsistentSystem
-from echelon_oracle import FirstKeyEchelon
+from echelon_oracle import FractionEchelon
 
 
 def F(x):
@@ -199,7 +200,7 @@ def test_rarest_key_pivots_match_the_first_key_echelon():
     outcomes = set()
     for _ in range(200):
         keys, vectors = _sparse_system(rng)
-        ech, oracle = rref(vectors, len(vectors)), FirstKeyEchelon(vectors)
+        ech, oracle = rref(vectors, len(vectors)), FractionEchelon(vectors, rarest=False)
         assert ech.kept == oracle.kept and ech.kernel == oracle.kernel
         target = _combination(rng, vectors)
         assert ech.solve(target) == oracle.solve(target)
@@ -228,3 +229,82 @@ def test_rarest_key_pivots_match_the_first_key_echelon():
             e.solve({k: c for k, c in inside.items() if c})
         moved += [p[0] for p in ech.pivots] != [p[0] for p in oracle.pivots]
     assert moved > 50 and outcomes == {True, False}
+
+
+# denominators small, prime, a power of two and of three, and huge
+DENOMINATORS = (1, 2, 3, 7, 12, 2 ** 40, 3 ** 30, 10 ** 6 + 3, 2 ** 61 - 1)
+
+
+def _mixed_system(rng):
+    """Vectors with mixed and large denominators, among them zero ones,
+    rational multiples of earlier ones and combinations of them."""
+    keys = [(rng.randrange(3), "k%d" % i) for i in range(rng.randint(2, 10))]
+
+    def coeff():
+        num = rng.randint(-10 ** 12, 10 ** 12) if rng.random() < 0.3 else rng.randint(-4, 4)
+        return Fraction(num, rng.choice(DENOMINATORS))
+    vectors = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            vectors.append({})
+        elif kind < 0.25 and vectors:
+            c = coeff() or F(1)
+            vectors.append({k: c * x for k, x in rng.choice(vectors).items()})
+        elif kind < 0.45 and vectors:
+            out = {}
+            for v in rng.sample(vectors, min(len(vectors), 3)):
+                c = coeff()
+                for k, x in v.items():
+                    out[k] = out.get(k, F(0)) + c * x
+            vectors.append({k: x for k, x in out.items() if x})
+        else:
+            support = rng.sample(keys, rng.randint(1, len(keys)))
+            vectors.append({k: c for k in support if (c := coeff())})
+    return keys, vectors
+
+
+def _items(d):
+    return list(d.items())
+
+
+def test_integer_echelon_matches_the_fraction_echelon():
+    """The integer echelon gives the Fraction echelon's answers as ordered
+    item lists: kept, kernel, pivot keys, solutions and residuals.  Each
+    pivot is the Fraction pivot times its (positive) pivot entry, on ints
+    with no common factor; every answer is built of Fractions."""
+    rng = random.Random(20261020)
+    outcomes = set()
+    kernels = 0
+    for _ in range(200):
+        keys, vectors = _mixed_system(rng)
+        ech, oracle = rref(vectors, len(vectors)), FractionEchelon(vectors)
+        assert ech.kept == oracle.kept
+        assert [_items(r) for r in ech.kernel] == [_items(r) for r in oracle.kernel]
+        assert all(type(c) is Fraction for r in ech.kernel for c in r.values())
+        kernels += len(ech.kernel)
+        assert len(ech.pivots) == len(oracle.pivots)
+        for (key, row, comb), (okey, orow, ocomb) in zip(ech.pivots, oracle.pivots):
+            p = row[key]
+            assert key == okey and p > 0
+            assert all(type(c) is int for c in [*row.values(), *comb.values()])
+            assert math.gcd(*row.values(), *comb.values()) == 1
+            assert _items(row) == [(k, c * p) for k, c in orow.items()]
+            assert _items(comb) == [(i, c * p) for i, c in ocomb.items()]
+        guess = {k: c for k in rng.sample(keys, rng.randint(1, len(keys)))
+                 if (c := Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS)))}
+        for target in (_combination(rng, vectors), guess, {**guess, ("fresh",): Fraction(1, 3)}):
+            try:
+                want = oracle.solve(target)
+            except InconsistentSystem as e:
+                with pytest.raises(InconsistentSystem) as info:
+                    ech.solve(target)
+                assert _items(info.value.residual) == _items(e.residual)
+                assert all(type(c) is Fraction for c in info.value.residual.values())
+                outcomes.add(False)
+            else:
+                got = ech.solve(target)
+                assert _items(got) == _items(want)
+                assert all(type(c) is Fraction for c in got.values())
+                outcomes.add(True)
+    assert outcomes == {True, False} and kernels > 100

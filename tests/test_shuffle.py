@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                               sh_antipode, hopf_report, TensContext,
                               TensElem, t_comul, pairing, qfsh_delta,
                               qfsh_member, all_words, sh_to_json, sh_from_json)
-from shuffle_oracle import (is_symmetric, live_block_sequences,
-                            ordered_surjection_count, poisson_m1, shuffle0,
-                            sym_word, word_product_all_pairs)
+from shuffle_oracle import (SeriesShContext, is_symmetric, live_block_sequences,
+                            ordered_surjection_count, per_word_hopf_report,
+                            poisson_m1, series_sh_antipode, series_sh_mul,
+                            shuffle0, sym_word, word_product_all_pairs)
 
 DATA = Path(__file__).resolve().parent / "data"
 # every pair of word lengths up to 4; at (5, 5) the full loop has about a
@@ -212,6 +214,89 @@ def test_hopf_report_corrupted_family(B4, borel):
     rep = hopf_report(borel.algebra, bad, 3, 2)
     assert not rep.ok()
     assert any(kind == "associativity" for kind, _ in rep.failures)
+
+
+def _doubled_b21(B4):
+    """The degree-3 family with B_21 doubled, which is not associative."""
+    return BFamily(B4.lam, 3, {k: 2 * v if k == (2, 1) else v
+                               for k, v in B4.table.items() if sum(k) <= 3})
+
+
+def test_hopf_report_witnesses(B4):
+    """On sl2 the family with B_21 doubled fails 18 associativity and 18
+    antipode checks.  Each failure names the checked words, then the
+    first term of lhs - rhs and the hbar valuation of its coefficient,
+    recomputed here (the antipode sums over the splits of the word)."""
+    bad = _doubled_b21(B4)
+    rep = hopf_report(sl2(), bad, 3, 2)
+    assert Counter(kind for kind, _ in rep.failures) == {"associativity": 18, "antipode": 18}
+    ctx = ShContext(sl2(), bad, 2)
+    for kind, (words, key, order) in rep.failures:
+        if kind == "associativity":
+            a, b, c = (ShElem.word(ctx, w) for w in words)
+            diff = sh_mul(sh_mul(a, b), c) - sh_mul(a, sh_mul(b, c))
+        else:
+            splits = [(ShElem.word(ctx, words[:i]), ShElem.word(ctx, words[i:]))
+                      for i in range(len(words) + 1)]
+            diff = ShElem(ctx, {})
+            for x, y in splits:
+                diff = diff + sh_mul(sh_antipode(x), y)
+            if not diff:
+                for x, y in splits:
+                    diff = diff + sh_mul(x, sh_antipode(y))
+        first, c = next(iter(diff.terms.items()))
+        assert (key, order) == (first, c.valuation())
+
+
+def test_hopf_report_matches_the_per_word_report(B4, borel):
+    """The kinds and words of the failures, in order, are those of the
+    report that scales and sums every product word by word with
+    series-valued memos."""
+    bad = _doubled_b21(B4)
+    for alg, fam, count in ((sl2(), bad, 36), (borel.algebra, bad, 6),
+                            (borel.algebra, B4, 0)):
+        rep = hopf_report(alg, fam, 3, 2)
+        assert [(kind, w[0]) for kind, w in rep.failures] == per_word_hopf_report(alg, fam, 3, 2)
+        assert len(rep.failures) == count
+
+
+def _antipode_inv(a):
+    out = {}
+    for w, c in a.terms.items():
+        for x, cx in a.ctx.antipode(w, inverse=True).items():
+            add_term(out, x, c * cx)
+    return out
+
+
+def test_rational_memos_match_the_series_memos(B4, borel, dbl):
+    """sh_mul, ShTensor.mul, sh_antipode and S^-1 on elements whose
+    coefficients are non-constant series at the context's order equal, as
+    ordered item lists, the same maps read through memos of constant
+    series; the memos hold ints and Fractions."""
+    rng = random.Random(29)
+    order = 3
+    for alg in (borel.algebra, sl2(), dbl.algebra):
+        ctx, octx = ShContext(alg, B4, order), SeriesShContext(alg, B4, order)
+        for _ in range(2):
+            a = _seeded_terms(rng, alg.dim, None, order, 8)
+            b = _seeded_terms(rng, alg.dim, None, order, 8)
+            got = sh_mul(ShElem(ctx, a), ShElem(ctx, b))
+            want = series_sh_mul(ShElem(octx, a), ShElem(octx, b))
+            assert list(got.terms.items()) == list(want.terms.items())
+            got, want = sh_antipode(ShElem(ctx, a)), series_sh_antipode(ShElem(octx, a))
+            assert list(got.terms.items()) == list(want.terms.items())
+            got, want = _antipode_inv(ShElem(ctx, a)), _antipode_inv(ShElem(octx, a))
+            assert list(got.items()) == list(want.items())
+            for legs in (2, 3):
+                a = _seeded_terms(rng, alg.dim, legs, order, 6)
+                b = _seeded_terms(rng, alg.dim, legs, order, 6)
+                got = ShTensor(ctx, legs, a).mul(ShTensor(ctx, legs, b))
+                want = ShTensor(octx, legs, a).mul(ShTensor(octx, legs, b))
+                assert list(got.terms.items()) == list(want.terms.items())
+        memos = [ctx._mulcache, *ctx._antipodes]
+        assert all(memo for memo in memos)
+        assert all(type(c) in (int, Fraction)
+                   for memo in memos for value in memo.values() for c in value.values())
 
 
 def test_poisson_m1(B4, borel):
