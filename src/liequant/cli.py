@@ -200,13 +200,18 @@ def cmd_qybe(args):
 def cmd_quantize(args):
     # the semiclassical check reads the hbar^1 coefficient
     _at_least("--hbar-order", args.hbar_order, 1)
+    # the family depth the universal system needs at this order
+    depth = max(args.hbar_order + 1, 2)
     if args.bfamily:
         fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
         bad = next(bfamily.violations(fam), None)
         if bad:
             raise BadInput("bfamily: not associative at (p, q, r) = (%d, %d, %d)" % bad[:3])
+        if fam.max_degree < depth:
+            raise BadInput("bfamily: max_degree %d is below %d, the degree needed at "
+                           "--hbar-order %d" % (fam.max_degree, depth, args.hbar_order))
     else:
-        fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.hbar_order + 1, 2), "paper3")
+        fam = bfamily.solve_bfamily(Fraction(1, 2), depth, "paper3")
     bia = _bialgebra_from_args(args)
     # the universal system is solved to degree <= 3 (desk scale); ell is
     # then exact mod hbar^3, enough for the checks below

@@ -14,9 +14,10 @@ single atoms) used by the normal-ordering rewriting.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .freealg import LiePoly, leftnormed_words
+from .freealg import LiePoly, leftnormed_words, substitute
 from .scalars import LinComb, add_term, distribute
 
 
@@ -161,37 +162,48 @@ def _letter_basis(letter):
 
 
 # ---------------------------------------------------------------------------
-# instantiation
+# kappa: pairs substituted for the formal pairs
 # ---------------------------------------------------------------------------
 
-def instantiate_tensor(elem, alg, r):
-    """kappa: substitute concrete pairs for the formal pairs.
+def substitute_pairs(elem, pairs, letter):
+    """kappa: a pair substituted for each formal pair of elem.
 
-    r: dict {(i, j): coeff} in alg x alg.  Every leg must consist of
-    single Lie letters or words of letters; the result maps each term to
-    a tensor with one algebra element per letter, flattened legwise into
-    a tuple-of-words tensor {(word, word, ...): coeff} over basis indices.
+    pairs(p) lists the (pair, coeff) choices for the formal pair p, a pair
+    indexed by side; letter(letter, sides) lists the (image, coeff) pairs
+    of one letter, sides mapping each pid of the term to its chosen pair.
+    Terms are walked in order, their pids sorted and their legs letter by
+    letter; the result is {(word of images, ...): coeff}.  A choice whose
+    coefficient vanishes (hbar series truncated to zero) is skipped.
     """
-    rterms = list(r.items())
     out = {}
     for k, c in elem.terms.items():
-        pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
-        for choice, coeff in distribute([rterms] * len(pids), c):
-            if not coeff:
+        pids = sorted({p for leg in k for x in leg for (p, _s) in x})
+        for choice, cc in distribute(map(pairs, pids), c):
+            if not cc:
                 continue
-            pair = dict(zip(pids, choice))
-            legs = (distribute(_eval_letter(alg, pair, letter).items()
-                               for letter in leg) for leg in k)
-            for key, cc in distribute(legs, coeff):
-                add_term(out, key, cc)
+            sides = dict(zip(pids, choice))
+            legs = (distribute(letter(x, sides) for x in leg) for leg in k)
+            for key, cl in distribute(legs, cc):
+                add_term(out, key, cl)
     return out
 
 
-def _eval_letter(alg, pair, letter):
-    """The left-normed letter with each atom (p, s) set to side s of the
-    concrete pair chosen for p: an algebra element."""
-    (p, s), rest = letter[0], letter[1:]
-    val = alg.basis(pair[p][s])
-    for (p, s) in rest:
-        val = alg.bracket(val, alg.basis(pair[p][s]))
-    return val
+def instantiate_tensor(elem, alg, r):
+    """kappa at a concrete pair r: dict {(i, j): coeff} in alg x alg.
+
+    Every leg is a word of Lie letters; each letter is evaluated in alg
+    by `freealg.substitute`, so the result is the tuple-of-words tensor
+    {(word, word, ...): coeff} over basis indices, one index per letter.
+    """
+    rterms = list(r.items())
+
+    def letter(letter, sides):
+        args = [alg.basis(sides[p][s]) for (p, s) in letter]
+        return substitute(_monomial(len(letter)), args, alg).items()
+    return substitute_pairs(elem, lambda p: rterms, letter)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(n):
+    """The left-normed Lie monomial on the generators 0..n-1."""
+    return LiePoly({tuple(range(n)): Fraction(1)})

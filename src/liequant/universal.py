@@ -7,7 +7,9 @@ Inner slots multiply associatively under instantiation, so words there
 can be reordered at the cost of commutators; the mixed commutator
 [b, a] rewrites through the universal CYBE identity, moving the two
 atoms onto their partners.  Normal-ordered terms have every inner slot
-of the shape a...a b...b, which spans the direct sum of the F-spaces.
+of the shape a...a b...b, which spans the direct sum of the F-spaces;
+normal_order is the one class map of those spaces, their bases
+included.
 The coboundaries delta3 and delta4 sum liealg's tables DELTA3 and
 DELTA4 over the commutators of a fresh formal pair with the placed
 argument, each product a concatenation of the pair's atoms with the
@@ -23,28 +25,21 @@ from fractions import Fraction
 
 from . import linalg
 from .bfamily import Obstructed, _live, positive_compositions
-from .freealg import LiePoly, leftnormed_basis, leftnormed_words, substitute_letters
+from .freealg import leftnormed_basis, leftnormed_words, substitute_letters
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _relabel_in_order, _shift_pids)
 from .scalars import add_term, distribute, pr_legs
-from .unitensor import (UElem, a_atom, b_atom, canonical, expand_letters,
-                        normalize_letters, pr_word_product, instantiate_tensor)
+from .unitensor import (UElem, a_atom, b_atom, pr_word_product, instantiate_tensor,
+                        substitute_pairs, _monomial)
+# not called here: the shuffle-leg class map stays reachable as this alias,
+# which bench/tests/check_bench.py expects the tracer to patch
+from .unitensor import canonical
 
 
 # ---------------------------------------------------------------------------
 # normal ordering
 # ---------------------------------------------------------------------------
-
-def expand_to_words(elem):
-    """Expand every multi-atom letter into plain single-atom words."""
-    out = {}
-    for k, c in elem.terms.items():
-        for key, cw in expand_letters(k):
-            add_term(out, tuple(tuple((a,) for word in leg for a in word)
-                                for leg in key), c * cw)
-    return UElem(elem.legs, out)
-
 
 def normal_order(elem):
     """Rewrite so every inner slot is a-atoms then b-atoms; the class.
@@ -263,38 +258,6 @@ def _expansions(flat, k):
 
 
 # ---------------------------------------------------------------------------
-# gradings and class utilities
-# ---------------------------------------------------------------------------
-
-def canonical_classes(elem):
-    """Class coordinate of the plain word form: slots multiply
-    associatively, so letter boundaries are dropped before comparing."""
-    return canonical(expand_to_words(elem))
-
-
-def lie_form(elem):
-    """Read a word-form class as a tensor of Lie letters, with proof.
-
-    Each slot word w is read as (1/|w|) [..[w1,w2],..,wk]
-    (Dynkin-Specht-Wever), which fixes Lie polynomials and commutes with
-    relabeling, so the class of a tensor of Lie polynomials maps to a
-    tensor of Lie letters in the same class.  The classes are compared
-    (raises AssertionError otherwise).  Multi-atom Lie letters are first
-    expanded into plain words.
-    """
-    elem = expand_to_words(elem)
-    out = {}
-    for k, c in elem.terms.items():
-        if all(k):
-            key = tuple((tuple(letter[0] for letter in leg),) for leg in k)
-            add_term(out, key, c / math.prod(len(leg) for leg in k))
-    out = normalize_letters(UElem(elem.legs, out))
-    assert canonical_classes(out) == canonical_classes(elem), \
-        "element is not a tensor of Lie polynomials"
-    return out
-
-
-# ---------------------------------------------------------------------------
 # r-insertions and coboundaries
 # ---------------------------------------------------------------------------
 
@@ -387,15 +350,19 @@ def basis_F(n):
     P0 x pi(Q), where pi(Q) still starts with b0, a basis monomial
     again.  The P0 block is the first of the products in the order
     P-major, and the rank filter is greedy in input order, so the kept
-    list is the one of all the products."""
+    list is the one of all the products.  The class map is normal_order;
+    no slot of a generator mixes a- and b-atoms, so it only expands the
+    letters and renames."""
     p0 = tuple(a_atom(i) for i in range(n))
     return independent_subset([UElem(2, {((p0,), (mb,)): Fraction(1)})
                                for mb in leftnormed_basis([b_atom(i) for i in range(n)])],
-                              canonical_classes)
+                              normal_order)
 
 
 def basis_F3lie(N):
-    """Basis of the degree-N three-slot Lie space (aab and abb pieces)."""
+    """Basis of the degree-N three-slot Lie space (aab and abb pieces),
+    filtered by rank on the normal_order classes of the generators; as in
+    basis_F, no slot mixes a- and b-atoms, so no rewrite is needed."""
     gens = []
     for p in range(1, N):
         # aab: p pairs (slot1, slot3), N - p pairs (slot2, slot3)
@@ -408,7 +375,7 @@ def basis_F3lie(N):
             for m2 in leftnormed_basis([b_atom(i) for i in range(p)]):
                 for m3 in leftnormed_basis([b_atom(i) for i in range(p, N)]):
                     gens.append(UElem(3, {((m1,), (m2,), (m3,)): Fraction(1)}))
-    return independent_subset(gens, canonical_classes)
+    return independent_subset(gens, normal_order)
 
 
 def cohomology_dims(N_max):
@@ -442,30 +409,17 @@ def _substitute_pairs(elem, pair_map):
 
     pair_map: pid -> UElem with 2 slots, each a single letter (the a- and
     b-sides of the replacement).  Letters of elem may be Lie monomials;
-    substitution happens inside letters via the free Lie algebra.
+    each letter's monomial takes its atoms' sides through the order-type
+    memo of `freealg.substitute_letters`.
     """
-    out = UElem(elem.legs, {})
     memo = {}
-    for k, c in elem.terms.items():
-        pids = sorted({p for leg in k for letter in leg for (p, _s) in letter})
-        reps = (pair_map[pid].terms.items() for pid in pids)
-        for choice, cc in distribute(reps, c):
-            # each replacement is one letter per side
-            amap = {pid: (a, b) for pid, ((a,), (b,)) in zip(pids, choice)}
-            legs = (distribute(_substitute_letter(letter, amap, memo)
-                               for letter in leg) for leg in k)
-            for key, cr in distribute(legs, cc):
-                add_term(out.terms, key, cr)
-    return out
 
-
-def _substitute_letter(letter, amap, memo):
-    """The letter's monomial with each atom (p, s) replaced by side s of
-    amap[p], as (monomial, coeff) pairs, through the order-type memo of
-    `freealg.substitute_letters`."""
-    n = len(letter)
-    return substitute_letters(LiePoly({tuple(range(n)): Fraction(1)}),
-                              tuple(amap[p][s] for (p, s) in letter), memo, n).terms.items()
+    def letter(letter, sides):
+        n = len(letter)
+        return substitute_letters(_monomial(n), tuple(sides[p][s][0] for (p, s) in letter),
+                                  memo, n).terms.items()
+    return UElem(elem.legs, substitute_pairs(elem, lambda p: pair_map[p].terms.items(),
+                                             letter))
 
 
 def insert_pairs(elem, varrho, total_degree):
@@ -619,11 +573,10 @@ def solve_varrho(bfam, N):
 # ---------------------------------------------------------------------------
 
 def instantiate(elem, alg, r):
-    """kappa on a class of tensors of Lie polynomials: an exact tensor
-    over the algebra basis (degree = number of slots).  Word-form input
-    is first rewritten through lie_form (which proves the class is a
-    tensor of Lie polynomials)."""
-    if any(len(w) != 1 for k in elem.terms for w in k):
-        elem = lie_form(elem)
-    # one letter per leg, so every instantiated word has one index
+    """kappa on a class of tensors of Lie letters, one letter per slot: an
+    exact tensor over the algebra basis (degree = number of slots).  A
+    key with any other number of letters in a slot raises ValueError."""
+    for k in elem.terms:
+        if any(len(w) != 1 for w in k):
+            raise ValueError("instantiate needs one Lie letter per slot, not %r" % (k,))
     return pr_legs(instantiate_tensor(elem, alg, r))

@@ -6,7 +6,8 @@ entretien CYBE sums."""
 
 from liequant.rmatrix import _shift_pids, pair_elem
 from liequant.unitensor import UElem, u_mul
-from liequant.universal import lie_form, normal_order
+from liequant.universal import normal_order
+from class_oracle import lie_form
 
 CONC3 = ("conc",) * 3
 CONC4 = ("conc",) * 4

@@ -23,10 +23,10 @@ from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
                                 instantiate_tensor)
 from liequant.universal import (solve_varrho, phi_N, delta4,
                                 univ_qybe_residual, basis_F, basis_F3lie,
-                                delta3, canonical_classes,
-                                expand_to_words)
+                                delta3)
 from liequant.quantize import Quantization
 from liequant import linalg
+from class_oracle import canonical_classes, expand_to_words
 from liequant.deform import (matrix_algebra, random_r, aryeh_residual,
                              recursion_residual, half_r_squared, delta_p, cybe,
                              _ordered_triple)

@@ -211,12 +211,15 @@ def test_out_of_range_flags_are_input_errors():
     pytest.param("borel2", 2, "quantize_borel2_h2.json", id="2"),
     pytest.param("borel2", 3, "quantize_borel2_h3.json", id="3"),
     pytest.param(str(DATA / "borel2_scaled.json"), 2, "quantize_borel2_scaled_h2.json",
-                 id="scaled-2")])
+                 id="scaled-2"),
+    pytest.param(str(DATA / "sl2.json"), 2, "quantize_sl2_h2.json", id="sl2-2")])
 def test_quantize_output_is_golden(bialgebra, order, golden):
     """stdout of quantize, byte for byte.  At order 3 the relations stop
     at hbar^2, the order that rho to degree 3 supports.  borel2_scaled is
     borel2 in the basis (2h, -e/2), so its structure constants are 2 and
-    1/2 rather than 1."""
+    1/2 rather than 1.  sl2 ([e,f] = h, [e,h] = -2e, [f,h] = 2f, delta(e) =
+    h^e, delta(f) = h^f) brackets every pair of its basis elements, so
+    kappa's letter evaluation meets every structure constant."""
     r = run_cli("quantize", "--bialgebra", bialgebra, "--hbar-order", str(order))
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout.encode() == (DATA / golden).read_bytes()
@@ -335,6 +338,22 @@ def test_quantize_rejects_non_associative_family(tmp_path):
     r = run_cli("quantize", "--hbar-order", "1", "--bfamily", str(f))
     _assert_input_error(r)
     assert "not associative at (p, q, r) = (1, 1, 1)" in r.stderr
+
+
+def test_quantize_rejects_too_short_family(tmp_path):
+    """A family below the depth quantize solves without --bfamily,
+    max(hbar-order + 1, 2), is an input error naming both degrees, not an
+    obstruction of the universal system; one degree deeper runs."""
+    def run(degree):
+        f = tmp_path / ("b%d.json" % degree)
+        fam = bfamily.solve_bfamily(Fraction(1, 2), degree, "paper3")
+        f.write_text(json.dumps(bfamily.bfamily_to_json(fam)))
+        return run_cli("quantize", "--hbar-order", "2", "--bfamily", str(f))
+
+    r = run(2)
+    _assert_input_error(r)
+    assert "max_degree 2 is below 3" in r.stderr and "obstructed" not in r.stderr
+    assert run(3).returncode == 0
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -16,12 +16,11 @@ from liequant.bfamily import Obstructed, bfamily_from_json
 from liequant.freealg import LiePoly, leftnormed_basis, substitute
 from liequant.rmatrix import _shift_pids, independent_subset, lambda_table
 from liequant.scalars import add_term
-from liequant.universal import (normal_order, canonical_classes, delta3,
-                                delta4, basis_F, basis_F3lie, cohomology_dims,
-                                phi_N, solve_varrho, univ_qybe_residual,
-                                varrho_one, instantiate, insert_pairs, lie_form,
-                                expand_to_words)
+from liequant.universal import (normal_order, delta3, delta4, basis_F, basis_F3lie,
+                                cohomology_dims, phi_N, solve_varrho,
+                                univ_qybe_residual, varrho_one, insert_pairs)
 from liequant.unitensor import UElem, a_atom, b_atom, u_mul, canonical, expand_letters
+from class_oracle import canonical_classes, expand_to_words, instantiate, lie_form
 from f3_algebra import CONC3, _comm, entretien_cybe, f3_mul, mu_lie, r_pair
 from lie_oracle import delta3_r, delta4_r
 from qybe_oracle import full_qybe_residual, tuple_key_coboundary, tuple_key_commutators
@@ -216,6 +215,38 @@ def test_basis_F_matches_all_products():
                                    for ma in a_monos for mb in b_monos],
                                   canonical_classes)
         assert basis_F(n) == full
+
+
+@pytest.mark.parametrize("basis, n", [(basis_F, n) for n in range(1, 6)]
+                         + [(basis_F3lie, n) for n in range(2, 5)])
+def test_bases_match_the_word_form_rank_filter(basis, n, monkeypatch):
+    """basis_F(n) for n <= 5 and basis_F3lie(n) for n <= 4 rank-filter
+    their generators on normal_order's classes; on every generator that
+    class equals the word-form class of the oracle, and the kept list is
+    the oracle's rank filter, element for element and in order."""
+    seen = []
+
+    def spy(gens, cls):
+        seen.append(gens)
+        return independent_subset(gens, cls)
+    monkeypatch.setattr(universal, "independent_subset", spy)
+    got = basis(n)
+    (gens,) = seen
+    assert all(normal_order(e) == canonical_classes(e) for e in gens)
+    assert got == independent_subset(gens, canonical_classes)
+
+
+def test_instantiate_takes_one_lie_letter_per_slot(dbl):
+    """A delta3 image is a class in word form: the library's instantiate
+    refuses it, naming a key, and the oracle's reads it through lie_form
+    onto the concrete coboundary of the instantiated argument."""
+    e = basis_F(2)[0]
+    img = delta3(e)
+    assert any(len(w) != 1 for k in img.terms for w in k)
+    with pytest.raises(ValueError, match="one Lie letter per slot, not"):
+        universal.instantiate(img, dbl.algebra, dbl.r)
+    rhs = delta3_r(dbl.algebra, dbl.r, universal.instantiate(e, dbl.algebra, dbl.r))
+    assert rhs and instantiate(img, dbl.algebra, dbl.r) == rhs
 
 
 def test_delta4_examples(dbl):
