@@ -2,20 +2,31 @@
 
 Leaf commands: cbh, bfamily (solve|check), shuffle (mul|hopf-check),
 rmatrix, qybe (solve|cohomology), quantize, cybe-props; each declares
-only the options it reads (COMMANDS).  JSON is the interchange format;
-exit code 0 on success, 1 on any residual failure, 2 on input errors,
-141 when stdout is closed early (no traceback).  Options are accepted
-only under their full names.
-Outputs are deterministic for a fixed configuration.
+only the options it reads (COMMANDS), and OPTIONS gives each option's
+type, default and choices.  parse_args reads the command line from the
+two tables: the command words first, then the options, each under its
+full name only, as `--opt value` or `--opt=value`.  The token after an
+option is its value unless it starts with `--` (so `--hbar-order -1`
+reaches the command and is rejected there); a repeated option keeps its
+last value.  -h/--help prints the usage of the command words before it
+and exits 0.  Every other usage error (a missing or unknown command or
+action, an undeclared option or stray word, a missing value, an invalid
+int or choice) prints the usage and one `liequant <command>: error:`
+line to stderr and exits 2.
+
+JSON is the interchange format; exit code 0 on success, 1 on any
+residual failure, 2 on usage and input errors, 141 when stdout is
+closed early (no traceback).  Outputs are deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
+import types
 from fractions import Fraction
 
 from . import freealg, bfamily, liealg, shuffle, rmatrix, universal, deform, quantize
@@ -79,8 +90,11 @@ def _solve_varrho(command, fam, degree):
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise BadInput("--out (%s): %s" % (args.out, e))
     else:
         print(text)
 
@@ -264,7 +278,10 @@ def cmd_cybe_props(args):
     return 0 if failures == 0 and part_ok else 1
 
 
-OPTIONS = {  # every option once, as argparse keywords
+# every option once: its "type" (str when absent) converts the value,
+# "choices" lists the values accepted, "default" stands when the option
+# is not given (None when absent)
+OPTIONS = {
     "--out": {},
     "--max-degree": {"type": int, "default": 3},
     "--hbar-order": {"type": int, "default": 3},
@@ -296,25 +313,80 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    # allow_abbrev=False: an option is accepted only under its full name
-    ap = argparse.ArgumentParser(prog="liequant", allow_abbrev=False)
-    sub = ap.add_subparsers(dest="command", required=True)
-    groups = {}
-    for leaf, (fn, opts) in COMMANDS.items():
-        name, _, action = leaf.partition(" ")
-        if action and name not in groups:
-            groups[name] = sub.add_parser(name, allow_abbrev=False).add_subparsers(
-                dest="action", required=True)
-        p = (groups[name] if action else sub).add_parser(action or name, allow_abbrev=False)
-        for opt in ["--out"] + opts.split():
-            p.add_argument(opt, **OPTIONS[opt])
-        p.set_defaults(fn=fn)
-    return ap
+def _dest(opt):
+    return opt[2:].replace("-", "_")
+
+
+def _usage(words):
+    """`usage:` and one line per leaf command under `liequant WORDS`."""
+    return "usage: " + "\n       ".join(
+        "liequant %s [-h]" % leaf + "".join(
+            " [%s %s]" % (opt, "{%s}" % ",".join(OPTIONS[opt]["choices"])
+                          if "choices" in OPTIONS[opt] else _dest(opt).upper())
+            for opt in ["--out"] + opts.split())
+        for leaf, (_, opts) in COMMANDS.items() if leaf.split()[:len(words)] == words)
+
+
+def parse_args(argv):
+    """The command line argv as the attributes its command reads: fn,
+    command, action (None for a leaf without one) and one per option of
+    the leaf, named by _dest, with OPTIONS' default when not given."""
+    words, rest = [], list(argv)
+
+    def fail(message):
+        print("%s\nliequant%s: error: %s" % (_usage(words), "".join(" " + w for w in words),
+                                            message), file=sys.stderr)
+        raise SystemExit(2)
+
+    def check_choice(what, value, choices):
+        if value not in choices:
+            fail("argument %s: invalid choice: %r (choose from %s)"
+                 % (what, value, ", ".join(map(repr, choices))))
+
+    while " ".join(words) not in COMMANDS:
+        what = "action" if words else "command"
+        if not rest:
+            fail("the following arguments are required: " + what)
+        if rest[0] in ("-h", "--help"):
+            print(_usage(words))
+            raise SystemExit(0)
+        check_choice(what, rest[0], list(dict.fromkeys(
+            leaf.split()[len(words)] for leaf in COMMANDS
+            if leaf.split()[:len(words)] == words)))
+        words.append(rest.pop(0))
+    fn, read = COMMANDS[" ".join(words)]
+    read = ["--out"] + read.split()
+    args = types.SimpleNamespace(
+        fn=fn, command=words[0], action=words[1] if len(words) > 1 else None,
+        **{_dest(opt): OPTIONS[opt].get("default") for opt in read})
+    extra = []
+    while rest:
+        token = rest.pop(0)
+        if token in ("-h", "--help"):
+            print(_usage(words))
+            raise SystemExit(0)
+        opt, eq, value = token.partition("=")
+        if opt not in read:
+            extra.append(token)
+            continue
+        if not eq:
+            if not rest or rest[0].startswith("--"):
+                fail("argument %s: expected one argument" % opt)
+            value = rest.pop(0)
+        spec = OPTIONS[opt]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            fail("argument %s: invalid %s value: %r" % (opt, spec["type"].__name__, value))
+        check_choice(opt, value, spec.get("choices", [value]))
+        setattr(args, _dest(opt), value)
+    if extra:
+        fail("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -274,7 +275,7 @@ VALUES = {"--out": "o.json", "--max-degree": "2", "--hbar-order": "1",
 def test_each_command_declares_exactly_the_options_it_reads(leaf, capsys):
     read = ["--out"] + OPTIONS_READ[leaf]
     argv = list(leaf) + [a for opt in read for a in (opt, VALUES[opt])]
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     given = {k: str(v) for k, v in vars(args).items()
              if k not in ("fn", "command", "action")}
     assert given == {opt[2:].replace("-", "_"): VALUES[opt] for opt in read}
@@ -297,6 +298,82 @@ def test_options_are_not_abbreviated(leaf, capsys):
                 cli.main(list(leaf) + [prefix, VALUES[opt]])
             assert e.value.code == 2
             assert "unrecognized arguments: " + prefix in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["qybe"], "the following arguments are required: action"),
+    (["qybe", "nope"], "argument action: invalid choice: 'nope'"),
+    (["qybe", "cohomology", "--max-n"], "argument --max-n: expected one argument"),
+    (["qybe", "cohomology", "--max-n", "--out", "o.json"],
+     "argument --max-n: expected one argument"),
+    (["qybe", "cohomology", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    (["qybe", "cohomology", "--max-n=x"], "argument --max-n: invalid int value: 'x'"),
+    (["bfamily", "solve", "--gauge", "x"], "argument --gauge: invalid choice: 'x'"),
+    (["cbh", "foo", "--max-degree", "2"], "unrecognized arguments: foo"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+], ids=lambda v: " ".join(v) or "empty" if isinstance(v, list) else None)
+def test_usage_errors_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage: liequant") and "error: " + message in err
+
+
+def _parsed(monkeypatch, leaf, *argv):
+    """The attributes, besides fn, that main hands the command LEAF."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, leaf, (seen.append, cli.COMMANDS[leaf][1]))
+    cli.main(leaf.split() + list(argv))
+    return {k: v for k, v in vars(seen.pop()).items() if k != "fn"}
+
+
+def test_option_spellings_and_repeats_parse_alike(monkeypatch):
+    def parsed(*argv):
+        return _parsed(monkeypatch, "qybe cohomology", *argv)
+    assert parsed("--max-n=2") == parsed("--max-n", "2") != parsed()
+    assert parsed("--max-n", "1", "--max-n=2") == parsed("--max-n", "2")
+    assert parsed("--out=a=b")["out"] == "a=b"
+    # a value may start with one dash: the command, not the parser, rejects it
+    assert _parsed(monkeypatch, "quantize", "--hbar-order", "-1")["hbar_order"] == -1
+
+
+@pytest.mark.parametrize("leaf", [()] + sorted(OPTIONS_READ), ids=lambda v: " ".join(v) or "top")
+def test_help_names_the_options_of_its_command(leaf, capsys):
+    # after a leaf, -h is read wherever an option may stand
+    argv = list(leaf) + (["--out", "o.json"] if leaf else [])
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv + [flag])
+        assert e.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: liequant")
+        if leaf:
+            named = set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"}
+            assert named == {"--out", *OPTIONS_READ[leaf]}
+        else:
+            for name in {key[0] for key in OPTIONS_READ}:
+                assert name in out
+
+
+def test_parsing_imports_no_argparse():
+    code = ("import sys; from liequant import cli; rc = cli.main(%r); "
+            "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+            % ["qybe", "cohomology", "--max-n", "1"])
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 []"
+
+
+def test_unwritable_out_is_input_error(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    r = run_cli("cbh", "--max-degree", "2", "--out", str(path))
+    _assert_input_error(r)
+    assert r.stderr.count("\n") == 1 and "--out (%s): " % path in r.stderr
+    assert not path.exists()
 
 
 def test_closed_stdout_exits_without_traceback():
