@@ -158,17 +158,25 @@ def cmd_shuffle(args):
         _emit(args, {"ok": rep.ok(), "failures": [list(map(str, f)) for f in rep.failures]})
         return 0 if rep.ok() else 1
     ctx = shuffle.ShContext(bia.algebra, fam, args.hbar_order)
-    try:
-        u = tuple(int(x) for x in args.left.split(",") if x != "")
-        v = tuple(int(x) for x in args.right.split(",") if x != "")
-    except ValueError as e:
-        raise BadInput("word index: %s" % e)
+    u = _word("--left", args.left)
+    v = _word("--right", args.right)
     if any(not 0 <= i < bia.algebra.dim for i in u + v):
         raise BadInput("letter index out of range")
     prod = shuffle.sh_mul(shuffle.ShElem.word(ctx, u), shuffle.ShElem.word(ctx, v))
     _emit(args, shuffle.sh_to_json(prod))
     print(repr(prod), file=sys.stderr)
     return 0
+
+
+def _word(option, text):
+    """Comma-separated letter indices; "" is the empty word, and an empty
+    index between, before or after commas is an input error."""
+    if text == "":
+        return ()
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as e:
+        raise BadInput("word index: %s %r: %s" % (option, text, e))
 
 
 def cmd_rmatrix(args):
@@ -227,8 +235,9 @@ def cmd_quantize(args):
     else:
         fam = bfamily.solve_bfamily(Fraction(1, 2), depth, "paper3")
     bia = _bialgebra_from_args(args)
-    # the universal system is solved to degree <= 3 (desk scale); ell is
-    # then exact mod hbar^3, enough for the checks below
+    # the universal system is solved to degree <= 3 (desk scale): ell and
+    # the relations are then exact mod hbar^(min(order, 2) + 1), and hbar^1,
+    # all that the semiclassical check reads, is always among them
     vr = _solve_varrho("quantize", fam, min(args.hbar_order + 1, 3))
     if vr is None:
         return 1

@@ -3,9 +3,13 @@
 Pipeline: canonical r-matrix of the double -> rho (universal solution
 instantiated) -> R-matrix terms in the deformed shuffle algebra of the
 double -> the morphism ell, relation extraction, semiclassical and QFSH
-checks.  Everything is exact modulo hbar^(order+1); the relations modulo
-hbar^(rel_order+1), the highest order that the given varrho determines.
-phi/psi read the same dual blocks of B_pq on the double
+checks.  The QYBE residual is exact modulo hbar^(order+1); ell and the
+relations modulo hbar^(rel_order+1), the highest order that the given
+varrho determines.  No hbar-product runs past the order its result
+keeps: ell seeds every word's chain with the word's coefficient, so the
+shuffle products skip the term pairs whose valuations sum past the
+order, and phi/psi stop the blocks of each term pair at the order of its
+coefficient.  phi/psi read the same dual blocks of B_pq on the double
 (shuffle.TensContext.dual_block) as T(g)'s coproduct.
 """
 
@@ -46,8 +50,9 @@ class Quantization:
         self.bia = bia
         self.order = order
         self.double = build_double(bia)
-        # ell reads R, and so rho, one order beyond the truncation
-        self.table = lambda_table(bfam, order + 1)
+        # the QYBE residual reads R to order; ell_generator grows the
+        # shared table to rel_order + 1 itself
+        self.table = lambda_table(bfam, order)
         self.varrho = varrho
         # the hbar^<=k parts of ell and of the relations need rho_<=k+1
         self.rel_order = min(order, max(varrho) - 1)
@@ -110,33 +115,39 @@ class Quantization:
     # -- the morphism ell --------------------------------------------------
 
     def ell_generator(self, i):
-        """ell(e_i): contraction of the length-one second legs of R.
+        """ell(e_i) mod hbar^(rel_order+1): contraction of the length-one
+        second legs of R.
 
-        The hbar^-1 of the pairing promotes one extra order, so the
-        R-terms are evaluated internally at order+1 and re-truncated.
+        The hbar^-1 of the pairing drops one order, so the R-terms are
+        built mod hbar^(rel_order+2), from rho_<=rel_order+1, which varrho
+        holds, with the lambda table grown to that degree here.
         """
         if self._ell_gen is None:
             d = self.bia.algebra.dim
-            hi = self.order + 1
+            top = self.rel_order
+            lambda_table(self.bfam, top + 1)
             gens = [{} for _ in range(d)]
-            R = self.r_matrix(self._rho_at_order(hi, self.varrho), hi, second_len=1)
+            R = self.r_matrix(self._rho_at_order(top + 1, self.varrho), top + 1,
+                              second_len=1)
             for (wa, wb), c in R.items():
                 j = wb[0] - d
                 assert 0 <= j < d, "second leg escaped the dual part"
                 assert all(k < d for k in wa), "first leg escaped the primal part"
-                low = c.shift(-1).coeffs[: self.order + 1]
-                add_term(gens[j], wa, HSeries(low, self.order))
+                add_term(gens[j], wa, HSeries(c.shift(-1).coeffs, top))
             self._ell_gen = [ShElem(self.sh_ctx, g) for g in gens]
         return self._ell_gen[i]
 
     def ell(self, x):
-        """ell on the deformed tensor algebra: antimorphism extension."""
+        """ell on the deformed tensor algebra, mod hbar^(rel_order+1): the
+        antimorphism extension.  Each word's chain starts from its
+        coefficient, so a product pair whose valuations sum past the order
+        is skipped (sh_mul is bilinear over the truncated series)."""
         out = ShElem(self.sh_ctx, {})
         for w, c in x.terms.items():
-            cur = ShElem.unit(self.sh_ctx)
+            cur = ShElem.unit(self.sh_ctx, c)
             for i in reversed(w):
                 cur = sh_mul(cur, self.ell_generator(i))
-            out = out + c * cur
+            out = out + cur
         return out
 
     # -- phi/psi: the dual blocks of the family entries -------------------
@@ -154,21 +165,27 @@ class Quantization:
         out = TensElem(ctx, {})
         for xw, cx in xelem.terms.items():
             for yw, cy in y.terms.items():
+                c = cx * cy
+                if not c:
+                    continue
+                # a block weighted hbar^(k-1) past the order of c is zero
+                kmax = min(c.order, ctx.order) + 1 - c.valuation()
                 for lam in compositions(len(xw), len(yw)):
                     offs = itertools.accumulate(lam, initial=0)
-                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx)
+                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx, kmax)
                              for li, yi, o in zip(lam, yw, offs))
-                    for key, c in distribute(steps, cx * cy):
-                        add_term(out.terms, sum(key, ()), c)
+                    for key, cc in distribute(steps, c):
+                        add_term(out.terms, sum(key, ()), cc)
         return out
 
-    def _phipsi_step(self, xw, yi, xi_right, ctx):
+    def _phipsi_step(self, xw, yi, xi_right, ctx, kmax):
         """The (index tuple, coeff) pairs that one block of phi/psi takes
         the letters xw and the letter yi to: the hbar^(k-1)-weighted dual
-        blocks of B_{k,|xw|} (beta), or of B_{|xw|,k} with xi_right (gamma)."""
+        blocks of B_{k,|xw|} (beta), or of B_{|xw|,k} with xi_right
+        (gamma), for k <= kmax."""
         li = len(xw)
         step = []
-        for k in range(1, min(self.bfam.max_degree - li, ctx.order + 1) + 1):
+        for k in range(1, min(self.bfam.max_degree - li, kmax) + 1):
             blk = (ctx.dual_block(li, k, yi, left=xw) if xi_right
                    else ctx.dual_block(k, li, yi, right=xw))
             h = HSeries.hpow(k - 1, 1, ctx.order)
@@ -182,16 +199,18 @@ class Quantization:
 
         sum y^(1) phi(ell(y^(2)), x) - sum psi(ell(y^(1)), x) y^(2);
         reduces mod hbar to y x x - x x y - [x,y] and lies in Ker(ell).
-        Every term carries x, seeded at rel_order, so the relation is
-        computed mod hbar^(rel_order+1) throughout."""
+        Every term carries x, seeded at rel_order, and ell is computed
+        there, so the relation is computed mod hbar^(rel_order+1)
+        throughout.  The coproduct coefficient c enters ell as the
+        coefficient of its word, where it cuts the products short."""
         ctx = self.tens_ctx
         x = TensElem.word(ctx, (i,), HSeries.const(1, self.rel_order))
         out = TensElem(ctx, {})
         for (w1, w2), c in t_comul(ctx, TensElem.word(ctx, (j,))).items():
-            lhs = self.phi(self.ell(TensElem.word(ctx, w2)), x)
-            out = out + c * (TensElem.word(ctx, w1) * lhs)
-            rhs = self.psi(self.ell(TensElem.word(ctx, w1)), x)
-            out = out - c * (rhs * TensElem.word(ctx, w2))
+            lhs = self.phi(self.ell(TensElem.word(ctx, w2, c)), x)
+            out = out + TensElem.word(ctx, w1) * lhs
+            rhs = self.psi(self.ell(TensElem.word(ctx, w1, c)), x)
+            out = out - rhs * TensElem.word(ctx, w2)
         return out
 
     def extract_relations(self):
@@ -212,7 +231,13 @@ class Quantization:
     # -- semiclassical limit -------------------------------------------------
 
     def semiclassical_check(self, i):
-        """(1/hbar)(Delta - Delta')(ell(e_i)) == (ell x ell)(delta(e_i)) mod hbar."""
+        """(1/hbar)(Delta - Delta')(ell(e_i)) == (ell x ell)(delta(e_i)) mod hbar.
+
+        Reads the hbar^1 coefficient of ell, so it needs rel_order >= 1
+        (rho_2 in varrho); below that it raises ValueError."""
+        if self.rel_order < 1:
+            raise ValueError("semiclassical_check reads ell mod hbar^2, but rel_order "
+                             "is %d: varrho determines ell only mod hbar" % self.rel_order)
         co = sh_comul(self.ell_generator(i))
         lhs = (co - co.place((2, 1), 2)).hcoeff(1)
         rhs = {}
@@ -227,22 +252,24 @@ class Quantization:
     # -- QFSH ----------------------------------------------------------------
 
     def image_membership(self, x, max_word_deg):
-        """Exact linear test for x in Im(ell) at the truncated order, over
-        the images of the words of length <= max_word_deg."""
+        """Exact linear test for x in Im(ell) mod hbar^(rel_order+1), the
+        order ell keeps, over the images of the words of length <=
+        max_word_deg."""
+        top = self.rel_order
         images = [self.ell(TensElem.word(self.tens_ctx, w))
                   for w in all_words(self.bia.algebra.dim, max_word_deg)]
         # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []
         for im in images:
-            for shift in range(self.order + 1):
+            for shift in range(top + 1):
                 col = {}
                 for w, c in im.terms.items():
-                    for k in range(self.order + 1 - shift):
+                    for k in range(top + 1 - shift):
                         add_term(col, (w, k + shift), c.coeff(k))
                 cols.append(col)
         target = {}
         for w, c in x.terms.items():
-            for k in range(self.order + 1):
+            for k in range(top + 1):
                 add_term(target, (w, k), c.coeff(k))
         try:
             linalg.rref(cols, len(cols)).solve(target)

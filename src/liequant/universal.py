@@ -483,7 +483,8 @@ def univ_qybe_residual(bfam, varrho, N):
     A factor of degree N forces the other two to R_0 = 1, whose empty
     words meet in one slot as B_00 = 0, so no live triple reads R_N: the
     lambda table is grown and R(rho) built only to degree N - 1, and
-    degree N gets an empty group.
+    degree N gets an empty group.  Each slot product pr(u v) is computed
+    once per call: the same (u, v) recurs across the triples.
     """
     rterms = r_terms_with_rho(lambda_table(bfam, N - 1), varrho, N - 1)
     rterms.append(UElem.zero(2))
@@ -491,6 +492,7 @@ def univ_qybe_residual(bfam, varrho, N):
     g12 = [_by_lengths(t) for t in rterms]
     g13 = [_by_lengths(_shift_pids(t, 2000)) for t in rterms]
     g23 = [_by_lengths(_shift_pids(t, 4000)) for t in rterms]
+    pr = functools.cache(lambda u, v: tuple(pr_word_product(bfam, u, v).terms.items()))
     acc = {}
     for d12 in range(0, N + 1):
         for d13 in range(0, N + 1 - d12):
@@ -503,9 +505,9 @@ def univ_qybe_residual(bfam, varrho, N):
                         itertools.product(t12, t13, t23):
                     c = c1 * c2 * c3
                     # LHS ordering R12 R13 R23
-                    _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
+                    _triple(acc, pr, ((u12, u13), (v12, u23), (v13, v23)), c)
                     # RHS ordering R23 R13 R12
-                    _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
+                    _triple(acc, pr, ((u13, u12), (u23, v12), (v23, v13)), -c)
     return normal_order(UElem(3, acc))
 
 
@@ -517,10 +519,11 @@ def _by_lengths(elem):
     return groups
 
 
-def _triple(acc, bfam, slots, c):
-    """acc += c * pr(u1 v1) x pr(u2 v2) x pr(u3 v3) for slots ((u_i, v_i));
-    a zero slot leaves the later slots' products uncomputed."""
-    prs = (pr_word_product(bfam, u, v).terms.items() for u, v in slots)
+def _triple(acc, pr, slots, c):
+    """acc += c * pr(u1 v1) x pr(u2 v2) x pr(u3 v3) for slots ((u_i, v_i)),
+    pr(u, v) the terms of a slot product; a zero slot leaves the later
+    slots' products unread."""
+    prs = (pr(u, v) for u, v in slots)
     for (m1, m2, m3), cm in distribute(prs, c):
         add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)), cm)
 

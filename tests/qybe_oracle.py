@@ -1,9 +1,10 @@
 """Independent oracles for the universal QYBE solve.
 
 `full_qybe_residual` is the full triple loop over every term of R12, R13
-and R23, with no grouping by word lengths and no skipped slot, as
-`universal.univ_qybe_residual` was written before it learned to skip
-the slots that are zero by definition.  `tuple_key_commutators` and
+and R23, with no grouping by word lengths, no skipped slot and no memo
+of the slot products, as `universal.univ_qybe_residual` was written
+before it learned to skip the slots that are zero by definition.
+`tuple_key_commutators` and
 `tuple_key_coboundary` are delta3/delta4 on tuple keys: the fresh pair's
 one-atom letters put around each term of `UElem.place`, the table summed
 on those keys and then normal-ordered, as `universal._coboundary` was
@@ -11,9 +12,9 @@ written before it built the flat keys of the rewrite itself."""
 
 from liequant.liealg import coboundary
 from liequant.rmatrix import _shift_pids, lambda_table
-from liequant.scalars import add_term
-from liequant.universal import _triple, normal_order, r_terms_with_rho
-from liequant.unitensor import UElem
+from liequant.scalars import add_term, distribute
+from liequant.universal import normal_order, r_terms_with_rho
+from liequant.unitensor import UElem, pr_word_product
 
 
 def full_qybe_residual(bfam, varrho, N):
@@ -33,6 +34,14 @@ def full_qybe_residual(bfam, varrho, N):
                         _triple(acc, bfam, ((u12, u13), (v12, u23), (v13, v23)), c)
                         _triple(acc, bfam, ((u13, u12), (u23, v12), (v23, v13)), -c)
     return normal_order(UElem(3, acc))
+
+
+def _triple(acc, bfam, slots, c):
+    """acc += c * pr(u1 v1) x pr(u2 v2) x pr(u3 v3) for slots ((u_i, v_i)),
+    each slot product evaluated afresh."""
+    prs = (pr_word_product(bfam, u, v).terms.items() for u, v in slots)
+    for (m1, m2, m3), cm in distribute(prs, c):
+        add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)), cm)
 
 
 def tuple_key_commutators(table, x, legs):

@@ -139,6 +139,21 @@ def test_negative_letter_index_is_input_error():
     _assert_input_error(run_cli("shuffle", "mul", "--left=-1", "--right", "1"))
 
 
+@pytest.mark.parametrize("left", ["0,,1", "0,", ",0", ","])
+def test_empty_word_index_is_input_error(left):
+    """An empty index between, before or after commas is no letter."""
+    r = run_cli("shuffle", "mul", "--left", left, "--right", "1")
+    _assert_input_error(r)
+    assert "input error: word index" in r.stderr
+
+
+def test_empty_word_option_is_the_empty_word():
+    r = run_cli("shuffle", "mul", "--left", "", "--right", "1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("shuffle", "mul", "--left", "1", "--right", "").stdout
+    assert [t["word"] for t in json.loads(r.stdout)["terms"]] == [[1]]
+
+
 def test_malformed_bialgebra_is_input_error(tmp_path):
     good = {"dim": 2, "basis": ["h", "e"],
             "bracket": [{"i": 0, "j": 1, "out": [{"k": 1, "c": "1"}]}],
@@ -213,7 +228,9 @@ def test_out_of_range_flags_are_input_errors():
     pytest.param("borel2", 3, "quantize_borel2_h3.json", id="3"),
     pytest.param(str(DATA / "borel2_scaled.json"), 2, "quantize_borel2_scaled_h2.json",
                  id="scaled-2"),
-    pytest.param(str(DATA / "sl2.json"), 2, "quantize_sl2_h2.json", id="sl2-2")])
+    pytest.param(str(DATA / "sl2.json"), 2, "quantize_sl2_h2.json", id="sl2-2"),
+    pytest.param("borel2", 4, "quantize_borel2_h4.json", id="4"),
+    pytest.param(str(DATA / "sl2.json"), 3, "quantize_sl2_h3.json", id="sl2-3")])
 def test_quantize_output_is_golden(bialgebra, order, golden):
     """stdout of quantize, byte for byte.  At order 3 the relations stop
     at hbar^2, the order that rho to degree 3 supports.  borel2_scaled is

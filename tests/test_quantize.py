@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from liequant.bfamily import solve_bfamily
 from liequant.scalars import HSeries, add_term
 from liequant.liealg import abelian_bialgebra
 from liequant.quantize import Quantization, QYBEFail
 from liequant.shuffle import ShElem, TensElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
 from ell_oracle import ell_direct
-from quantize_oracle import equivalence_report, malta_check
+from quantize_oracle import (ell_chain, equivalence_report, malta_check,
+                             phipsi_uncapped, truncated)
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +22,26 @@ def varrho3(B4):
 @pytest.fixture(scope="module")
 def Q2(B4, borel, varrho3):
     return Quantization(B4, borel, order=2, varrho=varrho3)
+
+
+@pytest.fixture(scope="module")
+def Q3(B4, borel, varrho3):
+    """Order 3 over rho to degree 3: ell and the relations at rel_order 2."""
+    return Quantization(B4, borel, order=3, varrho=varrho3)
+
+
+def _random_terms(rng, dim, order, max_len):
+    """A few words of at most max_len letters below dim, with series
+    coefficients of hbar-valuation 0, 1 or 2."""
+    out = {}
+    for _ in range(4):
+        w = tuple(rng.randrange(dim) for _ in range(rng.randint(0, max_len)))
+        v = rng.randint(0, 2)
+        coeffs = [0] * v + [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))]
+        coeffs += [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                   for _ in range(order - v)]
+        out[w] = HSeries(coeffs, order)
+    return out
 
 
 def test_rho_orders(B4, Q2):
@@ -70,8 +93,9 @@ def test_qybe_failure_names_its_first_term(Q2):
 def test_ell_reads_the_length_one_part_of_r(Q2):
     """ell_generator's R-table, picked by second-leg letter count before
     instantiating, is the length-one second-leg part of the whole R at
-    order + 1."""
-    hi = Q2.order + 1
+    rel_order + 1, the degree ell_generator grows the lambda table to."""
+    Q2.ell_generator(0)
+    hi = Q2.rel_order + 1
     rho = Q2._rho_at_order(hi, Q2.varrho)
     full = Q2.r_matrix(rho, hi)
     want = {k: c for k, c in full.items() if len(k[1]) == 1}
@@ -125,6 +149,61 @@ def test_ell_matches_direct_pairing(B4, borel, varrho3):
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
         x = TensElem.word(tctx, w)
         assert Q.ell(x) == ell_direct(Q, x)
+
+
+def test_ell_matches_the_unseeded_chain(Q2, Q3):
+    """ell, which seeds each word's chain with the word's coefficient,
+    equals the chain from the unit times the coefficient, mod
+    hbar^(rel_order+1), on seeded random words with coefficients of
+    valuation 0..2; on Q3 rel_order (2) is below order (3)."""
+    rng = random.Random(7)
+    for Q in (Q2, Q3):
+        d = Q.bia.algebra.dim
+        for _ in range(6):
+            x = TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 3))
+            assert truncated(Q.ell(x), Q.rel_order) == \
+                truncated(ell_chain(Q, x), Q.rel_order)
+
+
+def test_phi_psi_match_the_uncapped_blocks(Q2, Q3):
+    """phi/psi, which stop each term pair's blocks at the order its
+    coefficient keeps, equal the blocks to order + 1 for every pair, on
+    seeded random arguments with coefficients of valuation 0..2, and on
+    images of ell."""
+    rng = random.Random(11)
+    for Q in (Q2, Q3):
+        d = Q.bia.algebra.dim
+        for _ in range(6):
+            xelem = ShElem(Q.sh_ctx, _random_terms(rng, d, Q.order, 2))
+            y = TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 2))
+            z = Q.ell(TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 2)))
+            for a in (xelem, z):
+                for xi_right, fn in ((False, Q.phi), (True, Q.psi)):
+                    assert truncated(fn(a, y), Q.rel_order) == \
+                        truncated(phipsi_uncapped(Q, a, y, xi_right), Q.rel_order)
+
+
+def test_order_three_reads_nothing_past_rel_order(borel):
+    """At order 3 over rho to degree 3 the generators of ell are built
+    mod hbar^(rel_order+1) = hbar^3, so the QYBE check, the relations
+    and the semiclassical checks grow the lambda table of a fresh family
+    to degree 3, not 4, and every generator coefficient has order 2."""
+    fam = solve_bfamily(Fraction(1, 2), 4, "paper3")
+    Q = Quantization(fam, borel, order=3, varrho=solve_varrho(fam, 3))
+    assert Q.check_qybe()
+    Q.extract_relations()
+    assert Q.semiclassical_check(0) and Q.semiclassical_check(1)
+    assert fam.lambdas.max_degree == 3
+    assert {c.order for i in range(2) for c in Q.ell_generator(i).terms.values()} == {2}
+
+
+def test_semiclassical_check_needs_rel_order_one(B4, borel):
+    """rho_1 alone determines ell only mod hbar (rel_order 0), so the
+    hbar^1 coefficient the semiclassical check reads is not there."""
+    Q = Quantization(B4, borel, order=2, varrho={1: varrho_one()})
+    assert Q.rel_order == 0
+    with pytest.raises(ValueError, match="rel_order"):
+        Q.semiclassical_check(1)
 
 
 def test_ell_antihomomorphism(Q2):
