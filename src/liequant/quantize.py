@@ -57,6 +57,9 @@ class Quantization:
         # the hbar^<=k parts of ell and of the relations need rho_<=k+1
         self.rel_order = min(order, max(varrho) - 1)
         self.rho = self._rho_at_order(order, varrho)
+        # rho = hbar r + O(hbar^2); r != r21, so a swap of kappa's sides fails here
+        h1 = {ij: c.coeff(1) for ij, c in self.rho.items() if c.coeff(1)}
+        assert order < 1 or h1 == self.double.r, "rho's hbar^1 part is not r"
         # one context of each kind, so their memos are shared; T(g)'s dual
         # blocks and Sh(D)'s word products read one memo of B_pq on D
         self.tens_ctx = TensContext(self.double, bfam, order)

@@ -543,23 +543,27 @@ def phi_N(bfam, varrho, N):
 def solve_varrho(bfam, N):
     """The unique solution (varrho_n) of the universal equations, n <= N.
 
-    Degree by degree: checks the obstruction delta4(Phi) = 0, solves
-    delta3(x) = -Phi exactly and asserts the kernel is trivial.  A failed
-    check raises Obstructed(M + 1) with reason "cocycle" or "image", and as
-    witness one (key, c) term of delta4(Phi) or of the part of Phi that
-    delta3's image does not reach.
+    Degree by degree: solves delta3(x) = -Phi exactly and asserts the
+    kernel is trivial.  A solution makes Phi = -delta3(x) exactly, and
+    delta4 delta3 = 0, so it certifies the cocycle condition
+    delta4(Phi) = 0 as well; delta4(Phi) is computed only after a failed
+    solve, to name the failure.  It raises Obstructed(M + 1) with reason
+    "cocycle" and as witness the first (key, c) term of delta4(Phi) when
+    that is nonzero, and otherwise reason "image" and one term of the part
+    of Phi that delta3's image does not reach.
     """
     varrho = {1: varrho_one()}
     for M in range(2, N + 1):
         phi = phi_N(bfam, varrho, M + 1)
-        obstruction = delta4(phi)
-        if obstruction:
-            raise Obstructed(M + 1, "cocycle", next(iter(obstruction.terms.items())))
         fb = basis_F(M)
         ech = linalg.rref([delta3(e).terms for e in fb], len(fb))
         try:
             x = ech.solve({k: -c for k, c in phi.terms.items()})
         except linalg.InconsistentSystem as e:
+            obstruction = delta4(phi)
+            if obstruction:
+                raise Obstructed(M + 1, "cocycle",
+                                 next(iter(obstruction.terms.items()))) from e
             key, c = next(iter(e.residual.items()))
             raise Obstructed(M + 1, "image", (key, -c)) from e
         if ech.kernel:

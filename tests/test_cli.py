@@ -114,6 +114,14 @@ def test_qybe_solve_obstruction_is_golden():
     assert r.stderr == (DATA / "qybe_solve_d4.stderr").read_text()
 
 
+def test_qybe_solve_output_is_golden():
+    """qybe solve to degree 3 succeeds: exit 0, no stderr, and the rho
+    table varrho_1..varrho_3 on stdout, byte for byte."""
+    r = run_cli("qybe", "solve", "--max-degree", "3")
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.encode() == (DATA / "qybe_solve_d3.json").read_bytes()
+
+
 def test_rmatrix_command():
     r = run_cli("rmatrix", "--max-degree", "2")
     assert r.returncode == 0

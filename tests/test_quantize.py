@@ -6,6 +6,7 @@ import pytest
 from liequant.bfamily import solve_bfamily
 from liequant.scalars import HSeries, add_term
 from liequant.liealg import abelian_bialgebra
+from liequant import quantize
 from liequant.quantize import Quantization, QYBEFail
 from liequant.shuffle import ShElem, TensElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
@@ -52,6 +53,18 @@ def test_rho_orders(B4, Q2):
     # on borel2: kappa(rho_2)(r) = 1/8 [h,e] x [h*, e*]-combination
     vals2 = {k: c.coeff(2) for k, c in Q2.rho.items() if c.coeff(2)}
     assert vals2 == {(1, d + 1): Fraction(1, 4)}
+
+
+def test_swapped_kappa_sides_fail_the_rho_check(B4, borel, varrho3, monkeypatch):
+    """kappa with its a- and b-sides swapped gives rho21, whose hbar^1
+    part is r21 != r: the constructor's check stops it."""
+    real = quantize.instantiate
+
+    def swapped(elem, alg, r):
+        return {(j, i): c for (i, j), c in real(elem, alg, r).items()}
+    monkeypatch.setattr(quantize, "instantiate", swapped)
+    with pytest.raises(AssertionError, match="hbar\\^1 part"):
+        Quantization(B4, borel, order=2, varrho=varrho3)
 
 
 def test_rho_abelian_is_hbar_r(B4, varrho3):

@@ -250,9 +250,14 @@ def test_instantiate_takes_one_lie_letter_per_slot(dbl):
 
 
 def test_delta4_examples(dbl):
+    """delta4 delta3 = 0 on every basis element of F_M, M = 1..4: the
+    identity by which solve_varrho's exact solve certifies the cocycle
+    condition, at every degree that `qybe solve --max-degree 4` solves.
+    M = 5 takes seconds and is left out."""
     assert not delta4(UElem.zero(3))
-    for e in basis_F(2) + basis_F(3):
-        assert not delta4(delta3(e))
+    for M in range(1, 5):
+        for e in basis_F(M):
+            assert not delta4(delta3(e))
     for e in basis_F3lie(2) + basis_F3lie(3):
         lhs = instantiate(delta4(e), dbl.algebra, dbl.r)
         rhs = delta4_r(dbl.algebra, dbl.r, instantiate(e, dbl.algebra, dbl.r))
@@ -373,13 +378,29 @@ def test_obstruction_and_unique_solution(B4):
 
 
 def test_obstruction_names_a_failed_cocycle_check(B4, monkeypatch):
-    bad = UElem(3, {(((a_atom(0),),), ((b_atom(0),),), ()): Fraction(3)})
-    monkeypatch.setattr(universal, "delta4", lambda phi: bad)
+    """A non-cocycle of degree 3 in place of Phi_3: no solve of
+    delta3(x) = -Phi exists, and the witness is the first term of
+    delta4(Phi)."""
+    phi = basis_F3lie(3)[0]
+    assert delta4(phi)
+    monkeypatch.setattr(universal, "phi_N", lambda bfam, varrho, N: phi)
     with pytest.raises(Obstructed) as info:
         solve_varrho(B4, 2)
     e = info.value
     assert str(e) == "3" and e.degree == 3
-    assert e.reason == "cocycle" and e.witness == next(iter(bad.terms.items()))
+    assert e.reason == "cocycle"
+    assert e.witness == next(iter(delta4(phi).terms.items()))
+
+
+def test_solved_varrho_never_reads_delta4(B4, monkeypatch):
+    """A successful solve certifies delta4(Phi) = 0 by delta4 delta3 = 0,
+    so it gives the same rho without calling delta4."""
+    expected = solve_varrho(B4, 3)
+
+    def refuse(phi):
+        raise AssertionError("delta4 called on a solvable Phi")
+    monkeypatch.setattr(universal, "delta4", refuse)
+    assert solve_varrho(B4, 3) == expected
 
 
 def test_obstruction_names_a_phi_outside_the_image(B4, monkeypatch):
