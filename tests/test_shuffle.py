@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -133,6 +134,21 @@ def test_block_rules_vanish_on_dead_blocks(B4, n5, borel):
             assert not ctx.b_eval(p, q, tuple(i % 2 for i in range(p + q)))
 
 
+def test_one_letter_blocks_are_int_letters(B4, borel, dbl):
+    """b_eval agrees with BFamily.eval on every block of size 1 to 3 and
+    every index tuple; a one-letter block is its letter with the int
+    coefficient 1."""
+    for alg in (borel.algebra, sl2(), dbl.algebra):
+        ctx = ShContext(alg, B4, 2)
+        for n in (1, 2, 3):
+            for q in range(n + 1):
+                for idx in itertools.product(range(alg.dim), repeat=n):
+                    got = ctx.b_eval(n - q, q, idx)
+                    assert got == B4.eval(n - q, q, [alg.basis(i) for i in idx], alg)
+                    if n == 1:
+                        assert got == {idx[0]: 1} and type(got[idx[0]]) is int
+
+
 def test_word_product_is_the_full_loop_on_generators(B4, n5):
     """Same words, coefficients, repeats and order as the walk over every
     composition pair, with eval_block on free-Lie generators."""
@@ -258,6 +274,16 @@ def test_hopf_report_matches_the_per_word_report(B4, borel):
         rep = hopf_report(alg, fam, 3, 2)
         assert [(kind, w[0]) for kind, w in rep.failures] == per_word_hopf_report(alg, fam, 3, 2)
         assert len(rep.failures) == count
+
+
+def test_hopf_report_does_not_depend_on_the_hbar_order(B4):
+    """The structure maps are defined over Q and every input word has
+    coefficient 1, so the failures are the same at every hbar order and
+    every witness order is 0."""
+    bad = _doubled_b21(B4)
+    reports = [hopf_report(sl2(), bad, 3, h).failures for h in (0, 2, 3)]
+    assert reports[0] and reports[0] == reports[1] == reports[2]
+    assert all(order == 0 for _, (_, _, order) in reports[0])
 
 
 def _antipode_inv(a):
@@ -556,6 +582,10 @@ def test_qfsh(B4, borel):
             conc = {kk: v for kk, v in conc.items() if v}
             cnt = ordered_surjection_count(n, k)
             assert conc == ({w: as_series(cnt, 3)} if cnt else {})
+    # delta_0 is the counit on 0 legs
+    d0 = qfsh_delta(ShElem.unit(ctx, 3) + ShElem.word(ctx, (0, 1)), 0)
+    assert d0.legs == 0 and d0.terms == {(): as_series(3, 3)}
+    assert not qfsh_delta(ShElem.word(ctx, (0, 1)), 0)
     assert ordered_surjection_count(2, 1) == 0    # zero iff k < n
     assert ordered_surjection_count(2, 2) == 1
     assert ordered_surjection_count(2, 3) == 2
