@@ -337,10 +337,6 @@ class GaugeSeq:
             return args[0]
         return substitute(self.entry(n), args)
 
-    @staticmethod
-    def identity(max_degree):
-        return GaugeSeq({}, max_degree)
-
 
 def gauge_mul(P, Q):
     """Group law: (P*Q)_n = sum P_alpha(Q-blocks)."""

@@ -150,18 +150,21 @@ def _bialgebra_from_args(args):
 
 def cmd_shuffle(args):
     _at_least("--hbar-order", args.hbar_order, 0)
-    _at_least("--max-degree", args.max_degree, 2)
-    fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree, args.gauge)
-    bia = _bialgebra_from_args(args)
     if args.action == "hopf-check":
-        rep = shuffle.hopf_report(bia.algebra, fam, args.max_degree, args.hbar_order)
-        _emit(args, {"ok": rep.ok(), "failures": [list(map(str, f)) for f in rep.failures]})
-        return 0 if rep.ok() else 1
-    ctx = shuffle.ShContext(bia.algebra, fam, args.hbar_order)
+        _at_least("--max-degree", args.max_degree, 2)
+        fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree, args.gauge)
+        bia = _bialgebra_from_args(args)
+        failures = shuffle.hopf_report(bia.algebra, fam, args.max_degree, args.hbar_order)
+        _emit(args, {"ok": not failures, "failures": [list(map(str, f)) for f in failures]})
+        return 1 if failures else 0
+    bia = _bialgebra_from_args(args)
     u = _word("--left", args.left)
     v = _word("--right", args.right)
     if any(not 0 <= i < bia.algebra.dim for i in u + v):
         raise BadInput("letter index out of range")
+    # the product of u and v reads the blocks B_pq with p + q <= |u| + |v|
+    fam = bfamily.solve_bfamily(Fraction(1, 2), max(len(u) + len(v), 2), args.gauge)
+    ctx = shuffle.ShContext(bia.algebra, fam, args.hbar_order)
     prod = shuffle.sh_mul(shuffle.ShElem.word(ctx, u), shuffle.ShElem.word(ctx, v))
     _emit(args, shuffle.sh_to_json(prod))
     print(repr(prod), file=sys.stderr)
@@ -261,7 +264,7 @@ def cmd_quantize(args):
     }
     tctx = Q.tens_ctx
     for i in range(d):
-        dtab = shuffle.t_comul(tctx, shuffle.TensElem.word(tctx, (i,)))
+        dtab = shuffle.t_comul(tctx, freealg.AssocPoly.gen(i))
         result["coproduct"][bia.algebra.basis_names[i]] = {
             "%s|%s" % (list(k[0]), list(k[1])): scalar_str(c)
             for k, c in sorted(dtab.items())}
@@ -311,8 +314,7 @@ COMMANDS = {
     "cbh": (cmd_cbh, "--max-degree"),
     "bfamily solve": (cmd_bfamily, "--max-degree --gauge --lam"),
     "bfamily check": (cmd_bfamily, "--bfamily"),
-    "shuffle mul": (cmd_shuffle,
-                    "--max-degree --hbar-order --gauge --bialgebra --left --right"),
+    "shuffle mul": (cmd_shuffle, "--hbar-order --gauge --bialgebra --left --right"),
     "shuffle hopf-check": (cmd_shuffle, "--max-degree --hbar-order --gauge --bialgebra"),
     "rmatrix": (cmd_rmatrix, "--max-degree --gauge"),
     "qybe solve": (cmd_qybe, "--max-degree"),

@@ -19,9 +19,10 @@ import itertools
 
 from .scalars import HSeries, add_term, distribute
 from .bfamily import compositions
+from .freealg import AssocPoly
 from .liealg import build_double
 from .shuffle import (ShElem, ShTensor, sh_mul, sh_comul,
-                      TensContext, TensElem, t_comul, all_words, qfsh_member)
+                      TensContext, t_comul, all_words, qfsh_member)
 from .rmatrix import lambda_table
 from .unitensor import UElem, instantiate_tensor
 from .universal import instantiate
@@ -141,10 +142,11 @@ class Quantization:
         return self._ell_gen[i]
 
     def ell(self, x):
-        """ell on the deformed tensor algebra, mod hbar^(rel_order+1): the
-        antimorphism extension.  Each word's chain starts from its
-        coefficient, so a product pair whose valuations sum past the order
-        is skipped (sh_mul is bilinear over the truncated series)."""
+        """ell on the deformed tensor algebra (x an AssocPoly over the
+        basis of g), mod hbar^(rel_order+1): the antimorphism extension.
+        Each word's chain starts from its coefficient, so a product pair
+        whose valuations sum past the order is skipped (sh_mul is
+        bilinear over the truncated series)."""
         out = ShElem(self.sh_ctx, {})
         for w, c in x.terms.items():
             cur = ShElem.unit(self.sh_ctx, c)
@@ -164,8 +166,8 @@ class Quantization:
         return self._phipsi(xelem, y, True)
 
     def _phipsi(self, xelem, y, xi_right):
-        ctx = y.ctx
-        out = TensElem(ctx, {})
+        ctx = self.tens_ctx
+        out = AssocPoly()
         for xw, cx in xelem.terms.items():
             for yw, cy in y.terms.items():
                 c = cx * cy
@@ -175,17 +177,18 @@ class Quantization:
                 kmax = min(c.order, ctx.order) + 1 - c.valuation()
                 for lam in compositions(len(xw), len(yw)):
                     offs = itertools.accumulate(lam, initial=0)
-                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, ctx, kmax)
+                    steps = (self._phipsi_step(xw[o:o + li], yi, xi_right, kmax)
                              for li, yi, o in zip(lam, yw, offs))
                     for key, cc in distribute(steps, c):
                         add_term(out.terms, sum(key, ()), cc)
         return out
 
-    def _phipsi_step(self, xw, yi, xi_right, ctx, kmax):
+    def _phipsi_step(self, xw, yi, xi_right, kmax):
         """The (index tuple, coeff) pairs that one block of phi/psi takes
         the letters xw and the letter yi to: the hbar^(k-1)-weighted dual
         blocks of B_{k,|xw|} (beta), or of B_{|xw|,k} with xi_right
         (gamma), for k <= kmax."""
+        ctx = self.tens_ctx
         li = len(xw)
         step = []
         for k in range(1, min(self.bfam.max_degree - li, kmax) + 1):
@@ -206,14 +209,13 @@ class Quantization:
         there, so the relation is computed mod hbar^(rel_order+1)
         throughout.  The coproduct coefficient c enters ell as the
         coefficient of its word, where it cuts the products short."""
-        ctx = self.tens_ctx
-        x = TensElem.word(ctx, (i,), HSeries.const(1, self.rel_order))
-        out = TensElem(ctx, {})
-        for (w1, w2), c in t_comul(ctx, TensElem.word(ctx, (j,))).items():
-            lhs = self.phi(self.ell(TensElem.word(ctx, w2, c)), x)
-            out = out + TensElem.word(ctx, w1) * lhs
-            rhs = self.psi(self.ell(TensElem.word(ctx, w1, c)), x)
-            out = out - rhs * TensElem.word(ctx, w2)
+        x = AssocPoly.word((i,), HSeries.const(1, self.rel_order))
+        out = AssocPoly()
+        for (w1, w2), c in t_comul(self.tens_ctx, AssocPoly.gen(j)).items():
+            lhs = self.phi(self.ell(AssocPoly.word(w2, c)), x)
+            out = out + AssocPoly.word(w1) * lhs
+            rhs = self.psi(self.ell(AssocPoly.word(w1, c)), x)
+            out = out - rhs * AssocPoly.word(w2)
         return out
 
     def extract_relations(self):
@@ -259,7 +261,7 @@ class Quantization:
         order ell keeps, over the images of the words of length <=
         max_word_deg."""
         top = self.rel_order
-        images = [self.ell(TensElem.word(self.tens_ctx, w))
+        images = [self.ell(AssocPoly.word(w))
                   for w in all_words(self.bia.algebra.dim, max_word_deg)]
         # hbar-graded unknowns: coefficients hbar^s * word for each image
         cols = []

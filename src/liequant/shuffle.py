@@ -1,9 +1,10 @@
 """Deformed shuffle Hopf algebras of a Lie algebra and their tensor duals.
 
 ShElem: word-indexed elements of the deformed shuffle algebra of g, with
-truncated hbar-series coefficients.  TensElem: elements of the deformed
-tensor Hopf algebra T(g) of a Lie bialgebra g (undeformed concatenation
-product, deformed coproduct).  T(g)'s coproduct is B_pq read on the double
+truncated hbar-series coefficients.  The deformed tensor Hopf algebra T(g)
+of a Lie bialgebra g is the free associative algebra on the basis of g
+(elements are freealg.AssocPoly, the product is concatenation); only its
+coproduct t_comul is deformed.  That coproduct is B_pq read on the double
 D = g + g*: TensContext.dual_block evaluates B_pq on dual-basis letters
 and pairs the value with e_x, and the same blocks serve quantize's phi/psi.
 ShTensor: small tensor powers of ShElem legs.
@@ -99,23 +100,12 @@ class ShElem(LinComb):
     def word(ctx, letters, c=1):
         return ShElem(ctx, {tuple(letters): as_series(c, ctx.order)})
 
-    @staticmethod
-    def letter(ctx, i):
-        return ShElem(ctx, {(i,): as_series(1, ctx.order)})
-
     def counit(self):
         return self.terms.get((), as_series(0, self.ctx.order))
 
     def pr(self):
         """Degree-1 component as a vector over the algebra basis."""
         return {w[0]: c for w, c in self.terms.items() if len(w) == 1}
-
-    def component(self, k):
-        return ShElem(self.ctx, {w: c for w, c in self.terms.items() if len(w) == k})
-
-    def reverse(self):
-        """The word-reversal automorphism Psi."""
-        return ShElem(self.ctx, {tuple(reversed(w)): c for w, c in self.terms.items()})
 
     def __repr__(self):
         bits = []
@@ -201,32 +191,11 @@ def all_words(dim, max_len):
     return out
 
 
-class HopfReport:
-    """failures: a (kind, (words, key, order)) pair per failed check: the
-    checked words, then the first term of lhs - rhs and the hbar valuation
-    of its coefficient."""
-
-    def __init__(self):
-        self.failures = []
-
-    def ok(self):
-        return not self.failures
-
-    def check(self, kind, words, *sides):
-        """Record the first (lhs, rhs) of sides that differ."""
-        for lhs, rhs in sides:
-            if lhs != rhs:
-                key, c = next(iter((lhs - rhs).terms.items()))
-                self.failures.append((kind, (words, key, c.valuation())))
-                return
-
-    def __repr__(self):
-        return "HopfReport(ok)" if self.ok() else "HopfReport(%d failures: %s...)" % (
-            len(self.failures), self.failures[:3])
-
-
 def hopf_report(alg, bfam, deg, hord):
-    """Check all Hopf axioms on basis words up to tensor degree deg.
+    """Check all Hopf axioms on basis words up to tensor degree deg, and
+    return the failures: a (kind, (words, key, order)) pair per failed
+    check, naming the checked words, then the first term of lhs - rhs and
+    the hbar valuation of its coefficient (an empty list when all hold).
 
     Each pair product u v (|u| + |v| <= deg) and each antipode image S(u)
     is computed once and read by every check that needs it.  Every input
@@ -234,7 +203,16 @@ def hopf_report(alg, bfam, deg, hord):
     every compared coefficient is a constant series: the verdict and the
     witnesses do not depend on hord, and every witness order is 0."""
     ctx = ShContext(alg, bfam, hord)
-    rep = HopfReport()
+    failures = []
+
+    def check(kind, words, *sides):
+        """Record the first (lhs, rhs) of sides that differ."""
+        for lhs, rhs in sides:
+            if lhs != rhs:
+                key, c = next(iter((lhs - rhs).terms.items()))
+                failures.append((kind, (words, key, c.valuation())))
+                return
+
     words = all_words(alg.dim, deg)
     nonempty = [w for w in words if w]
     elems = {u: ShElem.word(ctx, u) for u in words}
@@ -247,18 +225,18 @@ def hopf_report(alg, bfam, deg, hord):
         for w in nonempty:
             if len(u) + len(v) + len(w) > deg:
                 continue
-            rep.check("associativity", (u, v, w),
-                      (sh_mul(prods[u, v], elems[w]), sh_mul(elems[u], prods[v, w])))
+            check("associativity", (u, v, w),
+                  (sh_mul(prods[u, v], elems[w]), sh_mul(elems[u], prods[v, w])))
     # coassociativity and counit
     for u in words:
         a, comul = elems[u], comuls[u]
-        rep.check("coassociativity", u, (comul.comul_leg(0), comul.comul_leg(1)))
+        check("coassociativity", u, (comul.comul_leg(0), comul.comul_leg(1)))
         left = ShElem(ctx, {w2: c for (w1, w2), c in comul.terms.items() if not w1})
         right = ShElem(ctx, {w1: c for (w1, w2), c in comul.terms.items() if not w2})
-        rep.check("counit", u, (left, a), (right, a))
+        check("counit", u, (left, a), (right, a))
     # bialgebra compatibility Delta(uv) = Delta(u)Delta(v)
     for (u, v), prod in prods.items():
-        rep.check("bialgebra", (u, v), (sh_comul(prod), comuls[u].mul(comuls[v])))
+        check("bialgebra", (u, v), (sh_comul(prod), comuls[u].mul(comuls[v])))
     # antipode axioms, and S^-1 inverts S
     for u in words:
         a = elems[u]
@@ -269,46 +247,21 @@ def hopf_report(alg, bfam, deg, hord):
             for x, cx in sh_mul(ShElem.word(ctx, w1, c), antis[w2]).terms.items():
                 add_term(conv2, x, cx)
         target = ShElem.unit(ctx, a.counit()) if u == () else ShElem(ctx, {})
-        rep.check("antipode", u, (a._like(conv), target), (a._like(conv2), target))
-        rep.check("antipode-inverse", u,
-                  (sh_antipode(ShElem(ctx, ctx.antipode(u, inverse=True))), a))
-    return rep
+        check("antipode", u, (a._like(conv), target), (a._like(conv2), target))
+        check("antipode-inverse", u,
+              (sh_antipode(ShElem(ctx, ctx.antipode(u, inverse=True))), a))
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # the deformed tensor algebra T(g)
 # ---------------------------------------------------------------------------
 
-class TensElem(LinComb):
-    """Element of the deformed tensor Hopf algebra T(g)."""
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx              # a TensContext
-        self.terms = _norm_terms(terms, ctx.order)
-
-    def _like(self, terms):
-        return TensElem(self.ctx, terms)
-
-    @staticmethod
-    def unit(ctx, c=1):
-        return TensElem(ctx, {(): as_series(c, ctx.order)})
-
-    @staticmethod
-    def word(ctx, letters, c=1):
-        return TensElem(ctx, {tuple(letters): as_series(c, ctx.order)})
-
-    def __mul__(self, other):
-        """Concatenation (the algebra structure is undeformed)."""
-        out = {}
-        for w1, c1, w2, c2 in surviving_pairs(self.terms, other.terms):
-            add_term(out, w1 + w2, c1 * c2)
-        return TensElem(self.ctx, out)
-
-
 class TensContext:
-    """T(g) of a Lie bialgebra g, read on its double D = g + g*, with a
-    B-family; the generator coproduct is cached, and B_pq on D is read
-    through the memo of the context's own Sh(D) (self.sh)."""
+    """The coproduct of T(g) for a Lie bialgebra g, read on its double
+    D = g + g*, with a B-family; the generator coproduct is cached, and
+    B_pq on D is read through the memo of the context's own Sh(D)
+    (self.sh)."""
 
     def __init__(self, double, bfam, order):
         self.double = double
@@ -349,7 +302,8 @@ class TensContext:
 
 
 def t_comul(ctx, x):
-    """Coproduct of the deformed tensor algebra (algebra-map extension)."""
+    """Coproduct of the deformed tensor algebra on an AssocPoly x over the
+    basis of g (algebra-map extension): {(word, word): coeff}."""
     result = {}
     for w, c in x.terms.items():
         gens = (ctx.generator_comul(i).items() for i in w)
@@ -378,7 +332,7 @@ def pairing(xi, x):
     """<(xi_1...xi_m), x_1 x...x x_n> = hbar^-n delta_{nm} prod <xi_i, x_i>.
 
     xi: ShElem over the dual basis of g (so letter i pairs to delta_ij
-    with the g-basis), x: TensElem over g.  Returns a PoleSeries.
+    with the g-basis), x: AssocPoly over g.  Returns a PoleSeries.
     """
     order = xi.ctx.order
     acc = {}

@@ -5,7 +5,7 @@ extension of the generators' images that `Quantization.ell` uses."""
 from fractions import Fraction
 
 from liequant.rmatrix import lambda_table
-from liequant.scalars import HSeries
+from liequant.scalars import HSeries, as_series
 from liequant.shuffle import ShElem
 from liequant.unitensor import instantiate_tensor
 
@@ -29,7 +29,8 @@ def ell_direct(Q, x):
     for n in range(hi + 1):
         t = instantiate_tensor(table.rmatrix(n), Q.double.algebra, rho_hi)
         for w, c in x.terms.items():
-            chi = HSeries(list(c.coeffs) + [Fraction(0)] * kmax, hi)
+            # a rational coefficient is a constant series
+            chi = HSeries(list(as_series(c, Q.order).coeffs) + [Fraction(0)] * kmax, hi)
             for (wa, wb), cr in t.items():
                 if len(wb) != len(w) or tuple(k - d for k in wb) != w:
                     continue

@@ -8,7 +8,8 @@ import itertools
 
 from liequant.bfamily import compositions
 from liequant.scalars import HSeries, add_term, distribute, pr_legs
-from liequant.shuffle import ShElem, TensElem, sh_mul
+from liequant.freealg import AssocPoly
+from liequant.shuffle import ShElem, sh_mul
 from liequant.universal import univ_qybe_residual
 from class_oracle import instantiate
 
@@ -60,7 +61,6 @@ def ell_chain(Q, x):
 def phipsi_uncapped(Q, xelem, y, xi_right):
     """phi (psi with xi_right) with every block B_{k,|xw|} (B_{|xw|,k})
     up to k = order + 1, whatever the hbar valuation of the term pair."""
-    ctx = y.ctx
     out = {}
     for xw, cx in xelem.terms.items():
         for yw, cy in y.terms.items():
@@ -70,7 +70,7 @@ def phipsi_uncapped(Q, xelem, y, xi_right):
                          for li, yi, o in zip(lam, yw, offs)]
                 for key, c in distribute(steps, cx * cy):
                     add_term(out, sum(key, ()), c)
-    return TensElem(ctx, out)
+    return AssocPoly(out)
 
 
 def _uncapped_step(Q, xw, yi, xi_right):

@@ -4,12 +4,16 @@ A public module-level `def` or `class` in `src/liequant/*.py` must be
 referred to somewhere other than its own definition: as an identifier
 elsewhere in the library or in `bench/*.py` (a name, an attribute or an
 imported name, read with `ast`, so comments, docstrings and strings do
-not count), or inside backticks in `README.md`.  A name that only tests
-call is an oracle and belongs in `tests/`, not in the library API.
+not count), or inside backticks in `README.md`.  A public method of a
+library class must likewise be read as an attribute (`x.name`) in
+library or `bench/*.py` code outside its own `def`, or be named in a
+README code span.  A name that only tests call is an oracle and belongs
+in `tests/`, not in the library API.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +35,11 @@ def _identifiers(node):
             if n.asname:
                 out.add(n.asname)
     return out
+
+
+def _attributes(node):
+    """How often node reads each attribute name."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def _readme_identifiers(text):
@@ -58,6 +67,25 @@ def test_every_public_name_is_reached():
                     and not any(node.name in ids for n, ids in nodes if n is not node)
                     and node.name not in others):
                 unreached.append("%s.%s" % (stem, node.name))
+    assert unreached == [], unreached
+
+
+def test_every_public_method_is_reached():
+    reached = _readme_identifiers((ROOT / "README.md").read_text())
+    for p in sorted((ROOT / "bench").glob("*.py")):
+        reached |= set(_attributes(ast.parse(p.read_text())))
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    reads = sum((_attributes(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for stem, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and fn.name not in reached
+                        and reads[fn.name] == _attributes(fn)[fn.name]):
+                    unreached.append("%s.%s.%s" % (stem, cls.name, fn.name))
     assert unreached == [], unreached
 
 

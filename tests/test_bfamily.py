@@ -49,7 +49,7 @@ def test_solve_lambda_zero():
 
 
 def test_gauge_identity_and_action_axiom(B4):
-    ident = GaugeSeq.identity(4)
+    ident = GaugeSeq({}, 4)     # the identity gauge: no entry past degree 1
     fixed = gauge_act(ident, B4)
     assert all(fixed.entry(p, q) == B4.entry(p, q)
                for n in range(2, 5) for p in range(1, n) for q in [n - p])
@@ -74,7 +74,7 @@ def test_gauge_group_axioms():
     g = GaugeSeq({2: Fraction(1, 3) * LiePoly.leftnormed((0, 1))}, 4)
     h = GaugeSeq({3: Fraction(1, 5) * LiePoly.leftnormed((0, 1, 2))}, 4)
     k = GaugeSeq({2: Fraction(-2) * LiePoly.leftnormed((0, 1))}, 4)
-    ident = GaugeSeq.identity(4)
+    ident = GaugeSeq({}, 4)     # the identity gauge: no entry past degree 1
     assert all(gauge_mul(g, ident).entry(n) == g.entry(n) for n in range(1, 5))
     assert all(gauge_mul(ident, g).entry(n) == g.entry(n) for n in range(1, 5))
     a1 = gauge_mul(gauge_mul(g, h), k)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from liequant import bfamily, cli, universal
-from liequant.bfamily import Obstructed
+from liequant.bfamily import Obstructed, solve_bfamily
 from liequant.rmatrix import NonUnique
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,7 +65,7 @@ def test_bad_input_exit_code(tmp_path):
 def test_shuffle_mul(tmp_path):
     out = tmp_path / "m.json"
     r = run_cli("shuffle", "mul", "--left", "0", "--right", "1",
-                "--max-degree", "3", "--hbar-order", "2", "--out", str(out))
+                "--hbar-order", "2", "--out", str(out))
     assert r.returncode == 0
     data = json.loads(out.read_text())
     words = {tuple(t["word"]): t["coeff"] for t in data["terms"]}
@@ -74,11 +74,26 @@ def test_shuffle_mul(tmp_path):
 
 def test_shuffle_mul_of_long_words_is_golden():
     """stdout of the product of two 3-letter words, byte for byte: every
-    block sequence of the deformed word product at lengths (3, 3)."""
+    block sequence of the deformed word product at lengths (3, 3), the
+    degree-6 blocks included."""
     r = run_cli("shuffle", "mul", "--left", "0,1,0", "--right", "1,0,1",
-                "--max-degree", "4", "--hbar-order", "3")
-    assert r.returncode == 0 and r.stderr.startswith("[-5/24](e e e) + ")
+                "--hbar-order", "3")
+    assert r.returncode == 0 and r.stderr.startswith("[-1/4](e e e) + ")
     assert r.stdout.encode() == (DATA / "shuffle_mul_010_101.json").read_bytes()
+
+
+def test_shuffle_mul_solves_the_family_to_the_degree_it_reads(monkeypatch, capsys):
+    """The product of a 2- and a 3-letter word reads the blocks B_pq up
+    to p + q = 5, so the family is solved to degree 5."""
+    degrees = []
+
+    def solve(lam, n, gauge):
+        degrees.append(n)
+        return solve_bfamily(lam, n, gauge)
+    monkeypatch.setattr(bfamily, "solve_bfamily", solve)
+    assert cli.main(["shuffle", "mul", "--left", "0,1", "--right", "1,0,1"]) == 0
+    assert degrees == [5]
+    assert capsys.readouterr().out
 
 
 def test_shuffle_hopf_check():
@@ -205,7 +220,7 @@ def test_malformed_bfamily_is_input_error(tmp_path):
 
 def test_degree_below_two_is_input_error():
     _assert_input_error(run_cli("bfamily", "solve", "--max-degree", "1"))
-    _assert_input_error(run_cli("shuffle", "mul", "--max-degree", "1"))
+    _assert_input_error(run_cli("shuffle", "hopf-check", "--max-degree", "1"))
 
 
 def test_malformed_lam_is_input_error():
@@ -281,8 +296,7 @@ OPTIONS_READ = {
     ("cbh",): ["--max-degree"],
     ("bfamily", "solve"): ["--max-degree", "--gauge", "--lam"],
     ("bfamily", "check"): ["--bfamily"],
-    ("shuffle", "mul"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra",
-                         "--left", "--right"],
+    ("shuffle", "mul"): ["--hbar-order", "--gauge", "--bialgebra", "--left", "--right"],
     ("shuffle", "hopf-check"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra"],
     ("rmatrix",): ["--max-degree", "--gauge"],
     ("qybe", "solve"): ["--max-degree"],

@@ -8,7 +8,8 @@ from liequant.scalars import HSeries, add_term
 from liequant.liealg import abelian_bialgebra
 from liequant import quantize
 from liequant.quantize import Quantization, QYBEFail
-from liequant.shuffle import ShElem, TensElem, sh_mul
+from liequant.freealg import AssocPoly
+from liequant.shuffle import ShElem, sh_mul
 from liequant.universal import varrho_one, solve_varrho
 from ell_oracle import ell_direct
 from quantize_oracle import (ell_chain, equivalence_report, malta_check,
@@ -139,18 +140,17 @@ def test_malta_identity(Q2):
 
 
 def test_ell_examples(Q2):
-    tctx = Q2.tens_ctx
     ctx = Q2.sh_ctx
-    assert Q2.ell(TensElem.unit(tctx)) == ShElem.unit(ctx)
+    assert Q2.ell(AssocPoly.unit()) == ShElem.unit(ctx)
     for i in range(2):
-        le = Q2.ell(TensElem.word(tctx, (i,)))
+        le = Q2.ell(AssocPoly.gen(i))
         assert le.terms[(i,)].coeff(0) == 1
         for w, c in le.terms.items():
             if w != (i,):
                 assert c.coeff(0) == 0
     # ell is an antimorphism: ell(x x y) mod hbar = (y)(x)
-    le2 = Q2.ell(TensElem.word(tctx, (0, 1)))
-    prod = sh_mul(ShElem.letter(ctx, 1), ShElem.letter(ctx, 0))
+    le2 = Q2.ell(AssocPoly.word((0, 1)))
+    prod = sh_mul(ShElem.word(ctx, (1,)), ShElem.word(ctx, (0,)))
     h0 = {w: c.coeff(0) for w, c in le2.terms.items() if c.coeff(0)}
     p0 = {w: c.coeff(0) for w, c in prod.terms.items() if c.coeff(0)}
     assert h0 == p0
@@ -158,9 +158,8 @@ def test_ell_examples(Q2):
 
 def test_ell_matches_direct_pairing(B4, borel, varrho3):
     Q = Quantization(B4, borel, order=2, varrho=varrho3)
-    tctx = Q.tens_ctx
     for w in ((0,), (1,), (0, 1), (1, 0), (1, 1)):
-        x = TensElem.word(tctx, w)
+        x = AssocPoly.word(w)
         assert Q.ell(x) == ell_direct(Q, x)
 
 
@@ -173,7 +172,7 @@ def test_ell_matches_the_unseeded_chain(Q2, Q3):
     for Q in (Q2, Q3):
         d = Q.bia.algebra.dim
         for _ in range(6):
-            x = TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 3))
+            x = AssocPoly(_random_terms(rng, d, Q.order, 3))
             assert truncated(Q.ell(x), Q.rel_order) == \
                 truncated(ell_chain(Q, x), Q.rel_order)
 
@@ -188,8 +187,8 @@ def test_phi_psi_match_the_uncapped_blocks(Q2, Q3):
         d = Q.bia.algebra.dim
         for _ in range(6):
             xelem = ShElem(Q.sh_ctx, _random_terms(rng, d, Q.order, 2))
-            y = TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 2))
-            z = Q.ell(TensElem(Q.tens_ctx, _random_terms(rng, d, Q.order, 2)))
+            y = AssocPoly(_random_terms(rng, d, Q.order, 2))
+            z = Q.ell(AssocPoly(_random_terms(rng, d, Q.order, 2)))
             for a in (xelem, z):
                 for xi_right, fn in ((False, Q.phi), (True, Q.psi)):
                     assert truncated(fn(a, y), Q.rel_order) == \
@@ -220,9 +219,8 @@ def test_semiclassical_check_needs_rel_order_one(B4, borel):
 
 
 def test_ell_antihomomorphism(Q2):
-    tctx = Q2.tens_ctx
-    x = TensElem.word(tctx, (0,))
-    y = TensElem.word(tctx, (1, 1))
+    x = AssocPoly.gen(0)
+    y = AssocPoly.word((1, 1))
     assert Q2.ell(x * y) == sh_mul(Q2.ell(y), Q2.ell(x))
 
 
@@ -253,20 +251,19 @@ def test_beta_vanishes_abelian(B4, varrho3):
 
 def test_phi_psi_first_order(Q2):
     ctx = Q2.sh_ctx
-    tctx = Q2.tens_ctx
     alg = Q2.bia.algebra
     for i in range(2):
         for j in range(2):
-            ph = Q2.phi(ShElem.letter(ctx, i), TensElem.word(tctx, (j,)))
+            ph = Q2.phi(ShElem.word(ctx, (i,)), AssocPoly.gen(j))
             br = alg.bracket(alg.basis(i), alg.basis(j))
             expect = {(k,): Fraction(1, 2) * c for k, c in br.items() if c}
             got0 = {w: c.coeff(0) for w, c in ph.terms.items() if c.coeff(0)}
             assert got0 == expect
-            ps = Q2.psi(ShElem.letter(ctx, i), TensElem.word(tctx, (j,)))
+            ps = Q2.psi(ShElem.word(ctx, (i,)), AssocPoly.gen(j))
             got0p = {w: c.coeff(0) for w, c in ps.terms.items() if c.coeff(0)}
             assert got0p == {k: -v for k, v in expect.items()}
     # phi(1, y) = y
-    y = TensElem.word(tctx, (0, 1))
+    y = AssocPoly.word((0, 1))
     assert Q2.phi(ShElem.unit(ctx), y) == y
 
 
@@ -298,9 +295,8 @@ def test_relations_stop_at_the_order_rho_supports(B4, borel, Q2, varrho3):
 def test_relations_abelian(B4, varrho3):
     Qa = Quantization(B4, abelian_bialgebra(2), order=2, varrho=varrho3)
     rels = Qa.extract_relations()
-    tctx = Qa.tens_ctx
     for (i, j), k in rels.items():
-        assert k == TensElem.word(tctx, (j, i)) - TensElem.word(tctx, (i, j))
+        assert k == AssocPoly.word((j, i)) - AssocPoly.word((i, j))
 
 
 def test_semiclassical(Q2):
@@ -319,9 +315,8 @@ def test_qfsh_membership(Q2):
 def test_image_divisibility(Q2):
     """Im(ell) cap hbar Sh = hbar Im(ell) on a spanning set: any image
     element divisible by hbar is hbar times an image element."""
-    tctx = Q2.tens_ctx
     # hbar * ell(x) is in the image of ell at the truncated order: solve
-    x = TensElem.word(tctx, (1,))
+    x = AssocPoly.gen(1)
     z = HSeries.hpow(1, 1, 2) * Q2.ell(x)
     assert Q2.image_membership(z, 2)
     # and the quotient z / hbar is (trivially) an image element

@@ -6,10 +6,10 @@ import pytest
 
 from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
-from liequant.liealg import borel2, build_double
+from liequant.liealg import borel2
 from liequant.scalars import (HSeries, LinComb, add_term, distribute,
                               pr_legs, scalar_str, scalar_from_json)
-from liequant.shuffle import ShContext, ShElem, ShTensor, TensContext, TensElem
+from liequant.shuffle import ShContext, ShElem, ShTensor
 from liequant.unitensor import UElem
 
 
@@ -189,29 +189,26 @@ def test_json_forms():
 
 
 # ---------------------------------------------------------------------------
-# the shared sparse arithmetic of the six linear-combination classes
+# the shared sparse arithmetic of the five linear-combination classes
 # ---------------------------------------------------------------------------
 
 ORDER = 2
-SERIES_KINDS = ("ShElem", "TensElem", "ShTensor")
+SERIES_KINDS = ("AssocPoly", "ShElem", "ShTensor")
 
 
-def _contexts():
-    bia = borel2()
+def _context():
     fam = solve_bfamily(Fraction(1, 2), 2, "rref-zero")
-    return (ShContext(bia.algebra, fam, ORDER),
-            TensContext(build_double(bia), fam, ORDER))
+    return ShContext(borel2().algebra, fam, ORDER)
 
 
 def _kinds():
     """kind -> (class, builder from a terms dict, three distinct keys)."""
-    sctx, tctx = _contexts()
+    sctx = _context()
     a0, b0, b1 = ((0, 0),), ((0, 1),), ((1, 1),)     # single-atom letters
     return {
         "AssocPoly": (AssocPoly, AssocPoly, [(0,), (0, 1), (1, 0)]),
         "LiePoly": (LiePoly, LiePoly, [(0,), (1,), (0, 1)]),
         "ShElem": (ShElem, lambda t: ShElem(sctx, t), [(0,), (1,), (0, 1)]),
-        "TensElem": (TensElem, lambda t: TensElem(tctx, t), [(), (1,), (1, 0)]),
         "ShTensor": (ShTensor, lambda t: ShTensor(sctx, 2, t),
                      [((0,), ()), ((), (1,)), ((0,), (1,))]),
         "UElem": (UElem, lambda t: UElem(2, t),
@@ -219,8 +216,7 @@ def _kinds():
     }
 
 
-@pytest.mark.parametrize("kind", ["AssocPoly", "LiePoly", "ShElem", "TensElem",
-                                  "ShTensor", "UElem"])
+@pytest.mark.parametrize("kind", ["AssocPoly", "LiePoly", "ShElem", "ShTensor", "UElem"])
 def test_lincomb_arithmetic(kind):
     cls, make, (k0, k1, k2) = _kinds()[kind]
     assert issubclass(cls, LinComb)
@@ -245,7 +241,7 @@ def test_lincomb_arithmetic(kind):
 
 
 def test_lincomb_leg_counts_differ():
-    sctx, _ = _contexts()
+    sctx = _context()
     key = (((0, 0),), ((0, 1),))
     assert UElem(2, {key: Fraction(1)}) != UElem(3, {key: Fraction(1)})
     assert UElem.zero(2) != UElem.zero(3) and UElem.zero(2) == UElem.zero(2)
@@ -257,7 +253,7 @@ def test_leg_operations_shared():
     """place, comul_leg and pr_legs act on the keys alone, so a UElem and
     a ShTensor with the same keys give the same key sets."""
     rng = random.Random(10)
-    sctx, _ = _contexts()
+    sctx = _context()
     letters = [((p, s),) for p in range(3) for s in (0, 1)]
     for _ in range(5):
         terms = {((letters[0],), (letters[1],)): Fraction(1)}
