@@ -599,3 +599,28 @@ def bfamily_from_json(d):
                              % (p, q, p + q))
         table[(p, q)] = poly
     return BFamily(scalar_from_json(d["lambda"]), n, table)
+
+
+def stored_family(degree):
+    """The paper3 family (lambda = 1/2) to `degree`: the prefix of the
+    degree-6 family stored in data/bfamily_paper3.jsonl, one header line
+    and then one bfamily_to_json entry per line, ordered by p + q.  It
+    reads no line past the first entry above `degree`, and raises
+    ValueError above the stored degree.  The prefixes of degree <= 3 and
+    the whole file equal solve_bfamily(1/2, degree, "paper3"); those of
+    degree 4 and 5 do not, because a solve to degree n sets the free part
+    of degree n to zero and the degree-6 solve reopened it."""
+    import json
+    import os
+    with open(os.path.join(os.path.dirname(__file__), "data", "bfamily_paper3.jsonl")) as fh:
+        header = json.loads(next(fh))
+        if degree > header["max_degree"]:
+            raise ValueError("degree %d is above %d, the degree of the stored family"
+                             % (degree, header["max_degree"]))
+        entries = []
+        for line in fh:
+            e = json.loads(line)
+            if e["p"] + e["q"] > degree:
+                break
+            entries.append(e)
+    return bfamily_from_json({**header, "max_degree": degree, "entries": entries})

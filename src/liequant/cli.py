@@ -75,6 +75,15 @@ def _print_obstructed(command, e):
     print(line, file=sys.stderr)
 
 
+def _stored_family(degree):
+    """bfamily.stored_family(degree), with a degree above the stored one
+    as an input error."""
+    try:
+        return bfamily.stored_family(degree)
+    except ValueError as e:
+        raise BadInput("B-family: %s" % e)
+
+
 def _solve_varrho(command, fam, degree):
     """universal.solve_varrho, or None after one stderr line naming the
     degree at which the system is obstructed or not unique."""
@@ -152,7 +161,7 @@ def cmd_shuffle(args):
     _at_least("--hbar-order", args.hbar_order, 0)
     if args.action == "hopf-check":
         _at_least("--max-degree", args.max_degree, 2)
-        fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree, args.gauge)
+        fam = _stored_family(args.max_degree)
         bia = _bialgebra_from_args(args)
         failures = shuffle.hopf_report(bia.algebra, fam, args.max_degree, args.hbar_order)
         _emit(args, {"ok": not failures, "failures": [list(map(str, f)) for f in failures]})
@@ -163,7 +172,7 @@ def cmd_shuffle(args):
     if any(not 0 <= i < bia.algebra.dim for i in u + v):
         raise BadInput("letter index out of range")
     # the product of u and v reads the blocks B_pq with p + q <= |u| + |v|
-    fam = bfamily.solve_bfamily(Fraction(1, 2), max(len(u) + len(v), 2), args.gauge)
+    fam = _stored_family(max(len(u) + len(v), 2))
     ctx = shuffle.ShContext(bia.algebra, fam, args.hbar_order)
     prod = shuffle.sh_mul(shuffle.ShElem.word(ctx, u), shuffle.ShElem.word(ctx, v))
     _emit(args, shuffle.sh_to_json(prod))
@@ -184,7 +193,7 @@ def _word(option, text):
 
 def cmd_rmatrix(args):
     _at_least("--max-degree", args.max_degree, 0)
-    fam = bfamily.solve_bfamily(Fraction(1, 2), max(args.max_degree, 2), args.gauge)
+    fam = _stored_family(max(args.max_degree, 2))
     terms = rmatrix.rmatrix_terms(fam, args.max_degree)
     ok = True
     for n in range(args.max_degree + 1):
@@ -210,7 +219,7 @@ def cmd_qybe(args):
             print("%d,%s,%s" % (r["N"], r["dim_H2"], r["dim_H3"]), file=sys.stderr)
         return 0
     _at_least("--max-degree", args.max_degree, 1)
-    fam = bfamily.solve_bfamily(Fraction(1, 2), args.max_degree + 1, "paper3")
+    fam = _stored_family(args.max_degree + 1)
     sol = _solve_varrho("qybe solve", fam, args.max_degree)
     if sol is None:
         return 1
@@ -236,7 +245,7 @@ def cmd_quantize(args):
             raise BadInput("bfamily: max_degree %d is below %d, the degree needed at "
                            "--hbar-order %d" % (fam.max_degree, depth, args.hbar_order))
     else:
-        fam = bfamily.solve_bfamily(Fraction(1, 2), depth, "paper3")
+        fam = _stored_family(depth)
     bia = _bialgebra_from_args(args)
     # the universal system is solved to degree <= 3 (desk scale): ell and
     # the relations are then exact mod hbar^(min(order, 2) + 1), and hbar^1,
@@ -314,9 +323,9 @@ COMMANDS = {
     "cbh": (cmd_cbh, "--max-degree"),
     "bfamily solve": (cmd_bfamily, "--max-degree --gauge --lam"),
     "bfamily check": (cmd_bfamily, "--bfamily"),
-    "shuffle mul": (cmd_shuffle, "--hbar-order --gauge --bialgebra --left --right"),
-    "shuffle hopf-check": (cmd_shuffle, "--max-degree --hbar-order --gauge --bialgebra"),
-    "rmatrix": (cmd_rmatrix, "--max-degree --gauge"),
+    "shuffle mul": (cmd_shuffle, "--hbar-order --bialgebra --left --right"),
+    "shuffle hopf-check": (cmd_shuffle, "--max-degree --hbar-order --bialgebra"),
+    "rmatrix": (cmd_rmatrix, "--max-degree"),
     "qybe solve": (cmd_qybe, "--max-degree"),
     "qybe cohomology": (cmd_qybe, "--max-n"),
     "quantize": (cmd_quantize, "--hbar-order --bialgebra --bfamily"),

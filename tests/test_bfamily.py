@@ -162,6 +162,49 @@ def test_solve_matches_stored_output(n, gauge):
     assert text.encode() == (DATA / ("bfamily_n%d_%s.json" % (n, gauge))).read_bytes()
 
 
+STORED = Path(bfamily.__file__).resolve().parent / "data" / "bfamily_paper3.jsonl"
+
+
+def stored_family_bytes():
+    """The bytes of the stored family: a header line with lambda and
+    max_degree, then one bfamily_to_json entry per line, ordered by p + q
+    and then by p.  Regenerate the file with
+
+        PYTHONPATH=src:tests python -c "import test_bfamily as t; t.STORED.write_bytes(t.stored_family_bytes())"
+    """
+    d = bfamily_to_json(solve_bfamily(Fraction(1, 2), 6, "paper3"))
+    lines = [{"lambda": d["lambda"], "max_degree": d["max_degree"]}]
+    lines += sorted(d["entries"], key=lambda e: (e["p"] + e["q"], e["p"]))
+    return "".join(json.dumps(x) + "\n" for x in lines).encode()
+
+
+def test_stored_family_is_the_degree_6_solve():
+    assert STORED.read_bytes() == stored_family_bytes()
+
+
+def test_stored_family_is_declared_package_data():
+    import tomllib
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["liequant"]
+    package = root / "src" / "liequant"
+    assert STORED in {p.resolve() for g in globs for p in package.glob(g)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stored_prefix_equals_the_solve(n):
+    """Up to degree 3 no solve reopens a kernel, so each prefix is the
+    family solved to its degree."""
+    assert (bfamily_to_json(bfamily.stored_family(n))
+            == bfamily_to_json(solve_bfamily(Fraction(1, 2), n, "paper3")))
+
+
+def test_stored_family_stops_at_degree_6():
+    assert bfamily.stored_family(6).max_degree == 6
+    with pytest.raises(ValueError, match="degree 7 is above 6"):
+        bfamily.stored_family(7)
+
+
 def degree_residuals(B, n):
     """Every degree-n associativity residual of B, keyed (p, q, r, mono)."""
     out = {}

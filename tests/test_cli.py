@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from liequant import bfamily, cli, universal
-from liequant.bfamily import Obstructed, solve_bfamily
+from liequant.bfamily import Obstructed, stored_family
 from liequant.rmatrix import NonUnique
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -82,15 +82,16 @@ def test_shuffle_mul_of_long_words_is_golden():
     assert r.stdout.encode() == (DATA / "shuffle_mul_010_101.json").read_bytes()
 
 
-def test_shuffle_mul_solves_the_family_to_the_degree_it_reads(monkeypatch, capsys):
+def test_shuffle_mul_reads_the_stored_family_to_the_degree_of_its_words(monkeypatch,
+                                                                        capsys):
     """The product of a 2- and a 3-letter word reads the blocks B_pq up
-    to p + q = 5, so the family is solved to degree 5."""
+    to p + q = 5, so the stored family is read to degree 5."""
     degrees = []
 
-    def solve(lam, n, gauge):
+    def stored(n):
         degrees.append(n)
-        return solve_bfamily(lam, n, gauge)
-    monkeypatch.setattr(bfamily, "solve_bfamily", solve)
+        return stored_family(n)
+    monkeypatch.setattr(bfamily, "stored_family", stored)
     assert cli.main(["shuffle", "mul", "--left", "0,1", "--right", "1,0,1"]) == 0
     assert degrees == [5]
     assert capsys.readouterr().out
@@ -120,13 +121,14 @@ def test_qybe_cohomology_output_is_golden():
     assert r.stdout.encode() == (DATA / "qybe_cohomology_n3.json").read_bytes()
 
 
-def test_qybe_solve_obstruction_is_golden():
-    """qybe solve to degree 4 stops at the cocycle check delta4(Phi_5):
-    exit 1, no stdout, and one stderr line with the witness term, the
-    first term of delta4(Phi_5), byte for byte."""
+def test_qybe_solve_to_degree_4_is_golden():
+    """qybe solve to degree 4 reads the stored family to degree 5, which
+    extends to degree 6, so rho_4 exists: exit 0, no stderr, and the rho
+    table varrho_1..varrho_4 on stdout, byte for byte."""
     r = run_cli("qybe", "solve", "--max-degree", "4")
-    assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr == (DATA / "qybe_solve_d4.stderr").read_text()
+    assert r.returncode == 0 and r.stderr == ""
+    assert json.loads(r.stdout)["ok"] is True
+    assert r.stdout.encode() == (DATA / "qybe_solve_d4.json").read_bytes()
 
 
 def test_qybe_solve_output_is_golden():
@@ -201,7 +203,7 @@ def test_malformed_bialgebra_is_input_error(tmp_path):
 
 
 def test_malformed_bfamily_is_input_error(tmp_path):
-    good = bfamily.bfamily_to_json(bfamily.solve_bfamily(Fraction(1, 2), 3, "paper3"))
+    good = bfamily.bfamily_to_json(stored_family(3))
     b11 = next(e for e in good["entries"] if (e["p"], e["q"]) == (1, 1))
     gen5 = json.loads(json.dumps(b11))
     gen5["poly"]["terms"][0]["monomial"]["letters"] = [0, 5]
@@ -221,6 +223,21 @@ def test_malformed_bfamily_is_input_error(tmp_path):
 def test_degree_below_two_is_input_error():
     _assert_input_error(run_cli("bfamily", "solve", "--max-degree", "1"))
     _assert_input_error(run_cli("shuffle", "hopf-check", "--max-degree", "1"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "mul", "--left", "0,1,0,1", "--right", "1,0,1"],
+    ["shuffle", "hopf-check", "--max-degree", "7"],
+    ["rmatrix", "--max-degree", "7"],
+    ["qybe", "solve", "--max-degree", "6"],
+    ["quantize", "--hbar-order", "6"]], ids=" ".join)
+def test_family_past_the_stored_degree_is_input_error(argv):
+    """Each of these reads the family to degree 7, one past the stored
+    family: exit 2 with one line naming both degrees, before any work."""
+    r = run_cli(*argv)
+    _assert_input_error(r)
+    assert r.stderr == ("input error: B-family: degree 7 is above 6, "
+                        "the degree of the stored family\n")
 
 
 def test_malformed_lam_is_input_error():
@@ -296,9 +313,9 @@ OPTIONS_READ = {
     ("cbh",): ["--max-degree"],
     ("bfamily", "solve"): ["--max-degree", "--gauge", "--lam"],
     ("bfamily", "check"): ["--bfamily"],
-    ("shuffle", "mul"): ["--hbar-order", "--gauge", "--bialgebra", "--left", "--right"],
-    ("shuffle", "hopf-check"): ["--max-degree", "--hbar-order", "--gauge", "--bialgebra"],
-    ("rmatrix",): ["--max-degree", "--gauge"],
+    ("shuffle", "mul"): ["--hbar-order", "--bialgebra", "--left", "--right"],
+    ("shuffle", "hopf-check"): ["--max-degree", "--hbar-order", "--bialgebra"],
+    ("rmatrix",): ["--max-degree"],
     ("qybe", "solve"): ["--max-degree"],
     ("qybe", "cohomology"): ["--max-n"],
     ("quantize",): ["--hbar-order", "--bialgebra", "--bfamily"],
@@ -444,7 +461,7 @@ def test_bfamily_check_without_family_is_input_error():
 
 
 def test_quantize_rejects_non_associative_family(tmp_path):
-    data = bfamily.bfamily_to_json(bfamily.solve_bfamily(Fraction(1, 2), 3, "paper3"))
+    data = bfamily.bfamily_to_json(stored_family(3))
     for e in data["entries"]:
         if (e["p"], e["q"]) == (2, 1):
             for t in e["poly"]["terms"]:
@@ -462,8 +479,7 @@ def test_quantize_rejects_too_short_family(tmp_path):
     obstruction of the universal system; one degree deeper runs."""
     def run(degree):
         f = tmp_path / ("b%d.json" % degree)
-        fam = bfamily.solve_bfamily(Fraction(1, 2), degree, "paper3")
-        f.write_text(json.dumps(bfamily.bfamily_to_json(fam)))
+        f.write_text(json.dumps(bfamily.bfamily_to_json(stored_family(degree))))
         return run_cli("quantize", "--hbar-order", "2", "--bfamily", str(f))
 
     r = run(2)

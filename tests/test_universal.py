@@ -392,6 +392,22 @@ def test_obstruction_names_a_failed_cocycle_check(B4, monkeypatch):
     assert e.witness == next(iter(delta4(phi).terms.items()))
 
 
+def test_degree_5_solve_fails_the_cocycle_check():
+    """solve_bfamily(1/2, 5) leaves its top degree's free part zero, and
+    that family does not extend to degree 6: rho to degree 4 stops at the
+    cocycle check of Phi_5, and the witness is the first term of
+    delta4(Phi_5).  The stored family, solved to degree 6, has rho_4."""
+    fam = bfamily_from_json(json.loads((DATA / "bfamily_n5_paper3.json").read_text()))
+    with pytest.raises(Obstructed) as info:
+        solve_varrho(fam, 4)
+    e = info.value
+    assert e.degree == 5 and e.reason == "cocycle"
+    assert e.witness == (
+        ((((0, 0),),), (((1, 0),), ((2, 0),), ((3, 0),), ((4, 0),), ((5, 0),)),
+         (((0, 1),), ((2, 1),), ((1, 1),), ((3, 1),)), (((4, 1),), ((5, 1),))),
+        Fraction(-1, 576))
+
+
 def test_solved_varrho_never_reads_delta4(B4, monkeypatch):
     """A successful solve certifies delta4(Phi) = 0 by delta4 delta3 = 0,
     so it gives the same rho without calling delta4."""
