@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .freealg import (LiePoly, leftnormed_basis, lie_bracket, substitute,
                       substitute_letters, cbh, lie_to_json, lie_from_json)
+from .liealg import tensor_add, tensor_smul
 from .scalars import add_term, distribute, scalar_from_json, scalar_str
 
 
@@ -208,6 +209,12 @@ def shuffles(u, v):
         yield tuple(next(iu) if i in pos else next(iv) for i in range(n))
 
 
+def _shuffle_sum(e, u, v):
+    """The sum over Sh(len(u), len(v)) of e with its letters u + v, in
+    order, replaced by each shuffle of u and v."""
+    return sum((e.relabel(dict(zip((*u, *v), w))) for w in shuffles(u, v)), LiePoly())
+
+
 def _shuffle_column(slot):
     """The column of L_n at slot ((a, b), mono), n = a + b: the degree-n
     residuals of B_ab = mono with every other entry of degree n zero.
@@ -221,13 +228,11 @@ def _shuffle_column(slot):
     e = LiePoly({mono: Fraction(1)})
     col = {}
     for p in range(1, a):
-        for w in shuffles(range(p), range(p, a)):
-            for m, c in e.relabel(dict(enumerate(w))).terms.items():
-                add_term(col, (p, a - p, b, m), c)
+        for m, c in _shuffle_sum(e, range(p), range(p, a)).terms.items():
+            add_term(col, (p, a - p, b, m), c)
     for q in range(1, b):
-        for w in shuffles(range(a, a + q), range(a + q, a + b)):
-            for m, c in e.relabel(dict(zip(range(a, a + b), w))).terms.items():
-                add_term(col, (a, q, b - q, m), -c)
+        for m, c in _shuffle_sum(e, range(a, a + q), range(a + q, a + b)).terms.items():
+            add_term(col, (a, q, b - q, m), -c)
     return col
 
 
@@ -344,7 +349,7 @@ def gauge_mul(P, Q):
     table = {}
     for n in range(2, N + 1):
         acc = LiePoly()
-        for blocks, _ in _gauge_blocks(Q, [LiePoly.gen(i) for i in range(n)]):
+        for blocks in _gauge_blocks(Q, [LiePoly.gen(i) for i in range(n)]):
             acc = acc + P.eval(len(blocks), list(blocks))
         if acc:
             table[n] = acc
@@ -429,7 +434,7 @@ def word_antipode(w, mul, memo):
 
 
 def _gauge_blocks(P, word):
-    """i_P applied to a word of carrier letters: list of (block-word, 1)."""
+    """i_P applied to a word of carrier letters: its block-words (coefficient 1)."""
     n = len(word)
     out = []
     for k in range(1, n + 1):
@@ -445,7 +450,7 @@ def _gauge_blocks(P, word):
                     break
                 letters.append(val)
             if ok:
-                out.append((tuple(letters), Fraction(1)))
+                out.append(tuple(letters))
     return out
 
 
@@ -467,11 +472,11 @@ def gauge_act(P, B):
             gens = [LiePoly.gen(i) for i in range(n)]
             u, v = tuple(gens[:p]), tuple(gens[p:])
             acc = LiePoly()
-            for wu, cu in _gauge_blocks(Pinv, u):
-                for wv, cv in _gauge_blocks(Pinv, v):
+            for wu in _gauge_blocks(Pinv, u):
+                for wv in _gauge_blocks(Pinv, v):
                     for w, cw in deformed_word_product(wu, wv, B.eval_block):
                         # pr of i_P on a word (L_1...L_k) is P_k(L_1,...,L_k)
-                        acc = acc + (cu * cv * cw) * P.eval(len(w), list(w))
+                        acc = acc + cw * P.eval(len(w), list(w))
             if acc:
                 table[(p, q)] = acc
     return BFamily(B.lam, B.max_degree, table)
@@ -487,67 +492,65 @@ def gauge_inverse(P):
         e = partial.entry(n)
         if e:
             inv.table[n] = inv.entry(n) - e
-    assert not any(gauge_mul(P, inv).entry(n) for n in range(2, N + 1))
+    assert not any(map(gauge_mul(P, inv).entry, range(2, N + 1)))
     return inv
 
 
-#: Newton steps connecting_gauge takes before it raises Obstructed
-_NEWTON_STEPS = 8
+def _degree_terms(B, n):
+    """The degree-n entries of B as {(p, q, monomial): c}."""
+    return {(p, n - p, m): c for p in range(1, n)
+            for m, c in B.entry(p, n - p).terms.items()}
 
 
 def connecting_gauge(B_from, B_to):
-    """Solve P with gauge_act(P, B_from) == B_to.
+    """A gauge P with gauge_act(P, B_from) == B_to, degree by degree.
 
-    The gauge group is pro-unipotent, so exact Newton iteration on the
-    coordinates of (P_2, ..., P_N) terminates after finitely many steps
-    when the families are gauge equivalent; otherwise Obstructed(N)
-    raises, on an inconsistent step or after _NEWTON_STEPS steps.
-    Column i of each step's system is mismatch(x + e_i) - mismatch(x),
-    and the step is the solution with every free variable zero.
+    At degree n, P_n moves each degree-n entry (p, q) by its shuffle sum
+    over Sh(p, q) and leaves the lower degrees alone.  In front of those
+    columns, one column per kernel direction D of degree n-1's shuffle
+    sums reopens that degree: id + D leaves every degree below n alone
+    and moves degree n linearly (D's square has degree 2n - 3 > n for
+    n >= 4; at n = 3 the column is empty).  Each degree is one exact
+    solve with every free variable zero; the result is checked exactly.
+    When degree n has no solution, raises Obstructed(n, "gauge",
+    (key, c)): key is a term (p, q, monomial) of B_to minus the gauged
+    B_from left unreached, and c its coefficient.  That means only that
+    no gauge extends the lower degrees as chosen with just the degree-
+    (n-1) directions reopened; in general it does not prove the families
+    inequivalent.
     """
     N = min(B_from.max_degree, B_to.max_degree)
-    slots = []
+    P = GaugeSeq({}, N)
+    cur = B_from
+    reopened = []       # degree n-1's kernel directions, as LiePolys
     for n in range(2, N + 1):
-        for mono in leftnormed_basis(range(n)):
-            slots.append((n, mono))
-
-    def to_gauge(vec):
-        table = {}
-        for (n, mono), c in zip(slots, vec):
-            if c:
-                table[n] = table.get(n, LiePoly()) + c * LiePoly({mono: Fraction(1)})
-        return GaugeSeq(table, N)
-
-    def mismatch(vec):
-        fam = gauge_act(to_gauge(vec), B_from)
-        f = {}
-        for m in range(3, N + 1):
-            for p in range(1, m):
-                e = fam.entry(p, m - p) - B_to.entry(p, m - p)
-                for mono, c in e.terms.items():
-                    f[(p, m - p, mono)] = c
-        return f
-
-    cur = [Fraction(0)] * len(slots)
-    for _ in range(_NEWTON_STEPS):
-        f = mismatch(cur)
-        if not f:
-            return to_gauge(cur)
-        cols = []
-        for i in range(len(cur)):
-            bumped = list(cur)
-            bumped[i] += 1
-            col = mismatch(bumped)
-            for k, c in f.items():
-                add_term(col, k, -c)
-            cols.append(col)
+        monos = leftnormed_basis(range(n))
+        # the degree-n action reads no entry above degree n
+        low = BFamily(cur.lam, n, cur.table)
+        here = _degree_terms(cur, n)
+        cols = [tensor_add(_degree_terms(gauge_act(GaugeSeq({n - 1: d}, n), low), n),
+                           tensor_smul(-1, here)) for d in reopened]
+        for mono in monos:
+            e = LiePoly({mono: Fraction(1)})
+            cols.append({(p, n - p, m): c for p in range(1, n)
+                         for m, c in _shuffle_sum(e, range(p), range(p, n)).terms.items()})
         try:
-            step = linalg.rref(cols, len(cols)).solve({k: -c for k, c in f.items()})
-        except linalg.InconsistentSystem:
-            raise Obstructed(N)
-        for i, d in step.items():
-            cur[i] += d
-    raise Obstructed(N)
+            x = linalg.rref(cols, len(cols)).solve(
+                tensor_add(_degree_terms(B_to, n), tensor_smul(-1, here)))
+        except linalg.InconsistentSystem as e:
+            raise Obstructed(n, "gauge", next(iter(e.residual.items()))) from e
+        k = len(reopened)
+        d_star = sum((x[i] * d for i, d in enumerate(reopened) if i in x), LiePoly())
+        p_n = LiePoly({monos[j]: x[k + j] for j in range(len(monos)) if k + j in x})
+        step = GaugeSeq({n - 1: d_star, n: p_n}, N)
+        P = gauge_mul(step, P)
+        cur = gauge_act(step, cur)
+        if n < N:
+            reopened = [LiePoly({monos[j]: c for j, c in rel.items()})
+                        for rel in linalg.nullspace(cols[k:], len(monos))]
+    chk = gauge_act(P, B_from)
+    assert all(_degree_terms(chk, n) == _degree_terms(B_to, n) for n in range(2, N + 1))
+    return P
 
 
 # ---------------------------------------------------------------------------

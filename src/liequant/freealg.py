@@ -358,16 +358,15 @@ def lie_bracket(a, b):
 
 
 def dynkin(p):
-    """Left-normed bracketing map on a multilinear homogeneous AssocPoly.
+    """Left-normed bracketing map on a homogeneous AssocPoly.
 
     Sends sum c_w * w to sum c_w * [[w_1,w_2],...,w_n].  On Lie elements
-    of degree n this equals n times the identity.
+    of degree n this equals n times the identity (Dynkin-Specht-Wever),
+    repeated letters included.
     """
     out = AssocPoly()
     degree = None
     for w, c in p.terms.items():
-        if not _is_multilinear(w):
-            raise ValueError("dynkin needs a multilinear polynomial")
         if degree is None:
             degree = len(w)
         elif len(w) != degree:
@@ -471,14 +470,8 @@ def cbh(N):
                 continue
             comp = AssocPoly({w: c for w, c in log.terms.items()
                               if w.count(0) == p and w.count(1) == q})
-            if not comp:
-                table[(p, q)] = LiePoly()
-                continue
             # log of a group-like is primitive, hence Lie: Dynkin recovers it
-            br = AssocPoly()
-            for w, c in comp.terms.items():
-                br = br + c * expand_leftnormed(w)
-            table[(p, q)] = assoc_to_lie(Fraction(1, p + q) * br, check=False)
+            table[(p, q)] = Fraction(1, p + q) * dynkin(comp)
     return table
 
 

@@ -12,8 +12,10 @@ from liequant.bfamily import (BFamily, GaugeSeq, solve_bfamily, assoc_residual,
                               scale, cbh_check, bfamily_to_json,
                               bfamily_from_json, PAPER3_B21, PAPER3_B12,
                               Obstructed, _shuffle_column, _unknown_slots)
-from liequant.freealg import LiePoly, lie_bracket, substitute
+from liequant.freealg import LiePoly, leftnormed_basis, lie_bracket, substitute
+from liequant.quantize import Quantization
 from liequant.scalars import add_term
+from liequant.universal import solve_varrho
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -105,6 +107,65 @@ def test_connecting_gauge(B4, B4_rref):
     chk3 = gauge_act(P3, B3r)
     assert chk3.entry(2, 1) == B3p.entry(2, 1)
     assert chk3.entry(1, 2) == B3p.entry(1, 2)
+
+
+@pytest.fixture(scope="module")
+def B5():
+    return solve_bfamily(Fraction(1, 2), 5, "paper3")
+
+
+def random_gauge(rng, N):
+    """A gauge with a seeded coefficient on every left-normed monomial of
+    degrees 2..N."""
+    return GaugeSeq({n: LiePoly({m: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                 for m in leftnormed_basis(range(n))})
+                     for n in range(2, N + 1)}, N)
+
+
+def same_entries(A, B, N):
+    return all(A.entry(p, n - p) == B.entry(p, n - p)
+               for n in range(2, N + 1) for p in range(1, n))
+
+
+def test_connecting_gauge_degree_5(B5):
+    """Families gauged from B5 connect back exactly: one gauge in degree
+    2, one in degree 3 and three seeded ones in degrees 2..5."""
+    gauges = [GaugeSeq({2: Fraction(1, 3) * LiePoly.leftnormed((0, 1))}, 5),
+              GaugeSeq({3: Fraction(1, 5) * LiePoly.leftnormed((0, 2, 1))}, 5)]
+    rng = random.Random(7)
+    gauges += [random_gauge(rng, 5) for _ in range(3)]
+    for g in gauges:
+        fam = gauge_act(g, B5)
+        assert not same_entries(fam, B5, 5)
+        assert same_entries(gauge_act(connecting_gauge(fam, B5), fam), B5, 5)
+
+
+def test_connecting_gauge_obstructed_on_inequivalent_families(B5):
+    """The degree-5 solve and the stored family's degree-5 prefix are not
+    gauge equivalent, so degree 5 is obstructed.  The degree-6
+    associativity system with the solve's entries of degree <= 5 fixed is
+    inconsistent, the stored prefix extends to degree 6, and the gauge
+    action preserves associativity in every degree: a gauge between the
+    two would carry the stored degree-6 extension to one of the solve."""
+    with pytest.raises(Obstructed) as info:
+        connecting_gauge(B5, bfamily.stored_family(5))
+    e = info.value
+    assert (e.degree, e.reason) == (5, "gauge")
+    (p, q, mono), c = e.witness
+    assert p + q == 5 and sorted(mono) == list(range(5)) and c
+
+
+def test_gauged_family_quantizes(borel):
+    """B' = P . B for a seeded P in degrees 2..4 stays associative, has a
+    unique varrho to degree 3, and its quantizations at orders 2 and 3
+    pass the QYBE and every semiclassical check."""
+    fam = gauge_act(random_gauge(random.Random(11), 4), bfamily.stored_family(4))
+    assert all_residuals_zero(fam)
+    varrho = solve_varrho(fam, 3)
+    for order in (2, 3):
+        Q = Quantization(fam, borel, order=order, varrho=varrho)
+        assert Q.check_qybe()
+        assert all(Q.semiclassical_check(i) for i in range(borel.algebra.dim))
 
 
 def test_involution(B4):

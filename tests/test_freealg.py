@@ -74,6 +74,9 @@ def test_dynkin_examples():
     assert dynkin(p) == Fraction(2) * LiePoly.leftnormed((0, 1))
     q = lie_bracket(LiePoly.gen(0), lie_bracket(LiePoly.gen(1), LiePoly.gen(2)))
     assert dynkin(q.expand()) == Fraction(3) * q
+    # repeated letters: [[x,y],y]
+    r = lie_bracket(lie_bracket(LiePoly.gen(0), LiePoly.gen(1)), LiePoly.gen(1))
+    assert dynkin(r.expand()) == Fraction(3) * r
 
 
 def test_is_lie():
