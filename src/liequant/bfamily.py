@@ -66,11 +66,16 @@ class BFamily:
         self.lambdas = None                   # rmatrix.LambdaTable, grown on demand
 
     def entry(self, p, q):
-        """B_pq as a LiePoly in p+q generators (0..p-1 | p..p+q-1)."""
+        """B_pq as a LiePoly in p+q generators (0..p-1 | p..p+q-1).  An
+        entry past max_degree is not known, so reading one raises
+        ValueError instead of taking it as zero."""
         if (p, q) in ((1, 0), (0, 1)):
             return LiePoly.gen(0)
         if p == 0 or q == 0:
             return LiePoly()
+        if p + q > self.max_degree:
+            raise ValueError("entry (%d, %d) is past the family's max_degree %d"
+                             % (p, q, self.max_degree))
         return self.table.get((p, q)) or LiePoly()
 
     def eval(self, p, q, args, carrier=LiePoly):
@@ -627,3 +632,24 @@ def stored_family(degree):
                 break
             entries.append(e)
     return bfamily_from_json({**header, "max_degree": degree, "entries": entries})
+
+
+def stored_varrho(degree):
+    """rho_1..rho_degree of the stored paper3 family: the universal
+    solution solve_varrho(stored_family(degree + 1), degree), read from
+    data/varrho_paper3.jsonl, one rmatrix.uelem_to_json line per degree
+    from 1.  The solution is unique at the universal level, so it is a
+    constant of the family; it raises ValueError above the stored degree 4."""
+    import json
+    import os
+    from .rmatrix import uelem_from_json
+    varrho = {}
+    with open(os.path.join(os.path.dirname(__file__), "data", "varrho_paper3.jsonl")) as fh:
+        for n, line in enumerate(fh, 1):
+            if n > degree:
+                break
+            varrho[n] = uelem_from_json(json.loads(line))
+    if len(varrho) < degree:
+        raise ValueError("degree %d is above %d, the degree of the stored rho"
+                         % (degree, len(varrho)))
+    return varrho

@@ -234,8 +234,12 @@ def cmd_qybe(args):
 def cmd_quantize(args):
     # the semiclassical check reads the hbar^1 coefficient
     _at_least("--hbar-order", args.hbar_order, 1)
-    # the family depth the universal system needs at this order
-    depth = max(args.hbar_order + 1, 2)
+    # rho to degree m makes ell and the relations exact mod hbar^m, and
+    # the stored rho stops at degree 4.  solve_varrho(B, m) and the
+    # relations read B to degree m + 1; the family is read one degree
+    # past the order too
+    m = min(args.hbar_order + 1, 4)
+    depth = max(args.hbar_order, m) + 1
     if args.bfamily:
         fam = _parse(bfamily.bfamily_from_json, _load_json(args.bfamily, "bfamily"), "bfamily")
         bad = next(bfamily.violations(fam), None)
@@ -247,10 +251,7 @@ def cmd_quantize(args):
     else:
         fam = _stored_family(depth)
     bia = _bialgebra_from_args(args)
-    # the universal system is solved to degree <= 3 (desk scale): ell and
-    # the relations are then exact mod hbar^(min(order, 2) + 1), and hbar^1,
-    # all that the semiclassical check reads, is always among them
-    vr = _solve_varrho("quantize", fam, min(args.hbar_order + 1, 3))
+    vr = _solve_varrho("quantize", fam, m) if args.bfamily else bfamily.stored_varrho(m)
     if vr is None:
         return 1
     Q = quantize.Quantization(fam, bia, order=args.hbar_order, varrho=vr)

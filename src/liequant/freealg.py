@@ -32,6 +32,7 @@ letters of a key go through the associative algebra and `assoc_to_lie`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -216,8 +217,10 @@ class LiePoly(LinComb):
     def smul(c, a):
         return c * a
 
-    def bracket(self, other):
-        return lie_bracket(self, other)
+    @staticmethod
+    def chain(args):
+        """[[a_0, a_1], ..., a_k], bracketed left to right."""
+        return functools.reduce(lie_bracket, args)
 
     def relabel(self, mapping):
         """Apply a label substitution; labels outside mapping stay.  A
@@ -383,9 +386,10 @@ def substitute(p, args, carrier=LiePoly):
     """Image of a multilinear LiePoly under generator -> args[generator].
 
     The generators of p must be integers 0..n-1 with n = len(args); each
-    word of p is a left-normed monomial, bracketed left to right, and a
-    word with a repeated letter (a Lyndon key) raises ValueError.  The
-    carrier provides zero/add/smul/bracket: LiePoly or a LieAlgebra.
+    word of p is a left-normed monomial, valued as the carrier's chain of
+    its arguments, and a word with a repeated letter (a Lyndon key)
+    raises ValueError.  The carrier provides zero/add/smul/chain: LiePoly
+    or a LieAlgebra.
     """
     out = carrier.zero()
     for w, c in p.terms.items():
@@ -395,10 +399,7 @@ def substitute(p, args, carrier=LiePoly):
         if not _is_multilinear(w):
             raise ValueError("substitute needs a multilinear polynomial, not the word %r"
                              % (w,))
-        val = args[w[0]]
-        for a in w[1:]:
-            val = carrier.bracket(val, args[a])
-        out = carrier.add(out, carrier.smul(c, val))
+        out = carrier.add(out, carrier.smul(c, carrier.chain([args[a] for a in w])))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import add_term
+from .scalars import add_term, distribute
 
 
 def tensor_add(t, u):
@@ -30,8 +30,9 @@ class LieAlgebra:
 
     brackets: dict (i, j) -> {k: c} given for i < j; antisymmetry fills
     the rest.  Jacobi is verified at construction.  The algebra is its
-    own bracket carrier (zero/add/smul/bracket on sparse dicts), so
-    freealg.substitute and BFamily.eval take it directly.
+    own bracket carrier (zero/add/smul/chain on sparse dicts), so
+    freealg.substitute and BFamily.eval take it directly; its chains
+    read one memo of left-normed basis brackets per instance.
     """
 
     add = staticmethod(tensor_add)
@@ -50,6 +51,7 @@ class LieAlgebra:
             self.brackets[(i, j)] = tensor_add(cur, v) if cur else dict(v)
         if not self.jacobi_ok():
             raise ValueError("Jacobi identity fails")
+        self._leftnormed = {}
 
     @staticmethod
     def zero():
@@ -71,6 +73,28 @@ class LieAlgebra:
             for j, b in v.items():
                 for k, c in self.bracket_basis(i, j).items():
                     add_term(out, k, a * b * c)
+        return out
+
+    def leftnormed(self, idx):
+        """[[e_i0, e_i1], ..., e_ik] for the basis-index tuple idx, as one
+        bracket of the memoized prefix with e_ik.  The memo is this
+        algebra's own, and its dicts are shared: no caller may mutate one."""
+        hit = self._leftnormed.get(idx)
+        if hit is None:
+            hit = self.basis(idx[0]) if len(idx) == 1 else self.bracket(
+                self.leftnormed(idx[:-1]), self.basis(idx[-1]))
+            self._leftnormed[idx] = hit
+        return hit
+
+    def chain(self, args):
+        """[[u_0, u_1], ..., u_k] for sparse vectors u_i, read off the
+        memo by multilinearity; on basis vectors it is the memo's dict."""
+        terms = [tuple(u.items()) for u in args]
+        if all(len(t) == 1 and t[0][1] == 1 for t in terms):
+            return self.leftnormed(tuple(t[0][0] for t in terms))
+        out = {}
+        for idx, c in distribute(terms):
+            out = tensor_add(out, tensor_smul(c, self.leftnormed(idx)))
         return out
 
     def jacobi_ok(self):

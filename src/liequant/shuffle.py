@@ -35,17 +35,18 @@ class ShContext:
         self._antipodes = ({}, {})     # S, S^-1
 
     def b_eval(self, p, q, idx):
-        """B_pq on basis elements (tuple idx, first p = first group).  A
-        one-letter block (p + q = 1) is B_10 = B_01 = id: its letter with
-        the int coefficient 1, so the shuffle part of a word product
-        multiplies ints."""
+        """B_pq on basis elements (tuple idx, first p = first group), each
+        its letter with the int coefficient 1.  A one-letter block (p + q
+        = 1) is B_10 = B_01 = id: that letter, so the shuffle part of a
+        word product multiplies ints; a longer block reads each word's
+        bracket off the algebra's left-normed memo."""
         key = (p, q, idx)
         hit = self._bcache.get(key)
         if hit is None:
             if p + q == 1:
                 hit = {idx[0]: 1}
             else:
-                hit = self.bfam.eval(p, q, [self.alg.basis(i) for i in idx], self.alg)
+                hit = self.bfam.eval(p, q, [{i: 1} for i in idx], self.alg)
             self._bcache[key] = hit
         return hit
 
@@ -285,11 +286,12 @@ class TensContext:
 
     def generator_comul(self, i):
         """Delta(e_i) = sum_{p,q} hbar^(p+q-1) <B_pq(e^idx), e_i>
-        e_idx[:p] x e_idx[p:], summed over the dual blocks of e_i."""
+        e_idx[:p] x e_idx[p:], summed over the dual blocks of e_i with
+        p + q <= order + 1: the weight truncates every later block to zero."""
         hit = self._gen_comul.get(i)
         if hit is None:
             hit = {}
-            maxn = self.bfam.max_degree
+            maxn = min(self.bfam.max_degree, self.order + 1)
             for p in range(maxn + 1):
                 for q in range(maxn + 1 - p):
                     if p + q == 0:

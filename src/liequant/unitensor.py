@@ -14,10 +14,9 @@ single atoms) used by the normal-ordering rewriting.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-from .freealg import LiePoly, leftnormed_words, substitute
+from .freealg import LiePoly, leftnormed_words
 from .scalars import LinComb, add_term, distribute
 
 
@@ -191,19 +190,14 @@ def substitute_pairs(elem, pairs, letter):
 def instantiate_tensor(elem, alg, r):
     """kappa at a concrete pair r: dict {(i, j): coeff} in alg x alg.
 
-    Every leg is a word of Lie letters; each letter is evaluated in alg
-    by `freealg.substitute`, so the result is the tuple-of-words tensor
-    {(word, word, ...): coeff} over basis indices, one index per letter.
+    Every leg is a word of Lie letters; each letter, the left-normed
+    monomial on its atoms, is read off alg's memo of left-normed basis
+    brackets (`LieAlgebra.leftnormed`), so the result is the
+    tuple-of-words tensor {(word, word, ...): coeff} over basis indices,
+    one index per letter.
     """
     rterms = list(r.items())
 
     def letter(letter, sides):
-        args = [alg.basis(sides[p][s]) for (p, s) in letter]
-        return substitute(_monomial(len(letter)), args, alg).items()
+        return alg.leftnormed(tuple(sides[p][s] for (p, s) in letter)).items()
     return substitute_pairs(elem, lambda p: rterms, letter)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial(n):
-    """The left-normed Lie monomial on the generators 0..n-1."""
-    return LiePoly({tuple(range(n)): Fraction(1)})

@@ -25,13 +25,13 @@ from fractions import Fraction
 
 from . import linalg
 from .bfamily import Obstructed, _live, positive_compositions
-from .freealg import leftnormed_basis, leftnormed_words, substitute_letters
+from .freealg import LiePoly, leftnormed_basis, leftnormed_words, substitute_letters
 from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _relabel_in_order, _shift_pids)
 from .scalars import add_term, distribute, pr_legs
 from .unitensor import (UElem, a_atom, b_atom, pr_word_product, instantiate_tensor,
-                        substitute_pairs, _monomial)
+                        substitute_pairs)
 # not called here: the shuffle-leg class map stays reachable as this alias,
 # which bench/tests/check_bench.py expects the tracer to patch
 from .unitensor import canonical
@@ -403,6 +403,12 @@ def cohomology_dims(N_max):
 # ---------------------------------------------------------------------------
 # the universal Lie QYBE residual, Phi_N and the solution
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _monomial(n):
+    """The left-normed Lie monomial on the generators 0..n-1."""
+    return LiePoly({tuple(range(n)): Fraction(1)})
+
 
 def _substitute_pairs(elem, pair_map):
     """Replace each formal pair by a 2-slot pair element (fresh pids).

@@ -14,6 +14,7 @@ from liequant.bfamily import (BFamily, GaugeSeq, solve_bfamily, assoc_residual,
                               Obstructed, _shuffle_column, _unknown_slots)
 from liequant.freealg import LiePoly, leftnormed_basis, lie_bracket, substitute
 from liequant.quantize import Quantization
+from liequant.rmatrix import uelem_to_json
 from liequant.scalars import add_term
 from liequant.universal import solve_varrho
 
@@ -266,6 +267,44 @@ def test_stored_family_stops_at_degree_6():
         bfamily.stored_family(7)
 
 
+STORED_VARRHO = STORED.parent / "varrho_paper3.jsonl"
+
+
+def stored_varrho_bytes():
+    """The bytes of the stored rho: one uelem_to_json line per degree 1..4
+    of the universal solution on the stored family.  Regenerate the file
+    with
+
+        PYTHONPATH=src:tests python -c "import test_bfamily as t; t.STORED_VARRHO.write_bytes(t.stored_varrho_bytes())"
+    """
+    varrho = solve_varrho(bfamily.stored_family(5), 4)
+    return "".join(json.dumps(uelem_to_json(varrho[n])) + "\n" for n in range(1, 5)).encode()
+
+
+def test_stored_varrho_is_the_degree_4_solve():
+    """solve_varrho(B, 4) reads B to degree 5, so the prefix to degree 5
+    gives the stored rho, byte for byte."""
+    assert STORED_VARRHO.read_bytes() == stored_varrho_bytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stored_varrho_is_the_solve_to_its_degree(m):
+    """The stored rho to degree m is the solve from the family to m + 1,
+    the depth quantize reads, and for m <= 3 also the solve from the
+    family to m + 2: one degree more of the family does not move it."""
+    want = bfamily.stored_varrho(m)
+    assert sorted(want) == list(range(1, m + 1))
+    assert solve_varrho(bfamily.stored_family(m + 1), m) == want
+    if m <= 3:
+        assert solve_varrho(bfamily.stored_family(m + 2), m) == want
+
+
+def test_stored_varrho_stops_at_degree_4():
+    assert len(bfamily.stored_varrho(4)[4].terms) == 2
+    with pytest.raises(ValueError, match="degree 5 is above 4"):
+        bfamily.stored_varrho(5)
+
+
 def degree_residuals(B, n):
     """Every degree-n associativity residual of B, keyed (p, q, r, mono)."""
     out = {}
@@ -337,14 +376,14 @@ def _random_letters(rng, n, pids):
 def test_eval_is_substitute_on_the_entry(B4, dbl):
     """BFamily.eval is substitute on entry(p, q), on LiePoly arguments and
     in a LieAlgebra: at the boundary entries (1, 0), (0, 1), (p, 0),
-    (0, q) and (0, 0), at every stored entry, and past max_degree, where
-    the entries still read zero.  letter_eval keys its memo on (p, q)
-    too: B_21 and B_12 on one tuple of letters differ."""
+    (0, q) and (0, 0) and at every stored entry.  Past max_degree an
+    entry is not known, and reading it raises, through eval too.
+    letter_eval keys its memo on (p, q) too: B_21 and B_12 on one tuple
+    of letters differ."""
     rng = random.Random(29)
     alg = dbl.algebra
-    beyond = [(2, 3), (1, 4)]
     nonzero = 0
-    for p, q in [(1, 0), (0, 1), (3, 0), (0, 2), (0, 0)] + sorted(B4.table) + beyond:
+    for p, q in [(1, 0), (0, 1), (3, 0), (0, 2), (0, 0)] + sorted(B4.table):
         n = p + q
         gens = [LiePoly.gen(i) for i in range(n + 1)]
         lie_args = [rng.choice((gens[i], lie_bracket(gens[i], gens[n])))
@@ -354,10 +393,14 @@ def test_eval_is_substitute_on_the_entry(B4, dbl):
         for args, carrier in ((lie_args, LiePoly), (alg_args, alg)):
             got = B4.eval(p, q, args, carrier)
             assert got == substitute(B4.entry(p, q), args, carrier)
-            if (p, q) in beyond:
-                assert not got
             nonzero += bool(got)
     assert nonzero > 10
+    for p, q in [(2, 3), (1, 4)]:
+        with pytest.raises(ValueError, match=r"\(%d, %d\) is past the family's max_degree 4"
+                           % (p, q)):
+            B4.entry(p, q)
+        with pytest.raises(ValueError, match="past the family"):
+            B4.eval(p, q, [LiePoly.gen(i) for i in range(p + q)])
     fam = BFamily(B4.lam, B4.max_degree, B4.table)
     letters = (((0, 0),), ((1, 0),), ((2, 0),))
     for p, q in ((2, 1), (1, 2)):

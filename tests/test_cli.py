@@ -272,8 +272,10 @@ def test_out_of_range_flags_are_input_errors():
     pytest.param("borel2", 4, "quantize_borel2_h4.json", id="4"),
     pytest.param(str(DATA / "sl2.json"), 3, "quantize_sl2_h3.json", id="sl2-3")])
 def test_quantize_output_is_golden(bialgebra, order, golden):
-    """stdout of quantize, byte for byte.  At order 3 the relations stop
-    at hbar^2, the order that rho to degree 3 supports.  borel2_scaled is
+    """stdout of quantize, byte for byte.  The stored rho to degree
+    m = min(order + 1, 4) makes the relations exact to hbar^3 at orders 3
+    and 4, over the stored family read to degree max(order, m) + 1.
+    borel2_scaled is
     borel2 in the basis (2h, -e/2), so its structure constants are 2 and
     1/2 rather than 1.  sl2 ([e,f] = h, [e,h] = -2e, [f,h] = 2f, delta(e) =
     h^e, delta(f) = h^f) brackets every pair of its basis elements, so
@@ -474,27 +476,33 @@ def test_quantize_rejects_non_associative_family(tmp_path):
 
 
 def test_quantize_rejects_too_short_family(tmp_path):
-    """A family below the depth quantize solves without --bfamily,
-    max(hbar-order + 1, 2), is an input error naming both degrees, not an
-    obstruction of the universal system; one degree deeper runs."""
+    """A family below the depth quantize reads, max(order, m) + 1 for rho
+    to degree m = min(order + 1, 4), is an input error naming both
+    degrees, not an obstruction of the universal system; one degree
+    deeper runs."""
     def run(degree):
         f = tmp_path / ("b%d.json" % degree)
         f.write_text(json.dumps(bfamily.bfamily_to_json(stored_family(degree))))
         return run_cli("quantize", "--hbar-order", "2", "--bfamily", str(f))
 
-    r = run(2)
+    r = run(3)
     _assert_input_error(r)
-    assert "max_degree 2 is below 3" in r.stderr and "obstructed" not in r.stderr
-    assert run(3).returncode == 0
+    assert "max_degree 3 is below 4" in r.stderr and "obstructed" not in r.stderr
+    assert run(4).returncode == 0
 
 
 @pytest.mark.parametrize("exc, message", [
     (Obstructed(3), "quantize: obstructed at degree 3"),
     (NonUnique(2), "quantize: solution not unique at degree 2")])
-def test_quantize_reports_obstruction(monkeypatch, capsys, exc, message):
+def test_quantize_reports_obstruction(monkeypatch, capsys, tmp_path, exc, message):
+    """Only a --bfamily family has its universal system solved; the
+    stored family's rho is read."""
+    f = tmp_path / "b3.json"
+    f.write_text(json.dumps(bfamily.bfamily_to_json(stored_family(3))))
+
     def solve(bfam, n):
         raise exc
     monkeypatch.setattr(universal, "solve_varrho", solve)
-    assert cli.main(["quantize", "--hbar-order", "1"]) == 1
+    assert cli.main(["quantize", "--hbar-order", "1", "--bfamily", str(f)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"

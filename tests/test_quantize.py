@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liequant.bfamily import solve_bfamily
+from liequant.bfamily import solve_bfamily, stored_family, stored_varrho
 from liequant.scalars import HSeries, add_term
 from liequant.liealg import abelian_bialgebra
 from liequant import quantize
@@ -30,6 +30,15 @@ def Q2(B4, borel, varrho3):
 def Q3(B4, borel, varrho3):
     """Order 3 over rho to degree 3: ell and the relations at rel_order 2."""
     return Quantization(B4, borel, order=3, varrho=varrho3)
+
+
+@pytest.fixture(scope="module")
+def deep(borel):
+    """Order 2 and 3 over the stored family to degree 5 and its rho to
+    degree 3, rel_order 2 for both: the chain of ell on a three-letter
+    word multiplies words of five letters, so it reads B past B4."""
+    fam, varrho = stored_family(5), stored_varrho(3)
+    return [Quantization(fam, borel, order=order, varrho=varrho) for order in (2, 3)]
 
 
 def _random_terms(rng, dim, order, max_len):
@@ -163,13 +172,13 @@ def test_ell_matches_direct_pairing(B4, borel, varrho3):
         assert Q.ell(x) == ell_direct(Q, x)
 
 
-def test_ell_matches_the_unseeded_chain(Q2, Q3):
+def test_ell_matches_the_unseeded_chain(deep):
     """ell, which seeds each word's chain with the word's coefficient,
     equals the chain from the unit times the coefficient, mod
     hbar^(rel_order+1), on seeded random words with coefficients of
-    valuation 0..2; on Q3 rel_order (2) is below order (3)."""
+    valuation 0..2; at order 3 rel_order (2) is below order."""
     rng = random.Random(7)
-    for Q in (Q2, Q3):
+    for Q in deep:
         d = Q.bia.algebra.dim
         for _ in range(6):
             x = AssocPoly(_random_terms(rng, d, Q.order, 3))
@@ -218,9 +227,10 @@ def test_semiclassical_check_needs_rel_order_one(B4, borel):
         Q.semiclassical_check(1)
 
 
-def test_ell_antihomomorphism(Q2):
+def test_ell_antihomomorphism(deep):
     x = AssocPoly.gen(0)
     y = AssocPoly.word((1, 1))
+    Q2 = deep[0]
     assert Q2.ell(x * y) == sh_mul(Q2.ell(y), Q2.ell(x))
 
 

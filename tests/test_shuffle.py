@@ -9,7 +9,8 @@ import pytest
 
 from liequant.scalars import HSeries, add_term, as_series, surviving_pairs
 from liequant.bfamily import (BFamily, _live_blocks, bfamily_from_json,
-                              deformed_word_product, positive_compositions)
+                              deformed_word_product, positive_compositions,
+                              stored_family)
 from liequant.freealg import AssocPoly, LiePoly
 from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, build_double,
                              sl2)
@@ -37,6 +38,17 @@ def n5():
 
 def ctx_borel(B4, borel, order=3):
     return ShContext(borel.algebra, B4, order)
+
+
+@pytest.fixture(scope="module")
+def B6():
+    return stored_family(6)
+
+
+def zero_past(fam):
+    """fam with its entries of degree max_degree + 1 to 8, the largest
+    block of LENGTHS, set to zero: BFamily.entry raises past max_degree."""
+    return BFamily(fam.lam, 8, fam.table)
 
 
 def test_product_examples(B4, borel):
@@ -149,10 +161,30 @@ def test_one_letter_blocks_are_int_letters(B4, borel, dbl):
                         assert got == {idx[0]: 1} and type(got[idx[0]]) is int
 
 
+def test_b_eval_is_the_bracket_loop(dbl):
+    """b_eval, which reads each word of B_pq off the algebra's memo of
+    left-normed basis brackets, equals B_pq with every word bracketed
+    left to right by alg.bracket, for every block of the stored family to
+    degree 4 and every index tuple, on borel2's double and on sl2."""
+    fam = stored_family(4)
+    for alg in (dbl.algebra, sl2()):
+        ctx = ShContext(alg, fam, 2)
+        for (p, q), entry in sorted(fam.table.items()):
+            for idx in itertools.product(range(alg.dim), repeat=p + q):
+                want = {}
+                for w, c in entry.terms.items():
+                    val = alg.basis(idx[w[0]])
+                    for a in w[1:]:
+                        val = alg.bracket(val, alg.basis(idx[a]))
+                    for k, v in val.items():
+                        add_term(want, k, c * v)
+                assert ctx.b_eval(p, q, idx) == want
+
+
 def test_word_product_is_the_full_loop_on_generators(B4, n5):
     """Same words, coefficients, repeats and order as the walk over every
     composition pair, with eval_block on free-Lie generators."""
-    for fam in (B4, n5):
+    for fam in (zero_past(B4), zero_past(n5)):
         for a, b in LENGTHS:
             gens = tuple(LiePoly.gen(i) for i in range(a + b))
             u, v = gens[:a], gens[a:]
@@ -164,7 +196,7 @@ def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
     """The same with ShContext.b_eval, the block rule of word_mul, on
     borel2 and on sl2."""
     for alg in (borel.algebra, sl2()):
-        ctx = ShContext(alg, B4, 2)
+        ctx = ShContext(alg, zero_past(B4), 2)
 
         def rule(p, q, idx):
             return ctx.b_eval(p, q, idx).items()
@@ -178,7 +210,7 @@ def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
 def test_letter_mul_is_the_full_loop_on_lie_letters(B4, n5):
     """The same with letter_eval on words of Lie letters."""
     letters = ((0,), (1, 2), (3,), (4, 5), (6,), (7, 8), (9,), (10,))
-    for fam in (B4, n5):
+    for fam in (zero_past(B4), zero_past(n5)):
         def rule(p, q, ls):
             return fam.letter_eval(p, q, ls).terms.items()
         for a, b in LENGTHS:
@@ -294,7 +326,7 @@ def _antipode_inv(a):
     return out
 
 
-def test_rational_memos_match_the_series_memos(B4, borel, dbl):
+def test_rational_memos_match_the_series_memos(B6, borel, dbl):
     """sh_mul, ShTensor.mul, sh_antipode and S^-1 on elements whose
     coefficients are non-constant series at the context's order equal, as
     ordered item lists, the same maps read through memos of constant
@@ -302,7 +334,7 @@ def test_rational_memos_match_the_series_memos(B4, borel, dbl):
     rng = random.Random(29)
     order = 3
     for alg in (borel.algebra, sl2(), dbl.algebra):
-        ctx, octx = ShContext(alg, B4, order), SeriesShContext(alg, B4, order)
+        ctx, octx = ShContext(alg, B6, order), SeriesShContext(alg, B6, order)
         for _ in range(2):
             a = _seeded_terms(rng, alg.dim, None, order, 8)
             b = _seeded_terms(rng, alg.dim, None, order, 8)
@@ -367,10 +399,10 @@ def _reverse(a):
     return ShElem(a.ctx, {tuple(reversed(w)): c for w, c in a.terms.items()})
 
 
-def test_reversal_is_hopf_iso_between_dual_families(B4, borel):
+def test_reversal_is_hopf_iso_between_dual_families(B6, borel):
     """m_Sh(B) o (Psi x Psi) = Psi o m_Sh(B-dual) on random words."""
-    ctx = ShContext(borel.algebra, B4, 3)
-    ctx_dual = ShContext(borel.algebra, B4.dual(), 3)
+    ctx = ShContext(borel.algebra, B6, 3)
+    ctx_dual = ShContext(borel.algebra, B6.dual(), 3)
     rng = random.Random(8)
     for _ in range(10):
         u = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
@@ -380,9 +412,10 @@ def test_reversal_is_hopf_iso_between_dual_families(B4, borel):
         assert lhs.terms == rhs.terms
 
 
-def test_projection_bracket_lemma(B4, borel):
-    """pr([iota(a), T]) = [a, pr(T)] for words T of degree <= 4."""
-    ctx = ctx_borel(B4, borel)
+def test_projection_bracket_lemma(borel):
+    """pr([iota(a), T]) = [a, pr(T)] for words T of degree <= 4, which
+    reads B_14 and B_41 of the stored family."""
+    ctx = ctx_borel(stored_family(5), borel)
     alg = borel.algebra
     for a_idx in range(2):
         a = ShElem.word(ctx, (a_idx,))
@@ -706,10 +739,10 @@ def test_valuation_skip_boundary(B4, borel):
     assert list(surviving_pairs({1: h[1]}, {2: h[1]})) == [(1, h[1], 2, h[1])]
 
 
-def test_valuation_skip_matches_naive_products(B4, borel):
+def test_valuation_skip_matches_naive_products(B6, borel):
     rng = random.Random(6)
     order = 3
-    ctx = ctx_borel(B4, borel, order=order)
+    ctx = ctx_borel(B6, borel, order=order)
     for trial in range(6):
         # the last two trials give some series an order below ctx.order
         low = order if trial < 4 else 1
