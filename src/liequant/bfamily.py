@@ -337,8 +337,14 @@ class GaugeSeq:
         self.max_degree = max_degree
 
     def entry(self, n):
+        """P_n; as for BFamily.entry, an entry past max_degree is not
+        known, so reading one raises ValueError instead of taking it as
+        zero."""
         if n == 1:
             return LiePoly.gen(0)
+        if n > self.max_degree:
+            raise ValueError("entry %d is past the gauge's max_degree %d"
+                             % (n, self.max_degree))
         return self.table.get(n) or LiePoly()
 
     def eval(self, n, args):

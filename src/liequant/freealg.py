@@ -37,7 +37,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import LinComb, add_term
+from .scalars import LinComb, add_term, lincomb
 
 
 def _multidegree(word):
@@ -195,10 +195,6 @@ class LiePoly(LinComb):
         return LiePoly(terms)
 
     @staticmethod
-    def zero():
-        return LiePoly()
-
-    @staticmethod
     def gen(label):
         return LiePoly({(label,): Fraction(1)})
 
@@ -211,16 +207,15 @@ class LiePoly(LinComb):
             return LiePoly({u: c if s > 0 else -c for u, s in _min_first_words(letters)})
         return assoc_to_lie(c * expand_leftnormed(letters))
 
-    add = LinComb.__add__
-
-    @staticmethod
-    def smul(c, a):
-        return c * a
-
     @staticmethod
     def chain(args):
         """[[a_0, a_1], ..., a_k], bracketed left to right."""
         return functools.reduce(lie_bracket, args)
+
+    @staticmethod
+    def lincomb(pairs):
+        """sum c * a over (c, a) pairs, added up in one terms dict."""
+        return LiePoly(lincomb((c, a.terms) for c, a in pairs))
 
     def relabel(self, mapping):
         """Apply a label substitution; labels outside mapping stay.  A
@@ -385,22 +380,25 @@ def dynkin(p):
 def substitute(p, args, carrier=LiePoly):
     """Image of a multilinear LiePoly under generator -> args[generator].
 
-    The generators of p must be integers 0..n-1 with n = len(args); each
-    word of p is a left-normed monomial, valued as the carrier's chain of
-    its arguments, and a word with a repeated letter (a Lyndon key)
-    raises ValueError.  The carrier provides zero/add/smul/chain: LiePoly
-    or a LieAlgebra.
+    The generators of p must be integers 0..n-1 with n = len(args), and
+    a word with any other letter raises ValueError, as does a word with
+    a repeated letter (a Lyndon key).  Each word of p is a left-normed
+    monomial, valued as the carrier's chain of its arguments; the
+    carrier's lincomb adds up the (coefficient, chain) pairs in one
+    pass.  The carrier provides chain and lincomb: LiePoly or a
+    LieAlgebra.
     """
-    out = carrier.zero()
+    n = len(args)
+    pairs = []
     for w, c in p.terms.items():
         for a in w:
-            if not (isinstance(a, int) and 0 <= a < len(args)):
+            if not (isinstance(a, int) and 0 <= a < n):
                 raise ValueError("substitute: arity mismatch for generator %r" % (a,))
         if not _is_multilinear(w):
             raise ValueError("substitute needs a multilinear polynomial, not the word %r"
                              % (w,))
-        out = carrier.add(out, carrier.smul(c, carrier.chain([args[a] for a in w])))
-    return out
+        pairs.append((c, carrier.chain([args[a] for a in w])))
+    return carrier.lincomb(pairs)
 
 
 def order_type(words):

@@ -7,9 +7,10 @@ Both follow scalars.add_term: no key holds a zero coefficient.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .scalars import add_term, distribute
+from .scalars import add_term, distribute, lincomb
 
 
 def tensor_add(t, u):
@@ -25,18 +26,28 @@ def tensor_smul(c, t):
     return {k: c * v for k, v in t.items()}
 
 
+def _exact(c):
+    """c with an int in place of a Fraction of denominator 1.  The two
+    compare and hash alike, and int products and sums skip Fraction's
+    gcds; a true division `/` of two ints would give a float, so no
+    value read off a LieAlgebra is ever divided."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class LieAlgebra:
     """Structure constants [e_i, e_j] = sum_k c_ij^k e_k.
 
     brackets: dict (i, j) -> {k: c} given for i < j; antisymmetry fills
-    the rest.  Jacobi is verified at construction.  The algebra is its
-    own bracket carrier (zero/add/smul/chain on sparse dicts), so
-    freealg.substitute and BFamily.eval take it directly; its chains
-    read one memo of left-normed basis brackets per instance.
+    the rest.  A constant of denominator 1 is stored as an int (`_exact`)
+    and basis(i) is {i: 1}, so on integral structure constants every
+    bracket of basis vectors is int.  Jacobi is verified at
+    construction.  The algebra is its own bracket carrier (chain and
+    lincomb on sparse dicts), so freealg.substitute and BFamily.eval take
+    it directly; its chains read one memo of left-normed basis brackets
+    per instance.
     """
 
-    add = staticmethod(tensor_add)
-    smul = staticmethod(tensor_smul)
+    lincomb = staticmethod(lincomb)
 
     def __init__(self, dim, basis_names, brackets):
         self.dim = dim
@@ -45,34 +56,37 @@ class LieAlgebra:
         for (i, j), v in brackets.items():
             if i == j:
                 raise ValueError("diagonal bracket entry")
+            v = {k: _exact(c) for k, c in v.items()}
             if i > j:
-                i, j, v = j, i, tensor_smul(Fraction(-1), v)
+                i, j, v = j, i, {k: -c for k, c in v.items()}
             cur = self.brackets.get((i, j))
-            self.brackets[(i, j)] = tensor_add(cur, v) if cur else dict(v)
+            self.brackets[(i, j)] = tensor_add(cur, v) if cur else v
+        # both orders of every pair, for bracket_basis and bracket
+        self._table = {}
+        for (i, j), v in self.brackets.items():
+            self._table[(i, j)] = v
+            self._table[(j, i)] = {k: -c for k, c in v.items()}
         if not self.jacobi_ok():
             raise ValueError("Jacobi identity fails")
         self._leftnormed = {}
 
-    @staticmethod
-    def zero():
-        return {}
-
     def basis(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def bracket_basis(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return tensor_smul(Fraction(-1), self.brackets.get((j, i), {}))
+        """[e_i, e_j] as the algebra's own dict: no caller may mutate it."""
+        return self._table.get((i, j), {})
 
     def bracket(self, u, v):
+        table = self._table
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    add_term(out, k, a * b * c)
+                br = table.get((i, j))
+                if br:
+                    ab = a * b
+                    for k, c in br.items():
+                        add_term(out, k, ab * c)
         return out
 
     def leftnormed(self, idx):
@@ -89,24 +103,30 @@ class LieAlgebra:
     def chain(self, args):
         """[[u_0, u_1], ..., u_k] for sparse vectors u_i, read off the
         memo by multilinearity; on basis vectors it is the memo's dict."""
+        idx = []
+        for u in args:
+            if len(u) != 1:
+                break
+            (i, c), = u.items()
+            if c != 1:
+                break
+            idx.append(i)
+        else:
+            return self.leftnormed(tuple(idx))
         terms = [tuple(u.items()) for u in args]
-        if all(len(t) == 1 and t[0][1] == 1 for t in terms):
-            return self.leftnormed(tuple(t[0][0] for t in terms))
-        out = {}
-        for idx, c in distribute(terms):
-            out = tensor_add(out, tensor_smul(c, self.leftnormed(idx)))
-        return out
+        return lincomb((c, self.leftnormed(idx)) for idx, c in distribute(terms))
 
     def jacobi_ok(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    s = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        term = self.bracket(self.basis(a), self.bracket_basis(b, c))
-                        s = tensor_add(s, term)
-                    if s:
-                        return False
+        """The Jacobi sum J(a, b, c) = [a, [b, c]] + [b, [c, a]] + [c, [a, b]]
+        is trilinear and, the bracket being antisymmetric, alternating:
+        it vanishes on every basis triple iff it does on those with
+        i < j < k."""
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            s = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                s = tensor_add(s, self.bracket(self.basis(a), self.bracket_basis(b, c)))
+            if s:
+                return False
         return True
 
 
@@ -278,10 +298,10 @@ class DoubleAlgebra:
         self.r = r            # canonical element in D x D
 
     def pair(self, u, v):
-        s = Fraction(0)
+        s = 0
         for i, a in u.items():
             for j, b in v.items():
-                s += a * b * self.form.get((i, j), Fraction(0))
+                s += a * b * self.form.get((i, j), 0)
         return s
 
 
@@ -337,10 +357,13 @@ def build_double(bia):
 def _verify_double(dbl, bia):
     dd = dbl.algebra
     d = bia.algebra.dim
-    # invariance <[x,y],z> + <y,[x,z]> = 0
+    # invariance <[x,y],z> + <y,[x,z]> = 0: for a symmetric form the sum
+    # is symmetric in (y, z), so the pairs j <= k cover every triple
+    if any(dbl.form.get((j, i)) != c for (i, j), c in dbl.form.items()):
+        raise ValueError("form not symmetric")
     for i in range(2 * d):
         for j in range(2 * d):
-            for k in range(2 * d):
+            for k in range(j, 2 * d):
                 s = dbl.pair(dd.bracket_basis(i, j), dd.basis(k)) \
                     + dbl.pair(dd.basis(j), dd.bracket_basis(i, k))
                 if s:

@@ -271,6 +271,16 @@ def add_term(d, k, c):
             del d[k]
 
 
+def lincomb(pairs):
+    """sum c * t over (c, t) pairs of sparse dicts, added up in one dict
+    by add_term; each product is c * coefficient, c on the left."""
+    out = {}
+    for c, t in pairs:
+        for k, x in t.items():
+            add_term(out, k, c * x)
+    return out
+
+
 class LinComb:
     """Finite linear combination: `terms` maps keys to nonzero scalars.
 

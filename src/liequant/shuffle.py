@@ -270,19 +270,26 @@ class TensContext:
         self.order = order
         self.sh = ShContext(double.algebra, bfam, self.order)
         self._gen_comul = {}
+        self._dual_blocks = {}
 
     def dual_block(self, p, q, x, left=(), right=()):
         """{idx: <B_pq(left, e^idx..., right), e_x>} over the dual-basis
         letters e^idx between the g-letters left and right (tuples of
-        basis indices): the e^x coordinate of B_pq evaluated on the double."""
-        d = self.double.base.algebra.dim
-        out = {}
-        for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
-            letters = left + tuple(d + i for i in idx) + right
-            c = self.sh.b_eval(p, q, letters).get(d + x)
-            if c:
-                out[idx] = c
-        return out
+        basis indices): the e^x coordinate of B_pq evaluated on the double.
+        One pass over the index tuples reads each value once and scatters
+        its dual coordinates into the context's memo, keyed by x; the
+        blocks are shared, so no caller may mutate one."""
+        key = (p, q, left, right)
+        blocks = self._dual_blocks.get(key)
+        if blocks is None:
+            d = self.double.base.algebra.dim
+            blocks = self._dual_blocks[key] = {}
+            for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
+                letters = left + tuple(d + i for i in idx) + right
+                for k, c in self.sh.b_eval(p, q, letters).items():
+                    if k >= d:
+                        blocks.setdefault(k - d, {})[idx] = c
+        return blocks.get(x, {})
 
     def generator_comul(self, i):
         """Delta(e_i) = sum_{p,q} hbar^(p+q-1) <B_pq(e^idx), e_i>

@@ -87,6 +87,21 @@ def test_gauge_group_axioms():
     assert all(not gauge_mul(g, gi).entry(n) for n in range(2, 5))
 
 
+def test_gauge_entry_past_max_degree_raises():
+    """As for BFamily.entry, a gauge entry past max_degree is unknown, so
+    reading it (or evaluating it) raises instead of reading zero; below
+    it an unset entry is zero and P_1 is the generator."""
+    g = GaugeSeq({2: Fraction(1, 3) * LiePoly.leftnormed((0, 1))}, 3)
+    assert g.entry(1) == LiePoly.gen(0) and not g.entry(3)
+    assert g.entry(2) == Fraction(1, 3) * LiePoly.leftnormed((0, 1))
+    with pytest.raises(ValueError, match="entry 4 is past the gauge's max_degree 3"):
+        g.entry(4)
+    with pytest.raises(ValueError, match="past the gauge"):
+        g.eval(4, [LiePoly.gen(i) for i in range(4)])
+    # the product reads no entry past the smaller degree
+    assert gauge_mul(g, GaugeSeq({}, 2)).max_degree == 2
+
+
 def test_connecting_gauge(B4, B4_rref):
     # rref-zero and the normalized gauge coincide at degree 4 (joint solve)
     P = connecting_gauge(B4_rref, B4)

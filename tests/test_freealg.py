@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from liequant.freealg import (AssocPoly, LiePoly, lie_bracket, dynkin,
                               substitute, cbh, assoc_to_lie, expand_leftnormed,
                               expand_lyndon, is_lyndon, lie_to_json,
                               lie_from_json, NotLieElement)
+from liequant.liealg import sl2, tensor_add, tensor_smul
 
 
 def lyndon_words(mdeg):
@@ -143,6 +145,40 @@ def test_substitute_examples(borel):
     for args, carrier in (([h, e], alg), ([LiePoly.gen(0), LiePoly.gen(1)], LiePoly)):
         with pytest.raises(ValueError, match="multilinear"):
             substitute(lyndon, args, carrier)
+        # a letter outside the generators 0..len(args)-1 is an arity mismatch
+        for bad in (2, -1, 1.0, (0,)):
+            with pytest.raises(ValueError, match="arity mismatch for generator "
+                                                 + re.escape(repr(bad))):
+                substitute(LiePoly({(0, bad): Fraction(1)}), args, carrier)
+
+
+def test_carriers_add_up_pairs_in_one_pass(borel):
+    """Both carriers' lincomb is sum c * value over (c, value) pairs, with
+    cancelling terms dropped; substitute of a two-word polynomial is the
+    sum of its words bracketed left to right, one term at a time."""
+    alg = borel.algebra
+    h, e = alg.basis(0), alg.basis(1)
+    assert alg.lincomb([]) == {} and LiePoly.lincomb([]) == LiePoly()
+    assert alg.lincomb([(Fraction(1, 2), {1: 2, 0: 1}), (Fraction(-1), {1: 1})]) \
+        == {0: Fraction(1, 2)}
+    x, y = LiePoly.gen(0), LiePoly.gen(1)
+    assert LiePoly.lincomb([(Fraction(3), x), (Fraction(-3), x), (Fraction(2), y)]) \
+        == Fraction(2) * y
+    p = LiePoly({(0, 1, 2): Fraction(1, 3), (0, 2, 1): Fraction(-2)})
+    h_sl = {0: Fraction(1, 2), 2: Fraction(3)}
+    for args, carrier in (([h, e, h], alg), ([e, h, h], alg), ([h_sl, e, h], sl2()),
+                          ([LiePoly.gen(2), x, y], LiePoly)):
+        if carrier is LiePoly:
+            want = LiePoly()
+            for w, c in p.terms.items():
+                want = want + c * lie_bracket(lie_bracket(args[w[0]], args[w[1]]),
+                                              args[w[2]])
+        else:
+            want = {}
+            for w, c in p.terms.items():
+                v = carrier.bracket(carrier.bracket(args[w[0]], args[w[1]]), args[w[2]])
+                want = tensor_add(want, tensor_smul(c, v))
+        assert want and substitute(p, args, carrier) == want
 
 
 def test_cbh_values_and_round_trip():

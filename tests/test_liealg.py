@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 
 from liequant import linalg
 from liequant.deform import bbrack, cybe, matrix_algebra, random_r
-from liequant.liealg import (LieAlgebra, LieBialgebra, validate_bialgebra,
-                             build_double, cybe_residual, placed_bracket,
+from liequant.liealg import (DoubleAlgebra, LieAlgebra, LieBialgebra, validate_bialgebra,
+                             build_double, cybe_residual, placed_bracket, _verify_double,
                              tensor_add, tensor_smul,
                              borel2, abelian_bialgebra, sl2,
                              bialgebra_to_json, bialgebra_from_json)
@@ -19,6 +20,90 @@ def test_jacobi_enforced():
     with pytest.raises(ValueError):
         LieAlgebra(3, list("abc"), {(0, 1): {2: Fraction(1)},
                                     (0, 2): {0: Fraction(1)}})
+
+
+def _jacobi_sum(table, a, b, c):
+    """[e_a, [e_b, e_c]] + [e_b, [e_c, e_a]] + [e_c, [e_a, e_b]] from a
+    bracket table {(i, j): {k: c}} given for i < j, read here directly."""
+    def br(i, j):
+        if i < j:
+            return table.get((i, j), {})
+        return {k: -x for k, x in table.get((j, i), {}).items()}
+    out = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for m, cm in br(y, z).items():
+            for k, ck in br(x, m).items():
+                out[k] = out.get(k, 0) + cm * ck
+    return {k: v for k, v in out.items() if v}
+
+
+def test_jacobi_negative_control_one_distinct_triple():
+    """jacobi_ok reads the triples i < j < k only; a dim-4 table whose
+    Jacobi sum fails on exactly one set of three distinct indices is
+    still refused, whichever of the four sets it is."""
+    base = {(0, 1): {3: Fraction(1)}, (2, 3): {2: Fraction(1)}}
+    broken = set()
+    for perm in itertools.permutations(range(4)):
+        table = {}
+        for (i, j), v in base.items():
+            a, b = perm[i], perm[j]
+            out = {perm[k]: c if a < b else -c for k, c in v.items()}
+            table[min(a, b), max(a, b)] = out
+        failing = {tuple(sorted(t)) for t in itertools.product(range(4), repeat=3)
+                   if _jacobi_sum(table, *t)}
+        assert failing == {tuple(sorted(perm[:3]))}
+        broken |= failing
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            LieAlgebra(4, list("abcd"), table)
+    assert len(broken) == 4
+    # the same table without the offending bracket is a Lie algebra
+    LieAlgebra(4, list("abcd"), {(0, 1): {3: Fraction(1)}})
+
+
+def _invariance_failures(dbl):
+    """The ordered triples (i, j, k) with <[e_i, e_j], e_k> + <e_j, [e_i, e_k]>
+    nonzero, over all of them."""
+    alg, n = dbl.algebra, dbl.algebra.dim
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if dbl.pair(alg.bracket_basis(i, j), {k: 1})
+            + dbl.pair({j: 1}, alg.bracket_basis(i, k))]
+
+
+def test_invariance_negative_control_j_above_k():
+    """_verify_double reads the pairs j <= k only, the invariance sum being
+    symmetric in (j, k) for the symmetric form; a bracket that breaks
+    invariance at a triple with j > k is still refused, and so is a form
+    that is not symmetric."""
+    bia = abelian_bialgebra(2)
+    good = build_double(bia)
+    bad_alg = LieAlgebra(4, good.algebra.basis_names, {(0, 1): {0: Fraction(1)}})
+    bad = DoubleAlgebra(bia, bad_alg, good.form, good.r)
+    failures = _invariance_failures(bad)
+    assert (0, 2, 1) in failures
+    assert all((i, k, j) in failures for i, j, k in failures)
+    with pytest.raises(ValueError, match=r"form not invariant at \(0,1,2\)"):
+        _verify_double(bad, bia)
+    assert _invariance_failures(good) == []
+    _verify_double(good, bia)
+    lopsided = DoubleAlgebra(bia, good.algebra, {**good.form, (2, 0): Fraction(2)}, good.r)
+    with pytest.raises(ValueError, match="form not symmetric"):
+        _verify_double(lopsided, bia)
+
+
+def test_integral_constants_are_ints():
+    """A constant of denominator 1 is stored as an int, any other stays a
+    Fraction, and the basis vectors carry the int 1; on the integral
+    doubles of borel2 and sl2 the left-normed memo holds ints only."""
+    alg = LieAlgebra(3, list("abc"), {(1, 0): {0: Fraction(2)}, (1, 2): {2: Fraction(1, 2)}})
+    assert alg.brackets == {(0, 1): {0: -2}, (1, 2): {2: Fraction(1, 2)}}
+    assert type(alg.brackets[(0, 1)][0]) is int
+    assert type(alg.brackets[(1, 2)][2]) is Fraction
+    assert alg.basis(1) == {1: 1} and type(alg.basis(1)[1]) is int
+    for bia in (borel2(), LieBialgebra(sl2(), {})):
+        dd = build_double(bia).algebra
+        for n in (1, 2, 3):
+            for idx in itertools.product(range(dd.dim), repeat=n):
+                assert all(type(c) is int for c in dd.leftnormed(idx).values())
 
 
 def test_validate_borel2_and_abelian(borel):

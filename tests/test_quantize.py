@@ -1,15 +1,18 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liequant.bfamily import solve_bfamily, stored_family, stored_varrho
 from liequant.scalars import HSeries, add_term
-from liequant.liealg import abelian_bialgebra
+from liequant.liealg import abelian_bialgebra, bialgebra_from_json
 from liequant import quantize
 from liequant.quantize import Quantization, QYBEFail
 from liequant.freealg import AssocPoly
-from liequant.shuffle import ShElem, sh_mul
+from liequant.shuffle import ShElem, sh_mul, t_comul
 from liequant.universal import varrho_one, solve_varrho
 from ell_oracle import ell_direct
 from quantize_oracle import (ell_chain, equivalence_report, malta_check,
@@ -307,6 +310,39 @@ def test_relations_abelian(B4, varrho3):
     rels = Qa.extract_relations()
     for (i, j), k in rels.items():
         assert k == AssocPoly.word((j, i)) - AssocPoly.word((i, j))
+
+
+def _exact_scalar(c):
+    """An int, a Fraction, or an HSeries of int numerators over an int
+    denominator: never a float, which a true division of two ints gives."""
+    if isinstance(c, HSeries):
+        return all(type(x) is int for x in c.nums + (c.den,))
+    return type(c) in (int, Fraction)
+
+
+def test_constants_stay_exact_on_the_scaled_double():
+    """borel2_scaled has the constants 2 and +-1/2, so its double mixes int
+    and Fraction structure constants; every left-normed basis bracket to
+    length 4, every relation coefficient and every coproduct coefficient
+    of its quantization at order 2 is exact."""
+    data = Path(__file__).resolve().parent / "data" / "borel2_scaled.json"
+    bia = bialgebra_from_json(json.loads(data.read_text()))
+    Q = Quantization(stored_family(4), bia, order=2, varrho=stored_varrho(3))
+    dd = Q.double.algebra
+    kinds = set()
+    for n in range(1, 5):
+        for idx in itertools.product(range(dd.dim), repeat=n):
+            for c in dd.leftnormed(idx).values():
+                assert _exact_scalar(c), (idx, c)
+                kinds.add(type(c))
+    assert kinds == {int, Fraction}
+    rels = Q.extract_relations()
+    assert rels
+    for k in rels.values():
+        assert all(_exact_scalar(c) for c in k.terms.values())
+    for i in range(bia.algebra.dim):
+        assert all(_exact_scalar(c)
+                   for c in t_comul(Q.tens_ctx, AssocPoly.gen(i)).values())
 
 
 def test_semiclassical(Q2):

@@ -12,8 +12,8 @@ from liequant.bfamily import (BFamily, _live_blocks, bfamily_from_json,
                               deformed_word_product, positive_compositions,
                               stored_family)
 from liequant.freealg import AssocPoly, LiePoly
-from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, build_double,
-                             sl2)
+from liequant.liealg import (LieAlgebra, abelian, abelian_bialgebra, bialgebra_from_json,
+                             borel2, build_double, sl2)
 from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                               sh_antipode, hopf_report, TensContext,
                               t_comul, pairing, qfsh_delta,
@@ -504,6 +504,42 @@ def test_delta_P(B4, borel, dbl):
     for (p, q), ent in B4.table.items():
         for a in range(2):
             assert tctx.dual_block(p, q, a) == _delta_P(borel.cobracket, ent, a)
+
+
+def _direct_dual_block(bfam, dbl, p, q, x, left, right):
+    """<B_pq(left, e^idx..., right), e_x> per x and per index tuple, each
+    value one BFamily.eval on basis vectors of the double."""
+    d = dbl.base.algebra.dim
+    out = {}
+    for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
+        letters = left + tuple(d + i for i in idx) + right
+        c = bfam.eval(p, q, [{a: 1} for a in letters], dbl.algebra).get(d + x, 0)
+        if c:
+            out[idx] = c
+    return out
+
+
+@pytest.mark.parametrize("source", ["borel2", "sl2.json", "borel2_scaled.json"])
+def test_dual_block_is_the_direct_evaluation(B4, source):
+    """The one-pass dual blocks, read in an order that mixes x, p, q and
+    the g-letters on each side, equal the direct evaluation through
+    BFamily.eval on a separately built double, for p + q <= 4."""
+    bia = (borel2() if source == "borel2"
+           else bialgebra_from_json(json.loads((DATA / source).read_text())))
+    tctx = TensContext(build_double(bia), B4, 3)
+    oracle = build_double(bia)
+    d = bia.algebra.dim
+    sides = [((), ())] + [((a,), ()) for a in range(d)] + [((), (a,)) for a in range(d)]
+    sides.append(((0,), (d - 1,)))
+    seen = 0
+    for left, right in sides:
+        for n in range(max(1, len(left) + len(right)), 5):
+            for p in range(n + 1):
+                for x in reversed(range(d)):
+                    want = _direct_dual_block(B4, oracle, p, n - p, x, left, right)
+                    assert tctx.dual_block(p, n - p, x, left, right) == want
+                    seen += bool(want)
+    assert seen
 
 
 def test_t_comul(B4, dbl):
