@@ -49,20 +49,65 @@ def positive_compositions(n, k):
     return tuple(c for c in compositions(n, k) if all(c))
 
 
+class WordAlgebra:
+    """The deformed product on words whose blocks the rule block(p, q,
+    letters) evaluates as (letter, coeff) pairs, with its antipodes.
+
+    word_mul(u, v) and antipode(w, inverse) are memoized per algebra and
+    return {word: coeff} dicts, which callers must not change.
+    """
+
+    def __init__(self, block):
+        self.block = block
+        self._products = {}
+        self._antipodes = ({}, {})     # S, S^-1
+
+    def word_mul(self, u, v):
+        """deformed_word_product(u, v, block) with its repeats added up."""
+        hit = self._products.get((u, v))
+        if hit is None:
+            hit = {}
+            for w, c in deformed_word_product(u, v, self.block):
+                add_term(hit, w, c)
+            self._products[(u, v)] = hit
+        return hit
+
+    def antipode(self, w, inverse=False):
+        """S(w) = -sum_{i<|w|} S(w[:i]) w[i:] for deconcatenation and
+        word_mul; with inverse, the same with the opposite product: S^-1,
+        the antipode of H^op."""
+        memo = self._antipodes[inverse]
+        hit = memo.get(w)
+        if hit is None:
+            hit = {} if w else {(): 1}
+            for i in range(len(w)):
+                for head, c in self.antipode(w[:i], inverse).items():
+                    u, v = (w[i:], head) if inverse else (head, w[i:])
+                    for word, cw in self.word_mul(u, v).items():
+                        add_term(hit, word, -c * cw)
+            memo[w] = hit
+        return hit
+
+
 class BFamily:
     """The entries B_pq, with the memos of everything computed from them.
 
     The memos live and die with the family, so no family can be handed
-    another one's results.
+    another one's results.  Construction raises ValueError unless every
+    entry (p, q) is multilinear in the generators 0..p+q-1.
     """
 
     def __init__(self, lam, max_degree, table):
         self.lam = Fraction(lam) if not hasattr(lam, "coeffs") else lam
         self.max_degree = max_degree
         self.table = dict(table)
+        for (p, q), e in self.table.items():
+            if any(sorted(w) != list(range(p + q)) for w in e.terms):
+                raise ValueError("entry (%d, %d) is not multilinear in %d generators"
+                                 % (p, q, p + q))
         self._letter_evals = {}
-        self._letter_products = {}
-        self._letter_antipodes = ({}, {})     # S, S^-1
+        # the deformed product on words of Lie letters
+        self.letters = WordAlgebra(lambda p, q, ls: self.letter_eval(p, q, ls).terms.items())
         self.lambdas = None                   # rmatrix.LambdaTable, grown on demand
 
     def entry(self, p, q):
@@ -78,11 +123,11 @@ class BFamily:
                              % (p, q, self.max_degree))
         return self.table.get((p, q)) or LiePoly()
 
-    def eval(self, p, q, args, carrier=LiePoly):
-        """B_pq evaluated on carrier elements (first p = first group)."""
+    def eval(self, p, q, args):
+        """B_pq evaluated on LiePoly arguments (first p = first group)."""
         if p + q == 1:
             return args[0]
-        return substitute(self.entry(p, q), args, carrier)
+        return substitute(self.entry(p, q), args)
 
     def eval_block(self, p, q, letters):
         """Block rule of deformed_word_product on LiePoly letters: the one
@@ -90,26 +135,11 @@ class BFamily:
         val = self.eval(p, q, letters)
         return ((val, 1),) if val else ()
 
-    # -- Lie letters: tuples of labels, each the left-normed monomial on them
-
     def letter_eval(self, p, q, letters):
-        """B_pq on Lie letters, as a LiePoly; memoized on (p, q) and the
+        """B_pq on Lie letters (tuples of labels, each the left-normed
+        monomial on them), as a LiePoly; memoized on (p, q) and the
         letters' order type (`freealg.substitute_letters`)."""
         return substitute_letters(self.entry(p, q), letters, self._letter_evals, (p, q))
-
-    def letter_mul(self, u, v):
-        """Deformed product of two words of Lie letters; memoized."""
-        hit = self._letter_products.get((u, v))
-        if hit is None:
-            hit = deformed_word_product(
-                u, v, lambda p, q, ls: self.letter_eval(p, q, ls).terms.items())
-            self._letter_products[(u, v)] = hit
-        return hit
-
-    def letter_antipode(self, w, inverse=False):
-        """S(w), or S^-1(w), on a word of Lie letters: {word: coeff}."""
-        mul = (lambda a, b: self.letter_mul(b, a)) if inverse else self.letter_mul
-        return word_antipode(w, mul, self._letter_antipodes[inverse])
 
     def dual(self):
         """The involution: reverse both argument groups in every entry."""
@@ -425,27 +455,8 @@ def deformed_word_product(u, v, block):
     return out
 
 
-def word_antipode(w, mul, memo):
-    """Antipode of a word for deconcatenation and the product mul.
-
-    S(w) = -sum_{i<|w|} S(w[:i]) w[i:], with mul(u, v) -> [(word, coeff)];
-    called with the opposite product it gives S^-1, the antipode of H^op.
-    Memoized per word in memo (owned by the owner of mul); returns
-    {word: coeff}, which callers must not change.
-    """
-    hit = memo.get(w)
-    if hit is None:
-        hit = {} if w else {(): 1}
-        for i in range(len(w)):
-            for head, c in word_antipode(w[:i], mul, memo).items():
-                for word, cw in mul(head, w[i:]):
-                    add_term(hit, word, -c * cw)
-        memo[w] = hit
-    return hit
-
-
 def _gauge_blocks(P, word):
-    """i_P applied to a word of carrier letters: its block-words (coefficient 1)."""
+    """i_P applied to a word of LiePoly letters: its block-words (coefficient 1)."""
     n = len(word)
     out = []
     for k in range(1, n + 1):
@@ -595,8 +606,8 @@ def bfamily_to_json(B):
 
 def bfamily_from_json(d):
     """Inverse of bfamily_to_json; raises ValueError unless max_degree is
-    an integer and every entry (p, q) has p, q >= 1, p + q <= max_degree,
-    appears once and is multilinear in the generators 0..p+q-1."""
+    an integer and every entry (p, q) has p, q >= 1, p + q <= max_degree
+    and appears once (BFamily checks that it is multilinear)."""
     n = d["max_degree"]
     if type(n) is not int:
         raise ValueError("max_degree %r is not an integer" % (n,))
@@ -607,11 +618,7 @@ def bfamily_from_json(d):
             raise ValueError("entry (%r, %r) outside p, q >= 1, p + q <= %d" % (p, q, n))
         if (p, q) in table:
             raise ValueError("entry (%d, %d) given twice" % (p, q))
-        poly = lie_from_json(e["poly"])
-        if any(sorted(w) != list(range(p + q)) for w in poly.terms):
-            raise ValueError("entry (%d, %d) is not multilinear in %d generators"
-                             % (p, q, p + q))
-        table[(p, q)] = poly
+        table[(p, q)] = lie_from_json(e["poly"])
     return BFamily(scalar_from_json(d["lambda"]), n, table)
 
 

@@ -197,9 +197,12 @@ def cmd_rmatrix(args):
     terms = rmatrix.rmatrix_terms(fam, args.max_degree)
     ok = True
     for n in range(args.max_degree + 1):
-        res = rmatrix.quasitri_residual(fam, terms, n)
-        if any(res.values()):
-            ok = False
+        for name, res in rmatrix.quasitri_residual(fam, terms, n).items():
+            if res:
+                ok = False
+                key, c = next(iter(res.terms.items()))
+                print("rmatrix: %s fails at degree %d (%r = %s)" % (name, n, key, c),
+                      file=sys.stderr)
     _emit(args, {"ok": ok,
                  "terms": [rmatrix.uelem_to_json(t) for t in terms]})
     for n, t in enumerate(terms):
@@ -258,8 +261,10 @@ def cmd_quantize(args):
     ok = True
     try:
         Q.check_qybe()
-    except quantize.QYBEFail:
+    except quantize.QYBEFail as e:
         ok = False
+        print("quantize: QYBE fails at hbar^%d (%r)" % (e.order, e.witness[0]),
+              file=sys.stderr)
     # relations stop at the highest order that vr makes kernel-exact
     rels = Q.extract_relations()
     d = bia.algebra.dim

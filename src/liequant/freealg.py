@@ -183,8 +183,7 @@ class NotLieElement(ValueError):
 
 
 class LiePoly(LinComb):
-    """Canonical element of a free Lie algebra; see module docstring.  The
-    class is its own bracket carrier, substitute's default."""
+    """Canonical element of a free Lie algebra; see module docstring."""
 
     __slots__ = ()
 
@@ -206,16 +205,6 @@ class LiePoly(LinComb):
         if _is_multilinear(letters):
             return LiePoly({u: c if s > 0 else -c for u, s in _min_first_words(letters)})
         return assoc_to_lie(c * expand_leftnormed(letters))
-
-    @staticmethod
-    def chain(args):
-        """[[a_0, a_1], ..., a_k], bracketed left to right."""
-        return functools.reduce(lie_bracket, args)
-
-    @staticmethod
-    def lincomb(pairs):
-        """sum c * a over (c, a) pairs, added up in one terms dict."""
-        return LiePoly(lincomb((c, a.terms) for c, a in pairs))
 
     def relabel(self, mapping):
         """Apply a label substitution; labels outside mapping stay.  A
@@ -374,19 +363,18 @@ def dynkin(p):
 
 
 # ---------------------------------------------------------------------------
-# substitution into bracket carriers
+# substitution
 # ---------------------------------------------------------------------------
 
-def substitute(p, args, carrier=LiePoly):
-    """Image of a multilinear LiePoly under generator -> args[generator].
+def substitute(p, args):
+    """Image of a multilinear LiePoly under generator -> args[generator],
+    for LiePoly arguments.
 
     The generators of p must be integers 0..n-1 with n = len(args), and
     a word with any other letter raises ValueError, as does a word with
     a repeated letter (a Lyndon key).  Each word of p is a left-normed
-    monomial, valued as the carrier's chain of its arguments; the
-    carrier's lincomb adds up the (coefficient, chain) pairs in one
-    pass.  The carrier provides chain and lincomb: LiePoly or a
-    LieAlgebra.
+    monomial, valued as its arguments bracketed left to right; the
+    (coefficient, value) pairs are added up in one pass.
     """
     n = len(args)
     pairs = []
@@ -397,8 +385,8 @@ def substitute(p, args, carrier=LiePoly):
         if not _is_multilinear(w):
             raise ValueError("substitute needs a multilinear polynomial, not the word %r"
                              % (w,))
-        pairs.append((c, carrier.chain([args[a] for a in w])))
-    return carrier.lincomb(pairs)
+        pairs.append((c, functools.reduce(lie_bracket, (args[a] for a in w)).terms))
+    return LiePoly(lincomb(pairs))
 
 
 def order_type(words):

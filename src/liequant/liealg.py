@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import add_term, distribute, lincomb
+from .scalars import add_term
 
 
 def tensor_add(t, u):
@@ -41,13 +41,9 @@ class LieAlgebra:
     the rest.  A constant of denominator 1 is stored as an int (`_exact`)
     and basis(i) is {i: 1}, so on integral structure constants every
     bracket of basis vectors is int.  Jacobi is verified at
-    construction.  The algebra is its own bracket carrier (chain and
-    lincomb on sparse dicts), so freealg.substitute and BFamily.eval take
-    it directly; its chains read one memo of left-normed basis brackets
-    per instance.
+    construction.  Left-normed brackets of basis vectors are read off one
+    memo per instance (leftnormed).
     """
-
-    lincomb = staticmethod(lincomb)
 
     def __init__(self, dim, basis_names, brackets):
         self.dim = dim
@@ -99,22 +95,6 @@ class LieAlgebra:
                 self.leftnormed(idx[:-1]), self.basis(idx[-1]))
             self._leftnormed[idx] = hit
         return hit
-
-    def chain(self, args):
-        """[[u_0, u_1], ..., u_k] for sparse vectors u_i, read off the
-        memo by multilinearity; on basis vectors it is the memo's dict."""
-        idx = []
-        for u in args:
-            if len(u) != 1:
-                break
-            (i, c), = u.items()
-            if c != 1:
-                break
-            idx.append(i)
-        else:
-            return self.leftnormed(tuple(idx))
-        terms = [tuple(u.items()) for u in args]
-        return lincomb((c, self.leftnormed(idx)) for idx, c in distribute(terms))
 
     def jacobi_ok(self):
         """The Jacobi sum J(a, b, c) = [a, [b, c]] + [b, [c, a]] + [c, [a, b]]

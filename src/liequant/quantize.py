@@ -47,6 +47,12 @@ class Quantization:
     """Carrier for the quantization data of one bialgebra at one order."""
 
     def __init__(self, bfam, bia, order, varrho):
+        # rho and rel_order read every varrho_n up to the top degree
+        top = max(varrho)
+        missing = next((n for n in range(1, top + 1) if n not in varrho), None)
+        if missing is not None or len(varrho) != top:
+            raise ValueError("varrho's degrees %s are not 1..%d%s" % (
+                sorted(varrho), top, "" if missing is None else ": %d is missing" % missing))
         self.bfam = bfam
         self.bia = bia
         self.order = order
@@ -56,7 +62,7 @@ class Quantization:
         self.table = lambda_table(bfam, order)
         self.varrho = varrho
         # the hbar^<=k parts of ell and of the relations need rho_<=k+1
-        self.rel_order = min(order, max(varrho) - 1)
+        self.rel_order = min(order, top - 1)
         self.rho = self._rho_at_order(order, varrho)
         # rho = hbar r + O(hbar^2); r != r21, so a swap of kappa's sides fails here
         h1 = {ij: c.coeff(1) for ij, c in self.rho.items() if c.coeff(1)}

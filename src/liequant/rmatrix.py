@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .scalars import add_term
 from .unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                        normalize_letters, pr_word_product, _relabel_term)
+                        normalize_letters, _relabel_term)
 
 
 def pair_elem(pid):
@@ -63,7 +63,7 @@ class LambdaTable:
         for m, lam in self.entries.items():
             if m <= j:
                 total = total + u_mul(self.rprime(j - m), _shift_pids(lam, j - m),
-                                      (("sh", self.bfam), "conc"))
+                                      (self.bfam.letters, "conc"))
         self._rprime[j] = total
         return total
 
@@ -77,7 +77,7 @@ class LambdaTable:
             r2 = _shift_pids(self.rprime(n - k), k)
             for (a1, bword1), c1 in r1.terms.items():
                 for (a2, bword2), c2 in r2.terms.items():
-                    prb = pr_word_product(self.bdual, bword1, bword2)
+                    prb = self.bdual.letter_eval(len(bword1), len(bword2), bword1 + bword2)
                     if not prb:
                         continue
                     weight = Fraction(1, len(a1) + len(a2) - 1) * c1 * c2
@@ -150,7 +150,7 @@ def quasitri_residual(bfam, rlist, n):
     Returns a dict with keys "delta1", "delta2", "antipode"; zero elements
     certify the identities at index n.
     """
-    sh = ("sh", bfam)
+    sh = bfam.letters
     rn = rlist[n]
     out = {}
     for name, leg, spots in (("delta1", 0, (2, 3)), ("delta2", 1, (1, 2))):
@@ -160,8 +160,8 @@ def quasitri_residual(bfam, rlist, n):
             y = _shift_pids(rlist[n - k], k).place(spots, 3)
             rhs = rhs + u_mul(x, y, (sh, sh, sh))
         out[name] = canonical(rn.comul_leg(leg) - rhs)
-    lhs3 = rn.map_leg(0, bfam.letter_antipode)
-    rhs3 = rn.map_leg(1, lambda w: bfam.letter_antipode(w, inverse=True))
+    lhs3 = rn.map_leg(0, bfam.letters.antipode)
+    rhs3 = rn.map_leg(1, lambda w: bfam.letters.antipode(w, inverse=True))
     out["antipode"] = canonical(lhs3 - rhs3)
     return out
 

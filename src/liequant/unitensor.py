@@ -88,21 +88,16 @@ def normalize_letters(elem):
 # ---------------------------------------------------------------------------
 
 def u_mul(x, y, modes):
-    """Legwise product; modes[i] is "conc" or ("sh", B), the deformed
-    product of the family B on words of Lie letters."""
+    """Legwise product; modes[i] is "conc" or a bfamily.WordAlgebra, such as
+    B.letters, the deformed product of the family B on words of Lie letters."""
     out = UElem(x.legs, {})
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
-            legs = (((u + v, 1),) if mode == "conc" else mode[1].letter_mul(u, v)
+            legs = (((u + v, 1),) if mode == "conc" else mode.word_mul(u, v).items()
                     for mode, u, v in zip(modes, k1, k2))
             for key, c in distribute(legs, c1 * c2):
                 add_term(out.terms, key, c)
     return out
-
-
-def pr_word_product(B, u, v):
-    """Degree-one part of the deformed product of two words: B_{|u|,|v|}."""
-    return B.letter_eval(len(u), len(v), tuple(u) + tuple(v))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .liealg import DELTA3, DELTA4, coboundary
 from .rmatrix import (NonUnique, independent_subset, lambda_table, pair_elem,
                       _relabel_in_order, _shift_pids)
 from .scalars import add_term, distribute, pr_legs
-from .unitensor import (UElem, a_atom, b_atom, pr_word_product, instantiate_tensor,
+from .unitensor import (UElem, a_atom, b_atom, instantiate_tensor,
                         substitute_pairs)
 # not called here: the shuffle-leg class map stays reachable as this alias,
 # which bench/tests/check_bench.py expects the tracer to patch
@@ -498,7 +498,8 @@ def univ_qybe_residual(bfam, varrho, N):
     g12 = [_by_lengths(t) for t in rterms]
     g13 = [_by_lengths(_shift_pids(t, 2000)) for t in rterms]
     g23 = [_by_lengths(_shift_pids(t, 4000)) for t in rterms]
-    pr = functools.cache(lambda u, v: tuple(pr_word_product(bfam, u, v).terms.items()))
+    pr = functools.cache(
+        lambda u, v: tuple(bfam.letter_eval(len(u), len(v), u + v).terms.items()))
     acc = {}
     for d12 in range(0, N + 1):
         for d13 in range(0, N + 1 - d12):

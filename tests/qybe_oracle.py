@@ -14,7 +14,7 @@ from liequant.liealg import coboundary
 from liequant.rmatrix import _shift_pids, lambda_table
 from liequant.scalars import add_term, distribute
 from liequant.universal import normal_order, r_terms_with_rho
-from liequant.unitensor import UElem, pr_word_product
+from liequant.unitensor import UElem
 
 
 def full_qybe_residual(bfam, varrho, N):
@@ -39,7 +39,7 @@ def full_qybe_residual(bfam, varrho, N):
 def _triple(acc, bfam, slots, c):
     """acc += c * pr(u1 v1) x pr(u2 v2) x pr(u3 v3) for slots ((u_i, v_i)),
     each slot product evaluated afresh."""
-    prs = (pr_word_product(bfam, u, v).terms.items() for u, v in slots)
+    prs = (bfam.letter_eval(len(u), len(v), u + v).terms.items() for u, v in slots)
     for (m1, m2, m3), cm in distribute(prs, c):
         add_term(acc, ((tuple(m1),), (tuple(m2),), (tuple(m3),)), cm)
 

@@ -46,7 +46,7 @@ def rprime_by_compositions(tab, j):
                 factor = _shift_pids(tab.entries.get(m, UElem.zero(2)), off)
                 off += m
                 cur = factor if cur is None else u_mul(
-                    cur, factor, (("sh", tab.bfam), "conc"))
+                    cur, factor, (tab.bfam.letters, "conc"))
             total = total + cur
     return total
 
@@ -109,7 +109,7 @@ def rmatrix_by_solving(bfam, N):
     solution is asserted unique; this is the independent oracle for
     rmatrix_terms.
     """
-    sh = ("sh", bfam)
+    sh = bfam.letters
     rlist = [UElem.unit(2), pair_elem(0)]
     for n in range(2, N + 1):
         basis = universal_basis_deg(n)

@@ -101,14 +101,13 @@ class SeriesShContext(ShContext):
     constant series at the context's order; its antipode memos follow."""
 
     def word_mul(self, wa, wb):
-        hit = self._mulcache.get((wa, wb))
+        hit = self._products.get((wa, wb))
         if hit is None:
             acc = {}
-            for w, c in deformed_word_product(
-                    wa, wb, lambda p, q, idx: self.b_eval(p, q, idx).items()):
+            for w, c in deformed_word_product(wa, wb, self.block):
                 add_term(acc, w, c)
             hit = {w: as_series(c, self.order) for w, c in acc.items()}
-            self._mulcache[(wa, wb)] = hit
+            self._products[(wa, wb)] = hit
         return hit
 
 

@@ -71,7 +71,7 @@ def test_criterion_2_hopf(B4, borel):
     ok = not hopf_report(borel.algebra, B4, 4, 3)
     ok = ok and not hopf_report(sl2(), B4, 4, 3)
     # the three displayed products, as identities in free Lie letters
-    sh = ("sh", B4)
+    sh = B4.letters
 
     def word(letters):
         return UElem(2, {(tuple((a,) for a in letters), ()): Fraction(1)})
@@ -169,7 +169,7 @@ def test_criterion_4_rmatrix(B4, dbl):
             rhs2 = rhs2 + rl[k].place((1, 3), 3).mul(rl[n - k].place((1, 2), 3))
         ok = ok and lhs == rhs and lhs2 == rhs2
     # printed R_2 and R_3
-    sh = ("sh", B4)
+    sh = B4.letters
 
     def one(i):
         return UElem(2, {(((a_atom(i),),), ((b_atom(i),),)): Fraction(1)})

@@ -388,28 +388,22 @@ def _random_letters(rng, n, pids):
     return tuple(tuple(sorted(l)[:1] + [a for a in l if a != min(l)]) for l in letters)
 
 
-def test_eval_is_substitute_on_the_entry(B4, dbl):
-    """BFamily.eval is substitute on entry(p, q), on LiePoly arguments and
-    in a LieAlgebra: at the boundary entries (1, 0), (0, 1), (p, 0),
-    (0, q) and (0, 0) and at every stored entry.  Past max_degree an
-    entry is not known, and reading it raises, through eval too.
-    letter_eval keys its memo on (p, q) too: B_21 and B_12 on one tuple
-    of letters differ."""
+def test_eval_is_substitute_on_the_entry(B4):
+    """BFamily.eval is substitute on entry(p, q), on LiePoly arguments: at
+    the boundary entries (1, 0), (0, 1), (p, 0), (0, q) and (0, 0) and at
+    every stored entry.  Past max_degree an entry is not known, and
+    reading it raises, through eval too.  letter_eval keys its memo on
+    (p, q) too: B_21 and B_12 on one tuple of letters differ."""
     rng = random.Random(29)
-    alg = dbl.algebra
     nonzero = 0
     for p, q in [(1, 0), (0, 1), (3, 0), (0, 2), (0, 0)] + sorted(B4.table):
         n = p + q
         gens = [LiePoly.gen(i) for i in range(n + 1)]
-        lie_args = [rng.choice((gens[i], lie_bracket(gens[i], gens[n])))
-                    for i in range(n)]
-        alg_args = [{k: Fraction(rng.choice((-3, -1, 1, 2))) for k in range(alg.dim)}
-                    for _ in range(n)]
-        for args, carrier in ((lie_args, LiePoly), (alg_args, alg)):
-            got = B4.eval(p, q, args, carrier)
-            assert got == substitute(B4.entry(p, q), args, carrier)
-            nonzero += bool(got)
-    assert nonzero > 10
+        args = [rng.choice((gens[i], lie_bracket(gens[i], gens[n]))) for i in range(n)]
+        got = B4.eval(p, q, args)
+        assert got == substitute(B4.entry(p, q), args)
+        nonzero += bool(got)
+    assert nonzero == 2 + len(B4.table)
     for p, q in [(2, 3), (1, 4)]:
         with pytest.raises(ValueError, match=r"\(%d, %d\) is past the family's max_degree 4"
                            % (p, q)):
@@ -421,6 +415,20 @@ def test_eval_is_substitute_on_the_entry(B4, dbl):
     for p, q in ((2, 1), (1, 2)):
         want = B4.entry(p, q).relabel({i: (i, 0) for i in range(3)})
         assert want and fam.letter_eval(p, q, letters) == want
+
+
+def test_family_entries_must_be_multilinear(B4):
+    """A family is built only from entries (p, q) multilinear in the
+    generators 0..p+q-1: a repeated letter, a letter past p+q-1 and a
+    missing generator each raise a ValueError naming the entry."""
+    bad = {(2, 1): LiePoly({(0, 1, 1): Fraction(1)}),
+           (1, 1): LiePoly({(0, 2): Fraction(1)}),
+           (1, 2): LiePoly({(0, 1): Fraction(1)})}
+    for pq, e in bad.items():
+        with pytest.raises(ValueError, match=r"entry \(%d, %d\) is not multilinear in %d "
+                                             r"generators" % (*pq, sum(pq))):
+            BFamily(B4.lam, 4, {**B4.table, pq: e})
+    assert BFamily(B4.lam, 4, B4.table).table == B4.table
 
 
 def test_letter_eval_memo_on_order_type(B4):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from liequant import bfamily, cli, universal
+from liequant import bfamily, cli, quantize, rmatrix, universal
 from liequant.bfamily import Obstructed, stored_family
 from liequant.rmatrix import NonUnique
+from liequant.unitensor import UElem
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -506,3 +507,43 @@ def test_quantize_reports_obstruction(monkeypatch, capsys, tmp_path, exc, messag
     assert cli.main(["quantize", "--hbar-order", "1", "--bfamily", str(f)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"
+
+
+def test_quantize_names_the_qybe_witness(monkeypatch, capsys):
+    """A failed QYBE check prints one stderr line with its hbar order and
+    witness key; stdout is the run's JSON with qybe_ok false, and the
+    exit code is 1."""
+    assert cli.main(["quantize", "--hbar-order", "1"]) == 0
+    passed = json.loads(capsys.readouterr().out)
+    key = ((0,), (2, 1), ())
+
+    def check_qybe(self, rho=None):
+        raise quantize.QYBEFail(1, (key, 1))
+    monkeypatch.setattr(quantize.Quantization, "check_qybe", check_qybe)
+    assert cli.main(["quantize", "--hbar-order", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == dict(passed, qybe_ok=False)
+    assert err == "quantize: QYBE fails at hbar^1 (((0,), (2, 1), ()))\n"
+
+
+def test_rmatrix_names_the_failed_identity(monkeypatch, capsys):
+    """A nonzero quasitriangularity residual prints the identity, the
+    degree and one (key, coefficient) term on stderr, before the R_n
+    lines; stdout reports ok false, and the exit code is 1."""
+    assert cli.main(["rmatrix", "--max-degree", "2"]) == 0
+    passed = json.loads(capsys.readouterr().out)
+    residual = rmatrix.quasitri_residual
+    key = ((((0, 0),),), (((1, 1),),), ())
+
+    def fake(bfam, rlist, n):
+        res = residual(bfam, rlist, n)
+        if n == 2:
+            res["antipode"] = UElem(3, {key: Fraction(-1, 2)})
+        return res
+    monkeypatch.setattr(rmatrix, "quasitri_residual", fake)
+    assert cli.main(["rmatrix", "--max-degree", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == dict(passed, ok=False)
+    first, *rest = err.splitlines()
+    assert first == "rmatrix: antipode fails at degree 2 (%r = -1/2)" % (key,)
+    assert [line.split(" = ")[0] for line in rest] == ["R_0", "R_1", "R_2"]

@@ -245,20 +245,14 @@ def _bracket_loop(alg, args):
 
 def test_leftnormed_memo_is_per_algebra():
     """Two algebras on one basis whose brackets differ by a factor 2 share
-    every index tuple; each reads its own memo, in either order, and its
-    chain of sparse vectors is the bracket loop, by multilinearity."""
+    every index tuple; each reads its own memo, in either order, and it
+    is the bracket loop."""
     one = LieAlgebra(2, ["h", "e"], {(0, 1): {1: Fraction(1)}})
     two = LieAlgebra(2, ["h", "e"], {(0, 1): {1: Fraction(2)}})
     tuples = [(0,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0, 0), (1, 1, 0)]
     for alg in (one, two, one):
         for idx in tuples:
             basis = [alg.basis(i) for i in idx]
-            assert alg.leftnormed(idx) == alg.chain(basis) == _bracket_loop(alg, basis)
+            assert alg.leftnormed(idx) == _bracket_loop(alg, basis)
     assert one.leftnormed((0, 1, 0, 0)) == {1: Fraction(1)}
     assert two.leftnormed((0, 1, 0, 0)) == {1: Fraction(8)}
-    rng = random.Random(5)
-    for alg in (one, two, sl2()):
-        for n in (1, 2, 3):
-            args = [{k: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
-                     for k in range(alg.dim) if rng.random() < 0.8} for _ in range(n)]
-            assert alg.chain(args) == _bracket_loop(alg, args)

@@ -86,6 +86,18 @@ def test_rho_abelian_is_hbar_r(B4, varrho3):
     assert Qa.rho == {(i, d + i): HSeries.hpow(1, 1, 2) for i in range(2)}
 
 
+def test_varrho_without_gaps(B4, borel, varrho3):
+    """rho and rel_order read varrho at every degree up to its top one, so
+    a varrho without rho_2 raises ValueError naming the missing degree
+    instead of leaving rho without its hbar^2 part, and so does a degree
+    outside 1..top."""
+    with pytest.raises(ValueError, match=r"degrees \[1, 3\] are not 1\.\.3: 2 is missing"):
+        Quantization(B4, borel, order=3, varrho={1: varrho3[1], 3: varrho3[3]})
+    with pytest.raises(ValueError, match=r"degrees \[0, 1, 2\] are not 1\.\.2$"):
+        Quantization(B4, borel, order=3,
+                     varrho={0: varrho3[1], 1: varrho3[1], 2: varrho3[2]})
+
+
 def test_qybe_order1(B4, borel):
     Q1 = Quantization(B4, borel, order=1, varrho=solve_varrho(B4, 2))
     assert Q1.check_qybe()

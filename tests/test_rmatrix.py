@@ -16,7 +16,7 @@ from liequant.rmatrix import (lambda_table, rmatrix_terms,
                               _shift_pids)
 from liequant.scalars import pr_legs
 from liequant.unitensor import (UElem, a_atom, b_atom, u_mul, canonical,
-                                instantiate_tensor, pr_word_product)
+                                instantiate_tensor)
 from rmatrix_oracle import Ln, rmatrix_by_solving, rprime_by_compositions
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -56,7 +56,7 @@ def test_Ln_values(B4):
 
 def test_printed_r2_and_r3(B4):
     tab = lambda_table(B4, 3)
-    sh = ("sh", B4)
+    sh = B4.letters
     one = lambda i: _term([[a_atom(i)]], [[b_atom(i)]], 1)
     # R2 = 1/2 (a_i a_j) x ([b_i,b_j]) + (a_i)(a_j) x (b_j b_i)
     printed2 = _term([[a_atom(0)], [a_atom(1)]], [[b_atom(0), b_atom(1)]],
@@ -99,7 +99,7 @@ def letter_antipode_closed(x, leg, B):
                 prod, off = UElem.unit(1), 0
                 for pb in pc:
                     prod = u_mul(prod, UElem.single(1, (w[off:off + pb],)),
-                                 (("sh", B),))
+                                 (B.letters,))
                     off += pb
                 total = total + Fraction((-1) ** n) * prod
         for (ww,), cw in total.terms.items():
@@ -114,10 +114,10 @@ def test_letter_antipode_examples(B4):
              for n in range(5) for perm in itertools.permutations(range(n))]
     words += [((a_atom(0), a_atom(1)), (a_atom(2),)),
               ((a_atom(1),), (a_atom(0), a_atom(2)), (a_atom(3),))]
-    S = B4.letter_antipode
+    S = B4.letters.antipode
 
     def S_inv(w):
-        return B4.letter_antipode(w, inverse=True)
+        return B4.letters.antipode(w, inverse=True)
 
     other = ((b_atom(9),),)
     for w in words:
@@ -143,8 +143,8 @@ def test_no_dead_family_cache_reuse():
     try:
         for lam, table in specs:
             fam = BFamily(lam, 2, table)
-            got.append((lam, u_mul(x, y, (("sh", fam),)),
-                        pr_word_product(fam, (a,), (b,))))
+            got.append((lam, u_mul(x, y, (fam.letters,)),
+                        fam.letter_eval(1, 1, (a, b))))
             del fam
             gc.collect()
     finally:

@@ -7,7 +7,7 @@ import pytest
 from liequant.bfamily import solve_bfamily
 from liequant.freealg import AssocPoly, LiePoly
 from liequant.liealg import borel2
-from liequant.scalars import (HSeries, LinComb, add_term, distribute,
+from liequant.scalars import (HSeries, LinComb, add_term, distribute, lincomb,
                               pr_legs, scalar_str, scalar_from_json)
 from liequant.shuffle import ShContext, ShElem, ShTensor
 from liequant.unitensor import UElem
@@ -295,6 +295,11 @@ def test_add_term_never_stores_zero():
     add_term(d, "y", Fraction(2))
     add_term(d, "y", 0)
     assert d == {"y": 3}
+    # lincomb adds up sum c * t by add_term: no pair gives {}, and a
+    # cancelling coefficient leaves no key
+    assert lincomb([]) == {}
+    assert lincomb([(Fraction(1, 2), {1: 2, 0: 1}), (Fraction(-1), {1: 1})]) \
+        == {0: Fraction(1, 2)}
 
 
 class _Word(tuple):

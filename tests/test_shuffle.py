@@ -69,7 +69,7 @@ def test_explicit_products_match_displays(B4):
     # model the free 3-generator Lie algebra truncated at bracket depth 3
     # through a concrete faithful instantiation: use the table directly
     from liequant.unitensor import UElem, a_atom, u_mul
-    sh = ("sh", B4)
+    sh = B4.letters
     x, xp, y = (a_atom(i) for i in range(3))
 
     def word(letters):
@@ -119,8 +119,8 @@ def test_unit_law_all_letter_kinds(B4, borel):
         assert deformed_word_product(v, (), B4.eval_block) == [(v, 1)]
     a0, a1 = ((0, 0),), ((1, 0), (2, 0))
     for v in ((), (a0,), (a0, a1)):
-        assert B4.letter_mul((), v) == [(v, 1)]
-        assert B4.letter_mul(v, ()) == [(v, 1)]
+        assert B4.letters.word_mul((), v) == {v: 1}
+        assert B4.letters.word_mul(v, ()) == {v: 1}
     ctx = ctx_borel(B4, borel)
     for v in ((), (0,), (0, 1)):
         assert ctx.word_mul((), v) == {v: as_series(1, 3)}
@@ -146,17 +146,30 @@ def test_block_rules_vanish_on_dead_blocks(B4, n5, borel):
             assert not ctx.b_eval(p, q, tuple(i % 2 for i in range(p + q)))
 
 
+def bracket_loop_block(fam, alg, p, q, idx):
+    """B_pq on the basis vectors e_i (i in idx) of alg, each word of
+    fam.entry(p, q) bracketed left to right by alg.bracket."""
+    want = {}
+    for w, c in fam.entry(p, q).terms.items():
+        val = alg.basis(idx[w[0]])
+        for a in w[1:]:
+            val = alg.bracket(val, alg.basis(idx[a]))
+        for k, v in val.items():
+            add_term(want, k, c * v)
+    return want
+
+
 def test_one_letter_blocks_are_int_letters(B4, borel, dbl):
-    """b_eval agrees with BFamily.eval on every block of size 1 to 3 and
-    every index tuple; a one-letter block is its letter with the int
-    coefficient 1."""
+    """b_eval agrees with the bracket loop on every block of size 1 to 3,
+    boundary blocks included, and every index tuple; a one-letter block
+    is its letter with the int coefficient 1."""
     for alg in (borel.algebra, sl2(), dbl.algebra):
         ctx = ShContext(alg, B4, 2)
         for n in (1, 2, 3):
             for q in range(n + 1):
                 for idx in itertools.product(range(alg.dim), repeat=n):
                     got = ctx.b_eval(n - q, q, idx)
-                    assert got == B4.eval(n - q, q, [alg.basis(i) for i in idx], alg)
+                    assert got == bracket_loop_block(B4, alg, n - q, q, idx)
                     if n == 1:
                         assert got == {idx[0]: 1} and type(got[idx[0]]) is int
 
@@ -169,16 +182,9 @@ def test_b_eval_is_the_bracket_loop(dbl):
     fam = stored_family(4)
     for alg in (dbl.algebra, sl2()):
         ctx = ShContext(alg, fam, 2)
-        for (p, q), entry in sorted(fam.table.items()):
+        for p, q in sorted(fam.table):
             for idx in itertools.product(range(alg.dim), repeat=p + q):
-                want = {}
-                for w, c in entry.terms.items():
-                    val = alg.basis(idx[w[0]])
-                    for a in w[1:]:
-                        val = alg.bracket(val, alg.basis(idx[a]))
-                    for k, v in val.items():
-                        add_term(want, k, c * v)
-                assert ctx.b_eval(p, q, idx) == want
+                assert ctx.b_eval(p, q, idx) == bracket_loop_block(fam, alg, p, q, idx)
 
 
 def test_word_product_is_the_full_loop_on_generators(B4, n5):
@@ -208,14 +214,19 @@ def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
 
 
 def test_letter_mul_is_the_full_loop_on_lie_letters(B4, n5):
-    """The same with letter_eval on words of Lie letters."""
+    """The same with letter_eval on words of Lie letters: the family's
+    word algebra on them is the full loop with its repeats added up, its
+    words in the order of their first term."""
     letters = ((0,), (1, 2), (3,), (4, 5), (6,), (7, 8), (9,), (10,))
     for fam in (zero_past(B4), zero_past(n5)):
         def rule(p, q, ls):
             return fam.letter_eval(p, q, ls).terms.items()
         for a, b in LENGTHS:
             u, v = letters[:a], letters[a:a + b]
-            assert fam.letter_mul(u, v) == word_product_all_pairs(u, v, rule), (a, b)
+            want = {}
+            for w, c in word_product_all_pairs(u, v, rule):
+                add_term(want, w, c)
+            assert list(fam.letters.word_mul(u, v).items()) == list(want.items()), (a, b)
 
 
 def antipode_closed(a):
@@ -351,7 +362,7 @@ def test_rational_memos_match_the_series_memos(B6, borel, dbl):
                 got = ShTensor(ctx, legs, a).mul(ShTensor(ctx, legs, b))
                 want = ShTensor(octx, legs, a).mul(ShTensor(octx, legs, b))
                 assert list(got.terms.items()) == list(want.terms.items())
-        memos = [ctx._mulcache, *ctx._antipodes]
+        memos = [ctx._products, *ctx._antipodes]
         assert all(memo for memo in memos)
         assert all(type(c) in (int, Fraction)
                    for memo in memos for value in memo.values() for c in value.values())
@@ -508,12 +519,12 @@ def test_delta_P(B4, borel, dbl):
 
 def _direct_dual_block(bfam, dbl, p, q, x, left, right):
     """<B_pq(left, e^idx..., right), e_x> per x and per index tuple, each
-    value one BFamily.eval on basis vectors of the double."""
+    value one bracket loop on basis vectors of the double."""
     d = dbl.base.algebra.dim
     out = {}
     for idx in itertools.product(range(d), repeat=p + q - len(left) - len(right)):
         letters = left + tuple(d + i for i in idx) + right
-        c = bfam.eval(p, q, [{a: 1} for a in letters], dbl.algebra).get(d + x, 0)
+        c = bracket_loop_block(bfam, dbl.algebra, p, q, letters).get(d + x, 0)
         if c:
             out[idx] = c
     return out
@@ -523,7 +534,7 @@ def _direct_dual_block(bfam, dbl, p, q, x, left, right):
 def test_dual_block_is_the_direct_evaluation(B4, source):
     """The one-pass dual blocks, read in an order that mixes x, p, q and
     the g-letters on each side, equal the direct evaluation through
-    BFamily.eval on a separately built double, for p + q <= 4."""
+    bracket loop on a separately built double, for p + q <= 4."""
     bia = (borel2() if source == "borel2"
            else bialgebra_from_json(json.loads((DATA / source).read_text())))
     tctx = TensContext(build_double(bia), B4, 3)
