@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 from fractions import Fraction
 
 from . import linalg
-from .freealg import (LiePoly, leftnormed_basis, lie_bracket, substitute,
-                      substitute_letters, cbh, lie_to_json, lie_from_json)
+from .freealg import (LiePoly, leftnormed_basis, lie_bracket, substitute_letters, cbh,
+                      lie_to_json, lie_from_json)
 from .liealg import tensor_add, tensor_smul
-from .scalars import add_term, distribute, scalar_from_json, scalar_str
+from .scalars import add_term, distribute, lincomb, scalar_from_json, scalar_str
 
 
 class Obstructed(ValueError):
@@ -93,21 +94,23 @@ class BFamily:
     """The entries B_pq, with the memos of everything computed from them.
 
     The memos live and die with the family, so no family can be handed
-    another one's results.  Construction raises ValueError unless every
-    entry (p, q) is multilinear in the generators 0..p+q-1.
+    another one's results, and the table is read-only, so no memo can
+    outlive the entry it was computed from.  Construction raises
+    ValueError unless every entry (p, q) is multilinear in the generators
+    0..p+q-1.
     """
 
     def __init__(self, lam, max_degree, table):
         self.lam = Fraction(lam) if not hasattr(lam, "coeffs") else lam
         self.max_degree = max_degree
-        self.table = dict(table)
+        self.table = types.MappingProxyType(dict(table))
         for (p, q), e in self.table.items():
             if any(sorted(w) != list(range(p + q)) for w in e.terms):
                 raise ValueError("entry (%d, %d) is not multilinear in %d generators"
                                  % (p, q, p + q))
-        self._letter_evals = {}
+        self._evals = {}
         # the deformed product on words of Lie letters
-        self.letters = WordAlgebra(lambda p, q, ls: self.letter_eval(p, q, ls).terms.items())
+        self.letters = WordAlgebra(lambda p, q, ls: self.eval(p, q, ls).terms.items())
         self.lambdas = None                   # rmatrix.LambdaTable, grown on demand
 
     def entry(self, p, q):
@@ -123,23 +126,12 @@ class BFamily:
                              % (p, q, self.max_degree))
         return self.table.get((p, q)) or LiePoly()
 
-    def eval(self, p, q, args):
-        """B_pq evaluated on LiePoly arguments (first p = first group)."""
-        if p + q == 1:
-            return args[0]
-        return substitute(self.entry(p, q), args)
-
-    def eval_block(self, p, q, letters):
-        """Block rule of deformed_word_product on LiePoly letters: the one
-        new letter B_pq(letters)."""
-        val = self.eval(p, q, letters)
-        return ((val, 1),) if val else ()
-
-    def letter_eval(self, p, q, letters):
+    def eval(self, p, q, letters):
         """B_pq on Lie letters (tuples of labels, each the left-normed
-        monomial on them), as a LiePoly; memoized on (p, q) and the
-        letters' order type (`freealg.substitute_letters`)."""
-        return substitute_letters(self.entry(p, q), letters, self._letter_evals, (p, q))
+        monomial on them; the first p are the first group), as a LiePoly;
+        memoized on (p, q) and the letters' order type
+        (`freealg.substitute_letters`)."""
+        return substitute_letters(self.entry(p, q), letters, self._evals, (p, q))
 
     def dual(self):
         """The involution: reverse both argument groups in every entry."""
@@ -164,26 +156,27 @@ def scale(r, B):
 # associativity residuals
 # ---------------------------------------------------------------------------
 
+def _gens(n):
+    """The generators 0..n-1 as one-atom Lie letters."""
+    return tuple((i,) for i in range(n))
+
+
 def assoc_residual(B, p, q, r):
     """LHS minus RHS of the associativity equation at (p, q, r).
 
-    Generators: x = 0..p-1, y = p..p+q-1, z = p+q..p+q+r-1.  Zero output
-    certifies the equation.
+    Generators: x = 0..p-1, y = p..p+q-1, z = p+q..p+q+r-1, each the
+    one-atom Lie letter (i,); the products are the family's word algebra
+    on them.  Zero output certifies the equation.
     """
     if not (p > 0 and q > 0 and r > 0):
         raise ValueError("p, q, r must be positive")
     if p + q + r > B.max_degree:
         raise ValueError("degree out of range")
-    xs = tuple(LiePoly.gen(i) for i in range(p))
-    ys = tuple(LiePoly.gen(p + i) for i in range(q))
-    zs = tuple(LiePoly.gen(p + q + i) for i in range(r))
-    lhs = LiePoly()
-    for w, c in deformed_word_product(xs, ys, B.eval_block):
-        lhs = lhs + c * B.eval(len(w), r, w + zs)
-    rhs = LiePoly()
-    for w, c in deformed_word_product(ys, zs, B.eval_block):
-        rhs = rhs + c * B.eval(p, len(w), xs + w)
-    return lhs - rhs
+    gens = _gens(p + q + r)
+    xs, ys, zs = gens[:p], gens[p:p + q], gens[p + q:]
+    lhs = ((c, B.eval(len(w), r, w + zs).terms) for w, c in B.letters.word_mul(xs, ys).items())
+    rhs = ((-c, B.eval(p, len(w), xs + w).terms) for w, c in B.letters.word_mul(ys, zs).items())
+    return LiePoly(lincomb(itertools.chain(lhs, rhs)))
 
 
 def violations(B):
@@ -360,11 +353,14 @@ def solve_bfamily(lam, N, gauge):
 # ---------------------------------------------------------------------------
 
 class GaugeSeq:
-    """Sequence (P_n), P_1 = x; entries multilinear LiePoly in n generators."""
+    """Sequence (P_n), P_1 = x; entries multilinear LiePoly in n generators.
+    As for BFamily, the table is read-only and the memo of evaluations
+    lives with the sequence."""
 
     def __init__(self, table, max_degree):
-        self.table = dict(table)
+        self.table = types.MappingProxyType(dict(table))
         self.max_degree = max_degree
+        self._evals = {}
 
     def entry(self, n):
         """P_n; as for BFamily.entry, an entry past max_degree is not
@@ -377,11 +373,10 @@ class GaugeSeq:
                              % (n, self.max_degree))
         return self.table.get(n) or LiePoly()
 
-    def eval(self, n, args):
-        """P_n evaluated on LiePoly arguments."""
-        if n == 1:
-            return args[0]
-        return substitute(self.entry(n), args)
+    def eval(self, n, letters):
+        """P_n on Lie letters, as a LiePoly; memoized on n and the
+        letters' order type, as BFamily.eval."""
+        return substitute_letters(self.entry(n), letters, self._evals, n)
 
 
 def gauge_mul(P, Q):
@@ -389,11 +384,9 @@ def gauge_mul(P, Q):
     N = min(P.max_degree, Q.max_degree)
     table = {}
     for n in range(2, N + 1):
-        acc = LiePoly()
-        for blocks in _gauge_blocks(Q, [LiePoly.gen(i) for i in range(n)]):
-            acc = acc + P.eval(len(blocks), list(blocks))
+        acc = lincomb((c, P.eval(len(w), w).terms) for w, c in _gauge_blocks(Q, _gens(n)))
         if acc:
-            table[n] = acc
+            table[n] = LiePoly(acc)
     return GaugeSeq(table, N)
 
 
@@ -456,23 +449,15 @@ def deformed_word_product(u, v, block):
 
 
 def _gauge_blocks(P, word):
-    """i_P applied to a word of LiePoly letters: its block-words (coefficient 1)."""
+    """i_P applied to a word of Lie letters: [(word of Lie letters, coeff)],
+    repeats kept, one block P_nb per part of each composition of len(word)."""
     n = len(word)
     out = []
     for k in range(1, n + 1):
         for nc in positive_compositions(n, k):
-            letters = []
-            off = 0
-            ok = True
-            for nb in nc:
-                val = P.eval(nb, list(word[off:off + nb]))
-                off += nb
-                if not val:
-                    ok = False
-                    break
-                letters.append(val)
-            if ok:
-                out.append(tuple(letters))
+            offs = itertools.accumulate(nc, initial=0)
+            out.extend(distribute(P.eval(nb, word[off:off + nb]).terms.items()
+                                  for nb, off in zip(nc, offs)))
     return out
 
 
@@ -489,18 +474,15 @@ def gauge_act(P, B):
     Pinv = gauge_inverse(P)
     table = {}
     for n in range(2, B.max_degree + 1):
+        gens = _gens(n)
         for p in range(1, n):
-            q = n - p
-            gens = [LiePoly.gen(i) for i in range(n)]
-            u, v = tuple(gens[:p]), tuple(gens[p:])
-            acc = LiePoly()
-            for wu in _gauge_blocks(Pinv, u):
-                for wv in _gauge_blocks(Pinv, v):
-                    for w, cw in deformed_word_product(wu, wv, B.eval_block):
-                        # pr of i_P on a word (L_1...L_k) is P_k(L_1,...,L_k)
-                        acc = acc + cw * P.eval(len(w), list(w))
+            wvs = _gauge_blocks(Pinv, gens[p:])
+            # pr of i_P on a word (L_1...L_k) is P_k(L_1,...,L_k)
+            acc = lincomb((cu * cv * cw, P.eval(len(w), w).terms)
+                          for wu, cu in _gauge_blocks(Pinv, gens[:p]) for wv, cv in wvs
+                          for w, cw in B.letters.word_mul(wu, wv).items())
             if acc:
-                table[(p, q)] = acc
+                table[(p, n - p)] = LiePoly(acc)
     return BFamily(B.lam, B.max_degree, table)
 
 
@@ -509,11 +491,11 @@ def gauge_inverse(P):
     N = P.max_degree
     inv = GaugeSeq({}, N)
     for n in range(2, N + 1):
-        # (P * inv)_n = P_n + [terms in inv_k, k<n] + inv_n  must vanish
-        partial = gauge_mul(P, inv)
-        e = partial.entry(n)
+        # (P * inv)_n = P_n + [terms in inv_k, k<n] + inv_n  must vanish,
+        # and inv has no entry of degree n yet
+        e = gauge_mul(P, inv).entry(n)
         if e:
-            inv.table[n] = inv.entry(n) - e
+            inv = GaugeSeq({**inv.table, n: -e}, N)
     assert not any(map(gauge_mul(P, inv).entry, range(2, N + 1)))
     return inv
 
@@ -583,13 +565,12 @@ def cbh_check(B):
     """Compare B_pq(x..x|y..y) with the CBH table; report per (p, q)."""
     tab = cbh(B.max_degree)
     report = {}
-    x, y = LiePoly.gen(0), LiePoly.gen(1)
     for n in range(1, B.max_degree + 1):
         for p in range(0, n + 1):
             q = n - p
             if p == 0 or q == 0:
                 continue
-            diag = B.eval(p, q, [x] * p + [y] * q)
+            diag = B.eval(p, q, ((0,),) * p + ((1,),) * q)
             report[(p, q)] = (diag == tab[(p, q)])
     return report
 

@@ -466,17 +466,11 @@ def cbh(N):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _label_to_json(a):
-    if isinstance(a, int):
-        return a
-    return list(a) if isinstance(a, tuple) else a
-
-
 def lie_to_json(p):
     out = []
     for w, c in sorted(p.terms.items(), key=lambda kv: (len(kv[0]), tuple(map(str, kv[0])))):
         kind = "leftnormed" if _is_multilinear(w) else "lyndon"
-        out.append({"monomial": {"kind": kind, "letters": [_label_to_json(a) for a in w]},
+        out.append({"monomial": {"kind": kind, "letters": list(w)},
                     "coeff": str(c)})
     return {"terms": out}
 

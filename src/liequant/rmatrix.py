@@ -77,7 +77,7 @@ class LambdaTable:
             r2 = _shift_pids(self.rprime(n - k), k)
             for (a1, bword1), c1 in r1.terms.items():
                 for (a2, bword2), c2 in r2.terms.items():
-                    prb = self.bdual.letter_eval(len(bword1), len(bword2), bword1 + bword2)
+                    prb = self.bdual.eval(len(bword1), len(bword2), bword1 + bword2)
                     if not prb:
                         continue
                     weight = Fraction(1, len(a1) + len(a2) - 1) * c1 * c2

@@ -61,10 +61,6 @@ class HSeries:
         return HSeries((c,), order)
 
     @staticmethod
-    def hbar(order):
-        return HSeries((0, 1), order)
-
-    @staticmethod
     def hpow(k, c, order):
         """c * hbar^k."""
         return HSeries((0,) * k + (c,), order)

@@ -92,10 +92,6 @@ class ShElem(LinComb):
     def counit(self):
         return self.terms.get((), as_series(0, self.ctx.order))
 
-    def pr(self):
-        """Degree-1 component as a vector over the algebra basis."""
-        return {w[0]: c for w, c in self.terms.items() if len(w) == 1}
-
     def __repr__(self):
         bits = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):

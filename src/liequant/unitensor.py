@@ -61,13 +61,6 @@ class UElem(LinComb):
                         out.add(pid)
         return out
 
-    def relabel(self, mapping):
-        """Rename pids; letters are renormalized to the canonical basis."""
-        out = {}
-        for k, c in self.terms.items():
-            add_term(out, _relabel_term(k, mapping), c)
-        return normalize_letters(UElem(self.legs, out))
-
 
 def normalize_letters(elem):
     """Renormalize every letter to the canonical left-normed basis.

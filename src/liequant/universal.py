@@ -499,7 +499,7 @@ def univ_qybe_residual(bfam, varrho, N):
     g13 = [_by_lengths(_shift_pids(t, 2000)) for t in rterms]
     g23 = [_by_lengths(_shift_pids(t, 4000)) for t in rterms]
     pr = functools.cache(
-        lambda u, v: tuple(bfam.letter_eval(len(u), len(v), u + v).terms.items()))
+        lambda u, v: tuple(bfam.eval(len(u), len(v), u + v).terms.items()))
     acc = {}
     for d12 in range(0, N + 1):
         for d13 in range(0, N + 1 - d12):

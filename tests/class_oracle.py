@@ -2,13 +2,24 @@
 universal.normal_order on the F-spaces: letters expanded into plain
 words, then unitensor.canonical.  With it, the Lie reading of a
 word-form class (lie_form) and kappa on word-form input (instantiate),
-which the library takes in Lie letters only."""
+which the library takes in Lie letters only; and the renaming of pids,
+`relabel`, under which every class is invariant."""
 
 import math
 
 from liequant import universal
 from liequant.scalars import add_term
-from liequant.unitensor import UElem, canonical, expand_letters, normalize_letters
+from liequant.unitensor import (UElem, _relabel_term, canonical, expand_letters,
+                                normalize_letters)
+
+
+def relabel(elem, mapping):
+    """elem with its pids renamed by mapping, letters renormalized to the
+    canonical basis."""
+    out = {}
+    for k, c in elem.terms.items():
+        add_term(out, _relabel_term(k, mapping), c)
+    return normalize_letters(UElem(elem.legs, out))
 
 
 def expand_to_words(elem):

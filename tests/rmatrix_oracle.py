@@ -15,15 +15,16 @@ from liequant.rmatrix import (NonUnique, independent_subset, pair_elem,
                               _shift_pids)
 from liequant.scalars import add_term
 from liequant.unitensor import UElem, canonical, u_mul
+from shuffle_oracle import liepoly_block
 
 
 def Ln(bfam, n):
     """Degree-one part of the product (x_1)...(x_n), as a LiePoly."""
+    block = liepoly_block(bfam)
     words = [((LiePoly.gen(0),), 1)]
     for i in range(1, n):
         words = [(w2, c * c2) for w, c in words
-                 for w2, c2 in deformed_word_product(w, (LiePoly.gen(i),),
-                                                     bfam.eval_block)]
+                 for w2, c2 in deformed_word_product(w, (LiePoly.gen(i),), block)]
     out = LiePoly()
     for w, c in words:
         if len(w) == 1:

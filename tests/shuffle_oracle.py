@@ -1,15 +1,18 @@
 """Test-only constructions on the shuffle algebra: the undeformed shuffle
-product and its first-order Poisson term, the deformed word product over
-every pair of compositions, the count of order-preserving surjections
-behind the QFSH filter, symmetrized words, and the shuffle layer as it
-was when its memos held constant hbar-series (`SeriesShContext`,
-`series_sh_mul`, `series_sh_antipode`, `per_word_hopf_report`)."""
+product and its first-order Poisson term, the block rule of a family on
+LiePoly letters, the deformed word product over every pair of
+compositions, the count of order-preserving surjections behind the QFSH
+filter, symmetrized words, the degree-1 component of an element, and the
+shuffle layer as it was when its memos held constant hbar-series
+(`SeriesShContext`, `series_sh_mul`, `series_sh_antipode`,
+`per_word_hopf_report`)."""
 
 import itertools
 import math
 from collections import Counter
 
 from liequant.bfamily import compositions, deformed_word_product, shuffles
+from liequant.freealg import substitute
 from liequant.scalars import add_term, as_series, distribute, surviving_pairs
 from liequant.shuffle import ShContext, ShElem, ShTensor, all_words, sh_comul
 
@@ -36,6 +39,16 @@ def poisson_m1(ctx, u, v):
                     for m, cb in br.items():
                         add_term(out.terms, wp + (m,) + ws, cp * cs * cb)
     return out
+
+
+def liepoly_block(fam):
+    """The block rule of fam on LiePoly letters, for deformed_word_product:
+    the one new letter B_pq(letters), substitute on fam.entry(p, q), with
+    no memo and no Lie letters."""
+    def block(p, q, letters):
+        val = substitute(fam.entry(p, q), letters)
+        return ((val, 1),) if val else ()
+    return block
 
 
 def _all_block_sequences(a, b):
@@ -77,6 +90,11 @@ def ordered_surjection_count(n, k):
     if n < 1 or k < n:
         return 0
     return math.comb(k - 1, n - 1)
+
+
+def degree_one(a):
+    """The degree-1 component of a as a vector over the algebra basis."""
+    return {w[0]: c for w, c in a.terms.items() if len(w) == 1}
 
 
 def sym_word(ctx, letters):

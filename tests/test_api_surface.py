@@ -6,9 +6,9 @@ elsewhere in the library or in `bench/*.py` (a name, an attribute or an
 imported name, read with `ast`, so comments, docstrings and strings do
 not count), or inside backticks in `README.md`.  A public method of a
 library class must likewise be read as an attribute (`x.name`) in
-library or `bench/*.py` code outside its own `def`, or be named in a
-README code span.  A name that only tests call is an oracle and belongs
-in `tests/`, not in the library API.
+library or `bench/*.py` code outside its own `def`, or be written as
+`Class.method` in a README code span.  A name that only tests call is
+an oracle and belongs in `tests/`, not in the library API.
 """
 
 import ast
@@ -19,6 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "liequant"
 IDENT = re.compile(r"[A-Za-z_]\w*")
+METHOD = re.compile(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
+SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
 
 def _identifiers(node):
@@ -44,10 +46,13 @@ def _attributes(node):
 
 def _readme_identifiers(text):
     """The identifiers inside the README's code spans and fenced blocks."""
-    out = set()
-    for span in re.findall(r"```.*?```|`[^`\n]+`", text, re.S):
-        out.update(IDENT.findall(span))
-    return out
+    return {name for span in SPAN.findall(text) for name in IDENT.findall(span)}
+
+
+def _readme_methods(text):
+    """The (class, method) pairs written as `Class.method` inside the
+    README's code spans and fenced blocks."""
+    return {pair for span in SPAN.findall(text) for pair in METHOD.findall(span)}
 
 
 def test_every_public_name_is_reached():
@@ -71,7 +76,8 @@ def test_every_public_name_is_reached():
 
 
 def test_every_public_method_is_reached():
-    reached = _readme_identifiers((ROOT / "README.md").read_text())
+    named = _readme_methods((ROOT / "README.md").read_text())
+    reached = set()
     for p in sorted((ROOT / "bench").glob("*.py")):
         reached |= set(_attributes(ast.parse(p.read_text())))
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
@@ -83,7 +89,7 @@ def test_every_public_method_is_reached():
                 continue
             for fn in cls.body:
                 if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                        and fn.name not in reached
+                        and fn.name not in reached and (cls.name, fn.name) not in named
                         and reads[fn.name] == _attributes(fn)[fn.name]):
                     unreached.append("%s.%s.%s" % (stem, cls.name, fn.name))
     assert unreached == [], unreached
@@ -95,3 +101,5 @@ def test_identifiers_skip_comments_strings_and_prose():
     code = ast.parse('import a.b as c\nfrom d import e\nf.g(h)  # i\n"j"\n')
     assert _identifiers(code) == {"a", "b", "c", "e", "f", "g", "h"}
     assert _readme_identifiers("k `l.m` n\n```\no\n```\n") == {"l", "m", "o"}
+    assert _readme_methods("K.m `K.m` `m` `a.b.c`\n```\nL.n\n```\n") == {
+        ("K", "m"), ("a", "b"), ("L", "n")}

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,12 +12,14 @@ from liequant.bfamily import (BFamily, GaugeSeq, solve_bfamily, assoc_residual,
                               gauge_inverse, connecting_gauge,
                               scale, cbh_check, bfamily_to_json,
                               bfamily_from_json, PAPER3_B21, PAPER3_B12,
-                              Obstructed, _shuffle_column, _unknown_slots)
-from liequant.freealg import LiePoly, leftnormed_basis, lie_bracket, substitute
+                              Obstructed, _shuffle_column, _unknown_slots,
+                              deformed_word_product, positive_compositions)
+from liequant.freealg import LiePoly, leftnormed_basis, substitute
 from liequant.quantize import Quantization
 from liequant.rmatrix import uelem_to_json
 from liequant.scalars import add_term
 from liequant.universal import solve_varrho
+from shuffle_oracle import liepoly_block
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -97,7 +100,7 @@ def test_gauge_entry_past_max_degree_raises():
     with pytest.raises(ValueError, match="entry 4 is past the gauge's max_degree 3"):
         g.entry(4)
     with pytest.raises(ValueError, match="past the gauge"):
-        g.eval(4, [LiePoly.gen(i) for i in range(4)])
+        g.eval(4, tuple((i,) for i in range(4)))
     # the product reads no entry past the smaller degree
     assert gauge_mul(g, GaugeSeq({}, 2)).max_degree == 2
 
@@ -388,20 +391,25 @@ def _random_letters(rng, n, pids):
     return tuple(tuple(sorted(l)[:1] + [a for a in l if a != min(l)]) for l in letters)
 
 
+def as_liepolys(letters):
+    """Each Lie letter as the LiePoly of its left-normed monomial."""
+    return [LiePoly({x: Fraction(1)}) for x in letters]
+
+
 def test_eval_is_substitute_on_the_entry(B4):
-    """BFamily.eval is substitute on entry(p, q), on LiePoly arguments: at
-    the boundary entries (1, 0), (0, 1), (p, 0), (0, q) and (0, 0) and at
-    every stored entry.  Past max_degree an entry is not known, and
-    reading it raises, through eval too.  letter_eval keys its memo on
-    (p, q) too: B_21 and B_12 on one tuple of letters differ."""
+    """BFamily.eval on Lie letters is substitute on entry(p, q), each
+    letter read as its left-normed monomial: at the boundary entries
+    (1, 0), (0, 1), (p, 0), (0, q) and (0, 0) and at every stored entry.
+    Past max_degree an entry is not known, and reading it raises, through
+    eval too.  eval keys its memo on (p, q) too: B_21 and B_12 on one
+    tuple of letters differ."""
     rng = random.Random(29)
     nonzero = 0
     for p, q in [(1, 0), (0, 1), (3, 0), (0, 2), (0, 0)] + sorted(B4.table):
         n = p + q
-        gens = [LiePoly.gen(i) for i in range(n + 1)]
-        args = [rng.choice((gens[i], lie_bracket(gens[i], gens[n]))) for i in range(n)]
-        got = B4.eval(p, q, args)
-        assert got == substitute(B4.entry(p, q), args)
+        letters = tuple(rng.choice(((i,), (i, n))) for i in range(n))
+        got = B4.eval(p, q, letters)
+        assert got == substitute(B4.entry(p, q), as_liepolys(letters))
         nonzero += bool(got)
     assert nonzero == 2 + len(B4.table)
     for p, q in [(2, 3), (1, 4)]:
@@ -409,12 +417,12 @@ def test_eval_is_substitute_on_the_entry(B4):
                            % (p, q)):
             B4.entry(p, q)
         with pytest.raises(ValueError, match="past the family"):
-            B4.eval(p, q, [LiePoly.gen(i) for i in range(p + q)])
+            B4.eval(p, q, tuple((i,) for i in range(p + q)))
     fam = BFamily(B4.lam, B4.max_degree, B4.table)
     letters = (((0, 0),), ((1, 0),), ((2, 0),))
     for p, q in ((2, 1), (1, 2)):
         want = B4.entry(p, q).relabel({i: (i, 0) for i in range(3)})
-        assert want and fam.letter_eval(p, q, letters) == want
+        assert want and fam.eval(p, q, letters) == want
 
 
 def test_family_entries_must_be_multilinear(B4):
@@ -431,19 +439,18 @@ def test_family_entries_must_be_multilinear(B4):
     assert BFamily(B4.lam, 4, B4.table).table == B4.table
 
 
-def test_letter_eval_memo_on_order_type(B4):
-    """letter_eval is memoized on the letters' order type: letters shifted
-    by a pid offset (the R13/R23 copies) and letters on pids spread
-    monotonically between others (fresh pids per degree) reuse the first
-    evaluation and equal eval on a fresh family, which has no memo.  The
-    negative control: the stored result relabeled by a non-monotone map
-    is not the evaluation on the relabeled letters."""
+def test_eval_memo_on_order_type(B4):
+    """BFamily.eval is memoized on the letters' order type: letters
+    shifted by a pid offset (the R13/R23 copies) and letters on pids
+    spread monotonically between others (fresh pids per degree) reuse the
+    first evaluation and equal substitute on the entry, which has no
+    memo.  The negative control: the stored result relabeled by a
+    non-monotone map is not the evaluation on the relabeled letters."""
     rng = random.Random(17)
     fam = BFamily(B4.lam, B4.max_degree, B4.table)
-    fresh = BFamily(B4.lam, B4.max_degree, B4.table)
 
     def direct(p, q, letters):
-        return fresh.eval(p, q, [LiePoly({x: Fraction(1)}) for x in letters])
+        return substitute(B4.entry(p, q), as_liepolys(letters))
 
     def moved(letters, f):
         return tuple(tuple((f(p), s) for p, s in l) for l in letters)
@@ -452,17 +459,120 @@ def test_letter_eval_memo_on_order_type(B4):
     for p, q in sorted(B4.table):
         for _ in range(4):
             letters = _random_letters(rng, p + q, range(5))
-            base = fam.letter_eval(p, q, letters)
+            base = fam.eval(p, q, letters)
             assert base == direct(p, q, letters)
-            evals = len(fam._letter_evals)
+            evals = len(fam._evals)
             spread = sorted(rng.sample(range(100), 5))
             for m in (moved(letters, lambda p: p + 2000), moved(letters, spread.__getitem__)):
-                assert fam.letter_eval(p, q, m) == direct(p, q, m)
-            assert len(fam._letter_evals) == evals
+                assert fam.eval(p, q, m) == direct(p, q, m)
+            assert len(fam._evals) == evals
             perm = rng.sample(range(5), 5)
             m = moved(letters, perm.__getitem__)
-            assert fam.letter_eval(p, q, m) == direct(p, q, m)
+            assert fam.eval(p, q, m) == direct(p, q, m)
             naive = LiePoly({tuple((perm[p], s) for p, s in w): c for w, c in base.terms.items()})
             wrong += naive != direct(p, q, m)
             nonzero += bool(base)
     assert nonzero > 10 and wrong > 5
+
+
+def test_tables_are_read_only(B4):
+    """A family's and a gauge's tables are read-only, since each owns a
+    memo of evaluations keyed by entry: assigning an entry raises."""
+    g = GaugeSeq({2: LiePoly.leftnormed((0, 1))}, 3)
+    with pytest.raises(TypeError):
+        B4.table[(1, 1)] = LiePoly()
+    with pytest.raises(TypeError):
+        g.table[3] = LiePoly.leftnormed((0, 1, 2))
+    assert B4.entry(1, 1) and not g.entry(3)
+
+
+def test_gauge_inverse_degree_5():
+    """gauge_inverse builds a two-sided inverse to degree 5, one new
+    sequence per degree; at degree 2 it is -P_2."""
+    P = random_gauge(random.Random(23), 5)
+    inv = gauge_inverse(P)
+    assert inv.entry(2) == -P.entry(2) and inv.entry(5)
+    for prod in (gauge_mul(P, inv), gauge_mul(inv, P)):
+        assert prod.max_degree == 5
+        assert not any(prod.entry(n) for n in range(2, 6))
+
+
+def test_gauge_eval_is_substitute_on_the_entry():
+    """GaugeSeq.eval on Lie letters is substitute on entry(n), memoized on
+    n and the letters' order type: shifted letters reuse the evaluation."""
+    P = random_gauge(random.Random(31), 4)
+    rng = random.Random(37)
+    for n in range(1, 5):
+        letters = tuple(rng.choice(((i,), (i, n + i))) for i in range(n))
+        got = P.eval(n, letters)
+        assert got and got == substitute(P.entry(n), as_liepolys(letters))
+        evals = len(P._evals)
+        moved = tuple(tuple(a + 100 for a in l) for l in letters)
+        assert P.eval(n, moved) == substitute(P.entry(n), as_liepolys(moved))
+        assert len(P._evals) == evals
+
+
+# -- the Lie-letter route against the LiePoly route ---------------------------
+
+def residual_on_liepolys(B, p, q, r):
+    """assoc_residual through deformed_word_product with the LiePoly
+    block rule on free-Lie generators, each entry substituted with no memo."""
+    block = liepoly_block(B)
+    gens = tuple(LiePoly.gen(i) for i in range(p + q + r))
+    xs, ys, zs = gens[:p], gens[p:p + q], gens[p + q:]
+    out = LiePoly()
+    for w, c in deformed_word_product(xs, ys, block):
+        out = out + c * substitute(B.entry(len(w), r), w + zs)
+    for w, c in deformed_word_product(ys, zs, block):
+        out = out - c * substitute(B.entry(p, len(w)), xs + w)
+    return out
+
+
+def blocks_on_liepolys(P, word):
+    """i_P on a word of LiePoly letters: its nonzero block-words."""
+    out = []
+    for k in range(1, len(word) + 1):
+        for nc in positive_compositions(len(word), k):
+            offs = itertools.accumulate(nc, initial=0)
+            vals = tuple(substitute(P.entry(nb), word[o:o + nb]) for nb, o in zip(nc, offs))
+            if all(vals):
+                out.append(vals)
+    return out
+
+
+def gauge_act_on_liepolys(P, B):
+    """The entries of gauge_act(P, B) through the LiePoly route."""
+    Pinv = gauge_inverse(P)
+    block = liepoly_block(B)
+    out = {}
+    for n in range(2, B.max_degree + 1):
+        gens = tuple(LiePoly.gen(i) for i in range(n))
+        for p in range(1, n):
+            acc = LiePoly()
+            for wu in blocks_on_liepolys(Pinv, gens[:p]):
+                for wv in blocks_on_liepolys(Pinv, gens[p:]):
+                    for w, c in deformed_word_product(wu, wv, block):
+                        acc = acc + c * substitute(P.entry(len(w)), w)
+            out[(p, n - p)] = acc
+    return out
+
+
+def test_letter_route_is_the_liepoly_route(B4):
+    """assoc_residual and gauge_act, which multiply words of Lie letters in
+    the family's word algebra, equal the LiePoly route: on B4 and on B4
+    with a perturbed degree-4 entry (whose residuals are nonzero), and
+    under a seeded gauge of degree 4 (which moves B4)."""
+    bumped = BFamily(B4.lam, 4, {**B4.table, (2, 2): B4.entry(2, 2)
+                                 + LiePoly.leftnormed((0, 2, 1, 3))})
+    nonzero = 0
+    for fam in (B4, bumped):
+        for p, q, r in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+            got = assoc_residual(fam, p, q, r)
+            assert got == residual_on_liepolys(fam, p, q, r)
+            nonzero += bool(got)
+    assert nonzero == 2
+    P = random_gauge(random.Random(41), 4)
+    moved = gauge_act(P, B4)
+    want = gauge_act_on_liepolys(P, B4)
+    assert all(moved.entry(*pq) == e for pq, e in want.items())
+    assert not same_entries(moved, B4, 4)

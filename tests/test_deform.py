@@ -101,6 +101,19 @@ def test_aryeh_identity_20_trials():
                 assert delta_p(M2, R, cybe(M2, R), p + 1)
 
 
+def test_cybe_props_identity_is_a_cancellation():
+    """The nonzero control of `cybe-props`: on its first seeded draw of R
+    on M2 and on M3, both summands of the identity are nonzero at p = 1
+    and 2 (72 and 70 terms on M2) and their sum is zero."""
+    for alg in (M2, matrix_algebra(3)):
+        R = random_r(alg, random.Random(7))
+        for p in (1, 2):
+            first = delta_p(alg, R, _ordered_triple(alg, R, R, R), p)
+            second = delta_p(alg, R, cybe(alg, R), p + 1)
+            assert first and second
+            assert tensor_add(first, second) == {}
+
+
 def test_recursion_residual():
     rr = half_r_squared(M2, R_CYBE)
     assert recursion_residual(M2, R_CYBE, [R_CYBE, rr], 3) == {}

@@ -18,8 +18,8 @@ from liequant.shuffle import (ShContext, ShElem, ShTensor, sh_mul, sh_comul,
                               sh_antipode, hopf_report, TensContext,
                               t_comul, pairing, qfsh_delta,
                               qfsh_member, all_words, sh_to_json, sh_from_json)
-from shuffle_oracle import (SeriesShContext, is_symmetric, live_block_sequences,
-                            ordered_surjection_count, per_word_hopf_report,
+from shuffle_oracle import (SeriesShContext, degree_one, is_symmetric, liepoly_block,
+                            live_block_sequences, ordered_surjection_count, per_word_hopf_report,
                             poisson_m1, series_sh_antipode, series_sh_mul,
                             shuffle0, sym_word, word_product_all_pairs)
 
@@ -115,8 +115,8 @@ def test_unit_law_all_letter_kinds(B4, borel):
     free-Lie-algebra letters, Lie letters and basis indices."""
     x, y = LiePoly.gen(0), LiePoly.gen(1)
     for v in ((), (x,), (x, y)):
-        assert deformed_word_product((), v, B4.eval_block) == [(v, 1)]
-        assert deformed_word_product(v, (), B4.eval_block) == [(v, 1)]
+        assert deformed_word_product((), v, liepoly_block(B4)) == [(v, 1)]
+        assert deformed_word_product(v, (), liepoly_block(B4)) == [(v, 1)]
     a0, a1 = ((0, 0),), ((1, 0), (2, 0))
     for v in ((), (a0,), (a0, a1)):
         assert B4.letters.word_mul((), v) == {v: 1}
@@ -135,14 +135,15 @@ def test_live_block_sequences_are_the_filtered_full_loop():
 
 def test_block_rules_vanish_on_dead_blocks(B4, n5, borel):
     """The precondition of deformed_word_product: every block rule the
-    library passes gives no term on a dead block."""
+    library passes, and the LiePoly oracle rule the full-loop tests
+    pass, gives no term on a dead block."""
     for fam in (B4, n5):
         ctx = ShContext(borel.algebra, fam, 2)
         for p, q in DEAD:
             gens = tuple(LiePoly.gen(i) for i in range(p + q))
             letters = tuple((i,) for i in range(p + q))
-            assert fam.eval_block(p, q, gens) == ()
-            assert not fam.letter_eval(p, q, letters).terms
+            assert liepoly_block(fam)(p, q, gens) == ()
+            assert not fam.eval(p, q, letters).terms
             assert not ctx.b_eval(p, q, tuple(i % 2 for i in range(p + q)))
 
 
@@ -189,13 +190,14 @@ def test_b_eval_is_the_bracket_loop(dbl):
 
 def test_word_product_is_the_full_loop_on_generators(B4, n5):
     """Same words, coefficients, repeats and order as the walk over every
-    composition pair, with eval_block on free-Lie generators."""
+    composition pair, with the LiePoly oracle rule on free-Lie generators."""
     for fam in (zero_past(B4), zero_past(n5)):
+        block = liepoly_block(fam)
         for a, b in LENGTHS:
             gens = tuple(LiePoly.gen(i) for i in range(a + b))
             u, v = gens[:a], gens[a:]
-            assert (deformed_word_product(u, v, fam.eval_block)
-                    == word_product_all_pairs(u, v, fam.eval_block)), (a, b)
+            assert (deformed_word_product(u, v, block)
+                    == word_product_all_pairs(u, v, block)), (a, b)
 
 
 def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
@@ -214,13 +216,13 @@ def test_word_product_is_the_full_loop_on_basis_words(B4, borel):
 
 
 def test_letter_mul_is_the_full_loop_on_lie_letters(B4, n5):
-    """The same with letter_eval on words of Lie letters: the family's
+    """The same with BFamily.eval on words of Lie letters: the family's
     word algebra on them is the full loop with its repeats added up, its
     words in the order of their first term."""
     letters = ((0,), (1, 2), (3,), (4, 5), (6,), (7, 8), (9,), (10,))
     for fam in (zero_past(B4), zero_past(n5)):
         def rule(p, q, ls):
-            return fam.letter_eval(p, q, ls).terms.items()
+            return fam.eval(p, q, ls).terms.items()
         for a, b in LENGTHS:
             u, v = letters[:a], letters[a:a + b]
             want = {}
@@ -432,7 +434,7 @@ def test_projection_bracket_lemma(borel):
         a = ShElem.word(ctx, (a_idx,))
         for w in all_words(2, 4):
             T = ShElem.word(ctx, w)
-            lhs = (sh_mul(a, T) - sh_mul(T, a)).pr()
+            lhs = degree_one(sh_mul(a, T) - sh_mul(T, a))
             rhs = alg.bracket(alg.basis(a_idx), alg.basis(w[0])) \
                 if len(w) == 1 else {}
             assert lhs == {k: as_series(v, 3) for k, v in rhs.items()}
